@@ -124,12 +124,3 @@ def build_cluster_channel(scenario: Scenario, cluster_id: int) -> ClusterChannel
 
 def build_all_cluster_channels(scenario: Scenario) -> list[ClusterChannel]:
     return [build_cluster_channel(scenario, j) for j in range(scenario.n_clusters)]
-
-
-def channel_to_jsonable(channel: ClusterChannel) -> dict:
-    """Debug dump of H with complex numbers as [re, im] pairs."""
-    return {
-        "cluster_id": channel.cluster_id,
-        "h": [[[z.real, z.imag] for z in row] for row in channel.h],
-        "tau_w": [float(t) for t in channel.tau],
-    }

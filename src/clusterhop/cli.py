@@ -37,7 +37,6 @@ class RunManifest:
     out_dir: str
     command: str
     solver: str = "ilp"
-    schemes: tuple[str, ...] = ALL_SCHEMES
     seed: int | None = None
     dvbs2_table: str | None = None
 
@@ -71,7 +70,7 @@ def _knobs(manifest: RunManifest, scenario: Scenario) -> dict:
         "command": manifest.command,
         "scenario": str(manifest.scenario_path),
         "solver": manifest.solver,
-        "schemes": list(manifest.schemes),
+        "schemes": list(ALL_SCHEMES),
         "seed": scenario.system.seed,
         "dvbs2_table": manifest.dvbs2_table or "builtin",
         "adjacency_rule": "center distance <= 1.1 x nominal pitch",
@@ -133,10 +132,7 @@ def run(manifest: RunManifest) -> list[str]:
         emit("snapshots.csv", lambda p: dump_v_csv(snaps.v, p))
 
     elif manifest.command == "plan":
-        snaps = _snapshots(scenario, table)
-        _, m = aggregate_and_scale_demands(scenario)
-        plan = _solve(manifest, IlpInstance(l=snaps.l, m=m,
-                                            n_slot=scenario.system.n_slot))
+        snaps, plan = _plan(manifest, scenario, table)
         doc = {
             "psi": {str(i): int(plan.psi[i]) for i in np.flatnonzero(plan.psi)},
             "t": None if math.isinf(plan.t) else plan.t,
@@ -152,27 +148,16 @@ def run(manifest: RunManifest) -> list[str]:
 
     elif manifest.command == "compare":
         field = channel.build_beam_field(scenario)
-        reports = []
-        for scheme in manifest.schemes:
-            if scheme == SCHEME_CH:
-                chans = channel.build_all_cluster_channels(scenario)
-                caps = precoding.cluster_capacities(scenario, chans, table)
-                snaps = build_snapshot_set(scenario.adjacency,
-                                           scenario.system.n_p,
-                                           caps.p_cluster_bits)
-                _, m = aggregate_and_scale_demands(scenario)
-                plan = _solve(manifest, IlpInstance(
-                    l=snaps.l, m=m, n_slot=scenario.system.n_slot))
-                offered = metrics.plan_beam_offered(plan, scenario)
-            elif scheme == benchmarks.FOUR_COLOR:
-                offered = benchmarks.four_color_evaluate(
-                    scenario, field, table).offered_bps
-            elif scheme == benchmarks.ONE_COLOR_BH:
-                offered = benchmarks.bh_evaluate(
-                    scenario, field, table).offered_bps
-            else:
-                raise ValueError(f"unknown scheme {scheme}")
-            reports.append(metrics.score(offered, scenario, scheme))
+        _, plan = _plan(manifest, scenario, table)
+        offered = {
+            SCHEME_CH: metrics.plan_beam_offered(plan, scenario),
+            benchmarks.FOUR_COLOR: benchmarks.four_color_evaluate(
+                scenario, field, table).offered_bps,
+            benchmarks.ONE_COLOR_BH: benchmarks.bh_evaluate(
+                scenario, field, table).offered_bps,
+        }
+        reports = [metrics.score(offered[scheme], scenario, scheme)
+                   for scheme in ALL_SCHEMES]
         for report in reports:
             emit(f"report_beams_{report.scheme}.csv",
                  lambda p, r=report: _write_text(
@@ -184,13 +169,7 @@ def run(manifest: RunManifest) -> list[str]:
              lambda p: metrics.write_summary_json(reports, p))
 
     elif manifest.command == "leakage":
-        chans = channel.build_all_cluster_channels(scenario)
-        caps = precoding.cluster_capacities(scenario, chans, table)
-        snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                                   caps.p_cluster_bits)
-        _, m = aggregate_and_scale_demands(scenario)
-        plan = _solve(manifest, IlpInstance(l=snaps.l, m=m,
-                                            n_slot=scenario.system.n_slot))
+        snaps, plan = _plan(manifest, scenario, table)
         field = channel.build_beam_field(scenario)
         leak = metrics.cross_cluster_leakage(scenario, field, snaps, plan)
         doc = {
@@ -216,6 +195,16 @@ def _snapshots(scenario: Scenario, table):
     caps = precoding.cluster_capacities(scenario, chans, table)
     return build_snapshot_set(scenario.adjacency, scenario.system.n_p,
                               caps.p_cluster_bits)
+
+
+def _plan(manifest: RunManifest, scenario: Scenario, table):
+    """The stage chain shared by plan, compare and leakage: channels ->
+    capacities -> snapshots -> solve. Returns the snapshot set and the plan."""
+    snaps = _snapshots(scenario, table)
+    _, m = aggregate_and_scale_demands(scenario)
+    plan = _solve(manifest, IlpInstance(l=snaps.l, m=m,
+                                        n_slot=scenario.system.n_slot))
+    return snaps, plan
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -5,18 +5,21 @@ The core problem maximizes the worst offered/demanded ratio over clusters:
     max t   s.t.   sum_i psi_i * l_i >= t * m   (elementwise, demanded rows)
                    sum_i psi_i = n_slot,  psi_i nonnegative integers
 
-``solve_illumination`` solves it exactly. On instances whose supply rows live
-on a value lattice (always true for snapshot supplies, where row j only
-contains 0 and p_j), the achievable objectives form a finite grid and the
+``solve_illumination`` solves it exactly. Every demanded supply row must lie
+on a value lattice: uniform on its support (always true for snapshot
+supplies, where row j only contains 0 and p_j; an all-zero row qualifies) or
+all-integer. The achievable objectives then form a finite grid, and the
 solver walks that grid downward from the LP bound, deciding each candidate
 threshold with an integer feasibility search over lattice-tightened
-requirements. Other instances fall back to plain depth-first branch-and-bound
-with LP bounds. Both paths use the in-repo bounded-variable simplex and end
-by refining the optimizer to the lexicographically smallest optimal count
-vector. ``brute_force_plan`` enumerates count vectors as an oracle and
-``greedy_plan`` is a fast heuristic lower bound. Clusters with zero demand
-are excluded from the objective; they still receive whatever supply the
-chosen snapshots give them.
+requirements, then refines the optimizer to the lexicographically smallest
+optimal count vector. LP bounds come from the in-repo bounded-variable
+simplex. A row off any lattice is a ValidationError; a row whose grid has
+more than ``OBJECTIVE_GRID_CAP`` steps (N_slot above the cap for snapshot
+rows) is a CapExceededError. ``brute_force_plan`` enumerates count vectors
+as an oracle and ``greedy_plan`` is a fast heuristic lower bound; both accept
+any supply matrix. Clusters with zero demand are excluded from the
+objective; they still receive whatever supply the chosen snapshots give
+them.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
 
 DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
-_TOL = 1e-9
+OBJECTIVE_GRID_CAP = 10 ** 6  # largest lattice multiple k_max of one row
 _INT_TOL = 1e-7
 
 
@@ -161,41 +164,44 @@ def _fractional_index(psi: np.ndarray):
 def _row_lattice_step(row: np.ndarray) -> float | None:
     """Spacing of the values sum_i psi_i * row_i can take, when that set is a
     lattice: the common value for a uniform row (the snapshot-supply case),
-    1.0 for an all-integer row. None when no lattice is known."""
+    1.0 for an all-integer row, including the all-zero row of a cluster in
+    outage. None when no lattice is known."""
     nz = row[row > 0]
-    if nz.size == 0:
-        return None
-    if nz.max() - nz.min() <= 1e-9 * nz.max():
+    if nz.size and nz.max() - nz.min() <= 1e-9 * nz.max():
         return float(nz[0])
     if np.abs(row - np.rint(row)).max() <= 1e-9:
         return 1.0
     return None
 
 
-def _lattice_steps(l_dem: np.ndarray) -> np.ndarray | None:
+def _lattice_steps(l_dem: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     steps = []
-    for j in range(l_dem.shape[0]):
-        step = _row_lattice_step(l_dem[j])
+    for j, row in zip(clusters, l_dem):
+        step = _row_lattice_step(row)
         if step is None:
-            return None
+            raise ValidationError(
+                f"supply row of cluster {j} is neither uniform on its "
+                "support nor integer; the exact planner needs a value lattice"
+            )
         steps.append(step)
     return np.array(steps)
 
 
-def _objective_grid(l_dem, m_dem, steps, n_slot):
-    """Sorted array of all values the objective can take, or None.
+def _objective_grid(l_dem, m_dem, steps, n_slot, clusters):
+    """Sorted array of all values the objective can take.
 
     The achieved t always equals s_j / m_j of some cluster, and s_j lives on
     that row's value lattice; the union of the per-row grids therefore
     contains every achievable objective.
     """
-    if steps is None:
-        return None
     grids = []
     for j in range(l_dem.shape[0]):
         k_max = int(math.floor(n_slot * l_dem[j].max() / steps[j] + 0.5))
-        if k_max > 10 ** 6:
-            return None
+        if k_max > OBJECTIVE_GRID_CAP:
+            raise CapExceededError(
+                f"objective grid of cluster {clusters[j]} has {k_max} steps, "
+                f"above the cap {OBJECTIVE_GRID_CAP} (N_slot={n_slot})"
+            )
         grids.append(np.arange(k_max + 1) * (steps[j] / m_dem[j]))
     return np.unique(np.concatenate(grids))
 
@@ -330,47 +336,15 @@ def _find_integer_point(a, rhs_req, n_slot, lb0, ub0):
     return None
 
 
-def _branch_and_bound_max_t(instance, a, demanded, best_psi, best_t):
-    """Plain LP-bounded branch-and-bound; used when no value lattice exists."""
-    n_slot = instance.n_slot
-    n_ss = instance.n_snapshots
-    stack = [(np.zeros(n_ss), np.full(n_ss, float(n_slot)), math.inf)]
-    while stack:
-        lb, ub, parent_bound = stack.pop()
-        if parent_bound <= best_t + _TOL:
-            continue
-        if lb.sum() > n_slot or ub.sum() < n_slot:
-            continue
-        lp = _lp_max_t(a, n_slot, lb, ub)
-        if lp is None:
-            continue
-        t_lp, psi_lp = lp
-        if t_lp <= best_t + _TOL:
-            continue
-        branch = _fractional_index(psi_lp)
-        if branch is None:
-            psi_int = np.rint(psi_lp).astype(int)
-            t_int = _ratio_t(instance, psi_int, demanded)
-            if t_int > best_t:
-                best_t, best_psi = t_int, psi_int
-            continue
-        floor_val = math.floor(psi_lp[branch])
-        ub_down = ub.copy()
-        ub_down[branch] = floor_val
-        lb_up = lb.copy()
-        lb_up[branch] = floor_val + 1
-        stack.append((lb, ub_down, t_lp))   # explored second
-        stack.append((lb_up, ub, t_lp))     # explored first
-    return best_t, best_psi
-
-
 # ---------------------------------------------------------------------------
 # Exact solver
 
 def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     """Exact max-min plan; the lexicographically smallest optimal counts.
 
-    Raises InfeasibleError when there is no snapshot at all. When every
+    Raises InfeasibleError when there is no snapshot at all, ValidationError
+    when a demanded supply row lies on no value lattice, and CapExceededError
+    when the objective grid is larger than ``OBJECTIVE_GRID_CAP``. When every
     cluster demand is zero the ratio objective is undefined: the plan spreads
     slots uniformly, reports t = inf and status 'heuristic'.
     """
@@ -385,8 +359,9 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     l_dem = instance.l[demanded]
     m_dem = instance.m[demanded]
     a = l_dem / m_dem[:, None]
-    steps = _lattice_steps(l_dem)
-    grid = _objective_grid(l_dem, m_dem, steps, n_slot)
+    clusters = np.flatnonzero(demanded)
+    steps = _lattice_steps(l_dem, clusters)
+    grid = _objective_grid(l_dem, m_dem, steps, n_slot, clusters)
 
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
@@ -396,35 +371,27 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
 
     best_psi = _rounding_incumbent(instance, psi_lp, demanded)
     best_t = _ratio_t(instance, best_psi, demanded)
-    greedy_psi = greedy_plan(instance).psi
-    greedy_t = _ratio_t(instance, greedy_psi, demanded)
-    if greedy_t > best_t:
-        best_t, best_psi = greedy_t, greedy_psi
 
-    if grid is not None:
-        # Walk candidate objective values downward from the LP bound; the
-        # first threshold with an integer solution is the exact optimum.
-        top = _grid_floor(grid, t_lp)
-        lo = int(np.searchsorted(grid, best_t * (1 + 1e-12) + 1e-15, side="right"))
-        hi = int(np.searchsorted(grid, top, side="right"))
-        for g in grid[lo:hi][::-1]:
-            rhs_req = _requirements(m_dem, steps, g)
-            psi_g = _find_integer_point(a, rhs_req, n_slot, lb0, ub0)
-            if psi_g is not None:
-                t_g = _ratio_t(instance, psi_g, demanded)
-                if t_g > best_t:
-                    best_t, best_psi = t_g, psi_g
-                break
-    else:
-        best_t, best_psi = _branch_and_bound_max_t(
-            instance, a, demanded, best_psi, best_t)
+    # Walk candidate objective values downward from the LP bound; the first
+    # threshold with an integer solution is the exact optimum.
+    top = _grid_floor(grid, t_lp)
+    lo = int(np.searchsorted(grid, best_t * (1 + 1e-12) + 1e-15, side="right"))
+    hi = int(np.searchsorted(grid, top, side="right"))
+    for g in grid[lo:hi][::-1]:
+        rhs_req = _requirements(m_dem, steps, g)
+        psi_g = _find_integer_point(a, rhs_req, n_slot, lb0, ub0)
+        if psi_g is not None:
+            t_g = _ratio_t(instance, psi_g, demanded)
+            if t_g > best_t:
+                best_t, best_psi = t_g, psi_g
+            break
 
-    best_psi = _lex_smallest_optimal(instance, a, demanded, m_dem, steps,
-                                     best_psi, best_t)
+    best_psi = _lex_smallest_optimal(instance, a, m_dem, steps, best_psi,
+                                     best_t)
     return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
 
 
-def _lex_smallest_optimal(instance, a, demanded, m_dem, steps, witness, best_t):
+def _lex_smallest_optimal(instance, a, m_dem, steps, witness, best_t):
     """Among optimal count vectors, the lexicographically smallest.
 
     Fixes psi_0, psi_1, ... in turn to the smallest value that still admits
@@ -435,10 +402,7 @@ def _lex_smallest_optimal(instance, a, demanded, m_dem, steps, witness, best_t):
     witness = np.asarray(witness, dtype=int).copy()
     n_ss = instance.n_snapshots
     n_slot = instance.n_slot
-    if steps is not None:
-        rhs_req = _requirements(m_dem, steps, best_t)
-    else:
-        rhs_req = np.full(a.shape[0], best_t - _TOL * max(1.0, abs(best_t)))
+    rhs_req = _requirements(m_dem, steps, best_t)
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
     for i in range(n_ss):

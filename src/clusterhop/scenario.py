@@ -9,6 +9,7 @@ immutable afterwards.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +178,11 @@ def _parse_beams(raw) -> tuple[Beam, ...]:
                 v=float(entry["v"]),
                 demand_bps=float(entry["demand_bps"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed beam entry {entry!r}: {exc}") from exc
+        for name in ("u", "v", "demand_bps"):
+            if not math.isfinite(getattr(beam, name)):
+                raise ValidationError(f"beam {beam.id}: {name} must be finite")
         if beam.demand_bps < 0:
             raise ValidationError(f"beam {beam.id}: demand must be >= 0")
         beams.append(beam)
@@ -249,20 +253,27 @@ def _parse_system(raw) -> SystemConfig:
         if file_key not in raw:
             raise ValidationError(f"system: missing key '{file_key}'")
         kwargs[field] = raw[file_key]
-    cfg = SystemConfig(
-        p_t_w=float(kwargs["p_t_w"]),
-        b_w_hz=float(kwargs["b_w_hz"]),
-        carrier_hz=float(kwargs["carrier_hz"]),
-        rolloff=float(kwargs["rolloff"]),
-        t_slot_s=float(kwargs["t_slot_s"]),
-        n_slot=int(kwargs["n_slot"]),
-        n_p=int(kwargs["n_p"]),
-        dual_polarization=bool(kwargs["dual_polarization"]),
-        gain_peak_dbi=float(kwargs["gain_peak_dbi"]),
-        beamwidth_3db_deg=float(kwargs["beamwidth_3db_deg"]),
-        t_sys_k=float(kwargs["t_sys_k"]),
-        seed=int(kwargs["seed"]),
-    )
+    try:
+        cfg = SystemConfig(
+            p_t_w=float(kwargs["p_t_w"]),
+            b_w_hz=float(kwargs["b_w_hz"]),
+            carrier_hz=float(kwargs["carrier_hz"]),
+            rolloff=float(kwargs["rolloff"]),
+            t_slot_s=float(kwargs["t_slot_s"]),
+            n_slot=int(kwargs["n_slot"]),
+            n_p=int(kwargs["n_p"]),
+            dual_polarization=bool(kwargs["dual_polarization"]),
+            gain_peak_dbi=float(kwargs["gain_peak_dbi"]),
+            beamwidth_3db_deg=float(kwargs["beamwidth_3db_deg"]),
+            t_sys_k=float(kwargs["t_sys_k"]),
+            seed=int(kwargs["seed"]),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"system: malformed value: {exc}") from exc
+    for name in ("p_t_w", "b_w_hz", "carrier_hz", "rolloff", "t_slot_s",
+                 "gain_peak_dbi", "beamwidth_3db_deg", "t_sys_k"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValidationError(f"system: {name} must be finite")
     for name in ("p_t_w", "b_w_hz", "carrier_hz", "t_slot_s", "t_sys_k",
                  "gain_peak_dbi", "beamwidth_3db_deg"):
         if getattr(cfg, name) <= 0:
@@ -335,11 +346,6 @@ def aggregate_and_scale_demands(scenario: Scenario) -> tuple[np.ndarray, np.ndar
     )
     m = scenario.system.hopping_window_s * d
     return d, m
-
-
-def cluster_demand_vector(scenario: Scenario) -> np.ndarray:
-    d, _ = aggregate_and_scale_demands(scenario)
-    return d
 
 
 def scenario_summary(scenario: Scenario) -> dict:

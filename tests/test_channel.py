@@ -100,11 +100,3 @@ def test_beam_field_matches_cluster_channels(ref_scenario, ref_channels):
         sub = field.gains[np.ix_(idx, idx)]
         assert np.abs(ch.h) == pytest.approx(sub)
 
-
-def test_channel_json_dump_roundtrip(ref_channels):
-    doc = channel.channel_to_jsonable(ref_channels[0])
-    h = ref_channels[0].h
-    assert doc["cluster_id"] == 0
-    re, im = doc["h"][1][2]
-    assert re == h[1, 2].real and im == h[1, 2].imag
-    assert doc["tau_w"][0] == pytest.approx(ref_channels[0].tau[0])

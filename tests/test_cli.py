@@ -69,6 +69,25 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert "error: cap-exceeded:" in capsys.readouterr().err
 
 
+def test_objective_grid_cap_exit_code(tmp_path, capsys):
+    doc = toy_doc(n_slot=2_000_000)
+    rc = _run(["plan", "--scenario", _write(tmp_path, doc),
+               "--out", tmp_path / "out"])
+    assert rc == 4
+    assert "error: cap-exceeded:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_demand_is_validate_error(tmp_path, capsys):
+    doc = toy_doc()
+    doc["beams"][0]["demand_bps"] = float("nan")
+    rc = _run(["plan", "--scenario", _write(tmp_path, doc),
+               "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "error: validate:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_outputs(tmp_path, toy_file, capsys):
     out = tmp_path / "out"
     assert _run(["plan", "--scenario", toy_file, "--out", out]) == 0
@@ -160,18 +179,6 @@ def test_plan_reference_window_budget(tmp_path, ref_doc):
     plan = json.loads((out / "plan.json").read_text())
     assert sum(plan["psi"].values()) == 256
     assert len(plan["schedule"]) == 256
-
-
-def test_compare_scheme_subset(tmp_path, toy_file):
-    from clusterhop.cli import RunManifest, run
-
-    out = tmp_path / "subset"
-    run(RunManifest(scenario_path=str(toy_file), out_dir=str(out),
-                    command="compare", schemes=("4c_fr",)))
-    assert (out / "report_beams_4c_fr.csv").exists()
-    assert not (out / "report_beams_ch.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"4c_fr"}
 
 
 def test_custom_dvbs2_table(tmp_path, toy_file):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhop.errors import CapExceededError, InfeasibleError
+from clusterhop.errors import CapExceededError, InfeasibleError, ValidationError
 from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
                                 greedy_plan, lp_relaxation_bound,
                                 solve_illumination)
@@ -185,6 +185,26 @@ def test_no_snapshots_is_infeasible():
         greedy_plan(inst)
     with pytest.raises(InfeasibleError):
         brute_force_plan(inst)
+
+
+def test_demanded_zero_supply_row_gives_zero_t():
+    # cluster 1 is in outage: it is demanded but no snapshot serves it
+    l = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    inst = IlpInstance(l=l, m=np.array([2.0, 3.0]), n_slot=5)
+    plan = solve_illumination(inst)
+    assert plan.t == 0
+    assert plan.psi.tolist() == [0, 0, 5]
+    assert plan.solver_status == "optimal"
+    assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist()
+
+
+def test_non_lattice_row_is_rejected():
+    inst = IlpInstance(l=np.array([[0.5, 0.7]]), m=np.array([1.0]), n_slot=3)
+    with pytest.raises(ValidationError, match="cluster 0"):
+        solve_illumination(inst)
+    plan = brute_force_plan(inst)
+    assert plan.psi.tolist() == [0, 3]
+    assert greedy_plan(inst).psi.sum() == 3
 
 
 def test_expand_even_interleave():

@@ -65,6 +65,36 @@ def test_negative_demand_rejected():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("demand_bps", float("nan")),
+    ("demand_bps", float("inf")),
+    ("u", float("inf")),
+    ("v", float("nan")),
+])
+def test_non_finite_beam_value_rejected(key, value):
+    doc = toy_doc()
+    doc["beams"][2][key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["P_T_W", "B_W_Hz", "carrier_Hz", "T_slot_s",
+                                 "gain_peak_dBi", "beamwidth_3dB_deg",
+                                 "T_sys_K"])
+def test_non_finite_system_value_rejected(key):
+    doc = toy_doc()
+    doc["system"][key] = float("inf")
+    with pytest.raises(ValidationError, match="must be finite"):
+        scenario_from_dict(doc)
+
+
+def test_non_finite_integer_system_value_rejected():
+    doc = toy_doc()
+    doc["system"]["N_slot"] = float("inf")
+    with pytest.raises(ValidationError, match="system"):
+        scenario_from_dict(doc)
+
+
 def test_asymmetric_adjacency_rejected():
     doc = toy_doc()
     doc["adjacency"][0][1] = 0  # mirror entry left at 1
