@@ -4,7 +4,8 @@ benchmark comparison -> reports.
 Every subcommand is a pure function of (scenario file, flags, seed); output
 files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
-3 infeasible, 4 resource cap, 5 I/O.
+3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
+6 solver failure (singular simplex basis).
 """
 from __future__ import annotations
 

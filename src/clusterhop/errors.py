@@ -34,3 +34,10 @@ class CapExceededError(ClusterHopError):
 
     exit_code = 4
     error_class = "cap-exceeded"
+
+
+class SolverError(ClusterHopError):
+    """The LP solver failed numerically (its basis matrix became singular)."""
+
+    exit_code = 6
+    error_class = "solver"

@@ -164,13 +164,13 @@ def _fractional_index(psi: np.ndarray):
 def _row_lattice_step(row: np.ndarray) -> float | None:
     """Spacing of the values sum_i psi_i * row_i can take, when that set is a
     lattice: the common value for a uniform row (the snapshot-supply case),
-    1.0 for an all-integer row, including the all-zero row of a cluster in
-    outage. None when no lattice is known."""
+    the gcd of the entries of an all-integer row, and 1.0 when that gcd is 0
+    (the all-zero row of a cluster in outage). None when no lattice is known."""
     nz = row[row > 0]
     if nz.size and nz.max() - nz.min() <= 1e-9 * nz.max():
         return float(nz[0])
     if np.abs(row - np.rint(row)).max() <= 1e-9:
-        return 1.0
+        return float(math.gcd(*(int(v) for v in np.rint(nz))) or 1)
     return None
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from clusterhop import simplex
 from clusterhop.cli import main
 
 from conftest import toy_doc
@@ -75,6 +76,17 @@ def test_objective_grid_cap_exit_code(tmp_path, capsys):
                "--out", tmp_path / "out"])
     assert rc == 4
     assert "error: cap-exceeded:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simplex_iteration_limit_exit_code(tmp_path, toy_file, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr(simplex, "_ITERATION_LIMIT", 1)
+    rc = _run(["plan", "--scenario", toy_file, "--out", tmp_path / "out"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap-exceeded: simplex iteration limit")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

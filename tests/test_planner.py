@@ -207,6 +207,17 @@ def test_non_lattice_row_is_rejected():
     assert greedy_plan(inst).psi.sum() == 3
 
 
+def test_integer_row_lattice_step_is_gcd():
+    # grid {0, 2e6, 4e6}: the step is gcd(2e6, 4e6), not 1
+    inst = IlpInstance(l=np.array([[2e6, 4e6]]), m=np.array([1.0]), n_slot=1)
+    plan = solve_illumination(inst)
+    assert plan.t == 4e6
+    assert plan.psi.tolist() == [0, 1]
+    oracle = brute_force_plan(inst)
+    assert oracle.t == plan.t
+    assert oracle.psi.tolist() == plan.psi.tolist()
+
+
 def test_expand_even_interleave():
     assert expand_schedule(np.array([2, 2])).tolist() == [0, 1, 0, 1]
 
