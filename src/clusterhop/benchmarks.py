@@ -97,12 +97,11 @@ def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
         best_g = -1
         best_d = -1.0
         for g, members in enumerate(groups):
-            if any(adj[i, j] for j in members):
+            if adj[i, members].any():
                 continue
             if members:
-                d = min(
-                    float(np.hypot(*(centers[i] - centers[j]))) for j in members
-                )
+                diff = centers[i] - centers[members]
+                d = float(np.hypot(diff[:, 0], diff[:, 1]).min())
             else:
                 d = np.inf
             if d > best_d:

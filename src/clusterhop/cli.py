@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, channel, metrics, precoding
-from .errors import ClusterHopError
+from .errors import ClusterHopError, ValidationError
 from .planner import (IlpInstance, brute_force_plan, greedy_plan,
                       solve_illumination)
 from .scenario import (Scenario, aggregate_and_scale_demands, load_scenario,
@@ -45,6 +45,8 @@ class RunManifest:
 def _load(manifest: RunManifest) -> Scenario:
     scenario = load_scenario(manifest.scenario_path)
     if manifest.seed is not None:
+        if manifest.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         system = dataclasses.replace(scenario.system, seed=manifest.seed)
         scenario = dataclasses.replace(scenario, system=system)
     return scenario

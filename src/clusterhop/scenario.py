@@ -284,6 +284,8 @@ def _parse_system(raw) -> SystemConfig:
         raise ValidationError("system: N_slot must be >= 1")
     if cfg.n_p < 1:
         raise ValidationError("system: N_P must be >= 1")
+    if cfg.seed < 0:
+        raise ValidationError("system: seed must be >= 0")
     return cfg
 
 

@@ -100,3 +100,54 @@ def test_beam_field_matches_cluster_channels(ref_scenario, ref_channels):
         sub = field.gains[np.ix_(idx, idx)]
         assert np.abs(ch.h) == pytest.approx(sub)
 
+
+def _numpy_phases(seed, cluster_id, members):
+    """The scalar reference: one NumPy generator per (rx, tx) beam pair."""
+    def phase(rx, tx):
+        ss = np.random.SeedSequence([seed, cluster_id, rx, tx])
+        return np.random.default_rng(ss).uniform(0.0, 2.0 * math.pi)
+    return np.array([[phase(rx, tx) for tx in members] for rx in members])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**70 + 3])
+@pytest.mark.parametrize("cluster_id", [0, 5])
+def test_pair_phases_match_numpy_streams(seed, cluster_id):
+    # beam 0 and cluster 0 are one-word [0] entropy; seeds from 2**32 up are
+    # several words and take SeedSequence's extra mixing rounds
+    members = [0, 1, 9, 70, 299]
+    got = channel._pair_phases(seed, cluster_id, members)
+    assert np.array_equal(got, _numpy_phases(seed, cluster_id, members))
+
+
+@pytest.mark.parametrize("beam", [0, 42])
+def test_single_beam_phase_matches_numpy_stream(beam):
+    got = channel._pair_phases(3, 0, [beam])
+    assert got.shape == (1, 1)
+    assert np.array_equal(got, _numpy_phases(3, 0, [beam]))
+
+
+@pytest.mark.parametrize("seed", [None, 2**70 + 3])
+def test_reference_channels_match_scalar_construction(ref_doc, seed):
+    doc = ref_doc
+    if seed is not None:
+        doc = {**ref_doc, "system": {**ref_doc["system"], "seed": seed}}
+    sc = scenario_from_dict(doc)
+    gains = channel.gain_magnitude_matrix(sc)
+    for j, members in enumerate(sc.clusters.members):
+        idx = np.array(members)
+        phases = _numpy_phases(sc.system.seed, j, members)
+        got = channel._pair_phases(sc.system.seed, j, members)
+        assert np.array_equal(got, phases)
+        expected = gains[np.ix_(idx, idx)] * np.exp(1j * phases)
+        assert np.array_equal(channel.build_cluster_channel(sc, j).h, expected)
+
+
+def test_reference_channel_golden(ref_scenario):
+    # A change in the phase streams or the gain model fails here instead of
+    # silently changing every artifact downstream.
+    h = channel.build_cluster_channel(ref_scenario, 0).h
+    assert repr(h[:2, :2].tolist()) == (
+        "[[(1.5720683004576734e-07+7.825728896089945e-07j), "
+        "(-1.7081090456846335e-07+1.0317232987588761e-07j)], "
+        "[(1.9588389535266187e-07-3.8084042760493244e-08j), "
+        "(6.684883627714256e-07+4.361853090180701e-07j)]]")

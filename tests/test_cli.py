@@ -100,6 +100,22 @@ def test_nan_demand_is_validate_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_negative_seed_is_validate_error(tmp_path, capsys, where):
+    doc = toy_doc()
+    args = ["plan", "--out", tmp_path / "out"]
+    if where == "flag":
+        args += ["--seed", "-1"]
+    else:
+        doc["system"]["seed"] = -1
+    rc = _run(args + ["--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validate:") and "seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_outputs(tmp_path, toy_file, capsys):
     out = tmp_path / "out"
     assert _run(["plan", "--scenario", toy_file, "--out", out]) == 0
