@@ -138,10 +138,14 @@ def bh_evaluate(scenario: Scenario, field: BeamField,
     tau = noise_power_w(cfg)
     pol = 2.0 if cfg.dual_polarization else 1.0
     offered = np.zeros(scenario.n_beams)
-    for g, members in enumerate(groups):
-        for i in members:
-            interference = sum(power[i, j] for j in members if j != i)
-            gamma = power[i, i] / (interference + tau)
+    for members in filter(None, groups):  # a group may be empty
+        # In-group interference summed left to right over the other members,
+        # as a sequential accumulate (a zeroed own term adds nothing).
+        block = power[np.ix_(members, members)]
+        np.fill_diagonal(block, 0.0)
+        interference = np.add.accumulate(block, axis=1)[:, -1]
+        for i, inter in zip(members, interference):
+            gamma = power[i, i] / (inter + tau)
             se = dvbs2_efficiency(float(gamma), table)
             offered[i] = dwell * se * cfg.b_w_hz / (1.0 + cfg.rolloff) * pol
     offered.flags.writeable = False

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import Scenario, SystemConfig
+from .scenario import Scenario, SystemConfig, center_distances
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_K = 1.380_649e-23
@@ -81,9 +81,7 @@ def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> fl
 
 def _gain_block(centers: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Amplitude gains |H_ki| between the given beam centers, rows receiving."""
-    diff = centers[:, None, :] - centers[None, :, :]
-    angles = np.sqrt((diff ** 2).sum(axis=2))
-    g_tx = beam_gain(angles, config)
+    g_tx = beam_gain(center_distances(centers), config)
     g_rx = 10.0 ** (RX_GAIN_DBI / 10.0)
     return np.sqrt(g_tx * g_rx / free_space_loss(config))
 

@@ -13,7 +13,9 @@ solver walks that grid downward from the LP bound, deciding each candidate
 threshold with an integer feasibility search over lattice-tightened
 requirements, then refines the optimizer to the lexicographically smallest
 optimal count vector. LP bounds come from the in-repo bounded-variable
-simplex. A row off any lattice is a ValidationError; a row whose grid has
+simplex; after the first, every LP of the grid walk and of the refinement
+restarts from the basis of the LP before it (a branch-and-bound child from
+its parent's). A row off any lattice is a ValidationError; a row whose grid has
 more than ``OBJECTIVE_GRID_CAP`` steps (N_slot above the cap for snapshot
 rows) is a CapExceededError. ``brute_force_plan`` enumerates count vectors
 as an oracle and ``greedy_plan`` is a fast heuristic lower bound; both accept
@@ -128,8 +130,12 @@ def _lp_max_t(a: np.ndarray, n_slot: int, lb: np.ndarray, ub: np.ndarray):
     return float(res.x[n_ss]), res.x[:n_ss]
 
 
-def _lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost_psi):
-    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot."""
+def _lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
+    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot.
+
+    Returns ((objective, psi) or None when infeasible, restart point). The
+    LP restarts from ``warm``, the restart point of an earlier LP of this
+    form over the same ``a``, when one is given."""
     n_dem, n_ss = a.shape
     n_var = n_ss + n_dem
     rows = np.zeros((n_dem + 1, n_var))
@@ -142,10 +148,10 @@ def _lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost_psi):
     cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
-    res = solve_bounded_lp(cost, rows, rhs, lower, upper)
+    res = solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
     if res.status != OPTIMAL:
-        return None
-    return float(res.objective), res.x[:n_ss]
+        return None, res.warm
+    return (float(res.objective), res.x[:n_ss]), res.warm
 
 
 def _fractional_index(psi: np.ndarray):
@@ -300,40 +306,43 @@ def _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp):
 # ---------------------------------------------------------------------------
 # Exact integer searches
 
-def _find_integer_point(a, rhs_req, n_slot, lb0, ub0):
-    """Integer psi with a @ psi >= rhs_req and sum(psi) = n_slot, or None.
+def _find_integer_point(a, rhs_req, n_slot, lb0, ub0, warm):
+    """Integer psi with a @ psi >= rhs_req and sum(psi) = n_slot, or None,
+    and the restart point of the last LP solved.
 
     Depth-first search with LP feasibility pruning; exact (exhausts the tree
     before concluding infeasibility). A rounding repair at each node finds
-    feasible points quickly when they exist.
+    feasible points quickly when they exist. The root LP restarts from
+    ``warm`` and every child from its parent's basis.
     """
     zero_cost = np.zeros(a.shape[1])
-    stack = [(lb0.copy(), ub0.copy())]
+    stack = [(lb0.copy(), ub0.copy(), warm)]
     while stack:
-        lb, ub = stack.pop()
+        lb, ub, parent = stack.pop()
         if lb.sum() > n_slot or ub.sum() < n_slot:
             continue
-        lp = _lp_over_requirements(a, rhs_req, n_slot, lb, ub, zero_cost)
+        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, lb, ub,
+                                         zero_cost, parent)
         if lp is None:
             continue
         _, psi_lp = lp
         psi_h = _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp)
         if _meets(a, psi_h, rhs_req):
-            return psi_h
+            return psi_h, warm
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
             if _meets(a, psi_int, rhs_req):
-                return psi_int
+                return psi_int, warm
             continue
         floor_val = math.floor(psi_lp[branch])
         ub_down = ub.copy()
         ub_down[branch] = floor_val
         lb_up = lb.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb, ub_down))   # explored second
-        stack.append((lb_up, ub))     # explored first
-    return None
+        stack.append((lb, ub_down, warm))   # explored second
+        stack.append((lb_up, ub, warm))     # explored first
+    return None, warm
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +386,10 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     top = _grid_floor(grid, t_lp)
     lo = int(np.searchsorted(grid, best_t * (1 + 1e-12) + 1e-15, side="right"))
     hi = int(np.searchsorted(grid, top, side="right"))
+    warm = None  # every LP after the first restarts from the last LP's basis
     for g in grid[lo:hi][::-1]:
         rhs_req = _requirements(m_dem, steps, g)
-        psi_g = _find_integer_point(a, rhs_req, n_slot, lb0, ub0)
+        psi_g, warm = _find_integer_point(a, rhs_req, n_slot, lb0, ub0, warm)
         if psi_g is not None:
             t_g = _ratio_t(instance, psi_g, demanded)
             if t_g > best_t:
@@ -387,17 +397,18 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
             break
 
     best_psi = _lex_smallest_optimal(instance, a, m_dem, steps, best_psi,
-                                     best_t)
+                                     best_t, warm)
     return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
 
 
-def _lex_smallest_optimal(instance, a, m_dem, steps, witness, best_t):
+def _lex_smallest_optimal(instance, a, m_dem, steps, witness, best_t, warm):
     """Among optimal count vectors, the lexicographically smallest.
 
     Fixes psi_0, psi_1, ... in turn to the smallest value that still admits
     an integer completion achieving the optimum (within the solver tolerance).
     The incumbent 'witness' certifies feasibility of each fixed prefix, so
-    only positions where it is nonzero need a solve.
+    only positions where it is nonzero need a solve. Each position's search
+    restarts from the basis of the LP solved before it, ``warm`` at first.
     """
     witness = np.asarray(witness, dtype=int).copy()
     n_ss = instance.n_snapshots
@@ -407,32 +418,36 @@ def _lex_smallest_optimal(instance, a, m_dem, steps, witness, best_t):
     ub = np.full(n_ss, float(n_slot))
     for i in range(n_ss):
         if witness[i] > 0:
-            val, better = _min_count_at(a, rhs_req, n_slot, lb, ub, i, witness)
+            val, better, warm = _min_count_at(a, rhs_req, n_slot, lb, ub, i,
+                                              witness, warm)
             if val < witness[i]:
                 witness = better
         lb[i] = ub[i] = float(witness[i])
     return witness
 
 
-def _min_count_at(a, rhs_req, n_slot, lb, ub, var, witness):
-    """Exact integer minimum of psi_var over the requirement polytope."""
+def _min_count_at(a, rhs_req, n_slot, lb, ub, var, witness, warm):
+    """Exact integer minimum of psi_var over the requirement polytope, a
+    count vector attaining it, and the restart point of the last LP solved.
+    The first LP restarts from ``warm`` and every child from its parent."""
     best_val = int(witness[var])
     best_psi = witness
     global_floor = int(round(lb[var]))
     cost = np.zeros(a.shape[1])
     cost[var] = 1.0
-    stack = [(lb.copy(), ub.copy(), 0.0)]
+    stack = [(lb.copy(), ub.copy(), 0.0, warm)]
     while stack:
         if best_val <= global_floor:
             break  # already at the variable's global lower bound
-        nlb, nub, parent_bound = stack.pop()
+        nlb, nub, parent_bound, parent = stack.pop()
         if nlb[var] >= best_val:
             continue
         if math.ceil(parent_bound - _INT_TOL) >= best_val:
             continue
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        lp = _lp_over_requirements(a, rhs_req, n_slot, nlb, nub, cost)
+        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, nlb, nub, cost,
+                                         parent)
         if lp is None:
             continue
         val_lp, psi_lp = lp
@@ -450,9 +465,9 @@ def _min_count_at(a, rhs_req, n_slot, lb, ub, var, witness):
         ub_down[branch] = floor_val
         lb_up = nlb.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb_up, nub, val_lp))    # explored second
-        stack.append((nlb, ub_down, val_lp))  # explored first: drives the count down
-    return best_val, best_psi
+        stack.append((lb_up, nub, val_lp, warm))    # explored second
+        stack.append((nlb, ub_down, val_lp, warm))  # explored first: drives the count down
+    return best_val, best_psi, warm
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +565,26 @@ def expand_schedule(psi: np.ndarray) -> np.ndarray:
 
     Largest-deficit rule: slot n goes to the snapshot whose placed count lags
     its quota psi_i * (n + 1) / n_slot the most (ties to the lowest index).
-    The result contains snapshot i exactly psi_i times.
+    The result contains snapshot i exactly psi_i times. Only the support of
+    psi is scanned: the deficits sum to 1 before every slot, so the largest
+    is positive and a snapshot with psi_i = 0 (deficit 0) never wins.
     """
     psi = np.asarray(psi)
     if (psi < 0).any() or not np.issubdtype(psi.dtype, np.integer):
         raise ValidationError("psi must be nonnegative integers")
     n_slot = int(psi.sum())
-    placed = np.zeros(len(psi))
-    schedule = np.empty(n_slot, dtype=int)
-    for n in range(n_slot):
-        deficit = (psi * (n + 1)) / n_slot - placed
-        pick = int(np.argmax(deficit))
-        schedule[n] = pick
-        placed[pick] += 1
+    support = np.flatnonzero(psi).tolist()
+    counts = psi[support].tolist()
+    placed = [0.0] * len(support)
+    schedule = []
+    for n in range(1, n_slot + 1):
+        best = -math.inf
+        for k, count in enumerate(counts):
+            deficit = (count * n) / n_slot - placed[k]
+            if deficit > best:
+                best, pick = deficit, k
+        schedule.append(support[pick])
+        placed[pick] += 1.0
+    schedule = np.array(schedule, dtype=int)
     schedule.flags.writeable = False
     return schedule

@@ -289,14 +289,23 @@ def _parse_system(raw) -> SystemConfig:
     return cfg
 
 
-def nominal_pitch(centers: np.ndarray) -> float:
-    """Smallest nonzero pairwise center distance (the lattice pitch)."""
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+def center_distances(centers: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every pair of beam centers (u, v)."""
+    du = centers[:, None, 0] - centers[None, :, 0]
+    dv = centers[:, None, 1] - centers[None, :, 1]
+    return np.sqrt(du * du + dv * dv)
+
+
+def _pitch(dist: np.ndarray) -> float:
     nz = dist[dist > 0]
     if nz.size == 0:
         raise ValidationError("all beam centers coincide; no pitch defined")
     return float(nz.min())
+
+
+def nominal_pitch(centers: np.ndarray) -> float:
+    """Smallest nonzero pairwise center distance (the lattice pitch)."""
+    return _pitch(center_distances(centers))
 
 
 def beam_adjacency(centers: np.ndarray, threshold: float | None = None) -> np.ndarray:
@@ -305,14 +314,13 @@ def beam_adjacency(centers: np.ndarray, threshold: float | None = None) -> np.nd
     Default threshold is 1.1x the nominal pitch.
     """
     n = centers.shape[0]
+    if threshold is None and n < 2:
+        return np.zeros((n, n), dtype=np.uint8)
+    dist = center_distances(centers)
     if threshold is None:
-        if n < 2:
-            return np.zeros((n, n), dtype=np.uint8)
-        threshold = 1.1 * nominal_pitch(centers)
+        threshold = 1.1 * _pitch(dist)
     if threshold <= 0:
         raise ValidationError("beam spacing threshold must be > 0")
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
     adj = (dist <= threshold).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     return adj

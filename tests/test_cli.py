@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,3 +220,22 @@ def test_custom_dvbs2_table(tmp_path, toy_file):
     lines = (out / "capacity_beams.csv").read_text().splitlines()[1:]
     ses = {float(line.split(",")[3]) for line in lines}
     assert ses == {1.5}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("scenario, digest", [
+    ("ref_71beam", "ea8ec3df7af1762bd298db375efddf92989ad1f60edc55a040ace7e1f1594006"),
+    ("toy", "f2bd4aa8ad1cc71703711d8c59d7bd42cc8e491218491f67c9d495e086fa3c29"),
+])
+def test_plan_json_is_pinned(tmp_path, scenario, digest):
+    """plan.json of the reference and toy scenarios, byte for byte: a change
+    to the solver's arithmetic or search order must not change the plan."""
+    if scenario == "toy":
+        path = _write(tmp_path, toy_doc())
+    else:
+        path = REPO / "scenarios" / f"{scenario}.json"
+    assert _run(["plan", "--scenario", path, "--out", tmp_path / "out"]) == 0
+    plan = (tmp_path / "out" / "plan.json").read_bytes()
+    assert hashlib.sha256(plan).hexdigest() == digest

@@ -244,6 +244,33 @@ def test_expand_multiset_matches_counts(psi):
     assert (counts == psi).all()
 
 
+def _expand_schedule_dense(psi):
+    """Reference largest-deficit expansion over every snapshot, one numpy
+    deficit vector per slot."""
+    n_slot = int(psi.sum())
+    placed = np.zeros(len(psi))
+    schedule = np.empty(n_slot, dtype=int)
+    for n in range(n_slot):
+        deficit = (psi * (n + 1)) / n_slot - placed
+        pick = int(np.argmax(deficit))
+        schedule[n] = pick
+        placed[pick] += 1
+    return schedule
+
+
+@given(st.lists(st.integers(min_value=0, max_value=400), min_size=1,
+                max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_dense_reference(psi):
+    psi = np.array(psi, dtype=int)
+    assert np.array_equal(expand_schedule(psi), _expand_schedule_dense(psi))
+
+
+def test_expand_matches_dense_reference_long_window():
+    psi = np.array([0, 700, 0, 0, 1, 333, 2048, 0, 13, 1001], dtype=int)
+    assert np.array_equal(expand_schedule(psi), _expand_schedule_dense(psi))
+
+
 def test_expand_spacing_dominant_snapshot(ref_plan):
     sched = ref_plan.schedule
     psi = ref_plan.psi

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from clusterhop import planner, simplex
+from clusterhop import channel, planner, precoding, simplex
 from clusterhop.errors import CapExceededError, SolverError
+from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
+from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                                 solve_bounded_lp)
+from clusterhop.snapshots import build_snapshot_set
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -147,14 +152,32 @@ def _snapshot_rows(rng):
     return v * np.exp(rng.uniform(np.log(0.05), np.log(20), size=(n_dem, 1)))
 
 
+def _assert_dual_feasible(a, lower, upper, warm):
+    """Every movable nonbasic column of the restart point rests at the bound
+    its reduced cost under the restart cost points to (artificials count as
+    fixed at zero, as in a warm solve)."""
+    a_ext = np.hstack([a, np.diag(warm.signs)])
+    lower = np.concatenate([lower, np.zeros(len(warm.signs))])
+    upper = np.concatenate([upper, np.zeros(len(warm.signs))])
+    y = np.linalg.solve(a_ext[:, warm.basis].T, warm.cost[warm.basis])
+    reduced = warm.cost - y @ a_ext
+    movable = upper - lower > 1e-9
+    movable[warm.basis] = False
+    assert (reduced[movable & ~warm.at_upper] >= -1e-7).all()
+    assert (reduced[movable & warm.at_upper] <= 1e-7).all()
+
+
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
     """Both LP forms the planner builds, at the root and with a prefix of
-    counts fixed as the lexicographic refinement fixes them."""
+    counts fixed as the lexicographic refinement fixes them, and LPs that
+    restart from an earlier basis: branch-and-bound children after a bound
+    change, the next lexicographic position after a cost change, and a
+    changed right-hand side."""
     captured = []
 
-    def recording(c, a, b, lower, upper):
-        res = solve_bounded_lp(c, a, b, lower, upper)
-        captured.append((c, a, b, lower, upper, res))
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        captured.append(((c, a, b, lower, upper, res), warm is not None))
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
@@ -173,10 +196,149 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         rhs_req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
         cost = np.zeros(n_ss)
         cost[k] = 1.0
-        planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost)
+        lp, warm = planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub,
+                                                 cost)
+        # branch on one free count, both children from the parent's basis
+        j = int(rng.integers(k, n_ss))
+        split = math.floor(lp[1][j]) if lp else int(rng.integers(0, 3))
+        ub_down = ub.copy()
+        ub_down[j] = split
+        lb_up = lb.copy()
+        lb_up[j] = split + 1
+        planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub_down, cost,
+                                      warm)
+        planner._lp_over_requirements(a, rhs_req, n_slot, lb_up, ub, cost,
+                                      warm)
+        # fix position k and minimize the next count, then raise or lower
+        # every requirement, each from the last basis
+        fixed = float(lp[1][k].round()) if lp else 0.0
+        lb[k] = ub[k] = fixed
+        cost = np.roll(cost, 1)
+        _, warm = planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub,
+                                                cost, warm)
+        rhs_req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
+        planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost, warm)
 
-    assert len(captured) == 120
-    assert max(res.pivots for *_, res in captured) > 100
-    assert {res.status for *_, res in captured} == {OPTIMAL, INFEASIBLE}
-    for lp in captured:
+    assert len(captured) == 280
+    cold = [lp for lp, warm in captured if not warm]
+    warm = [lp for lp, warm in captured if warm]
+    assert len(warm) == 160
+    assert max(lp[-1].pivots for lp in cold) > 100
+    for group in (cold, warm):
+        assert {lp[-1].status for lp in group} == {OPTIMAL, INFEASIBLE}
+    for lp, _ in captured:
+        _assert_matches_highs(*lp)
+        c, a, b, lower, upper, res = lp
+        _assert_dual_feasible(a, lower, upper, res.warm)
+
+
+def _requirement_lp(rng, n_slot=256):
+    """One LP in ``planner._lp_over_requirements`` form with a random
+    nonnegative cost on the counts: (c, a, b, lower, upper)."""
+    a_dem = _snapshot_rows(rng)
+    n_dem, n_ss = a_dem.shape
+    t, _ = planner._lp_max_t(a_dem, n_slot, np.zeros(n_ss),
+                             np.full(n_ss, float(n_slot)))
+    step = a_dem.max(axis=1)
+    rhs_req = step * np.ceil(rng.uniform(0.8, 1.0) * t / step)
+    a = np.zeros((n_dem + 1, n_ss + n_dem))
+    a[:n_dem, :n_ss] = a_dem
+    a[:n_dem, n_ss:] = -np.eye(n_dem)
+    a[n_dem, :n_ss] = 1.0
+    b = np.append(rhs_req, n_slot)
+    c = np.concatenate([rng.uniform(0, 1, size=n_ss), np.zeros(n_dem)])
+    lower = np.zeros(n_ss + n_dem)
+    upper = np.concatenate([np.full(n_ss, float(n_slot)),
+                            np.full(n_dem, np.inf)])
+    return c, a, b, lower, upper, n_ss
+
+
+def test_warm_resolve_after_bound_change_matches_cold():
+    rng = np.random.default_rng(77)
+    statuses = set()
+    warm_pivots = cold_pivots = 0
+    for _ in range(30):
+        c, a, b, lower, upper, n_ss = _requirement_lp(rng)
+        parent = solve_bounded_lp(c, a, b, lower, upper)
+        assert parent.status == OPTIMAL
+        j = int(rng.integers(0, n_ss))
+        lower, upper = lower.copy(), upper.copy()
+        if rng.random() < 0.5:
+            upper[j] = math.floor(parent.x[j] - 1.0) if parent.x[j] >= 1 else 0
+        else:
+            lower[j] = math.floor(parent.x[j]) + float(rng.choice([1, 60]))
+        cold = solve_bounded_lp(c, a, b, lower, upper)
+        warm = solve_bounded_lp(c, a, b, lower, upper, warm=parent.warm)
+        assert warm.status == cold.status
+        _assert_dual_feasible(a, lower, upper, warm.warm)
+        statuses.add(cold.status)
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective,
+                                                   rel=1e-6, abs=1e-7)
+            assert np.abs(a @ warm.x - b).max() < 1e-6
+            assert (warm.x >= lower - 1e-7).all()
+            assert (warm.x <= upper + 1e-7).all()
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+    assert statuses == {OPTIMAL, INFEASIBLE}
+    assert warm_pivots < cold_pivots / 3
+
+
+def test_warm_start_from_infeasible_result():
+    # phase 1 proves x + y = 10 infeasible in the box; the next LP of the
+    # chain widens the box and restarts from that basis
+    c, a, b = [-1.0, -2.0], [[1.0, 1.0]], [10.0]
+    res = solve_bounded_lp(c, a, b, [0.0, 0.0], [2.0, 2.0])
+    assert res.status == INFEASIBLE and res.warm is not None
+    again = solve_bounded_lp(c, a, b, [0.0, 0.0], [4.0, 2.0], warm=res.warm)
+    assert again.status == INFEASIBLE
+    wide = solve_bounded_lp(c, a, b, [0.0, 0.0], [9.0, 9.0], warm=again.warm)
+    assert wide.status == OPTIMAL
+    assert wide.x == pytest.approx([1.0, 9.0])
+
+
+def test_warm_start_without_dual_feasible_basis_is_solver_error():
+    res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
+                           [0.0, 0.0], [2.0, 2.0])
+    assert res.x == pytest.approx([1.0, 2.0])  # y rests at its upper bound
+    with pytest.raises(SolverError, match="dual feasible"):
+        solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
+                         [0.0, 0.0], [2.0, np.inf], warm=res.warm)
+
+
+def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
+    """Every LP of an exact solve on a 120-beam / 20-cluster / N_P = 4
+    scenario, whose one-hot refinement costs leave the dual loop on long runs
+    of zero-length steps: each warm re-solve agrees with HiGHS and costs at
+    most a few cold solves' pivots."""
+    captured = []
+
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        captured.append(((c, a, b, lower, upper, res), warm is not None))
+        return res
+
+    stalls = []
+    perturbed = simplex._Lp._perturbed
+
+    def counting(self, *args):
+        stalls.append(1)
+        return perturbed(self, *args)
+
+    scenario = scenario_from_dict(hex_scenario_dict(120, 20, system={"N_P": 4}))
+    table = precoding.load_dvbs2_table()
+    caps = precoding.cluster_capacities(
+        scenario, channel.build_all_cluster_channels(scenario), table)
+    snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
+                               caps.p_cluster_bits)
+    _, m = aggregate_and_scale_demands(scenario)
+    monkeypatch.setattr(planner, "solve_bounded_lp", recording)
+    monkeypatch.setattr(simplex._Lp, "_perturbed", counting)
+    planner.solve_illumination(planner.IlpInstance(
+        l=snaps.l, m=m, n_slot=scenario.system.n_slot))
+
+    assert stalls
+    cold = max(lp[-1].pivots for lp, warm in captured if not warm)
+    assert max(lp[-1].pivots for lp, warm in captured if warm) <= 4 * cold
+    for lp, _ in captured:
         _assert_matches_highs(*lp)
