@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import BeamField, noise_power_w
 from .precoding import Dvbs2Table, dvbs2_efficiency
-from .scenario import Scenario, beam_adjacency
+from .scenario import Scenario
 
 FOUR_COLOR = "4c_fr"
 ONE_COLOR_BH = "1c_ffr_bh"
@@ -61,8 +61,7 @@ def four_color_evaluate(scenario: Scenario, field: BeamField,
     polarization; interference comes only from beams of the same color.
     """
     cfg = scenario.system
-    adj = beam_adjacency(scenario.centers)
-    colors = _greedy_coloring(adj, 4)
+    colors = _greedy_coloring(scenario.beam_adjacency, 4)
     p = cfg.p_t_w / scenario.n_beams
     power = p * field.gains ** 2
     tau_half = noise_power_w(cfg, cfg.b_w_hz / 2.0)
@@ -129,8 +128,8 @@ def bh_evaluate(scenario: Scenario, field: BeamField,
     polarizations without precoding.
     """
     cfg = scenario.system
-    adj = beam_adjacency(scenario.centers)
-    groups, assignment = _spread_grouping(scenario.centers, adj, 4)
+    groups, assignment = _spread_grouping(scenario.centers,
+                                          scenario.beam_adjacency, 4)
     n_groups = len(groups)
     dwell = 1.0 / n_groups
     p = cfg.p_t_w / scenario.n_beams

@@ -6,6 +6,12 @@ files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
 3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
 6 solver failure (singular simplex basis).
+
+Subcommands read their inputs from a ``Pipeline`` of lazily built stages.
+``run`` keeps one, the most recent, keyed by the scenario file's bytes, the
+seed override, the DVB-S2 table's bytes, the solver and the output
+directory. So the subcommands of one run in one process share a load, a
+channel build and a solve; separate processes share nothing.
 """
 from __future__ import annotations
 
@@ -15,17 +21,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, channel, metrics, precoding
 from .errors import ClusterHopError, ValidationError
-from .planner import (IlpInstance, brute_force_plan, greedy_plan,
-                      solve_illumination)
+from .planner import (HoppingPlan, IlpInstance, brute_force_plan,
+                      greedy_plan, solve_illumination)
 from .scenario import (Scenario, aggregate_and_scale_demands, load_scenario,
                        scenario_summary)
-from .snapshots import build_snapshot_set, dump_v_csv
+from .snapshots import SnapshotSet, build_snapshot_set, dump_v_csv
 
 SOLVERS = ("ilp", "greedy", "oracle")
 SCHEME_CH = "ch"
@@ -42,22 +49,75 @@ class RunManifest:
     dvbs2_table: str | None = None
 
 
-def _load(manifest: RunManifest) -> Scenario:
-    scenario = load_scenario(manifest.scenario_path)
-    if manifest.seed is not None:
-        if manifest.seed < 0:
-            raise ValidationError("--seed must be >= 0")
-        system = dataclasses.replace(scenario.system, seed=manifest.seed)
-        scenario = dataclasses.replace(scenario, system=system)
-    return scenario
+@dataclass(frozen=True)
+class Pipeline:
+    """The stages of one run, each built from the run's inputs on first use
+    and then kept; a stage that raises keeps nothing. Pipelines with equal
+    inputs are equal, which is how ``run`` finds its memoized one."""
+
+    scenario_bytes: bytes      # the scenario file's content
+    seed: int | None           # --seed
+    dvbs2_table: bytes | None  # the MODCOD CSV's content; None: built-in
+    solver: str
+    out_dir: str               # read by no stage: runs elsewhere recompute
+
+    @cached_property
+    def scenario(self) -> Scenario:
+        scenario = load_scenario(self.scenario_bytes)
+        if self.seed is not None:
+            if self.seed < 0:
+                raise ValidationError("--seed must be >= 0")
+            system = dataclasses.replace(scenario.system, seed=self.seed)
+            scenario = dataclasses.replace(scenario, system=system)
+        return scenario
+
+    @cached_property
+    def table(self) -> precoding.Dvbs2Table:
+        return precoding.load_dvbs2_table(self.dvbs2_table)
+
+    @cached_property
+    def channels(self) -> list[channel.ClusterChannel]:
+        return channel.build_all_cluster_channels(self.scenario)
+
+    @cached_property
+    def capacities(self) -> precoding.CapacityVector:
+        return precoding.cluster_capacities(self.scenario, self.channels,
+                                            self.table)
+
+    @cached_property
+    def snapshots(self) -> SnapshotSet:
+        system = self.scenario.system
+        return build_snapshot_set(self.scenario.adjacency, system.n_p,
+                                  self.capacities.p_cluster_bits)
+
+    @cached_property
+    def plan(self) -> HoppingPlan:
+        _, m = aggregate_and_scale_demands(self.scenario)
+        instance = IlpInstance(l=self.snapshots.l, m=m,
+                               n_slot=self.scenario.system.n_slot)
+        solve = {"greedy": greedy_plan, "oracle": brute_force_plan}.get(
+            self.solver, solve_illumination)
+        return solve(instance)
+
+    @cached_property
+    def field(self) -> channel.BeamField:
+        return channel.build_beam_field(self.scenario)
 
 
-def _solve(manifest: RunManifest, instance: IlpInstance):
-    if manifest.solver == "greedy":
-        return greedy_plan(instance)
-    if manifest.solver == "oracle":
-        return brute_force_plan(instance)
-    return solve_illumination(instance)
+_memo: Pipeline | None = None
+
+
+def _pipeline(manifest: RunManifest) -> Pipeline:
+    """The memoized pipeline if it has the manifest's inputs, else a new one
+    in its place."""
+    global _memo
+    table = manifest.dvbs2_table
+    inputs = Pipeline(Path(manifest.scenario_path).read_bytes(), manifest.seed,
+                      None if table is None else Path(table).read_bytes(),
+                      manifest.solver, manifest.out_dir)
+    if inputs != _memo:
+        _memo = inputs  # drops the old stages before any new one is built
+    return _memo
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -85,9 +145,10 @@ def _knobs(manifest: RunManifest, scenario: Scenario) -> dict:
 
 def run(manifest: RunManifest) -> list[str]:
     """Execute one subcommand; returns the list of files written."""
-    scenario = _load(manifest)
+    pipe = _pipeline(manifest)
+    # Every command loads both, so a bad input fails alike under any command.
+    scenario, table = pipe.scenario, pipe.table
     out = Path(manifest.out_dir)
-    table = precoding.load_dvbs2_table(manifest.dvbs2_table)
     written: list[str] = []
 
     def emit(name: str, writer) -> None:
@@ -101,9 +162,8 @@ def run(manifest: RunManifest) -> list[str]:
         return written
 
     if manifest.command == "capacity":
-        chans = channel.build_all_cluster_channels(scenario)
-        snir_lin, se, r = precoding.beam_links(scenario, chans, table)
-        caps = precoding.cluster_capacities(scenario, chans, table)
+        snir_lin, se, r = precoding.beam_links(scenario, pipe.channels, table)
+        caps = pipe.capacities
         assignment = scenario.clusters.assignment()
 
         def beams_csv(path):
@@ -131,11 +191,11 @@ def run(manifest: RunManifest) -> list[str]:
         emit("capacity_clusters.csv", clusters_csv)
 
     elif manifest.command == "snapshots":
-        snaps = _snapshots(scenario, table)
+        snaps = pipe.snapshots
         emit("snapshots.csv", lambda p: dump_v_csv(snaps.v, p))
 
     elif manifest.command == "plan":
-        snaps, plan = _plan(manifest, scenario, table)
+        plan, snaps = pipe.plan, pipe.snapshots
         doc = {
             "psi": {str(i): int(plan.psi[i]) for i in np.flatnonzero(plan.psi)},
             "t": None if math.isinf(plan.t) else plan.t,
@@ -150,14 +210,12 @@ def run(manifest: RunManifest) -> list[str]:
         emit("plan.json", lambda p: _write_json(p, doc))
 
     elif manifest.command == "compare":
-        field = channel.build_beam_field(scenario)
-        _, plan = _plan(manifest, scenario, table)
         offered = {
-            SCHEME_CH: metrics.plan_beam_offered(plan, scenario),
+            SCHEME_CH: metrics.plan_beam_offered(pipe.plan, scenario),
             benchmarks.FOUR_COLOR: benchmarks.four_color_evaluate(
-                scenario, field, table).offered_bps,
+                scenario, pipe.field, table).offered_bps,
             benchmarks.ONE_COLOR_BH: benchmarks.bh_evaluate(
-                scenario, field, table).offered_bps,
+                scenario, pipe.field, table).offered_bps,
         }
         reports = [metrics.score(offered[scheme], scenario, scheme)
                    for scheme in ALL_SCHEMES]
@@ -172,9 +230,8 @@ def run(manifest: RunManifest) -> list[str]:
              lambda p: metrics.write_summary_json(reports, p))
 
     elif manifest.command == "leakage":
-        snaps, plan = _plan(manifest, scenario, table)
-        field = channel.build_beam_field(scenario)
-        leak = metrics.cross_cluster_leakage(scenario, field, snaps, plan)
+        leak = metrics.cross_cluster_leakage(scenario, pipe.field,
+                                             pipe.snapshots, pipe.plan)
         doc = {
             "per_slot_worst_ratio": leak,
             "max_ratio": max(leak) if leak else 0.0,
@@ -191,23 +248,6 @@ def run(manifest: RunManifest) -> list[str]:
         _write_json(path, config)
         written.append(str(path))
     return written
-
-
-def _snapshots(scenario: Scenario, table):
-    chans = channel.build_all_cluster_channels(scenario)
-    caps = precoding.cluster_capacities(scenario, chans, table)
-    return build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                              caps.p_cluster_bits)
-
-
-def _plan(manifest: RunManifest, scenario: Scenario, table):
-    """The stage chain shared by plan, compare and leakage: channels ->
-    capacities -> snapshots -> solve. Returns the snapshot set and the plan."""
-    snaps = _snapshots(scenario, table)
-    _, m = aggregate_and_scale_demands(scenario)
-    plan = _solve(manifest, IlpInstance(l=snaps.l, m=m,
-                                        n_slot=scenario.system.n_slot))
-    return snaps, plan
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -80,9 +80,11 @@ def _ratio_t(instance: IlpInstance, psi: np.ndarray, demanded: np.ndarray) -> fl
 
 def _make_plan(instance: IlpInstance, psi: np.ndarray, status: str,
                demanded: np.ndarray) -> HoppingPlan:
-    psi = np.asarray(psi, dtype=int)
+    psi = np.array(psi, dtype=int)
     s = instance.l @ psi
     t = _ratio_t(instance, psi, demanded) if demanded.any() else math.inf
+    psi.flags.writeable = False
+    s.flags.writeable = False
     return HoppingPlan(
         psi=psi,
         t=t,

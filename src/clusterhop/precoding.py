@@ -55,19 +55,20 @@ class CapacityVector:
     p_cluster_bits: np.ndarray  # (N_C,) supply per slot, T_slot * c
 
 
-def load_dvbs2_table(path=None) -> Dvbs2Table:
-    """Load a MODCOD CSV (header ``threshold_db,se_bits_per_symbol``).
+def load_dvbs2_table(source=None) -> Dvbs2Table:
+    """Load a MODCOD CSV (header ``threshold_db,se_bits_per_symbol``), given
+    by its path or as the file's bytes.
 
-    With no path, the table bundled with the package is used.
+    With no source, the table bundled with the package is used.
     """
-    if path is None:
+    if source is None:
         ref = resources.files("clusterhop").joinpath("data/dvbs2_modcods.csv")
-        text = ref.read_text(encoding="utf-8")
-        rows = list(csv.DictReader(text.splitlines()))
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    try:
+        source = ref.read_bytes()
+    elif not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    try:  # UnicodeDecodeError is a ValueError
+        rows = list(csv.DictReader(source.decode("utf-8").splitlines()))
         thr = np.array([float(r["threshold_db"]) for r in rows])
         se = np.array([float(r["se_bits_per_symbol"]) for r in rows])
     except (KeyError, TypeError, ValueError) as exc:
@@ -169,4 +170,6 @@ def cluster_capacities(
         [r[list(ms)].sum() for ms in scenario.clusters.members]
     )
     p = scenario.system.t_slot_s * c
+    for a in (r, c, p):
+        a.flags.writeable = False
     return CapacityVector(r_beam_bps=r, c_cluster_bps=c, p_cluster_bits=p)

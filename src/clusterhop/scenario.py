@@ -88,6 +88,7 @@ class Scenario:
     system: SystemConfig
     centers: np.ndarray  # (N_B, 2) u/v in degrees, row order = beam index
     demands: np.ndarray  # (N_B,) bps
+    beam_adjacency: np.ndarray  # (N_B, N_B) 0/1, see ``beam_adjacency``
 
     @property
     def n_beams(self) -> int:
@@ -114,17 +115,20 @@ _SYSTEM_KEYS = {
 }
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file.
+def load_scenario(source) -> Scenario:
+    """Load and validate a scenario JSON file, given by its path or as the
+    file's bytes.
 
-    Raises ParseError on malformed JSON and ValidationError with the name of
-    the violated invariant otherwise.
+    Raises ParseError when the content is not UTF-8 JSON and
+    ValidationError with the name of the violated invariant otherwise.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
+    if not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    try:
+        doc = json.loads(source.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
 
@@ -144,18 +148,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
     centers = np.array([[b.u, b.v] for b in beams], dtype=float)
     demands = np.array([b.demand_bps for b in beams], dtype=float)
 
+    badj = beam_adjacency(centers)  # also read by both benchmark schemes
     if "adjacency" in doc and doc["adjacency"] is not None:
         adjacency = _parse_adjacency(doc["adjacency"], clusters.n_clusters)
     else:
-        adjacency = derive_adjacency(centers, clusters)
+        adjacency = derive_adjacency(badj, clusters)
 
     if system.n_p > clusters.n_clusters:
         raise ValidationError(
             f"N_P={system.n_p} exceeds the cluster count {clusters.n_clusters}"
         )
 
-    centers.flags.writeable = False
-    demands.flags.writeable = False
+    for a in (centers, demands, badj):
+        a.flags.writeable = False
     return Scenario(
         beams=beams,
         clusters=clusters,
@@ -163,6 +168,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         system=system,
         centers=centers,
         demands=demands,
+        beam_adjacency=badj,
     )
 
 
@@ -226,10 +232,6 @@ def _parse_adjacency(raw, n_clusters: int) -> ClusterAdjacency:
         a = np.array(raw, dtype=int)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"adjacency is not a numeric matrix: {exc}") from exc
-    return _validated_adjacency(a, n_clusters)
-
-
-def _validated_adjacency(a: np.ndarray, n_clusters: int) -> ClusterAdjacency:
     if a.shape != (n_clusters, n_clusters):
         raise ValidationError(
             f"adjacency must be {n_clusters}x{n_clusters}, got {a.shape}"
@@ -326,17 +328,11 @@ def beam_adjacency(centers: np.ndarray, threshold: float | None = None) -> np.nd
     return adj
 
 
-def derive_adjacency(
-    centers: np.ndarray,
-    clusters: ClusterMap,
-    threshold: float | None = None,
-) -> ClusterAdjacency:
-    """Cluster adjacency from beam geometry.
+def derive_adjacency(badj: np.ndarray, clusters: ClusterMap) -> ClusterAdjacency:
+    """Cluster adjacency from a 0/1 beam adjacency (see ``beam_adjacency``).
 
-    Clusters j != l are adjacent iff some beam of j lies within ``threshold``
-    of some beam of l.
+    Clusters j != l are adjacent iff some beam of j touches some beam of l.
     """
-    badj = beam_adjacency(centers, threshold)
     n_c = clusters.n_clusters
     a = np.zeros((n_c, n_c), dtype=np.uint8)
     idx = [np.array(m, dtype=int) for m in clusters.members]

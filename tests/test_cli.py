@@ -1,11 +1,12 @@
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusterhop import simplex
+from clusterhop import channel, cli, simplex
 from clusterhop.cli import main
 
 from conftest import toy_doc
@@ -239,3 +240,140 @@ def test_plan_json_is_pinned(tmp_path, scenario, digest):
     assert _run(["plan", "--scenario", path, "--out", tmp_path / "out"]) == 0
     plan = (tmp_path / "out" / "plan.json").read_bytes()
     assert hashlib.sha256(plan).hexdigest() == digest
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call is counted."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_run_shares_one_load_channel_build_and_solve(tmp_path, toy_file,
+                                                         monkeypatch):
+    loads = _count_calls(monkeypatch, cli, "load_scenario")
+    solves = _count_calls(monkeypatch, cli, "solve_illumination")
+    builds = _count_calls(monkeypatch, channel, "build_all_cluster_channels")
+    out = tmp_path / "out"
+    plans = []
+    for command in ("plan", "compare", "leakage"):
+        assert _run([command, "--scenario", toy_file, "--out", out]) == 0
+        plans.append(cli._memo.plan)
+    assert (len(loads), len(solves), len(builds)) == (1, 1, 1)
+    assert plans[0] is plans[1] is plans[2]
+
+
+def test_run_recomputes_when_an_input_changes(tmp_path, monkeypatch):
+    builds = _count_calls(monkeypatch, channel, "build_all_cluster_channels")
+    scenario = _write(tmp_path, toy_doc())
+    table = tmp_path / "table.csv"
+    table.write_text("threshold_db,se_bits_per_symbol\n-100.0,1.5\n")
+    out = tmp_path / "out"
+    base = ["plan", "--scenario", scenario, "--out", out]
+
+    def run(*extra):
+        assert _run(base + list(extra)) == 0
+        return len(builds)
+
+    assert run() == 1
+    assert run() == 1
+    _write(tmp_path, toy_doc(demands=[1e8] * 8))  # new bytes, same path
+    assert run() == 2
+    assert run("--seed", "8") == 3
+    assert run("--dvbs2-table", table) == 4
+    assert run("--dvbs2-table", table) == 4
+    table.write_text("threshold_db,se_bits_per_symbol\n-100.0,2.5\n")
+    assert run("--dvbs2-table", table) == 5
+    assert run("--solver", "greedy") == 6
+    base[-1] = tmp_path / "other"
+    assert run() == 7
+
+
+def test_memo_keeps_only_the_latest_run(tmp_path, toy_file):
+    assert _run(["plan", "--scenario", toy_file, "--out", tmp_path / "a"]) == 0
+    first = weakref.ref(cli._memo)
+    assert _run(["plan", "--scenario", toy_file, "--out", tmp_path / "b"]) == 0
+    assert first() is None
+    assert cli._memo.out_dir == str(tmp_path / "b")
+
+
+@pytest.mark.parametrize("case", ["infeasible", "negative_seed"])
+def test_failed_stage_is_not_cached(tmp_path, capsys, monkeypatch, case):
+    solves = _count_calls(monkeypatch, cli, "solve_illumination")
+    args = ["plan", "--out", tmp_path / "out"]
+    if case == "infeasible":
+        args += ["--scenario", _write(tmp_path, toy_doc(adjacency="complete"))]
+        expected = (3, "error: infeasible:", 2)
+    else:
+        args += ["--scenario", _write(tmp_path, toy_doc()), "--seed", "-1"]
+        expected = (2, "error: validate:", 0)
+    results = []
+    for _ in range(2):
+        results.append((_run(args), capsys.readouterr().err))
+    assert results[0] == results[1]
+    rc, err = results[0]
+    assert rc == expected[0] and err.startswith(expected[1])
+    assert len(solves) == expected[2]
+
+
+def test_shared_stages_write_the_same_bytes_as_fresh_runs(tmp_path,
+                                                          monkeypatch):
+    solves = _count_calls(monkeypatch, cli, "solve_illumination")
+    path = REPO / "scenarios" / "ref_71beam.json"
+    commands = ("plan", "compare", "leakage")
+    for command in commands:
+        assert _run([command, "--scenario", path, "--out", tmp_path / "a"]) == 0
+    assert len(solves) == 1
+    for command in commands:
+        monkeypatch.setattr(cli, "_memo", None)
+        assert _run([command, "--scenario", path, "--out", tmp_path / "b"]) == 0
+    assert len(solves) == 4
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
+    out = tmp_path / "out"
+    for command in ("capacity", "compare", "leakage"):
+        assert _run([command, "--scenario", toy_file, "--out", out]) == 0
+    pipe = cli._memo
+    arrays = {
+        "plan.psi": pipe.plan.psi, "plan.s": pipe.plan.s,
+        "plan.schedule": pipe.plan.schedule,
+        "field.gains": pipe.field.gains, "field.tau": pipe.field.tau,
+        "capacities.r": pipe.capacities.r_beam_bps,
+        "capacities.c": pipe.capacities.c_cluster_bps,
+        "capacities.p": pipe.capacities.p_cluster_bits,
+        "snapshots.l": pipe.snapshots.l,
+        "beam_adjacency": pipe.scenario.beam_adjacency,
+    }
+    for j, chan in enumerate(pipe.channels):
+        arrays[f"channel{j}.h"] = chan.h
+        arrays[f"channel{j}.tau"] = chan.tau
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] += 1
+        assert not array.flags.writeable, name
+
+
+@pytest.mark.parametrize("where", ["scenario", "dvbs2_table"])
+def test_undecodable_input_is_parse_error(tmp_path, toy_file, capsys, where):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{")
+    args = ["plan", "--out", tmp_path / "out"]
+    if where == "scenario":
+        args += ["--scenario", bad]
+    else:
+        args += ["--scenario", toy_file, "--dvbs2-table", bad]
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and "Traceback" not in err

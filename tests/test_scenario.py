@@ -121,9 +121,9 @@ def test_derived_adjacency_matches_explicit():
 def test_touching_and_isolated_clusters():
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     cmap = ClusterMap(members=((0, 1), (2, 3)))
-    touching = derive_adjacency(centers, cmap, threshold=1.1)
+    touching = derive_adjacency(beam_adjacency(centers, 1.1), cmap)
     assert touching.matrix[0, 1] == 1 and touching.matrix[1, 0] == 1
-    apart = derive_adjacency(centers, cmap, threshold=0.5)
+    apart = derive_adjacency(beam_adjacency(centers, 0.5), cmap)
     assert not apart.matrix.any()
 
 
@@ -187,7 +187,7 @@ def test_derived_adjacency_symmetric_zero_diagonal(n, seed):
     centers = rng.uniform(-3, 3, size=(n, 2))
     half = max(1, n // 2)
     cmap = ClusterMap(members=(tuple(range(half)), tuple(range(half, n))))
-    adj = derive_adjacency(centers, cmap, threshold=1.0)
+    adj = derive_adjacency(beam_adjacency(centers, 1.0), cmap)
     assert (adj.matrix == adj.matrix.T).all()
     assert not np.diag(adj.matrix).any()
 
@@ -198,6 +198,24 @@ def test_beam_adjacency_default_threshold(ref_scenario):
     assert not np.diag(badj).any()
     # hex interior beams touch six neighbors at most
     assert badj.sum(axis=1).max() <= 6
+
+
+@pytest.mark.parametrize("name", ["ref", "toy_explicit", "hex_300_12"])
+def test_scenario_keeps_the_beam_adjacency(ref_doc, name):
+    doc = {"ref": ref_doc, "toy_explicit": toy_doc(),
+           "hex_300_12": hex_scenario_dict(300, 12)}[name]
+    sc = scenario_from_dict(doc)
+    assert np.array_equal(sc.beam_adjacency, beam_adjacency(sc.centers))
+    assert sc.beam_adjacency.dtype == np.uint8
+    assert not sc.beam_adjacency.flags.writeable
+
+
+def test_coincident_centers_rejected_with_explicit_adjacency():
+    doc = toy_doc()
+    for beam in doc["beams"]:
+        beam["u"] = beam["v"] = 0.0
+    with pytest.raises(ValidationError, match="coincide"):
+        scenario_from_dict(doc)
 
 
 def test_generator_demand_spread(ref_scenario):
