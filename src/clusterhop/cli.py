@@ -162,8 +162,8 @@ def run(manifest: RunManifest) -> list[str]:
         return written
 
     if manifest.command == "capacity":
-        snir_lin, se, r = precoding.beam_links(scenario, pipe.channels, table)
         caps = pipe.capacities
+        snir_lin, se, r = caps.snir_beam, caps.se_beam, caps.r_beam_bps
         assignment = scenario.clusters.assignment()
 
         def beams_csv(path):

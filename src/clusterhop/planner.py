@@ -5,28 +5,31 @@ The core problem maximizes the worst offered/demanded ratio over clusters:
     max t   s.t.   sum_i psi_i * l_i >= t * m   (elementwise, demanded rows)
                    sum_i psi_i = n_slot,  psi_i nonnegative integers
 
-``solve_illumination`` solves it exactly. Every demanded supply row must lie
-on a value lattice: uniform on its support (always true for snapshot
-supplies, where row j only contains 0 and p_j; an all-zero row qualifies) or
-all-integer. The achievable objectives then form a finite grid, and the
-solver walks that grid downward from the LP bound, deciding each candidate
-threshold with an integer feasibility search over lattice-tightened
-requirements, then refines the optimizer to the lexicographically smallest
-optimal count vector. LP bounds come from the in-repo bounded-variable
-simplex; after the first, every LP of the grid walk and of the refinement
-restarts from the basis of the LP before it (a branch-and-bound child from
-its parent's). A row off any lattice is a ValidationError; a row whose grid has
-more than ``OBJECTIVE_GRID_CAP`` steps (N_slot above the cap for snapshot
-rows) is a CapExceededError. ``brute_force_plan`` enumerates count vectors
-as an oracle and ``greedy_plan`` is a fast heuristic lower bound; both accept
-any supply matrix. Clusters with zero demand are excluded from the
-objective; they still receive whatever supply the chosen snapshots give
-them.
+``solve_illumination`` solves it exactly, on integers. Every demanded supply
+row factors exactly as l_j = step_j * V_j with V_j nonnegative integers
+(a snapshot supply row is p_j times a 0/1 row), so every achievable
+objective is a multiple of some step_j / m_j, and a threshold g is the
+integer requirement V psi >= k with k_j = ceil(g * m_j / step_j). The solver
+walks these thresholds downward in exact rational order, from the LP bound
+to its incumbent, deciding each with an integer feasibility search, then
+refines the optimizer to the lexicographically smallest optimal count
+vector. The searches bound with LPs over the normalized rows l_j / m_j,
+solved by the in-repo bounded-variable simplex; after the first, every LP
+restarts from the basis of the LP before it. A point is accepted only by the
+integer test. A row that does not factor is a ValidationError, and one with
+n_slot * max V_j above ``OBJECTIVE_GRID_CAP`` is a CapExceededError.
+``brute_force_plan`` enumerates count vectors as an oracle and
+``greedy_plan`` is a fast heuristic lower bound; both accept any supply
+matrix. Clusters with zero demand are excluded from the objective; they
+still receive whatever supply the chosen snapshots give them.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +40,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
 
 DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
-OBJECTIVE_GRID_CAP = 10 ** 6  # largest lattice multiple k_max of one row
+OBJECTIVE_GRID_CAP = 10 ** 6  # largest multiple k_max = n_slot * max V_j of one row
 _INT_TOL = 1e-7
 
 
@@ -54,6 +57,8 @@ class IlpInstance:
             raise ValidationError("supply matrix and demand vector sizes disagree")
         if (l < 0).any() or (m < 0).any():
             raise ValidationError("supplies and demands must be nonnegative")
+        if not (np.isfinite(l).all() and np.isfinite(m).all()):
+            raise ValidationError("supplies and demands must be finite")
         if self.n_slot < 1:
             raise ValidationError("n_slot must be >= 1")
         object.__setattr__(self, "l", l)
@@ -167,105 +172,89 @@ def _fractional_index(psi: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Objective lattice
+# Integer thresholds
 
-def _row_lattice_step(row: np.ndarray) -> float | None:
-    """Spacing of the values sum_i psi_i * row_i can take, when that set is a
-    lattice: the common value for a uniform row (the snapshot-supply case),
-    the gcd of the entries of an all-integer row, and 1.0 when that gcd is 0
-    (the all-zero row of a cluster in outage). None when no lattice is known."""
-    nz = row[row > 0]
-    if nz.size and nz.max() - nz.min() <= 1e-9 * nz.max():
-        return float(nz[0])
-    if np.abs(row - np.rint(row)).max() <= 1e-9:
-        return float(math.gcd(*(int(v) for v in np.rint(nz))) or 1)
-    return None
-
-
-def _lattice_steps(l_dem: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    steps = []
-    for j, row in zip(clusters, l_dem):
-        step = _row_lattice_step(row)
-        if step is None:
+def _factor_rows(l_dem, n_slot, clusters):
+    """Exact factorization l_dem == step[:, None] * V with V a nonnegative
+    int64 matrix: step_j is the common value of a row uniform on its support
+    (the snapshot-supply case), the gcd of an all-integer row, or 1 for an
+    all-zero row (a cluster in outage). Any other row is a ValidationError,
+    and a row whose largest multiple n_slot * max V_j exceeds
+    ``OBJECTIVE_GRID_CAP`` is a CapExceededError."""
+    step = np.ones(len(l_dem))
+    for j, row in enumerate(l_dem):
+        nz = row[row > 0]
+        if nz.size and (nz == nz[0]).all():
+            step[j] = nz[0]
+        elif (row == np.rint(row)).all():
+            step[j] = math.gcd(*map(int, nz)) or 1
+        else:
             raise ValidationError(
-                f"supply row of cluster {j} is neither uniform on its "
+                f"supply row of cluster {clusters[j]} is neither uniform on its "
                 "support nor integer; the exact planner needs a value lattice"
             )
-        steps.append(step)
-    return np.array(steps)
-
-
-def _objective_grid(l_dem, m_dem, steps, n_slot, clusters):
-    """Sorted array of all values the objective can take.
-
-    The achieved t always equals s_j / m_j of some cluster, and s_j lives on
-    that row's value lattice; the union of the per-row grids therefore
-    contains every achievable objective.
-    """
-    grids = []
-    for j in range(l_dem.shape[0]):
-        k_max = int(math.floor(n_slot * l_dem[j].max() / steps[j] + 0.5))
+    v = l_dem / step[:, None]  # exact: every entry is a multiple of its step
+    for j, v_max in enumerate(v.max(axis=1)):
+        k_max = n_slot * int(v_max)
         if k_max > OBJECTIVE_GRID_CAP:
             raise CapExceededError(
                 f"objective grid of cluster {clusters[j]} has {k_max} steps, "
                 f"above the cap {OBJECTIVE_GRID_CAP} (N_slot={n_slot})"
             )
-        grids.append(np.arange(k_max + 1) * (steps[j] / m_dem[j]))
-    return np.unique(np.concatenate(grids))
+    return step, v.astype(np.int64)
 
 
-def _grid_floor(grid: np.ndarray, x: float) -> float:
-    """Largest grid value <= x, with slack for float round-off."""
-    idx = int(np.searchsorted(grid, x + 1e-9 * max(1.0, abs(x)), side="right")) - 1
-    return -math.inf if idx < 0 else float(grid[idx])
+def _exact_t(v, spacing, psi) -> Fraction:
+    """Exact objective of an integer count vector: cluster j is offered
+    (V_j psi) * spacing_j times its demand."""
+    return min(int(k) * c for k, c in zip(v @ psi, spacing))
 
 
-def _requirements(m_dem, steps, g):
-    """Normalized per-row requirements implied by threshold g.
-
-    s_j >= g * m_j together with s_j in steps_j * Z tightens to
-    s_j >= steps_j * ceil(g * m_j / steps_j), returned divided by m_j.
-    """
-    req = np.empty(len(m_dem))
-    for j in range(len(m_dem)):
-        x = g * m_dem[j] / steps[j]
-        req[j] = steps[j] * math.ceil(x - 1e-9 * max(1.0, abs(x))) / m_dem[j]
-    return req
+def _thresholds(spacing, lo: Fraction, hi: Fraction):
+    """The achievable objective values g with lo < g <= hi, in descending
+    exact order, each once. Every achieved objective is K * spacing_j for a
+    cluster j and an integer K; the values are generated lazily."""
+    rows = [map(c.__mul__, range(hi // c, lo // c, -1)) for c in spacing]
+    return (g for g, _ in itertools.groupby(heapq.merge(*rows, reverse=True)))
 
 
-def _meets(a: np.ndarray, psi: np.ndarray, rhs_req: np.ndarray) -> bool:
-    lhs = a @ psi
-    return bool((lhs >= rhs_req - 1e-9 * np.maximum(1.0, np.abs(rhs_req))).all())
+def _requirement(spacing, step, m_dem, g):
+    """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
+    V psi >= k, and its normalized LP right-hand side step * k / m."""
+    k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
+    return k, step * k / m_dem
 
 
 # ---------------------------------------------------------------------------
 # Heuristics (warm starts; exactness comes from the searches below)
 
-def _rounding_incumbent(instance: IlpInstance, psi_lp: np.ndarray,
-                        demanded: np.ndarray) -> np.ndarray:
-    """Integer point near the LP optimum: floor the relaxation, hand out the
-    remaining slots one by one lifting the worst ratio, then hill-climb with
-    single-slot moves."""
-    psi = np.floor(psi_lp + _INT_TOL).astype(int)
-    psi = np.maximum(psi, 0)
-    remaining = instance.n_slot - int(psi.sum())
-    l_dem = instance.l[demanded]
-    m_dem = instance.m[demanded][:, None]
+def _lift_worst(l_dem, m_dem, psi, n):
+    """Hand out n more slots one by one, each to the snapshot that lifts the
+    worst offered/demand ratio the most (ties to the lowest snapshot index).
+    Adds to psi in place and returns the demanded supplies l_dem @ psi."""
+    m_col = m_dem[:, None]
     s = l_dem @ psi
-    for _ in range(remaining):
-        scores = ((s[:, None] + l_dem) / m_dem).min(axis=0)
+    for _ in range(n):
+        scores = ((s[:, None] + l_dem) / m_col).min(axis=0)
         pick = int(np.argmax(scores))
         psi[pick] += 1
         s += l_dem[:, pick]
+    return s
 
-    m_flat = instance.m[demanded]
+
+def _rounding_incumbent(l_dem, m_dem, n_slot, psi_lp) -> np.ndarray:
+    """Integer point near the LP optimum: floor the relaxation, hand out the
+    remaining slots with ``_lift_worst``, then hill-climb with single-slot
+    moves."""
+    psi = np.maximum(np.floor(psi_lp + _INT_TOL).astype(int), 0)
+    s = _lift_worst(l_dem, m_dem, psi, n_slot - int(psi.sum()))
+    m_col = m_dem[:, None]
     for _ in range(200):  # single-slot exchange passes
-        t_cur = float((s / m_flat).min())
-        best_gain = t_cur
+        best_gain = float((s / m_dem).min())
         move = None
         for src in np.flatnonzero(psi):
             base = s[:, None] - l_dem[:, [src]] + l_dem
-            cand = (base / m_dem).min(axis=0)
+            cand = (base / m_col).min(axis=0)
             cand[src] = -1.0
             dst = int(np.argmax(cand))
             if cand[dst] > best_gain * (1 + 1e-12):
@@ -308,9 +297,10 @@ def _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp):
 # ---------------------------------------------------------------------------
 # Exact integer searches
 
-def _find_integer_point(a, rhs_req, n_slot, lb0, ub0, warm):
-    """Integer psi with a @ psi >= rhs_req and sum(psi) = n_slot, or None,
-    and the restart point of the last LP solved.
+def _find_integer_point(a, rhs_req, v, k, n_slot, lb0, ub0, warm):
+    """Integer psi with v @ psi >= k and sum(psi) = n_slot, or None, and the
+    restart point of the last LP solved. The LPs relax the requirement as
+    a @ psi >= rhs_req, its normalized form.
 
     Depth-first search with LP feasibility pruning; exact (exhausts the tree
     before concluding infeasibility). A rounding repair at each node finds
@@ -329,12 +319,12 @@ def _find_integer_point(a, rhs_req, n_slot, lb0, ub0, warm):
             continue
         _, psi_lp = lp
         psi_h = _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp)
-        if _meets(a, psi_h, rhs_req):
+        if (v @ psi_h >= k).all():
             return psi_h, warm
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
-            if _meets(a, psi_int, rhs_req):
+            if (v @ psi_int >= k).all():
                 return psi_int, warm
             continue
         floor_val = math.floor(psi_lp[branch])
@@ -354,10 +344,10 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     """Exact max-min plan; the lexicographically smallest optimal counts.
 
     Raises InfeasibleError when there is no snapshot at all, ValidationError
-    when a demanded supply row lies on no value lattice, and CapExceededError
-    when the objective grid is larger than ``OBJECTIVE_GRID_CAP``. When every
-    cluster demand is zero the ratio objective is undefined: the plan spreads
-    slots uniformly, reports t = inf and status 'heuristic'.
+    when a demanded supply row does not factor as step_j * V_j, and
+    CapExceededError when n_slot * max V_j exceeds ``OBJECTIVE_GRID_CAP``.
+    When every cluster demand is zero the ratio objective is undefined: the
+    plan spreads slots uniformly, reports t = inf and status 'heuristic'.
     """
     _require_snapshots(instance)
     demanded = instance.m > 0
@@ -370,9 +360,8 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     l_dem = instance.l[demanded]
     m_dem = instance.m[demanded]
     a = l_dem / m_dem[:, None]
-    clusters = np.flatnonzero(demanded)
-    steps = _lattice_steps(l_dem, clusters)
-    grid = _objective_grid(l_dem, m_dem, steps, n_slot, clusters)
+    step, v = _factor_rows(l_dem, n_slot, np.flatnonzero(demanded))
+    spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
@@ -380,57 +369,54 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     assert root is not None  # the budget simplex is never empty
     t_lp, psi_lp = root
 
-    best_psi = _rounding_incumbent(instance, psi_lp, demanded)
-    best_t = _ratio_t(instance, best_psi, demanded)
+    best_psi = _rounding_incumbent(l_dem, m_dem, n_slot, psi_lp)
+    best_t = _exact_t(v, spacing, best_psi)
 
-    # Walk candidate objective values downward from the LP bound; the first
-    # threshold with an integer solution is the exact optimum.
-    top = _grid_floor(grid, t_lp)
-    lo = int(np.searchsorted(grid, best_t * (1 + 1e-12) + 1e-15, side="right"))
-    hi = int(np.searchsorted(grid, top, side="right"))
+    # Walk the thresholds above the incumbent downward from the LP bound,
+    # widened once for simplex round-off; the first threshold with an
+    # integer solution is the exact optimum.
+    t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
     warm = None  # every LP after the first restarts from the last LP's basis
-    for g in grid[lo:hi][::-1]:
-        rhs_req = _requirements(m_dem, steps, g)
-        psi_g, warm = _find_integer_point(a, rhs_req, n_slot, lb0, ub0, warm)
+    for g in _thresholds(spacing, best_t, t_top):
+        k, rhs_req = _requirement(spacing, step, m_dem, g)
+        psi_g, warm = _find_integer_point(a, rhs_req, v, k, n_slot, lb0, ub0,
+                                          warm)
         if psi_g is not None:
-            t_g = _ratio_t(instance, psi_g, demanded)
-            if t_g > best_t:
-                best_t, best_psi = t_g, psi_g
+            best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
 
-    best_psi = _lex_smallest_optimal(instance, a, m_dem, steps, best_psi,
-                                     best_t, warm)
+    k, rhs_req = _requirement(spacing, step, m_dem, best_t)
+    best_psi = _lex_smallest_optimal(a, rhs_req, v, k, best_psi, n_slot, warm)
     return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
 
 
-def _lex_smallest_optimal(instance, a, m_dem, steps, witness, best_t, warm):
-    """Among optimal count vectors, the lexicographically smallest.
+def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
+    """Among count vectors meeting v @ psi >= k, the optimum's requirement,
+    the lexicographically smallest.
 
     Fixes psi_0, psi_1, ... in turn to the smallest value that still admits
-    an integer completion achieving the optimum (within the solver tolerance).
-    The incumbent 'witness' certifies feasibility of each fixed prefix, so
-    only positions where it is nonzero need a solve. Each position's search
-    restarts from the basis of the LP solved before it, ``warm`` at first.
+    an integer completion meeting the requirement. The incumbent 'witness'
+    certifies feasibility of each fixed prefix, so only positions where it
+    is nonzero need a solve. Each position's search restarts from the basis
+    of the LP solved before it, ``warm`` at first.
     """
     witness = np.asarray(witness, dtype=int).copy()
-    n_ss = instance.n_snapshots
-    n_slot = instance.n_slot
-    rhs_req = _requirements(m_dem, steps, best_t)
+    n_ss = len(witness)
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
     for i in range(n_ss):
         if witness[i] > 0:
-            val, better, warm = _min_count_at(a, rhs_req, n_slot, lb, ub, i,
-                                              witness, warm)
+            val, better, warm = _min_count_at(a, rhs_req, v, k, n_slot, lb, ub,
+                                              i, witness, warm)
             if val < witness[i]:
                 witness = better
         lb[i] = ub[i] = float(witness[i])
     return witness
 
 
-def _min_count_at(a, rhs_req, n_slot, lb, ub, var, witness, warm):
-    """Exact integer minimum of psi_var over the requirement polytope, a
-    count vector attaining it, and the restart point of the last LP solved.
+def _min_count_at(a, rhs_req, v, k, n_slot, lb, ub, var, witness, warm):
+    """Exact integer minimum of psi_var subject to v @ psi >= k, a count
+    vector attaining it, and the restart point of the last LP solved.
     The first LP restarts from ``warm`` and every child from its parent."""
     best_val = int(witness[var])
     best_psi = witness
@@ -458,7 +444,7 @@ def _min_count_at(a, rhs_req, n_slot, lb, ub, var, witness, warm):
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
-            if _meets(a, psi_int, rhs_req) and psi_int[var] < best_val:
+            if (v @ psi_int >= k).all() and psi_int[var] < best_val:
                 best_val = int(psi_int[var])
                 best_psi = psi_int
             continue
@@ -532,15 +518,9 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     if not demanded.any():
         return _make_plan(instance, _uniform_psi(n_ss, instance.n_slot),
                           STATUS_HEURISTIC, demanded)
-    l_dem = instance.l[demanded]
-    m_dem = instance.m[demanded][:, None]
     psi = np.zeros(n_ss, dtype=int)
-    s = np.zeros(l_dem.shape[0])
-    for _ in range(instance.n_slot):
-        scores = ((s[:, None] + l_dem) / m_dem).min(axis=0)
-        pick = int(np.argmax(scores))
-        psi[pick] += 1
-        s += l_dem[:, pick]
+    _lift_worst(instance.l[demanded], instance.m[demanded], psi,
+                instance.n_slot)
     return _make_plan(instance, psi, STATUS_HEURISTIC, demanded)
 
 

@@ -50,6 +50,8 @@ class Dvbs2Table:
 
 @dataclass(frozen=True)
 class CapacityVector:
+    snir_beam: np.ndarray       # (N_B,) per-beam linear SNIR under MMSE
+    se_beam: np.ndarray         # (N_B,) per-beam spectral efficiency
     r_beam_bps: np.ndarray      # (N_B,) per-beam capacity
     c_cluster_bps: np.ndarray   # (N_C,) per-cluster capacity
     p_cluster_bits: np.ndarray  # (N_C,) supply per slot, T_slot * c
@@ -164,12 +166,14 @@ def cluster_capacities(
     channels: list[ClusterChannel],
     table: Dvbs2Table,
 ) -> CapacityVector:
-    """Per-beam rates r, per-cluster capacities c and per-slot supplies p."""
-    _, _, r = beam_links(scenario, channels, table)
+    """Per-beam SNIR, SE and rates r, per-cluster capacities c and per-slot
+    supplies p, from one MMSE precoder per cluster."""
+    snir_lin, se, r = beam_links(scenario, channels, table)
     c = np.array(
         [r[list(ms)].sum() for ms in scenario.clusters.members]
     )
     p = scenario.system.t_slot_s * c
-    for a in (r, c, p):
+    for a in (snir_lin, se, r, c, p):
         a.flags.writeable = False
-    return CapacityVector(r_beam_bps=r, c_cluster_bps=c, p_cluster_bits=p)
+    return CapacityVector(snir_beam=snir_lin, se_beam=se, r_beam_bps=r,
+                          c_cluster_bps=c, p_cluster_bits=p)

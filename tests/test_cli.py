@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterhop import channel, cli, simplex
+from clusterhop import channel, cli, precoding, simplex
 from clusterhop.cli import main
 
 from conftest import toy_doc
@@ -269,6 +269,14 @@ def test_one_run_shares_one_load_channel_build_and_solve(tmp_path, toy_file,
     assert plans[0] is plans[1] is plans[2]
 
 
+def test_capacity_builds_one_precoder_per_cluster(tmp_path, monkeypatch):
+    precoders = _count_calls(monkeypatch, precoding, "mmse_precoder")
+    scenario = REPO / "scenarios" / "ref_71beam.json"
+    assert _run(["capacity", "--scenario", scenario, "--out", tmp_path]) == 0
+    assert cli._memo.scenario.n_clusters == 12
+    assert len(precoders) == 12
+
+
 def test_run_recomputes_when_an_input_changes(tmp_path, monkeypatch):
     builds = _count_calls(monkeypatch, channel, "build_all_cluster_channels")
     scenario = _write(tmp_path, toy_doc())
@@ -350,6 +358,8 @@ def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
         "plan.psi": pipe.plan.psi, "plan.s": pipe.plan.s,
         "plan.schedule": pipe.plan.schedule,
         "field.gains": pipe.field.gains, "field.tau": pipe.field.tau,
+        "capacities.snir": pipe.capacities.snir_beam,
+        "capacities.se": pipe.capacities.se_beam,
         "capacities.r": pipe.capacities.r_beam_bps,
         "capacities.c": pipe.capacities.c_cluster_bps,
         "capacities.p": pipe.capacities.p_cluster_bits,

@@ -199,12 +199,72 @@ def test_demanded_zero_supply_row_gives_zero_t():
 
 
 def test_non_lattice_row_is_rejected():
-    inst = IlpInstance(l=np.array([[0.5, 0.7]]), m=np.array([1.0]), n_slot=3)
-    with pytest.raises(ValidationError, match="cluster 0"):
-        solve_illumination(inst)
-    plan = brute_force_plan(inst)
-    assert plan.psi.tolist() == [0, 3]
-    assert greedy_plan(inst).psi.sum() == 3
+    for row in ([0.5, 0.7], [1.0, 1.0 + 1e-12]):
+        inst = IlpInstance(l=np.array([row]), m=np.array([1.0]), n_slot=3)
+        with pytest.raises(ValidationError, match="cluster 0"):
+            solve_illumination(inst)
+        plan = brute_force_plan(inst)
+        assert plan.psi.tolist() == [0, 3]
+        assert greedy_plan(inst).psi.sum() == 3
+
+
+def _fraction_optimum(l, m, n_slot):
+    """Lexicographically smallest count vector with the largest exact
+    min_j (l_j psi) / m_j over demanded rows, by enumerating every count
+    vector in lexicographic order in rational arithmetic."""
+    rows = [([Fraction(x) for x in l[j]], Fraction(m[j]))
+            for j in range(len(m)) if m[j] > 0]
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    best_t, best_psi = None, None
+    for psi in compositions(n_slot, l.shape[1]):
+        t = min(sum(x * n for x, n in zip(row, psi)) / mj for row, mj in rows)
+        if best_t is None or t > best_t:
+            best_t, best_psi = t, list(psi)
+    return best_psi
+
+
+def test_near_tie_demands_pinned():
+    # psi = [0, 3, 3, 0] reaches t = 5.9999999994 and [0, 4, 2, 0] reaches
+    # 5.99999999982: the thresholds differ by 4e-10, relative 7e-11
+    v = np.array([[0, 1, 1, 0], [0, 1, 0, 1]])
+    l = np.array([[3.0], [2.0]]) * v
+    m = np.array([3.00000000009, 1.0000000001])
+    plan = solve_illumination(IlpInstance(l=l, m=m, n_slot=6))
+    assert plan.psi.tolist() == [0, 4, 2, 0]
+    assert _fraction_optimum(l, m, 6) == [0, 4, 2, 0]
+
+
+def test_near_tie_demands_match_fraction_oracle():
+    # snapshot-shaped supplies (p_j on a 0/1 pattern) with demands a few
+    # 1e-11 off integers, so distinct thresholds lie within 1e-10 of each
+    # other; the planner must agree with exact rational enumeration
+    rng = np.random.default_rng(2024)
+    scales = [1 - 1e-10, 1 - 3e-11, 1 + 3e-11, 1 + 1e-10]
+    for _ in range(400):
+        n_c = int(rng.integers(2, 4))
+        n_ss = int(rng.integers(1, 5))
+        n_slot = int(rng.integers(1, 7))
+        p = rng.integers(1, 5, size=n_c).astype(float)
+        l = p[:, None] * rng.integers(0, 2, size=(n_c, n_ss))
+        m = rng.integers(1, 9, size=n_c) * rng.choice(scales, size=n_c)
+        inst = IlpInstance(l=l, m=m, n_slot=n_slot)
+        assert solve_illumination(inst).psi.tolist() == \
+            _fraction_optimum(l, m, n_slot), (l.tolist(), m.tolist(), n_slot)
+
+
+@pytest.mark.parametrize("l, m", [([[1.0, np.inf]], [1.0]),
+                                  ([[1.0, 2.0]], [np.inf])])
+def test_non_finite_instance_is_rejected(l, m):
+    with pytest.raises(ValidationError, match="finite"):
+        IlpInstance(l=np.array(l), m=np.array(m), n_slot=2)
 
 
 def test_integer_row_lattice_step_is_gcd():
