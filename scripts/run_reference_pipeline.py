@@ -11,15 +11,14 @@ import json
 import time
 from pathlib import Path
 
-from clusterhop.cli import RunManifest, run
+from clusterhop.cli import SOLVERS, RunManifest, run
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="scenarios/ref_71beam.json")
     parser.add_argument("--out", default="out/reference")
-    parser.add_argument("--solver", default="ilp",
-                        choices=("ilp", "greedy", "oracle"))
+    parser.add_argument("--solver", default="ilp", choices=SOLVERS)
     args = parser.parse_args()
 
     t0 = time.time()

@@ -9,15 +9,18 @@ The core problem maximizes the worst offered/demanded ratio over clusters:
 row factors exactly as l_j = step_j * V_j with V_j nonnegative integers
 (a snapshot supply row is p_j times a 0/1 row), so every achievable
 objective is a multiple of some step_j / m_j, and a threshold g is the
-integer requirement V psi >= k with k_j = ceil(g * m_j / step_j). The solver
-walks these thresholds downward in exact rational order, from the LP bound
-to its incumbent, deciding each with an integer feasibility search, then
-refines the optimizer to the lexicographically smallest optimal count
-vector. The searches bound with LPs over the normalized rows l_j / m_j,
-solved by the in-repo bounded-variable simplex; after the first, every LP
-restarts from the basis of the LP before it. A point is accepted only by the
-integer test. A row that does not factor is a ValidationError, and one with
-n_slot * max V_j above ``OBJECTIVE_GRID_CAP`` is a CapExceededError.
+integer requirement V psi >= k with k_j = ceil(g * m_j / step_j). One LP
+branch-and-bound answers both of the solver's questions. It walks the
+thresholds downward in exact rational order, from the LP bound to its
+incumbent, and decides each as a feasibility search (zero cost, stopping at
+the first integer point). Then, at the optimum's requirement, it minimizes
+psi_0, psi_1, ... in turn with the prefix fixed, which gives the
+lexicographically smallest optimal count vector. The LPs are over the
+normalized rows l_j / m_j, solved by the in-repo bounded-variable simplex;
+after the first, every LP restarts from the basis of the LP before it. A
+point is accepted only by the integer test. A row that does not factor is a
+ValidationError, and one with n_slot * max V_j above ``OBJECTIVE_GRID_CAP``
+is a CapExceededError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
 ``greedy_plan`` is a fast heuristic lower bound; both accept any supply
 matrix. Clusters with zero demand are excluded from the objective; they
@@ -226,7 +229,7 @@ def _requirement(spacing, step, m_dem, g):
 
 
 # ---------------------------------------------------------------------------
-# Heuristics (warm starts; exactness comes from the searches below)
+# Heuristics (incumbents; exactness comes from the search below)
 
 def _lift_worst(l_dem, m_dem, psi, n):
     """Hand out n more slots one by one, each to the snapshot that lifts the
@@ -269,72 +272,58 @@ def _rounding_incumbent(l_dem, m_dem, n_slot, psi_lp) -> np.ndarray:
     return psi
 
 
-def _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp):
-    """Round the LP point and spend the remaining budget on the rows that are
-    still short. Returns an integer vector within bounds and budget."""
-    psi = np.floor(psi_lp + _INT_TOL)
-    psi = np.clip(psi, lb, ub).astype(int)
-    remaining = n_slot - int(psi.sum())
-    if remaining < 0:
-        order = np.argsort(-(psi - lb))  # shed from the largest headroom
-        for i in order:
-            give = min(-remaining, int(psi[i] - lb[i]))
-            psi[i] -= give
-            remaining += give
-            if remaining == 0:
-                break
-    s = a @ psi
-    for _ in range(remaining):
-        deficit = np.maximum(rhs_req - s, 0.0)
-        gain = np.minimum(deficit[:, None], a).sum(axis=0)
-        gain[psi >= ub] = -1.0
-        pick = int(np.argmax(gain))
-        psi[pick] += 1
-        s = s + a[:, pick]
-    return psi
-
-
 # ---------------------------------------------------------------------------
-# Exact integer searches
+# Exact integer search
 
-def _find_integer_point(a, rhs_req, v, k, n_slot, lb0, ub0, warm):
-    """Integer psi with v @ psi >= k and sum(psi) = n_slot, or None, and the
-    restart point of the last LP solved. The LPs relax the requirement as
-    a @ psi >= rhs_req, its normalized form.
+def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
+                      best_psi, warm):
+    """Exact integer minimum of the 0/1 objective cost @ psi over count
+    vectors with v @ psi >= k, sum(psi) = n_slot and lb <= psi <= ub, if it
+    is below ``best_val``. Returns (best_val, best_psi, restart point of the
+    last LP solved); best_val and best_psi come back unchanged when no
+    integer point does better.
 
-    Depth-first search with LP feasibility pruning; exact (exhausts the tree
-    before concluding infeasibility). A rounding repair at each node finds
-    feasible points quickly when they exist. The root LP restarts from
-    ``warm`` and every child from its parent's basis.
+    Depth-first LP branch-and-bound, down-branch first. The LPs relax the
+    requirement as a @ psi >= rhs_req, its normalized form; the root LP
+    restarts from ``warm`` and every child from its parent's basis. A node
+    is pruned once the ceiling of an LP value bounding it reaches
+    ``best_val``, and the search stops when ``best_val`` reaches its floor
+    cost @ lb. A point is accepted only by the integer test. With zero cost
+    and best_val = 1 this is a feasibility search that stops at the first
+    integer point.
     """
-    zero_cost = np.zeros(a.shape[1])
-    stack = [(lb0.copy(), ub0.copy(), warm)]
-    while stack:
-        lb, ub, parent = stack.pop()
-        if lb.sum() > n_slot or ub.sum() < n_slot:
+    floor = round(float(cost @ lb))
+    stack = [(lb, ub, floor, warm)]
+    while stack and best_val > floor:
+        nlb, nub, bound, parent = stack.pop()
+        if bound >= best_val or cost @ nlb >= best_val:
             continue
-        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, lb, ub,
-                                         zero_cost, parent)
+        if nlb.sum() > n_slot or nub.sum() < n_slot:
+            continue
+        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, nlb, nub, cost,
+                                         parent)
         if lp is None:
             continue
-        _, psi_lp = lp
-        psi_h = _repair_toward(a, rhs_req, n_slot, lb, ub, psi_lp)
-        if (v @ psi_h >= k).all():
-            return psi_h, warm
+        val_lp, psi_lp = lp
+        bound = math.ceil(val_lp - _INT_TOL)
+        if bound >= best_val:
+            continue
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
-            if (v @ psi_int >= k).all():
-                return psi_int, warm
+            val = int(cost @ psi_int)
+            if (val < best_val and psi_int.sum() == n_slot
+                    and (v @ psi_int >= k).all()):
+                best_val, best_psi = val, psi_int
             continue
         floor_val = math.floor(psi_lp[branch])
-        ub_down = ub.copy()
+        ub_down = nub.copy()
         ub_down[branch] = floor_val
-        lb_up = lb.copy()
+        lb_up = nlb.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb, ub_down, warm))   # explored second
-        stack.append((lb_up, ub, warm))     # explored first
-    return None, warm
+        stack.append((lb_up, nub, bound, warm))    # explored second
+        stack.append((nlb, ub_down, bound, warm))  # explored first
+    return best_val, best_psi, warm
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +366,11 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     # integer solution is the exact optimum.
     t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
     warm = None  # every LP after the first restarts from the last LP's basis
+    zero_cost = np.zeros(n_ss)
     for g in _thresholds(spacing, best_t, t_top):
         k, rhs_req = _requirement(spacing, step, m_dem, g)
-        psi_g, warm = _find_integer_point(a, rhs_req, v, k, n_slot, lb0, ub0,
-                                          warm)
+        _, psi_g, warm = _branch_and_bound(a, rhs_req, v, k, n_slot, lb0, ub0,
+                                           zero_cost, 1, None, warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
@@ -395,7 +385,8 @@ def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
     the lexicographically smallest.
 
     Fixes psi_0, psi_1, ... in turn to the smallest value that still admits
-    an integer completion meeting the requirement. The incumbent 'witness'
+    an integer completion meeting the requirement, each found by
+    ``_branch_and_bound`` with a one-hot cost. The incumbent 'witness'
     certifies feasibility of each fixed prefix, so only positions where it
     is nonzero need a solve. Each position's search restarts from the basis
     of the LP solved before it, ``warm`` at first.
@@ -406,56 +397,13 @@ def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
     ub = np.full(n_ss, float(n_slot))
     for i in range(n_ss):
         if witness[i] > 0:
-            val, better, warm = _min_count_at(a, rhs_req, v, k, n_slot, lb, ub,
-                                              i, witness, warm)
-            if val < witness[i]:
-                witness = better
+            cost = np.zeros(n_ss)
+            cost[i] = 1.0
+            _, witness, warm = _branch_and_bound(a, rhs_req, v, k, n_slot, lb,
+                                                 ub, cost, int(witness[i]),
+                                                 witness, warm)
         lb[i] = ub[i] = float(witness[i])
     return witness
-
-
-def _min_count_at(a, rhs_req, v, k, n_slot, lb, ub, var, witness, warm):
-    """Exact integer minimum of psi_var subject to v @ psi >= k, a count
-    vector attaining it, and the restart point of the last LP solved.
-    The first LP restarts from ``warm`` and every child from its parent."""
-    best_val = int(witness[var])
-    best_psi = witness
-    global_floor = int(round(lb[var]))
-    cost = np.zeros(a.shape[1])
-    cost[var] = 1.0
-    stack = [(lb.copy(), ub.copy(), 0.0, warm)]
-    while stack:
-        if best_val <= global_floor:
-            break  # already at the variable's global lower bound
-        nlb, nub, parent_bound, parent = stack.pop()
-        if nlb[var] >= best_val:
-            continue
-        if math.ceil(parent_bound - _INT_TOL) >= best_val:
-            continue
-        if nlb.sum() > n_slot or nub.sum() < n_slot:
-            continue
-        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, nlb, nub, cost,
-                                         parent)
-        if lp is None:
-            continue
-        val_lp, psi_lp = lp
-        if math.ceil(val_lp - _INT_TOL) >= best_val:
-            continue
-        branch = _fractional_index(psi_lp)
-        if branch is None:
-            psi_int = np.rint(psi_lp).astype(int)
-            if (v @ psi_int >= k).all() and psi_int[var] < best_val:
-                best_val = int(psi_int[var])
-                best_psi = psi_int
-            continue
-        floor_val = math.floor(psi_lp[branch])
-        ub_down = nub.copy()
-        ub_down[branch] = floor_val
-        lb_up = nlb.copy()
-        lb_up[branch] = floor_val + 1
-        stack.append((lb_up, nub, val_lp, warm))    # explored second
-        stack.append((nlb, ub_down, val_lp, warm))  # explored first: drives the count down
-    return best_val, best_psi, warm
 
 
 # ---------------------------------------------------------------------------

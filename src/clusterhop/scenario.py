@@ -99,20 +99,39 @@ class Scenario:
         return self.clusters.n_clusters
 
 
-_SYSTEM_KEYS = {
-    "P_T_W": "p_t_w",
-    "B_W_Hz": "b_w_hz",
-    "carrier_Hz": "carrier_hz",
-    "rolloff": "rolloff",
-    "T_slot_s": "t_slot_s",
-    "N_slot": "n_slot",
-    "N_P": "n_p",
-    "dual_polarization": "dual_polarization",
-    "gain_peak_dBi": "gain_peak_dbi",
-    "beamwidth_3dB_deg": "beamwidth_3db_deg",
-    "T_sys_K": "t_sys_k",
-    "seed": "seed",
+_SYSTEM_KEYS = {  # file key -> (SystemConfig field, JSON type)
+    "P_T_W": ("p_t_w", float),
+    "B_W_Hz": ("b_w_hz", float),
+    "carrier_Hz": ("carrier_hz", float),
+    "rolloff": ("rolloff", float),
+    "T_slot_s": ("t_slot_s", float),
+    "N_slot": ("n_slot", int),
+    "N_P": ("n_p", int),
+    "dual_polarization": ("dual_polarization", bool),
+    "gain_peak_dBi": ("gain_peak_dbi", float),
+    "beamwidth_3dB_deg": ("beamwidth_3db_deg", float),
+    "T_sys_K": ("t_sys_k", float),
+    "seed": ("seed", int),
 }
+
+_JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int),
+               float: ("number", (int, float))}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` as ``kind`` (bool, int or float) when the document gives it
+    with that JSON type: a boolean, an integer, or any number for a float;
+    a boolean is no number. Anything else is a ValidationError naming the
+    field, so nothing is coerced: not "false", not 1.5, not "100"."""
+    if type(value) is kind:
+        return value
+    label, accepted = _JSON_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ValidationError(f"{name} must be a JSON {label}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValidationError(f"{name} is out of range") from None
 
 
 def load_scenario(source) -> Scenario:
@@ -178,14 +197,17 @@ def _parse_beams(raw) -> tuple[Beam, ...]:
     beams = []
     for entry in raw:
         try:
-            beam = Beam(
-                id=int(entry["id"]),
-                u=float(entry["u"]),
-                v=float(entry["v"]),
-                demand_bps=float(entry["demand_bps"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            bid, u, v = entry["id"], entry["u"], entry["v"]
+            demand = entry["demand_bps"]
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed beam entry {entry!r}: {exc}") from exc
+        bid = _typed(bid, int, "beam id")
+        try:
+            beam = Beam(id=bid, u=_typed(u, float, "u"),
+                        v=_typed(v, float, "v"),
+                        demand_bps=_typed(demand, float, "demand_bps"))
+        except ValidationError as exc:
+            raise ValidationError(f"beam {bid}: {exc}") from None
         for name in ("u", "v", "demand_bps"):
             if not math.isfinite(getattr(beam, name)):
                 raise ValidationError(f"beam {beam.id}: {name} must be finite")
@@ -211,7 +233,7 @@ def _parse_clusters(raw, n_beams: int) -> ClusterMap:
             raise ValidationError(f"cluster {j} is empty")
         idxs = []
         for bid in group:
-            if not isinstance(bid, int) or not (1 <= bid <= n_beams):
+            if type(bid) is not int or not (1 <= bid <= n_beams):
                 raise ValidationError(f"cluster {j}: unknown beam id {bid!r}")
             if bid in seen:
                 raise ValidationError(
@@ -228,9 +250,14 @@ def _parse_clusters(raw, n_beams: int) -> ClusterMap:
 
 
 def _parse_adjacency(raw, n_clusters: int) -> ClusterAdjacency:
+    if not isinstance(raw, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row)
+            for row in raw):
+        raise ValidationError("adjacency must be an array of arrays of JSON "
+                              "integers")
     try:
         a = np.array(raw, dtype=int)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"adjacency is not a numeric matrix: {exc}") from exc
     if a.shape != (n_clusters, n_clusters):
         raise ValidationError(
@@ -251,27 +278,11 @@ def _parse_system(raw) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ValidationError("'system' must be an object")
     kwargs = {}
-    for file_key, field in _SYSTEM_KEYS.items():
+    for file_key, (field, kind) in _SYSTEM_KEYS.items():
         if file_key not in raw:
             raise ValidationError(f"system: missing key '{file_key}'")
-        kwargs[field] = raw[file_key]
-    try:
-        cfg = SystemConfig(
-            p_t_w=float(kwargs["p_t_w"]),
-            b_w_hz=float(kwargs["b_w_hz"]),
-            carrier_hz=float(kwargs["carrier_hz"]),
-            rolloff=float(kwargs["rolloff"]),
-            t_slot_s=float(kwargs["t_slot_s"]),
-            n_slot=int(kwargs["n_slot"]),
-            n_p=int(kwargs["n_p"]),
-            dual_polarization=bool(kwargs["dual_polarization"]),
-            gain_peak_dbi=float(kwargs["gain_peak_dbi"]),
-            beamwidth_3db_deg=float(kwargs["beamwidth_3db_deg"]),
-            t_sys_k=float(kwargs["t_sys_k"]),
-            seed=int(kwargs["seed"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"system: malformed value: {exc}") from exc
+        kwargs[field] = _typed(raw[file_key], kind, f"system: {file_key}")
+    cfg = SystemConfig(**kwargs)
     for name in ("p_t_w", "b_w_hz", "carrier_hz", "rolloff", "t_slot_s",
                  "gain_peak_dbi", "beamwidth_3db_deg", "t_sys_k"):
         if not math.isfinite(getattr(cfg, name)):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhop.cli import main
 from clusterhop.errors import ParseError, ValidationError
 from clusterhop.scenario import (ClusterMap, aggregate_and_scale_demands,
                                  beam_adjacency, derive_adjacency,
@@ -93,6 +94,83 @@ def test_non_finite_integer_system_value_rejected():
     doc["system"]["N_slot"] = float("inf")
     with pytest.raises(ValidationError, match="system"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dual_polarization", "false"),
+    ("dual_polarization", 0),
+    ("dual_polarization", None),
+    ("N_slot", 8.9),
+    ("N_slot", 8.0),
+    ("N_slot", True),
+    ("N_P", 2.5),
+    ("N_P", "2"),
+    ("seed", 1.5),
+    ("seed", False),
+    ("P_T_W", "100"),
+    ("rolloff", False),
+])
+def test_mistyped_system_value_rejected(key, value):
+    doc = toy_doc()
+    doc["system"][key] = value
+    with pytest.raises(ValidationError, match=f"system: {key} must be a JSON"):
+        load_scenario(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("id", 1.9),
+    ("id", True),
+    ("id", "1"),
+    ("u", "0.0"),
+    ("demand_bps", "2e8"),
+    ("demand_bps", True),
+])
+def test_mistyped_beam_value_rejected(key, value):
+    doc = toy_doc()
+    doc["beams"][0][key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be a JSON"):
+        load_scenario(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("bid", [True, 3.0, "3"])
+def test_mistyped_cluster_member_rejected(bid):
+    doc = toy_doc()
+    doc["clusters"][1] = [bid, 4]
+    with pytest.raises(ValidationError, match="cluster 1: unknown beam id"):
+        load_scenario(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("value", [0.7, 1.9, True, "1", None])
+def test_mistyped_adjacency_entry_rejected(value):
+    doc = toy_doc()  # path adjacency: clusters 0 and 1 touch
+    doc["adjacency"][0][1] = doc["adjacency"][1][0] = value
+    with pytest.raises(ValidationError, match="adjacency must be"):
+        load_scenario(json.dumps(doc).encode())
+
+
+def test_oversized_adjacency_entry_rejected():
+    doc = toy_doc()
+    doc["adjacency"][0][1] = doc["adjacency"][1][0] = 10 ** 30
+    with pytest.raises(ValidationError, match="adjacency"):
+        load_scenario(json.dumps(doc).encode())
+
+
+def test_mistyped_value_exits_2(tmp_path, capsys):
+    doc = toy_doc()
+    doc["system"]["dual_polarization"] = "false"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert "dual_polarization must be a JSON boolean" in capsys.readouterr().err
+
+
+def test_json_integers_accepted_for_float_fields():
+    doc = toy_doc()
+    doc["system"]["P_T_W"] = 100
+    doc["beams"][0]["demand_bps"] = 200_000_000
+    sc = load_scenario(json.dumps(doc).encode())
+    assert sc.system.p_t_w == 100.0 and isinstance(sc.system.p_t_w, float)
+    assert sc.demands[0] == 2e8
 
 
 def test_asymmetric_adjacency_rejected():
