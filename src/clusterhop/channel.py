@@ -61,7 +61,10 @@ def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
     ``beamwidth_3db_deg`` is the full 3 dB width: the half-power point sits at
     half that angle, and the gain at one full width is peak/16.
     """
-    g_peak = 10.0 ** (config.gain_peak_dbi / 10.0)
+    try:
+        g_peak = 10.0 ** (config.gain_peak_dbi / 10.0)
+    except OverflowError:
+        raise _out_of_range("gain_peak_dBi", config.gain_peak_dbi) from None
     ratio = np.asarray(offaxis_angle_deg, dtype=float) / config.beamwidth_3db_deg
     return g_peak * np.exp(-4.0 * math.log(2.0) * ratio ** 2)
 
@@ -69,7 +72,17 @@ def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
 def free_space_loss(config: SystemConfig) -> float:
     """Linear free-space loss at the fixed GEO slant range."""
     wavelength = SPEED_OF_LIGHT_M_S / config.carrier_hz
-    return (4.0 * math.pi * SLANT_RANGE_M / wavelength) ** 2
+    try:
+        return (4.0 * math.pi * SLANT_RANGE_M / wavelength) ** 2
+    except OverflowError:
+        raise _out_of_range("carrier_Hz", config.carrier_hz) from None
+
+
+def _out_of_range(field: str, value: float) -> ValidationError:
+    return ValidationError(
+        f"system: {field} = {value!r} puts the link budget out of "
+        "floating-point range"
+    )
 
 
 def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> float:

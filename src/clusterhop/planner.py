@@ -11,20 +11,22 @@ row factors exactly as l_j = step_j * V_j with V_j nonnegative integers
 objective is a multiple of some step_j / m_j, and a threshold g is the
 integer requirement V psi >= k with k_j = ceil(g * m_j / step_j). One LP
 branch-and-bound answers both of the solver's questions. It walks the
-thresholds downward in exact rational order, from the LP bound to its
-incumbent, and decides each as a feasibility search (zero cost, stopping at
-the first integer point). Then, at the optimum's requirement, it minimizes
-psi_0, psi_1, ... in turn with the prefix fixed, which gives the
-lexicographically smallest optimal count vector. The LPs are over the
-normalized rows l_j / m_j, solved by the in-repo bounded-variable simplex;
-after the first, every LP restarts from the basis of the LP before it. A
-point is accepted only by the integer test. A row that does not factor is a
-ValidationError, and one with n_slot * max V_j above ``OBJECTIVE_GRID_CAP``
-is a CapExceededError.
+thresholds downward in exact rational order from the root LP's bound, and
+decides each as a feasibility search (zero cost, stopping at the first
+integer point); the walk stops above the trivial witness, every slot on the
+last snapshot. Then, at the optimum's requirement, it minimizes psi_0,
+psi_1, ... in turn with the prefix fixed, which gives the lexicographically
+smallest optimal count vector. The LPs are over the normalized rows
+l_j / m_j, solved by the in-repo bounded-variable simplex; after the first,
+every LP restarts from the basis of the LP before it. A point is accepted
+only by the integer test. A row that does not factor is a ValidationError,
+and one with n_slot * max V_j above ``OBJECTIVE_GRID_CAP`` is a
+CapExceededError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
-``greedy_plan`` is a fast heuristic lower bound; both accept any supply
-matrix. Clusters with zero demand are excluded from the objective; they
-still receive whatever supply the chosen snapshots give them.
+``greedy_plan`` rounds the root LP into a heuristic lower bound; both accept
+any supply matrix. Clusters with zero demand are excluded from the
+objective; they still receive whatever supply the chosen snapshots give
+them.
 """
 from __future__ import annotations
 
@@ -229,50 +231,6 @@ def _requirement(spacing, step, m_dem, g):
 
 
 # ---------------------------------------------------------------------------
-# Heuristics (incumbents; exactness comes from the search below)
-
-def _lift_worst(l_dem, m_dem, psi, n):
-    """Hand out n more slots one by one, each to the snapshot that lifts the
-    worst offered/demand ratio the most (ties to the lowest snapshot index).
-    Adds to psi in place and returns the demanded supplies l_dem @ psi."""
-    m_col = m_dem[:, None]
-    s = l_dem @ psi
-    for _ in range(n):
-        scores = ((s[:, None] + l_dem) / m_col).min(axis=0)
-        pick = int(np.argmax(scores))
-        psi[pick] += 1
-        s += l_dem[:, pick]
-    return s
-
-
-def _rounding_incumbent(l_dem, m_dem, n_slot, psi_lp) -> np.ndarray:
-    """Integer point near the LP optimum: floor the relaxation, hand out the
-    remaining slots with ``_lift_worst``, then hill-climb with single-slot
-    moves."""
-    psi = np.maximum(np.floor(psi_lp + _INT_TOL).astype(int), 0)
-    s = _lift_worst(l_dem, m_dem, psi, n_slot - int(psi.sum()))
-    m_col = m_dem[:, None]
-    for _ in range(200):  # single-slot exchange passes
-        best_gain = float((s / m_dem).min())
-        move = None
-        for src in np.flatnonzero(psi):
-            base = s[:, None] - l_dem[:, [src]] + l_dem
-            cand = (base / m_col).min(axis=0)
-            cand[src] = -1.0
-            dst = int(np.argmax(cand))
-            if cand[dst] > best_gain * (1 + 1e-12):
-                best_gain = float(cand[dst])
-                move = (int(src), dst)
-        if move is None:
-            break
-        src, dst = move
-        psi[src] -= 1
-        psi[dst] += 1
-        s = s - l_dem[:, src] + l_dem[:, dst]
-    return psi
-
-
-# ---------------------------------------------------------------------------
 # Exact integer search
 
 def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
@@ -356,12 +314,15 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     ub0 = np.full(n_ss, float(n_slot))
     root = _lp_max_t(a, n_slot, lb0, ub0)
     assert root is not None  # the budget simplex is never empty
-    t_lp, psi_lp = root
+    t_lp = root[0]
 
-    best_psi = _rounding_incumbent(l_dem, m_dem, n_slot, psi_lp)
+    # The trivial witness puts every slot on the last snapshot: the
+    # lexicographically smallest count vector, so canonical if optimal.
+    best_psi = np.zeros(n_ss, dtype=int)
+    best_psi[-1] = n_slot
     best_t = _exact_t(v, spacing, best_psi)
 
-    # Walk the thresholds above the incumbent downward from the LP bound,
+    # Walk the thresholds above the witness downward from the LP bound,
     # widened once for simplex round-off; the first threshold with an
     # integer solution is the exact optimum.
     t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
@@ -458,17 +419,47 @@ def brute_force_plan(instance: IlpInstance,
 
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
-    """Slot-by-slot heuristic: always add the snapshot that lifts the worst
-    offered/demand ratio the most (ties to the lowest snapshot index)."""
+    """LP-rounding heuristic, a lower bound on the optimum for any supply
+    matrix: floor the root LP's counts, hand out the remaining slots one by
+    one, each to the snapshot that lifts the worst offered/demand ratio the
+    most (ties to the lowest snapshot index), then hill-climb with
+    single-slot moves."""
     _require_snapshots(instance)
     demanded = instance.m > 0
     n_ss = instance.n_snapshots
+    n_slot = instance.n_slot
     if not demanded.any():
-        return _make_plan(instance, _uniform_psi(n_ss, instance.n_slot),
+        return _make_plan(instance, _uniform_psi(n_ss, n_slot),
                           STATUS_HEURISTIC, demanded)
-    psi = np.zeros(n_ss, dtype=int)
-    _lift_worst(instance.l[demanded], instance.m[demanded], psi,
-                instance.n_slot)
+    l_dem = instance.l[demanded]
+    m_dem = instance.m[demanded]
+    m_col = m_dem[:, None]
+    root = _lp_max_t(l_dem / m_col, n_slot, np.zeros(n_ss),
+                     np.full(n_ss, float(n_slot)))
+    assert root is not None  # the budget simplex is never empty
+    psi = np.maximum(np.floor(root[1] + _INT_TOL).astype(int), 0)
+    s = l_dem @ psi
+    for _ in range(n_slot - int(psi.sum())):
+        pick = int(np.argmax(((s[:, None] + l_dem) / m_col).min(axis=0)))
+        psi[pick] += 1
+        s += l_dem[:, pick]
+    for _ in range(200):  # single-slot exchange passes
+        best_gain = float((s / m_dem).min())
+        move = None
+        for src in np.flatnonzero(psi):
+            base = s[:, None] - l_dem[:, [src]] + l_dem
+            cand = (base / m_col).min(axis=0)
+            cand[src] = -1.0
+            dst = int(np.argmax(cand))
+            if cand[dst] > best_gain * (1 + 1e-12):
+                best_gain = float(cand[dst])
+                move = (int(src), dst)
+        if move is None:
+            break
+        src, dst = move
+        psi[src] -= 1
+        psi[dst] += 1
+        s = s - l_dem[:, src] + l_dem[:, dst]
     return _make_plan(instance, psi, STATUS_HEURISTIC, demanded)
 
 

@@ -95,7 +95,14 @@ def mmse_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -
     gram = h @ h.conj().T + np.diag(tau) / p
     w_hat = h.conj().T @ np.linalg.inv(gram)
     row_power = np.real(np.einsum("ij,ij->i", w_hat, w_hat.conj()))
-    beta = math.sqrt(p / row_power.max())
+    peak = row_power.max()
+    if not peak > 0:  # underflow: beta would be inf and every SNIR NaN
+        raise ValidationError(
+            f"cluster {channel.cluster_id}: MMSE feed powers underflow to "
+            f"{float(peak)!r}; P_T_W and T_sys_K put the link budget out of "
+            "floating-point range"
+        )
+    beta = math.sqrt(p / peak)
     w = beta * w_hat
     per_feed = beta * beta * row_power
     return PrecoderResult(w=w, beta=beta, per_feed_power_w=per_feed)
@@ -122,8 +129,10 @@ def dvbs2_efficiency(snir_linear: float, table: Dvbs2Table) -> float:
     """Spectral efficiency of the best MODCOD whose threshold the SNIR meets.
 
     Returns 0 below the lowest threshold (outage). The comparison happens in
-    dB and is inclusive at the threshold.
+    dB and is inclusive at the threshold. A NaN SNIR is a ValidationError.
     """
+    if math.isnan(snir_linear):
+        raise ValidationError("SNIR is not a number; no MODCOD applies")
     if snir_linear <= 0:
         return 0.0
     snir_db = 10.0 * math.log10(snir_linear)

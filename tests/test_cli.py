@@ -8,6 +8,8 @@ import pytest
 
 from clusterhop import channel, cli, precoding, simplex
 from clusterhop.cli import main
+from clusterhop.planner import IlpInstance, lp_relaxation_bound
+from clusterhop.scenario import aggregate_and_scale_demands
 
 from conftest import toy_doc
 
@@ -240,6 +242,60 @@ def test_plan_json_is_pinned(tmp_path, scenario, digest):
     assert _run(["plan", "--scenario", path, "--out", tmp_path / "out"]) == 0
     plan = (tmp_path / "out" / "plan.json").read_bytes()
     assert hashlib.sha256(plan).hexdigest() == digest
+
+
+def _reference_with(tmp_path, **system):
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    doc["system"].update(system)
+    return _write(tmp_path, doc, "ref.json")
+
+
+def test_link_budget_underflow_is_refused(tmp_path, capsys):
+    """Feed powers that underflow to 0 made every SNIR NaN, which scored as
+    the best MODCOD; a link budget that is merely weak stays in outage."""
+    for system in ({"P_T_W": 1e-300}, {"T_sys_K": 1e300}):
+        path = _reference_with(tmp_path, **system)
+        for command in ("capacity", "plan"):
+            out = tmp_path / f"out_{command}"
+            rc = _run([command, "--scenario", path, "--out", out])
+            err = capsys.readouterr().err
+            assert rc == 2, system
+            assert err.startswith("error: validate: cluster ")
+            assert not out.exists()
+    out = tmp_path / "outage"
+    path = _reference_with(tmp_path, P_T_W=1e-30)
+    for command in ("capacity", "plan"):
+        assert _run([command, "--scenario", path, "--out", out]) == 0
+    lines = (out / "capacity_beams.csv").read_text().splitlines()[1:]
+    assert {line.split(",", 3)[3] for line in lines} == {"0.0,0.0"}
+    assert json.loads((out / "plan.json").read_text())["t"] == 0.0
+
+
+@pytest.mark.parametrize("field, value", [("gain_peak_dBi", 4000.0),
+                                          ("carrier_Hz", 1e300)])
+def test_link_budget_overflow_is_validate_error(tmp_path, capsys, field,
+                                                value):
+    path = _reference_with(tmp_path, **{field: value})
+    rc = _run(["capacity", "--scenario", path, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: validate: system: {field} = ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_greedy_plan_is_near_the_lp_bound(tmp_path):
+    path = REPO / "scenarios" / "ref_71beam.json"
+    out = tmp_path / "out"
+    assert _run(["plan", "--scenario", path, "--out", out,
+                 "--solver", "greedy"]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    pipe = cli._memo
+    _, m = aggregate_and_scale_demands(pipe.scenario)
+    bound = lp_relaxation_bound(IlpInstance(
+        l=pipe.snapshots.l, m=m, n_slot=pipe.scenario.system.n_slot))
+    assert plan["status"] == "heuristic"
+    assert 0.98 * bound <= plan["t"] <= bound
 
 
 def _count_calls(monkeypatch, module, name):

@@ -104,6 +104,11 @@ def test_efficiency_below_floor_is_outage(dvbs2):
     assert precoding.dvbs2_efficiency(0.0, dvbs2) == 0.0
 
 
+def test_nan_snir_maps_to_no_modcod(dvbs2):
+    with pytest.raises(ValidationError, match="not a number"):
+        precoding.dvbs2_efficiency(float("nan"), dvbs2)
+
+
 def test_efficiency_inclusive_at_threshold(dvbs2):
     for thr, se in zip(dvbs2.thresholds_db, dvbs2.se_bits_per_symbol):
         snir = 10 ** (thr / 10)
