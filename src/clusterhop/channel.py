@@ -61,21 +61,28 @@ def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
     ``beamwidth_3db_deg`` is the full 3 dB width: the half-power point sits at
     half that angle, and the gain at one full width is peak/16.
     """
-    try:
-        g_peak = 10.0 ** (config.gain_peak_dbi / 10.0)
-    except OverflowError:
-        raise _out_of_range("gain_peak_dBi", config.gain_peak_dbi) from None
+    g_peak = _peak_gain(config)
     ratio = np.asarray(offaxis_angle_deg, dtype=float) / config.beamwidth_3db_deg
     return g_peak * np.exp(-4.0 * math.log(2.0) * ratio ** 2)
+
+
+def _peak_gain(config: SystemConfig) -> float:
+    try:
+        return 10.0 ** (config.gain_peak_dbi / 10.0)
+    except OverflowError:
+        raise _out_of_range("gain_peak_dBi", config.gain_peak_dbi) from None
 
 
 def free_space_loss(config: SystemConfig) -> float:
     """Linear free-space loss at the fixed GEO slant range."""
     wavelength = SPEED_OF_LIGHT_M_S / config.carrier_hz
     try:
-        return (4.0 * math.pi * SLANT_RANGE_M / wavelength) ** 2
+        loss = (4.0 * math.pi * SLANT_RANGE_M / wavelength) ** 2
     except OverflowError:
-        raise _out_of_range("carrier_Hz", config.carrier_hz) from None
+        loss = math.inf
+    if not 0 < loss < math.inf:
+        raise _out_of_range("carrier_Hz", config.carrier_hz)
+    return loss
 
 
 def _out_of_range(field: str, value: float) -> ValidationError:
@@ -93,10 +100,20 @@ def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> fl
 
 
 def _gain_block(centers: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Amplitude gains |H_ki| between the given beam centers, rows receiving."""
-    g_tx = beam_gain(center_distances(centers), config)
+    """Amplitude gains |H_ki| between the given beam centers, rows receiving.
+
+    The boresight budget G_peak G_rx / L_fs bounds every entry, so checking
+    that it is finite keeps the whole block in floating-point range.
+    """
     g_rx = 10.0 ** (RX_GAIN_DBI / 10.0)
-    return np.sqrt(g_tx * g_rx / free_space_loss(config))
+    peak = _peak_gain(config) * g_rx
+    if not math.isfinite(peak):
+        raise _out_of_range("gain_peak_dBi", config.gain_peak_dbi)
+    loss = free_space_loss(config)
+    if not math.isfinite(peak / loss):
+        raise _out_of_range("carrier_Hz", config.carrier_hz)
+    g_tx = beam_gain(center_distances(centers), config)
+    return np.sqrt(g_tx * g_rx / loss)
 
 
 def gain_magnitude_matrix(scenario: Scenario) -> np.ndarray:

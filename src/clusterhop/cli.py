@@ -124,8 +124,36 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys.
+
+    With ``indent`` set, ``json`` encodes in pure Python. Here every scalar,
+    and every list that holds no container, goes through its C encoder: the
+    item separator carries the newline and the indent.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        inner = indent + "  "
+        items = [f"{json.dumps(key)}: {_json_text(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if any(isinstance(x, (dict, list, tuple)) for x in obj):
+            body = (",\n" + inner).join(_json_text(x, inner) for x in obj)
+        else:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(obj) + "\n")
 
 
 def _knobs(manifest: RunManifest, scenario: Scenario) -> dict:
@@ -158,7 +186,7 @@ def run(manifest: RunManifest) -> list[str]:
         written.append(str(path))
 
     if manifest.command == "validate":
-        print(json.dumps(scenario_summary(scenario), indent=2, sort_keys=True))
+        print(_json_text(scenario_summary(scenario)))
         return written
 
     if manifest.command == "capacity":
@@ -199,8 +227,8 @@ def run(manifest: RunManifest) -> list[str]:
         doc = {
             "psi": {str(i): int(plan.psi[i]) for i in np.flatnonzero(plan.psi)},
             "t": None if math.isinf(plan.t) else plan.t,
-            "s_bits": [float(x) for x in plan.s],
-            "schedule": [int(x) for x in plan.schedule],
+            "s_bits": plan.s.tolist(),
+            "schedule": plan.schedule.tolist(),
             "status": plan.solver_status,
             "selected_snapshots": {
                 str(i): list(snaps.members(int(i)))
@@ -227,7 +255,7 @@ def run(manifest: RunManifest) -> list[str]:
                  lambda p, r=report: _write_text(
                      p, "\n".join(metrics.cluster_csv_lines(r)) + "\n"))
         emit("summary.json",
-             lambda p: metrics.write_summary_json(reports, p))
+             lambda p: _write_json(p, metrics.summary_dict(reports)))
 
     elif manifest.command == "leakage":
         leak = metrics.cross_cluster_leakage(scenario, pipe.field,

@@ -485,7 +485,13 @@ def expand_schedule(psi: np.ndarray) -> np.ndarray:
     """Slot-ordered snapshot sequence with near-even spacing.
 
     Largest-deficit rule: slot n goes to the snapshot whose placed count lags
-    its quota psi_i * (n + 1) / n_slot the most (ties to the lowest index).
+    its quota psi_i * (n + 1) / n_slot the most. The deficits are compared
+    as the doubles ``(psi_i * (n + 1)) / n_slot - placed_i``, and among equal
+    doubles the lowest index wins. Deficits that tie exactly can differ in
+    the last bit, so when n_slot is not a power of two an exact tie may go
+    to a later index: psi = [1, 4, 1] gives [1, 0, 1, 2, 1, 1], where slot 3
+    ties snapshots 1 and 2 at 2/3. When n_slot is a power of two the
+    division is exact and ties go to the lowest index.
     The result contains snapshot i exactly psi_i times. Only the support of
     psi is scanned: the deficits sum to 1 before every slot, so the largest
     is positive and a snapshot with psi_i = 0 (deficit 0) never wins.

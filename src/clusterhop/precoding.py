@@ -125,25 +125,33 @@ def snir(channel: ClusterChannel, precoder: PrecoderResult) -> np.ndarray:
     return signal / (interference + channel.tau)
 
 
-def dvbs2_efficiency(snir_linear: float, table: Dvbs2Table) -> float:
-    """Spectral efficiency of the best MODCOD whose threshold the SNIR meets.
+def dvbs2_efficiency(snir_linear, table: Dvbs2Table):
+    """Spectral efficiency of the best MODCOD whose threshold the SNIR meets,
+    elementwise over a scalar or an array of linear SNIRs.
 
-    Returns 0 below the lowest threshold (outage). The comparison happens in
-    dB and is inclusive at the threshold. A NaN SNIR is a ValidationError.
+    Returns 0 below the lowest threshold (outage) and for a nonpositive SNIR.
+    The comparison happens in dB and is inclusive at the threshold. The dB
+    value is ``10 * math.log10`` of each element: ``np.log10`` differs from
+    it in the last bit on some inputs, which moves a SNIR that sits on a
+    threshold. A NaN SNIR is a ValidationError. A scalar gives a float.
     """
-    if math.isnan(snir_linear):
+    snir_arr = np.asarray(snir_linear, dtype=float)
+    if np.isnan(snir_arr).any():
         raise ValidationError("SNIR is not a number; no MODCOD applies")
-    if snir_linear <= 0:
-        return 0.0
-    snir_db = 10.0 * math.log10(snir_linear)
-    idx = np.searchsorted(table.thresholds_db - _THRESHOLD_GUARD_DB, snir_db, side="right") - 1
-    if idx < 0:
-        return 0.0
-    return float(table.se_bits_per_symbol[idx])
+    positive = snir_arr > 0
+    snir_db = np.full(snir_arr.shape, -np.inf)
+    snir_db[positive] = [10.0 * math.log10(x)
+                         for x in snir_arr[positive].tolist()]
+    idx = np.searchsorted(table.thresholds_db - _THRESHOLD_GUARD_DB, snir_db,
+                          side="right") - 1
+    se = np.where(positive & (idx >= 0),
+                  table.se_bits_per_symbol[np.maximum(idx, 0)], 0.0)
+    return float(se) if se.ndim == 0 else se
 
 
-def beam_capacity_bps(se_bits_per_symbol: float, config: SystemConfig) -> float:
-    """Capacity of one beam: SE * symbol rate, doubled under dual polarization."""
+def beam_capacity_bps(se_bits_per_symbol, config: SystemConfig):
+    """Capacity of a beam, elementwise: SE * symbol rate, doubled under dual
+    polarization."""
     r_pol = se_bits_per_symbol * config.b_w_hz / (1.0 + config.rolloff)
     return 2.0 * r_pol if config.dual_polarization else r_pol
 
@@ -158,16 +166,12 @@ def beam_links(
     n_b = scenario.n_beams
     snir_lin = np.zeros(n_b)
     se = np.zeros(n_b)
-    r = np.zeros(n_b)
     for channel in channels:
-        members = scenario.clusters.members[channel.cluster_id]
-        prec = mmse_precoder(channel, cfg, n_b)
-        gammas = snir(channel, prec)
-        for local, beam_idx in enumerate(members):
-            snir_lin[beam_idx] = gammas[local]
-            se[beam_idx] = dvbs2_efficiency(float(gammas[local]), table)
-            r[beam_idx] = beam_capacity_bps(se[beam_idx], cfg)
-    return snir_lin, se, r
+        members = list(scenario.clusters.members[channel.cluster_id])
+        gammas = snir(channel, mmse_precoder(channel, cfg, n_b))
+        snir_lin[members] = gammas
+        se[members] = dvbs2_efficiency(gammas, table)
+    return snir_lin, se, beam_capacity_bps(se, cfg)
 
 
 def cluster_capacities(

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterhop import channel, cli, precoding, simplex
 from clusterhop.cli import main
@@ -271,8 +273,13 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     assert json.loads((out / "plan.json").read_text())["t"] == 0.0
 
 
-@pytest.mark.parametrize("field, value", [("gain_peak_dBi", 4000.0),
-                                          ("carrier_Hz", 1e300)])
+@pytest.mark.parametrize("field, value", [
+    ("gain_peak_dBi", 4000.0),   # 10**(dB/10) overflows
+    ("gain_peak_dBi", 3070.0),   # G_tx * G_rx overflows
+    ("carrier_Hz", 1e300),       # the free-space loss overflows
+    ("carrier_Hz", 1e-300),      # the free-space loss is 0
+    ("carrier_Hz", 1e-152),      # G_tx * G_rx / L_fs overflows
+])
 def test_link_budget_overflow_is_validate_error(tmp_path, capsys, field,
                                                 value):
     path = _reference_with(tmp_path, **{field: value})
@@ -443,3 +450,23 @@ def test_undecodable_input_is_parse_error(tmp_path, toy_file, capsys, where):
     assert _run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: parse:") and "Traceback" not in err
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"),
+                     10 ** 40, -(10 ** 40)]),
+    st.text(), st.sampled_from(['", "', "[", '"', "a, b", "]\n[", "\u00e9"]),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(_JSON_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_indented_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
