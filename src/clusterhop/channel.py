@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import Scenario, SystemConfig, center_distances
+from .scenario import Scenario, SystemConfig
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_K = 1.380_649e-23
@@ -99,8 +99,9 @@ def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> fl
     return BOLTZMANN_J_K * config.t_sys_k * bandwidth_hz
 
 
-def _gain_block(centers: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Amplitude gains |H_ki| between the given beam centers, rows receiving.
+def _gain_block(distances: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Amplitude gains |H_ki| over a block of the scenario's center
+    distances, rows receiving.
 
     The boresight budget G_peak G_rx / L_fs bounds every entry, so checking
     that it is finite keeps the whole block in floating-point range.
@@ -112,13 +113,13 @@ def _gain_block(centers: np.ndarray, config: SystemConfig) -> np.ndarray:
     loss = free_space_loss(config)
     if not math.isfinite(peak / loss):
         raise _out_of_range("carrier_Hz", config.carrier_hz)
-    g_tx = beam_gain(center_distances(centers), config)
+    g_tx = beam_gain(distances, config)
     return np.sqrt(g_tx * g_rx / loss)
 
 
 def gain_magnitude_matrix(scenario: Scenario) -> np.ndarray:
     """(N_B, N_B) amplitude gains |H_ki|: user at beam-center k from feed i."""
-    return _gain_block(scenario.centers, scenario.system)
+    return _gain_block(scenario.distances, scenario.system)
 
 
 def build_beam_field(scenario: Scenario) -> BeamField:
@@ -249,8 +250,8 @@ def build_cluster_channel(scenario: Scenario, cluster_id: int) -> ClusterChannel
     if not 0 <= cluster_id < scenario.n_clusters:
         raise ValidationError(f"unknown cluster id {cluster_id}")
     members = scenario.clusters.members[cluster_id]
-    idx = np.array(members, dtype=int)
-    mags = _gain_block(scenario.centers[idx], scenario.system)
+    mags = _gain_block(scenario.distances[np.ix_(members, members)],
+                       scenario.system)
     phases = _pair_phases(scenario.system.seed, cluster_id, members)
     h = mags * np.exp(1j * phases)
     tau = np.full(len(members), noise_power_w(scenario.system))

@@ -5,7 +5,7 @@ Every subcommand is a pure function of (scenario file, flags, seed); output
 files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
 3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
-6 solver failure (singular simplex basis).
+6 solver failure (singular simplex basis, or no root LP optimum).
 
 Subcommands read their inputs from a ``Pipeline`` of lazily built stages.
 ``run`` keeps one, the most recent, keyed by the scenario file's bytes, the
@@ -28,13 +28,12 @@ import numpy as np
 
 from . import benchmarks, channel, metrics, precoding
 from .errors import ClusterHopError, ValidationError
-from .planner import (HoppingPlan, IlpInstance, brute_force_plan,
-                      greedy_plan, solve_illumination)
+from .planner import HoppingPlan, IlpInstance, greedy_plan, solve_illumination
 from .scenario import (Scenario, aggregate_and_scale_demands, load_scenario,
                        scenario_summary)
 from .snapshots import SnapshotSet, build_snapshot_set, dump_v_csv
 
-SOLVERS = ("ilp", "greedy", "oracle")
+SOLVERS = ("ilp", "greedy")
 SCHEME_CH = "ch"
 ALL_SCHEMES = (SCHEME_CH, benchmarks.FOUR_COLOR, benchmarks.ONE_COLOR_BH)
 
@@ -95,8 +94,7 @@ class Pipeline:
         _, m = aggregate_and_scale_demands(self.scenario)
         instance = IlpInstance(l=self.snapshots.l, m=m,
                                n_slot=self.scenario.system.n_slot)
-        solve = {"greedy": greedy_plan, "oracle": brute_force_plan}.get(
-            self.solver, solve_illumination)
+        solve = greedy_plan if self.solver == "greedy" else solve_illumination
         return solve(instance)
 
     @cached_property
@@ -196,11 +194,11 @@ def run(manifest: RunManifest) -> list[str]:
 
         def beams_csv(path):
             lines = ["beam_id,cluster_id,snir_db,se_bits_per_symbol,capacity_bps"]
-            for i, beam in enumerate(scenario.beams):
+            for i in range(scenario.n_beams):
                 snir_db = (10 * math.log10(snir_lin[i])
                            if snir_lin[i] > 0 else -math.inf)
                 lines.append(
-                    f"{beam.id},{assignment[i]},{float(snir_db)!r},"
+                    f"{i + 1},{assignment[i]},{float(snir_db)!r},"
                     f"{float(se[i])!r},{float(r[i])!r}"
                 )
             _write_text(path, "\n".join(lines) + "\n")
@@ -250,7 +248,7 @@ def run(manifest: RunManifest) -> list[str]:
         for report in reports:
             emit(f"report_beams_{report.scheme}.csv",
                  lambda p, r=report: _write_text(
-                     p, "\n".join(metrics.beam_csv_lines(r, scenario)) + "\n"))
+                     p, "\n".join(metrics.beam_csv_lines(r)) + "\n"))
             emit(f"report_clusters_{report.scheme}.csv",
                  lambda p, r=report: _write_text(
                      p, "\n".join(metrics.cluster_csv_lines(r)) + "\n"))

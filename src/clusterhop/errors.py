@@ -37,7 +37,8 @@ class CapExceededError(ClusterHopError):
 
 
 class SolverError(ClusterHopError):
-    """The LP solver failed numerically (its basis matrix became singular)."""
+    """The LP solver failed: its basis matrix became singular, or an LP
+    that always has an optimum reported none."""
 
     exit_code = 6
     error_class = "solver"

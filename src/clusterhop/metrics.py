@@ -130,13 +130,12 @@ def cross_cluster_leakage(scenario: Scenario, field: BeamField,
     return worst[plan.schedule].tolist()
 
 
-def beam_csv_lines(report: CapacityReport, scenario: Scenario) -> list[str]:
+def beam_csv_lines(report: CapacityReport) -> list[str]:
     """Beam-level CSV rows sorted by rising demand."""
     lines = ["beam_id,demand_bps,offered_bps,scheme"]
     for idx in report.beams_by_demand:
-        beam = scenario.beams[int(idx)]
         lines.append(
-            f"{beam.id},{float(report.beam_demand_bps[idx])!r},"
+            f"{idx + 1},{float(report.beam_demand_bps[idx])!r},"
             f"{float(report.beam_offered_bps[idx])!r},{report.scheme}"
         )
     return lines

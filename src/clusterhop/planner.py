@@ -38,7 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, InfeasibleError, ValidationError
+from .errors import (CapExceededError, InfeasibleError, SolverError,
+                     ValidationError)
 from .simplex import OPTIMAL, solve_bounded_lp
 
 STATUS_OPTIMAL = "optimal"
@@ -121,8 +122,10 @@ def _require_snapshots(instance: IlpInstance) -> None:
 # ---------------------------------------------------------------------------
 # LP relaxations (normalized rows a = l / m, so coefficients are near 1)
 
-def _lp_max_t(a: np.ndarray, n_slot: int, lb: np.ndarray, ub: np.ndarray):
-    """max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot, lb<=psi<=ub."""
+def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
+    """The root LP, max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot,
+    0 <= psi <= n_slot: its optimum (t, psi). Its feasible set is never
+    empty, so a solve that reports no optimum is a SolverError."""
     n_dem, n_ss = a.shape
     n_var = n_ss + 1 + n_dem  # psi, t, surplus per demanded row
     rows = np.zeros((n_dem + 1, n_var))
@@ -134,11 +137,11 @@ def _lp_max_t(a: np.ndarray, n_slot: int, lb: np.ndarray, ub: np.ndarray):
     rhs[n_dem] = n_slot
     cost = np.zeros(n_var)
     cost[n_ss] = -1.0
-    lower = np.concatenate([lb, [0.0], np.zeros(n_dem)])
-    upper = np.concatenate([ub, [np.inf], np.full(n_dem, np.inf)])
-    res = solve_bounded_lp(cost, rows, rhs, lower, upper)
+    upper = np.full(n_var, np.inf)
+    upper[:n_ss] = n_slot
+    res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper)
     if res.status != OPTIMAL:
-        return None
+        raise SolverError(f"root LP ended {res.status}, not optimal")
     return float(res.x[n_ss]), res.x[:n_ss]
 
 
@@ -310,11 +313,7 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     step, v = _factor_rows(l_dem, n_slot, np.flatnonzero(demanded))
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
-    lb0 = np.zeros(n_ss)
-    ub0 = np.full(n_ss, float(n_slot))
-    root = _lp_max_t(a, n_slot, lb0, ub0)
-    assert root is not None  # the budget simplex is never empty
-    t_lp = root[0]
+    t_lp, _ = _root_lp(a, n_slot)
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -327,6 +326,8 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     # integer solution is the exact optimum.
     t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
     warm = None  # every LP after the first restarts from the last LP's basis
+    lb0 = np.zeros(n_ss)
+    ub0 = np.full(n_ss, float(n_slot))
     zero_cost = np.zeros(n_ss)
     for g in _thresholds(spacing, best_t, t_top):
         k, rhs_req = _requirement(spacing, step, m_dem, g)
@@ -434,10 +435,8 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     l_dem = instance.l[demanded]
     m_dem = instance.m[demanded]
     m_col = m_dem[:, None]
-    root = _lp_max_t(l_dem / m_col, n_slot, np.zeros(n_ss),
-                     np.full(n_ss, float(n_slot)))
-    assert root is not None  # the budget simplex is never empty
-    psi = np.maximum(np.floor(root[1] + _INT_TOL).astype(int), 0)
+    _, psi_lp = _root_lp(l_dem / m_col, n_slot)
+    psi = np.maximum(np.floor(psi_lp + _INT_TOL).astype(int), 0)
     s = l_dem @ psi
     for _ in range(n_slot - int(psi.sum())):
         pick = int(np.argmax(((s[:, None] + l_dem) / m_col).min(axis=0)))
@@ -470,12 +469,7 @@ def lp_relaxation_bound(instance: IlpInstance) -> float:
     if not demanded.any():
         return math.inf
     a = instance.l[demanded] / instance.m[demanded][:, None]
-    lp = _lp_max_t(a, instance.n_slot,
-                   np.zeros(instance.n_snapshots),
-                   np.full(instance.n_snapshots, float(instance.n_slot)))
-    if lp is None:
-        raise InfeasibleError("LP relaxation infeasible")
-    return lp[0]
+    return _root_lp(a, instance.n_slot)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +479,9 @@ def expand_schedule(psi: np.ndarray) -> np.ndarray:
     """Slot-ordered snapshot sequence with near-even spacing.
 
     Largest-deficit rule: slot n goes to the snapshot whose placed count lags
-    its quota psi_i * (n + 1) / n_slot the most. The deficits are compared
-    as the doubles ``(psi_i * (n + 1)) / n_slot - placed_i``, and among equal
-    doubles the lowest index wins. Deficits that tie exactly can differ in
-    the last bit, so when n_slot is not a power of two an exact tie may go
-    to a later index: psi = [1, 4, 1] gives [1, 0, 1, 2, 1, 1], where slot 3
-    ties snapshots 1 and 2 at 2/3. When n_slot is a power of two the
-    division is exact and ties go to the lowest index.
+    its quota psi_i * (n + 1) / n_slot the most, the lowest index on a tie.
+    The deficits are compared exactly, as the integers
+    ``psi_i * (n + 1) - placed_i * n_slot``.
     The result contains snapshot i exactly psi_i times. Only the support of
     psi is scanned: the deficits sum to 1 before every slot, so the largest
     is positive and a snapshot with psi_i = 0 (deficit 0) never wins.
@@ -502,16 +492,16 @@ def expand_schedule(psi: np.ndarray) -> np.ndarray:
     n_slot = int(psi.sum())
     support = np.flatnonzero(psi).tolist()
     counts = psi[support].tolist()
-    placed = [0.0] * len(support)
+    placed = [0] * len(support)  # placed counts times n_slot
     schedule = []
     for n in range(1, n_slot + 1):
         best = -math.inf
         for k, count in enumerate(counts):
-            deficit = (count * n) / n_slot - placed[k]
+            deficit = count * n - placed[k]
             if deficit > best:
                 best, pick = deficit, k
         schedule.append(support[pick])
-        placed[pick] += 1.0
+        placed[pick] += n_slot
     schedule = np.array(schedule, dtype=int)
     schedule.flags.writeable = False
     return schedule

@@ -18,16 +18,6 @@ from .errors import ParseError, ValidationError
 
 
 @dataclass(frozen=True)
-class Beam:
-    """One spot beam: 1-based id, angular center (u, v) and demand in bps."""
-
-    id: int
-    u: float
-    v: float
-    demand_bps: float
-
-
-@dataclass(frozen=True)
 class ClusterMap:
     """Strict partition of beams into clusters.
 
@@ -82,17 +72,19 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    beams: tuple[Beam, ...]
+    """Beam i (0-based) is the beam with id i + 1 in the file."""
+
     clusters: ClusterMap
     adjacency: ClusterAdjacency
     system: SystemConfig
     centers: np.ndarray  # (N_B, 2) u/v in degrees, row order = beam index
     demands: np.ndarray  # (N_B,) bps
+    distances: np.ndarray  # (N_B, N_B) see ``center_distances``
     beam_adjacency: np.ndarray  # (N_B, N_B) 0/1, see ``beam_adjacency``
 
     @property
     def n_beams(self) -> int:
-        return len(self.beams)
+        return len(self.demands)
 
     @property
     def n_clusters(self) -> int:
@@ -159,15 +151,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key not in doc:
             raise ValidationError(f"missing top-level key '{key}'")
 
-    beams = _parse_beams(doc["beams"])
-    n_b = len(beams)
-    clusters = _parse_clusters(doc["clusters"], n_b)
+    centers, demands = _parse_beams(doc["beams"])
+    clusters = _parse_clusters(doc["clusters"], len(demands))
     system = _parse_system(doc["system"])
 
-    centers = np.array([[b.u, b.v] for b in beams], dtype=float)
-    demands = np.array([b.demand_bps for b in beams], dtype=float)
-
-    badj = beam_adjacency(centers)  # also read by both benchmark schemes
+    distances = center_distances(centers)  # also read by the channel model
+    badj = beam_adjacency(distances)  # also read by both benchmark schemes
     if "adjacency" in doc and doc["adjacency"] is not None:
         adjacency = _parse_adjacency(doc["adjacency"], clusters.n_clusters)
     else:
@@ -178,23 +167,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"N_P={system.n_p} exceeds the cluster count {clusters.n_clusters}"
         )
 
-    for a in (centers, demands, badj):
+    for a in (centers, demands, distances, badj):
         a.flags.writeable = False
     return Scenario(
-        beams=beams,
         clusters=clusters,
         adjacency=adjacency,
         system=system,
         centers=centers,
         demands=demands,
+        distances=distances,
         beam_adjacency=badj,
     )
 
 
-def _parse_beams(raw) -> tuple[Beam, ...]:
+def _parse_beams(raw) -> tuple[np.ndarray, np.ndarray]:
+    """Beam centers (N_B, 2) and demands (N_B,), both in beam-id order."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError("'beams' must be a non-empty array")
-    beams = []
+    ids, rows = [], []
     for entry in raw:
         try:
             bid, u, v = entry["id"], entry["u"], entry["v"]
@@ -203,24 +193,23 @@ def _parse_beams(raw) -> tuple[Beam, ...]:
             raise ValidationError(f"malformed beam entry {entry!r}: {exc}") from exc
         bid = _typed(bid, int, "beam id")
         try:
-            beam = Beam(id=bid, u=_typed(u, float, "u"),
-                        v=_typed(v, float, "v"),
-                        demand_bps=_typed(demand, float, "demand_bps"))
+            row = (_typed(u, float, "u"), _typed(v, float, "v"),
+                   _typed(demand, float, "demand_bps"))
         except ValidationError as exc:
             raise ValidationError(f"beam {bid}: {exc}") from None
-        for name in ("u", "v", "demand_bps"):
-            if not math.isfinite(getattr(beam, name)):
-                raise ValidationError(f"beam {beam.id}: {name} must be finite")
-        if beam.demand_bps < 0:
-            raise ValidationError(f"beam {beam.id}: demand must be >= 0")
-        beams.append(beam)
-    ids = [b.id for b in beams]
+        for name, value in zip(("u", "v", "demand_bps"), row):
+            if not math.isfinite(value):
+                raise ValidationError(f"beam {bid}: {name} must be finite")
+        if row[2] < 0:
+            raise ValidationError(f"beam {bid}: demand must be >= 0")
+        ids.append(bid)
+        rows.append(row)
     if len(set(ids)) != len(ids):
         raise ValidationError("beam ids are not unique")
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise ValidationError("beam ids must be contiguous 1..N_B")
-    beams.sort(key=lambda b: b.id)
-    return tuple(beams)
+    table = np.array(rows, dtype=float)[np.argsort(ids)]
+    return table[:, :2].copy(), table[:, 2].copy()
 
 
 def _parse_clusters(raw, n_beams: int) -> ClusterMap:
@@ -309,29 +298,27 @@ def center_distances(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(du * du + dv * dv)
 
 
-def _pitch(dist: np.ndarray) -> float:
+def nominal_pitch(dist: np.ndarray) -> float:
+    """Smallest nonzero pairwise center distance (the lattice pitch), from
+    the ``center_distances`` matrix."""
     nz = dist[dist > 0]
     if nz.size == 0:
         raise ValidationError("all beam centers coincide; no pitch defined")
     return float(nz.min())
 
 
-def nominal_pitch(centers: np.ndarray) -> float:
-    """Smallest nonzero pairwise center distance (the lattice pitch)."""
-    return _pitch(center_distances(centers))
-
-
-def beam_adjacency(centers: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    """0/1 beam adjacency: centers within ``threshold`` of each other.
+def beam_adjacency(dist: np.ndarray,
+                   threshold: float | None = None) -> np.ndarray:
+    """0/1 beam adjacency from the ``center_distances`` matrix: centers
+    within ``threshold`` of each other.
 
     Default threshold is 1.1x the nominal pitch.
     """
-    n = centers.shape[0]
+    n = dist.shape[0]
     if threshold is None and n < 2:
         return np.zeros((n, n), dtype=np.uint8)
-    dist = center_distances(centers)
     if threshold is None:
-        threshold = 1.1 * _pitch(dist)
+        threshold = 1.1 * nominal_pitch(dist)
     if threshold <= 0:
         raise ValidationError("beam spacing threshold must be > 0")
     adj = (dist <= threshold).astype(np.uint8)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from clusterhop import benchmarks, channel, precoding
-from clusterhop.scenario import beam_adjacency, scenario_from_dict
+from clusterhop.scenario import (beam_adjacency, center_distances,
+                                 scenario_from_dict)
 
 from conftest import toy_doc
 
@@ -20,7 +21,7 @@ def _permuted_demands(doc):
 def test_four_color_proper_on_reference(ref_scenario, ref_field, dvbs2):
     res = benchmarks.four_color_evaluate(ref_scenario, ref_field, dvbs2)
     colors = np.array(res.config["colors"])
-    adj = beam_adjacency(ref_scenario.centers)
+    adj = beam_adjacency(center_distances(ref_scenario.centers))
     for i in range(ref_scenario.n_beams):
         for j in range(i + 1, ref_scenario.n_beams):
             if adj[i, j]:
@@ -59,7 +60,7 @@ def test_four_color_isolated_beam(dvbs2):
 
 def test_bh_groups_non_adjacent(ref_scenario, ref_field, dvbs2):
     res = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
-    adj = beam_adjacency(ref_scenario.centers)
+    adj = beam_adjacency(center_distances(ref_scenario.centers))
     for group in res.config["groups"]:
         for i in group:
             for j in group:
@@ -92,7 +93,7 @@ def test_bh_uniform_demands_flat_interior(ref_doc, dvbs2):
     field = channel.build_beam_field(sc)
     res = benchmarks.bh_evaluate(sc, field, dvbs2)
     # interior beams (six neighbors) all land on the same MODCOD
-    adj = beam_adjacency(sc.centers)
+    adj = beam_adjacency(center_distances(sc.centers))
     interior = np.flatnonzero(adj.sum(axis=1) == 6)
     values = np.unique(np.round(res.offered_bps[interior], 3))
     assert values.size <= 2

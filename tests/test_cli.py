@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhop import channel, cli, precoding, simplex
+from clusterhop import channel, cli, planner, precoding, scenario, simplex
 from clusterhop.cli import main
 from clusterhop.planner import IlpInstance, lp_relaxation_bound
 from clusterhop.scenario import aggregate_and_scale_demands
@@ -139,12 +140,15 @@ def test_plan_outputs(tmp_path, toy_file, capsys):
 
 
 def test_plan_solver_choices(tmp_path, toy_file):
-    for solver, status in [("greedy", "heuristic"), ("oracle", "optimal")]:
-        out = tmp_path / f"out_{solver}"
-        assert _run(["plan", "--scenario", toy_file, "--out", out,
-                     "--solver", solver]) == 0
-        plan = json.loads((out / "plan.json").read_text())
-        assert plan["status"] == status
+    out = tmp_path / "out_greedy"
+    assert _run(["plan", "--scenario", toy_file, "--out", out,
+                 "--solver", "greedy"]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["status"] == "heuristic"
+    with pytest.raises(SystemExit) as exc:  # the oracle is test-only
+        _run(["plan", "--scenario", toy_file, "--out", tmp_path / "out_oracle",
+              "--solver", "oracle"])
+    assert exc.value.code == 2
 
 
 def test_compare_outputs(tmp_path, toy_file):
@@ -230,20 +234,108 @@ def test_custom_dvbs2_table(tmp_path, toy_file):
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("scenario, digest", [
-    ("ref_71beam", "ea8ec3df7af1762bd298db375efddf92989ad1f60edc55a040ace7e1f1594006"),
-    ("toy", "f2bd4aa8ad1cc71703711d8c59d7bd42cc8e491218491f67c9d495e086fa3c29"),
-])
-def test_plan_json_is_pinned(tmp_path, scenario, digest):
-    """plan.json of the reference and toy scenarios, byte for byte: a change
-    to the solver's arithmetic or search order must not change the plan."""
+_PINNED = {  # sha256 of every artifact but run_config.json
+    ("ref_71beam", "capacity"): {
+        "capacity_beams.csv":
+            "f275f06c33f6153078c33a561af8b56f0f0e399e1cd4ef3471cb53eaa1e77331",
+        "capacity_clusters.csv":
+            "a6f2ccb8f125e230c3f8adad0d726744f2ba9954ad1163af0ac70d1eccdb9f70",
+    },
+    ("ref_71beam", "snapshots"): {
+        "snapshots.csv":
+            "1a9441cbd2331e1e9c07def7ed8159ddf7ddc67a24390f53c00348bf0d740e0b",
+    },
+    ("ref_71beam", "plan"): {
+        "plan.json":
+            "ea8ec3df7af1762bd298db375efddf92989ad1f60edc55a040ace7e1f1594006",
+    },
+    ("ref_71beam", "compare"): {
+        "report_beams_1c_ffr_bh.csv":
+            "69bb3f38bc6b0387ab8a89b8b757d26c6f8f35c30948a103934bd82ad1a794f1",
+        "report_beams_4c_fr.csv":
+            "64f7883cb5c53f68367ffce07eeb0975245651cff9412622f57ecdb1d3c18b79",
+        "report_beams_ch.csv":
+            "4b8fffc3ae91e63253f6e9ad5dad600c15a9b632c03f960a0d84915c28c5556a",
+        "report_clusters_1c_ffr_bh.csv":
+            "0e8b6f9445da9b4573fb0634002d4ed6aff1fc2947c324d7d34fa20850f5dc1e",
+        "report_clusters_4c_fr.csv":
+            "e231b4d342e0cb082109322adfa5086fc3833cdfaf1082b55042dd06528ff2f3",
+        "report_clusters_ch.csv":
+            "90e77a5217b8cb07c565161a6768db52ef1a6ea1314018f60c7fb5fe15b11c91",
+        "summary.json":
+            "ba17688b86bcbac3ad13f500075d5102a2e76be996c141a3fd7575f65684cbd2",
+    },
+    ("ref_71beam", "leakage"): {
+        "leakage.json":
+            "1f5e257e160167e79c81560669b17b62953e24417c7992196e9d7b0d52198ad9",
+    },
+    ("toy", "capacity"): {
+        "capacity_beams.csv":
+            "0e1a0766b5d95f368dddccfcb867155ee79b09b44369450b2a2233307a31e87e",
+        "capacity_clusters.csv":
+            "805f1ee8402f5748730f0c9d08bbf7a123d10e440e19e1f7c70167bf59a778dc",
+    },
+    ("toy", "snapshots"): {
+        "snapshots.csv":
+            "c200e72313e2ba8458733af35a60a7ea38f167dcb62f112412a53336f7f84779",
+    },
+    ("toy", "plan"): {
+        "plan.json":
+            "f2bd4aa8ad1cc71703711d8c59d7bd42cc8e491218491f67c9d495e086fa3c29",
+    },
+    ("toy", "compare"): {
+        "report_beams_1c_ffr_bh.csv":
+            "77e4dece143d3fdbb6140ba3d7f97b908890c52fb5d42afcf9add4d0cfbd0270",
+        "report_beams_4c_fr.csv":
+            "c0733616f4bcdaad7c62cd9942c63e7dd89eae93f0f942e371162d42e28b9fe1",
+        "report_beams_ch.csv":
+            "3d47d88c948ec82568ff4daaa96d9a4cf5ef2aaa092bdc4d8f210a2dc056c6aa",
+        "report_clusters_1c_ffr_bh.csv":
+            "14c60c83cb5bdf836e343b43d1bc9343a38e9bf9efb2cc404856c7f6ace71e04",
+        "report_clusters_4c_fr.csv":
+            "b43f8d14ac440c55a49462530c5604f76bc8c65ac79701994a67199d59b0692c",
+        "report_clusters_ch.csv":
+            "50ead50811e29f231cffef122da75d310c96fb24f108755b9e7e25c39ad71771",
+        "summary.json":
+            "adc8885a158424697967bd598188bce8e4c4b06ce40364be2006c6cc01a7a51d",
+    },
+    ("toy", "leakage"): {
+        "leakage.json":
+            "754ef309237f2e70e7b7958996a9b741be4c4ea89b0303ddd0aa25d4cb4853fb",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario, command", list(_PINNED))
+def test_plan_json_is_pinned(tmp_path, scenario, command):
+    """Every artifact of every writing subcommand on the reference and toy
+    scenarios, byte for byte: a change to the arithmetic, the search order
+    or the data layout must not change an output."""
     if scenario == "toy":
         path = _write(tmp_path, toy_doc())
     else:
         path = REPO / "scenarios" / f"{scenario}.json"
-    assert _run(["plan", "--scenario", path, "--out", tmp_path / "out"]) == 0
-    plan = (tmp_path / "out" / "plan.json").read_bytes()
-    assert hashlib.sha256(plan).hexdigest() == digest
+    out = tmp_path / "out"
+    assert _run([command, "--scenario", path, "--out", out]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "run_config.json"}
+    assert digests == _PINNED[scenario, command]
+
+
+def test_beam_ids_follow_the_file_not_its_order(tmp_path):
+    """Beam i of the scenario is the beam with id i + 1 wherever the file
+    lists it: reversing the beams array changes no artifact."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    reversed_doc = {**doc, "beams": doc["beams"][::-1]}
+    for name, content in (("a", doc), ("b", reversed_doc)):
+        path = _write(tmp_path, content, f"{name}.json")
+        for command in ("capacity", "compare"):
+            assert _run([command, "--scenario", path,
+                         "--out", tmp_path / name]) == 0
+    for name in ("capacity_beams.csv", "report_beams_ch.csv",
+                 "report_beams_1c_ffr_bh.csv", "summary.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 def _reference_with(tmp_path, **system):
@@ -291,6 +383,24 @@ def test_link_budget_overflow_is_validate_error(tmp_path, capsys, field,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("solver", ["ilp", "greedy"])
+def test_root_lp_failure_is_solver_error(tmp_path, toy_file, capsys,
+                                         monkeypatch, solver):
+    def cold_fails(c, a, b, lower, upper, warm=None):
+        if warm is None:
+            return simplex.LpResult(simplex.INFEASIBLE, None, None, 0, None)
+        return simplex.solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", cold_fails)
+    out = tmp_path / "out"
+    rc = _run(["plan", "--scenario", toy_file, "--out", out,
+               "--solver", solver])
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.startswith("error: solver: root LP") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_greedy_plan_is_near_the_lp_bound(tmp_path):
     path = REPO / "scenarios" / "ref_71beam.json"
     out = tmp_path / "out"
@@ -330,6 +440,27 @@ def test_one_run_shares_one_load_channel_build_and_solve(tmp_path, toy_file,
         plans.append(cli._memo.plan)
     assert (len(loads), len(solves), len(builds)) == (1, 1, 1)
     assert plans[0] is plans[1] is plans[2]
+
+
+def test_one_distance_matrix_per_scenario(tmp_path, toy_file, monkeypatch):
+    """One ``center_distances`` call per scenario over plan, compare and
+    leakage, counted under every name the package binds the function to."""
+    builds = []
+    original = scenario.center_distances
+
+    def counted(centers):
+        builds.append(len(centers))
+        return original(centers)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("clusterhop")
+                and getattr(module, "center_distances", None) is original):
+            monkeypatch.setattr(module, "center_distances", counted)
+    for path in (toy_file, REPO / "scenarios" / "ref_71beam.json"):
+        for command in ("plan", "compare", "leakage"):
+            assert _run([command, "--scenario", path,
+                         "--out", tmp_path / "out"]) == 0
+    assert builds == [8, 71]
 
 
 def test_capacity_builds_one_precoder_per_cluster(tmp_path, monkeypatch):
@@ -427,6 +558,8 @@ def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
         "capacities.c": pipe.capacities.c_cluster_bps,
         "capacities.p": pipe.capacities.p_cluster_bits,
         "snapshots.l": pipe.snapshots.l,
+        "centers": pipe.scenario.centers, "demands": pipe.scenario.demands,
+        "distances": pipe.scenario.distances,
         "beam_adjacency": pipe.scenario.beam_adjacency,
     }
     for j, chan in enumerate(pipe.channels):

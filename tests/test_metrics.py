@@ -88,7 +88,7 @@ def test_score_orders_beams_by_demand(toy_scenario):
 
 def test_beam_csv_sorted(toy_scenario):
     report = metrics.score(toy_scenario.demands * 0.5, toy_scenario, "ch")
-    lines = metrics.beam_csv_lines(report, toy_scenario)
+    lines = metrics.beam_csv_lines(report)
     assert lines[0] == "beam_id,demand_bps,offered_bps,scheme"
     demands = [float(line.split(",")[1]) for line in lines[1:]]
     assert demands == sorted(demands)

@@ -306,16 +306,24 @@ def test_expand_multiset_matches_counts(psi):
 
 def _expand_schedule_dense(psi):
     """Reference largest-deficit expansion over every snapshot, one numpy
-    deficit vector per slot."""
+    vector of exact integer deficits psi * (n + 1) - placed * n_slot per
+    slot; argmax takes the lowest index on a tie."""
     n_slot = int(psi.sum())
-    placed = np.zeros(len(psi))
+    placed = np.zeros(len(psi), dtype=np.int64)
     schedule = np.empty(n_slot, dtype=int)
     for n in range(n_slot):
-        deficit = (psi * (n + 1)) / n_slot - placed
+        deficit = psi * (n + 1) - placed * n_slot
         pick = int(np.argmax(deficit))
         schedule[n] = pick
         placed[pick] += 1
     return schedule
+
+
+def test_expand_breaks_exact_ties_to_the_lowest_index():
+    # slot 3 ties snapshots 1 and 2 at deficit 2/3, which no double holds
+    psi = np.array([1, 4, 1])
+    assert expand_schedule(psi).tolist() == [1, 0, 1, 1, 2, 1]
+    assert _expand_schedule_dense(psi).tolist() == [1, 0, 1, 1, 2, 1]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=400), min_size=1,

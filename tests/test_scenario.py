@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from clusterhop.cli import main
 from clusterhop.errors import ParseError, ValidationError
 from clusterhop.scenario import (ClusterMap, aggregate_and_scale_demands,
-                                 beam_adjacency, derive_adjacency,
-                                 load_scenario, nominal_pitch,
-                                 scenario_from_dict)
+                                 beam_adjacency, center_distances,
+                                 derive_adjacency, load_scenario,
+                                 nominal_pitch, scenario_from_dict)
 from clusterhop.scenariogen import hex_scenario_dict
 
 from conftest import toy_doc
@@ -199,15 +199,16 @@ def test_derived_adjacency_matches_explicit():
 def test_touching_and_isolated_clusters():
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     cmap = ClusterMap(members=((0, 1), (2, 3)))
-    touching = derive_adjacency(beam_adjacency(centers, 1.1), cmap)
+    dist = center_distances(centers)
+    touching = derive_adjacency(beam_adjacency(dist, 1.1), cmap)
     assert touching.matrix[0, 1] == 1 and touching.matrix[1, 0] == 1
-    apart = derive_adjacency(beam_adjacency(centers, 0.5), cmap)
+    apart = derive_adjacency(beam_adjacency(dist, 0.5), cmap)
     assert not apart.matrix.any()
 
 
 def test_hex71_adjacency_against_distance_oracle(ref_scenario):
     centers = ref_scenario.centers
-    pitch = nominal_pitch(centers)
+    pitch = nominal_pitch(center_distances(centers))
     threshold = 1.1 * pitch
     members = ref_scenario.clusters.members
     a = ref_scenario.adjacency.matrix
@@ -265,13 +266,14 @@ def test_derived_adjacency_symmetric_zero_diagonal(n, seed):
     centers = rng.uniform(-3, 3, size=(n, 2))
     half = max(1, n // 2)
     cmap = ClusterMap(members=(tuple(range(half)), tuple(range(half, n))))
-    adj = derive_adjacency(beam_adjacency(centers, 1.0), cmap)
+    adj = derive_adjacency(beam_adjacency(center_distances(centers), 1.0),
+                           cmap)
     assert (adj.matrix == adj.matrix.T).all()
     assert not np.diag(adj.matrix).any()
 
 
 def test_beam_adjacency_default_threshold(ref_scenario):
-    badj = beam_adjacency(ref_scenario.centers)
+    badj = beam_adjacency(center_distances(ref_scenario.centers))
     assert (badj == badj.T).all()
     assert not np.diag(badj).any()
     # hex interior beams touch six neighbors at most
@@ -283,9 +285,11 @@ def test_scenario_keeps_the_beam_adjacency(ref_doc, name):
     doc = {"ref": ref_doc, "toy_explicit": toy_doc(),
            "hex_300_12": hex_scenario_dict(300, 12)}[name]
     sc = scenario_from_dict(doc)
-    assert np.array_equal(sc.beam_adjacency, beam_adjacency(sc.centers))
+    assert np.array_equal(sc.distances, center_distances(sc.centers))
+    assert np.array_equal(sc.beam_adjacency, beam_adjacency(sc.distances))
     assert sc.beam_adjacency.dtype == np.uint8
-    assert not sc.beam_adjacency.flags.writeable
+    for array in (sc.centers, sc.demands, sc.distances, sc.beam_adjacency):
+        assert not array.flags.writeable
 
 
 def test_coincident_centers_rejected_with_explicit_adjacency():

@@ -168,11 +168,11 @@ def _assert_dual_feasible(a, lower, upper, warm):
 
 
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
-    """Both LP forms the planner builds, at the root and with a prefix of
-    counts fixed as the lexicographic refinement fixes them, and LPs that
-    restart from an earlier basis: branch-and-bound children after a bound
-    change, the next lexicographic position after a cost change, and a
-    changed right-hand side."""
+    """Both LP forms the planner builds, the root LP and the requirement LP
+    with a prefix of counts fixed as the lexicographic refinement fixes
+    them, and LPs that restart from an earlier basis: branch-and-bound
+    children after a bound change, the next lexicographic position after a
+    cost change, and a changed right-hand side."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -188,10 +188,9 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         n_ss = a.shape[1]
         lb = np.zeros(n_ss)
         ub = np.full(n_ss, float(n_slot))
-        t, _ = planner._lp_max_t(a, n_slot, lb, ub)
+        t, _ = planner._root_lp(a, n_slot)
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
-        planner._lp_max_t(a, n_slot, lb, ub)
         step = a.max(axis=1)
         rhs_req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
         cost = np.zeros(n_ss)
@@ -219,7 +218,7 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         rhs_req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
         planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost, warm)
 
-    assert len(captured) == 280
+    assert len(captured) == 240
     cold = [lp for lp, warm in captured if not warm]
     warm = [lp for lp, warm in captured if warm]
     assert len(warm) == 160
@@ -237,8 +236,7 @@ def _requirement_lp(rng, n_slot=256):
     nonnegative cost on the counts: (c, a, b, lower, upper)."""
     a_dem = _snapshot_rows(rng)
     n_dem, n_ss = a_dem.shape
-    t, _ = planner._lp_max_t(a_dem, n_slot, np.zeros(n_ss),
-                             np.full(n_ss, float(n_slot)))
+    t, _ = planner._root_lp(a_dem, n_slot)
     step = a_dem.max(axis=1)
     rhs_req = step * np.ceil(rng.uniform(0.8, 1.0) * t / step)
     a = np.zeros((n_dem + 1, n_ss + n_dem))
