@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamField, noise_power_w
+from .channel import noise_power_w
 from .precoding import Dvbs2Table, dvbs2_efficiency
 from .scenario import Scenario
 
@@ -53,9 +53,10 @@ def _greedy_coloring(adj: np.ndarray, n_colors: int) -> np.ndarray:
     return np.array(colors, dtype=int)
 
 
-def four_color_evaluate(scenario: Scenario, field: BeamField,
+def four_color_evaluate(scenario: Scenario, gains: np.ndarray,
                         table: Dvbs2Table) -> BenchmarkResult:
-    """Offered capacity under 2 frequency halves x 2 polarizations.
+    """Offered capacity under 2 frequency halves x 2 polarizations, from the
+    beam field's amplitude gains (see ``channel.build_beam_field``).
 
     Every beam is continuously active on half the bandwidth and a single
     polarization; interference comes only from beams of the same color.
@@ -63,7 +64,7 @@ def four_color_evaluate(scenario: Scenario, field: BeamField,
     cfg = scenario.system
     colors = _greedy_coloring(scenario.beam_adjacency, 4)
     p = cfg.p_t_w / scenario.n_beams
-    power = p * field.gains ** 2
+    power = p * gains ** 2
     tau_half = noise_power_w(cfg, cfg.b_w_hz / 2.0)
     gamma = np.empty(scenario.n_beams)
     for color in np.unique(colors):
@@ -127,7 +128,7 @@ def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
     return groups, assignment
 
 
-def bh_evaluate(scenario: Scenario, field: BeamField,
+def bh_evaluate(scenario: Scenario, gains: np.ndarray,
                 table: Dvbs2Table) -> BenchmarkResult:
     """Offered capacity under single-color FFR beam hopping.
 
@@ -141,7 +142,7 @@ def bh_evaluate(scenario: Scenario, field: BeamField,
     n_groups = len(groups)
     dwell = 1.0 / n_groups
     p = cfg.p_t_w / scenario.n_beams
-    power = p * field.gains ** 2
+    power = p * gains ** 2
     tau = noise_power_w(cfg)
     pol = 2.0 if cfg.dual_polarization else 1.0
     gamma = np.empty(scenario.n_beams)

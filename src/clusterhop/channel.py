@@ -46,15 +46,6 @@ class ClusterChannel:
         return self.h.shape[0]
 
 
-@dataclass(frozen=True)
-class BeamField:
-    """Beam-level |H| magnitudes across the whole coverage, for the
-    no-precoding benchmark schemes and cross-cluster diagnostics."""
-
-    gains: np.ndarray  # (N_B, N_B) amplitude |H|, row = receiving user
-    tau: np.ndarray    # (N_B,) noise powers over the full bandwidth, W
-
-
 def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
     """Linear transmit power gain of the Gaussian taper at an off-axis angle.
 
@@ -122,12 +113,12 @@ def gain_magnitude_matrix(scenario: Scenario) -> np.ndarray:
     return _gain_block(scenario.distances, scenario.system)
 
 
-def build_beam_field(scenario: Scenario) -> BeamField:
+def build_beam_field(scenario: Scenario) -> np.ndarray:
+    """Read-only beam-level |H| across the whole coverage, for the
+    no-precoding benchmark schemes and cross-cluster diagnostics."""
     gains = gain_magnitude_matrix(scenario)
-    tau = np.full(scenario.n_beams, noise_power_w(scenario.system))
     gains.flags.writeable = False
-    tau.flags.writeable = False
-    return BeamField(gains=gains, tau=tau)
+    return gains
 
 
 # SeedSequence constants (numpy/random/bit_generator.pyx). All of its
@@ -249,7 +240,7 @@ def build_cluster_channel(scenario: Scenario, cluster_id: int) -> ClusterChannel
     """
     if not 0 <= cluster_id < scenario.n_clusters:
         raise ValidationError(f"unknown cluster id {cluster_id}")
-    members = scenario.clusters.members[cluster_id]
+    members = scenario.clusters[cluster_id]
     mags = _gain_block(scenario.distances[np.ix_(members, members)],
                        scenario.system)
     phases = _pair_phases(scenario.system.seed, cluster_id, members)

@@ -98,7 +98,7 @@ class Pipeline:
         return solve(instance)
 
     @cached_property
-    def field(self) -> channel.BeamField:
+    def field(self) -> np.ndarray:
         return channel.build_beam_field(self.scenario)
 
 
@@ -190,7 +190,8 @@ def run(manifest: RunManifest) -> list[str]:
     if manifest.command == "capacity":
         caps = pipe.capacities
         snir_lin, se, r = caps.snir_beam, caps.se_beam, caps.r_beam_bps
-        assignment = scenario.clusters.assignment()
+        assignment = {b: j for j, ms in enumerate(scenario.clusters)
+                      for b in ms}
 
         def beams_csv(path):
             lines = ["beam_id,cluster_id,snir_db,se_bits_per_symbol,capacity_bps"]
@@ -207,7 +208,7 @@ def run(manifest: RunManifest) -> list[str]:
             lines = ["cluster_id,n_beams,capacity_bps,supply_bits_per_slot"]
             for j in range(scenario.n_clusters):
                 lines.append(
-                    f"{j},{len(scenario.clusters.members[j])},"
+                    f"{j},{len(scenario.clusters[j])},"
                     f"{float(caps.c_cluster_bps[j])!r},"
                     f"{float(caps.p_cluster_bits[j])!r}"
                 )

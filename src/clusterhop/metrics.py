@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamField
 from .errors import ValidationError
 from .planner import HoppingPlan
-from .scenario import Scenario, aggregate_and_scale_demands
+from .scenario import Scenario, aggregate_and_scale_demands, cluster_sums
 from .snapshots import SnapshotSet
 
 
@@ -39,7 +38,7 @@ def redistribute(cluster_offered_bps: np.ndarray, scenario: Scenario) -> np.ndar
     if (cluster_offered_bps < 0).any():
         raise ValidationError("cluster offered capacity must be >= 0")
     offered = np.zeros(scenario.n_beams)
-    for j, members in enumerate(scenario.clusters.members):
+    for j, members in enumerate(scenario.clusters):
         total = cluster_offered_bps[j]
         demands = scenario.demands[list(members)]
         d_sum = demands.sum()
@@ -68,8 +67,7 @@ def score(per_beam_offered_bps: np.ndarray, scenario: Scenario,
     unmet = float(math.fsum(float(-g) for g in gap if g < 0))
     unused = float(math.fsum(float(g) for g in gap if g > 0))
 
-    members = scenario.clusters.members
-    cluster_offered = np.array([offered[list(ms)].sum() for ms in members])
+    cluster_offered = cluster_sums(offered, scenario.clusters)
     cluster_demand, _ = aggregate_and_scale_demands(scenario)
     with np.errstate(divide="ignore"):
         ratios = np.where(cluster_demand > 0,
@@ -100,7 +98,7 @@ def plan_beam_offered(plan: HoppingPlan, scenario: Scenario) -> np.ndarray:
     return redistribute(cluster_rate, scenario)
 
 
-def cross_cluster_leakage(scenario: Scenario, field: BeamField,
+def cross_cluster_leakage(scenario: Scenario, gains: np.ndarray,
                           snapshot_set: SnapshotSet,
                           plan: HoppingPlan) -> list[float]:
     """Worst-case co-slot interference from other active clusters.
@@ -116,8 +114,8 @@ def cross_cluster_leakage(scenario: Scenario, field: BeamField,
     a row sum of that block equals the user's own sum over the other beams
     bit for bit. A NaN ratio never wins the maximum.
     """
-    power = field.gains ** 2  # per-beam transmit power cancels in the ratio
-    members = scenario.clusters.members
+    power = gains ** 2  # per-beam transmit power cancels in the ratio
+    members = scenario.clusters
     worst = np.zeros(snapshot_set.n_snapshots)
     for snap in np.unique(plan.schedule).tolist():
         active = snapshot_set.members(snap)

@@ -17,18 +17,11 @@ import numpy as np
 
 from .channel import ClusterChannel
 from .errors import ParseError, ValidationError
-from .scenario import Scenario, SystemConfig
+from .scenario import Scenario, SystemConfig, cluster_sums
 
 # Guard for SNIR values that land on a MODCOD threshold up to float roundoff;
 # the lookup is inclusive at the threshold.
 _THRESHOLD_GUARD_DB = 1e-9
-
-
-@dataclass(frozen=True)
-class PrecoderResult:
-    w: np.ndarray              # (Pi_j, Pi_j) complex precoding matrix
-    beta: float
-    per_feed_power_w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,18 +50,15 @@ class CapacityVector:
     p_cluster_bits: np.ndarray  # (N_C,) supply per slot, T_slot * c
 
 
-def load_dvbs2_table(source=None) -> Dvbs2Table:
-    """Load a MODCOD CSV (header ``threshold_db,se_bits_per_symbol``), given
-    by its path or as the file's bytes.
+def load_dvbs2_table(source: bytes | None = None) -> Dvbs2Table:
+    """Load a MODCOD CSV (header ``threshold_db,se_bits_per_symbol``) from
+    the file's bytes.
 
     With no source, the table bundled with the package is used.
     """
     if source is None:
         ref = resources.files("clusterhop").joinpath("data/dvbs2_modcods.csv")
         source = ref.read_bytes()
-    elif not isinstance(source, bytes):
-        with open(source, "rb") as fh:
-            source = fh.read()
     try:  # UnicodeDecodeError is a ValueError
         rows = list(csv.DictReader(source.decode("utf-8").splitlines()))
         thr = np.array([float(r["threshold_db"]) for r in rows])
@@ -78,8 +68,8 @@ def load_dvbs2_table(source=None) -> Dvbs2Table:
     return Dvbs2Table(thresholds_db=thr, se_bits_per_symbol=se)
 
 
-def mmse_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> PrecoderResult:
-    """MMSE precoder of one cluster under the per-feed power constraint.
+def mmse_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> np.ndarray:
+    """MMSE precoder W of one cluster under the per-feed power constraint.
 
     ``n_beams`` is the system-wide beam count fixing P = P_T / N_B.
     """
@@ -102,23 +92,19 @@ def mmse_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -
             f"{float(peak)!r}; P_T_W and T_sys_K put the link budget out of "
             "floating-point range"
         )
-    beta = math.sqrt(p / peak)
-    w = beta * w_hat
-    per_feed = beta * beta * row_power
-    return PrecoderResult(w=w, beta=beta, per_feed_power_w=per_feed)
+    return math.sqrt(p / peak) * w_hat
 
 
-def identity_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> PrecoderResult:
+def identity_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> np.ndarray:
     """No-precoding baseline: sqrt(P) * I, every feed at exactly P."""
     p = config.p_t_w / n_beams
-    n = channel.size
-    w = math.sqrt(p) * np.eye(n, dtype=complex)
-    return PrecoderResult(w=w, beta=math.sqrt(p), per_feed_power_w=np.full(n, p))
+    return math.sqrt(p) * np.eye(channel.size, dtype=complex)
 
 
-def snir(channel: ClusterChannel, precoder: PrecoderResult) -> np.ndarray:
-    """Per-beam linear SNIR at the beam-center users of one cluster."""
-    hw = channel.h @ precoder.w
+def snir(channel: ClusterChannel, w: np.ndarray) -> np.ndarray:
+    """Per-beam linear SNIR at the beam-center users of one cluster under
+    the precoder ``w``."""
+    hw = channel.h @ w
     power = np.abs(hw) ** 2
     signal = np.diag(power).copy()
     interference = power.sum(axis=1) - signal
@@ -167,7 +153,7 @@ def beam_links(
     snir_lin = np.zeros(n_b)
     se = np.zeros(n_b)
     for channel in channels:
-        members = list(scenario.clusters.members[channel.cluster_id])
+        members = list(scenario.clusters[channel.cluster_id])
         gammas = snir(channel, mmse_precoder(channel, cfg, n_b))
         snir_lin[members] = gammas
         se[members] = dvbs2_efficiency(gammas, table)
@@ -182,9 +168,7 @@ def cluster_capacities(
     """Per-beam SNIR, SE and rates r, per-cluster capacities c and per-slot
     supplies p, from one MMSE precoder per cluster."""
     snir_lin, se, r = beam_links(scenario, channels, table)
-    c = np.array(
-        [r[list(ms)].sum() for ms in scenario.clusters.members]
-    )
+    c = cluster_sums(r, scenario.clusters)
     p = scenario.system.t_slot_s * c
     for a in (snir_lin, se, r, c, p):
         a.flags.writeable = False

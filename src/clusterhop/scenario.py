@@ -18,39 +18,6 @@ from .errors import ParseError, ValidationError
 
 
 @dataclass(frozen=True)
-class ClusterMap:
-    """Strict partition of beams into clusters.
-
-    ``members[j]`` holds the 0-based beam indices of cluster j, in file order.
-    """
-
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.members)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self.members)
-
-    def assignment(self) -> dict[int, int]:
-        """Map 0-based beam index -> cluster index."""
-        return {b: j for j, ms in enumerate(self.members) for b in ms}
-
-
-@dataclass(frozen=True)
-class ClusterAdjacency:
-    """Symmetric 0/1 cluster adjacency matrix with zero diagonal."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_clusters(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     p_t_w: float
     b_w_hz: float
@@ -74,8 +41,8 @@ class SystemConfig:
 class Scenario:
     """Beam i (0-based) is the beam with id i + 1 in the file."""
 
-    clusters: ClusterMap
-    adjacency: ClusterAdjacency
+    clusters: tuple[tuple[int, ...], ...]  # cluster j's 0-based beams, file order
+    adjacency: np.ndarray  # (N_C, N_C) read-only uint8, symmetric, zero diagonal
     system: SystemConfig
     centers: np.ndarray  # (N_B, 2) u/v in degrees, row order = beam index
     demands: np.ndarray  # (N_B,) bps
@@ -88,7 +55,7 @@ class Scenario:
 
     @property
     def n_clusters(self) -> int:
-        return self.clusters.n_clusters
+        return len(self.clusters)
 
 
 _SYSTEM_KEYS = {  # file key -> (SystemConfig field, JSON type)
@@ -158,13 +125,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     distances = center_distances(centers)  # also read by the channel model
     badj = beam_adjacency(distances)  # also read by both benchmark schemes
     if "adjacency" in doc and doc["adjacency"] is not None:
-        adjacency = _parse_adjacency(doc["adjacency"], clusters.n_clusters)
+        adjacency = _parse_adjacency(doc["adjacency"], len(clusters))
     else:
         adjacency = derive_adjacency(badj, clusters)
 
-    if system.n_p > clusters.n_clusters:
+    if system.n_p > len(clusters):
         raise ValidationError(
-            f"N_P={system.n_p} exceeds the cluster count {clusters.n_clusters}"
+            f"N_P={system.n_p} exceeds the cluster count {len(clusters)}"
         )
 
     for a in (centers, demands, distances, badj):
@@ -212,14 +179,14 @@ def _parse_beams(raw) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :2].copy(), table[:, 2].copy()
 
 
-def _parse_clusters(raw, n_beams: int) -> ClusterMap:
+def _parse_clusters(raw, n_beams: int) -> tuple[tuple[int, ...], ...]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("'clusters' must be a non-empty array of beam-id arrays")
     seen: dict[int, int] = {}
     members = []
     for j, group in enumerate(raw):
         if not isinstance(group, list) or not group:
-            raise ValidationError(f"cluster {j} is empty")
+            raise ValidationError(f"cluster {j} must be a non-empty array of beam ids")
         idxs = []
         for bid in group:
             if type(bid) is not int or not (1 <= bid <= n_beams):
@@ -235,10 +202,10 @@ def _parse_clusters(raw, n_beams: int) -> ClusterMap:
     missing = set(range(1, n_beams + 1)) - set(seen)
     if missing:
         raise ValidationError(f"beams {sorted(missing)} belong to no cluster")
-    return ClusterMap(members=tuple(members))
+    return tuple(members)
 
 
-def _parse_adjacency(raw, n_clusters: int) -> ClusterAdjacency:
+def _parse_adjacency(raw, n_clusters: int) -> np.ndarray:
     if not isinstance(raw, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row)
             for row in raw):
@@ -260,7 +227,7 @@ def _parse_adjacency(raw, n_clusters: int) -> ClusterAdjacency:
         raise ValidationError("adjacency diagonal must be zero")
     a = a.astype(np.uint8)
     a.flags.writeable = False
-    return ClusterAdjacency(matrix=a)
+    return a
 
 
 def _parse_system(raw) -> SystemConfig:
@@ -326,28 +293,30 @@ def beam_adjacency(dist: np.ndarray,
     return adj
 
 
-def derive_adjacency(badj: np.ndarray, clusters: ClusterMap) -> ClusterAdjacency:
+def derive_adjacency(badj: np.ndarray, clusters) -> np.ndarray:
     """Cluster adjacency from a 0/1 beam adjacency (see ``beam_adjacency``).
 
     Clusters j != l are adjacent iff some beam of j touches some beam of l.
     """
-    n_c = clusters.n_clusters
+    n_c = len(clusters)
     a = np.zeros((n_c, n_c), dtype=np.uint8)
-    idx = [np.array(m, dtype=int) for m in clusters.members]
+    idx = [np.array(m, dtype=int) for m in clusters]
     for j in range(n_c):
         for l in range(j + 1, n_c):
             if badj[np.ix_(idx[j], idx[l])].any():
                 a[j, l] = a[l, j] = 1
     a.flags.writeable = False
-    return ClusterAdjacency(matrix=a)
+    return a
+
+
+def cluster_sums(x: np.ndarray, clusters) -> np.ndarray:
+    """Per-cluster sums of a per-beam vector."""
+    return np.array([x[list(ms)].sum() for ms in clusters], dtype=float)
 
 
 def aggregate_and_scale_demands(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster demand d (bps) and window demand m = T_H * d (bits)."""
-    d = np.array(
-        [scenario.demands[list(ms)].sum() for ms in scenario.clusters.members],
-        dtype=float,
-    )
+    d = cluster_sums(scenario.demands, scenario.clusters)
     m = scenario.system.hopping_window_s * d
     return d, m
 
@@ -358,7 +327,7 @@ def scenario_summary(scenario: Scenario) -> dict:
     return {
         "n_beams": scenario.n_beams,
         "n_clusters": scenario.n_clusters,
-        "cluster_sizes": list(scenario.clusters.sizes),
+        "cluster_sizes": [len(ms) for ms in scenario.clusters],
         "total_demand_bps": float(scenario.demands.sum()),
         "window_demand_bits": [float(x) for x in m],
         "n_p": scenario.system.n_p,

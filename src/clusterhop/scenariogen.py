@@ -85,11 +85,7 @@ def balanced_clusters(centers: np.ndarray, n_clusters: int) -> list[list[int]]:
             continue
         members[j].append(b)
         assigned[b] = True
-    leftovers = [b for b in range(n) if not assigned[b]]
-    for b in leftovers:  # only possible if caps summed below n; keep safe
-        j = int(np.argmin([len(m) for m in members]))
-        members[j].append(b)
-    for m in members:
+    for m in members:  # every beam is placed: n_clusters * cap >= n
         m.sort()
     return members
 

@@ -3,8 +3,9 @@
 Solves   minimize c @ x   subject to   a @ x = b,   lower <= x <= upper,
 where upper bounds may be +inf (lower bounds must be finite). Inequality
 constraints are the caller's job (add slack/surplus columns). Pivoting uses
-Dantzig's rule with lowest-index tie-breaks and falls back to Bland's rule
-after a run of degenerate steps, so the method is deterministic and finite.
+Dantzig's rule with lowest-index tie-breaks, so the method is deterministic.
+It is not guaranteed finite: a phase that stalls stops at
+``_ITERATION_LIMIT`` pivots with a ``CapExceededError`` (exit 4).
 
 A cold solve is the two-phase primal method: phase 1 drives one artificial
 column per row to zero, phase 2 optimizes ``c``. Every result but an
@@ -17,15 +18,13 @@ reduced cost points the other way move to their other bound, and a bounded
 dual simplex under the old cost pivots until every basic value is within
 its bounds. It picks the leaving row with the largest bound violation and
 the entering column with the smallest ratio of reduced cost to pivot-row
-entry, both with lowest-index ties. After a run of ``_BLAND_TRIGGER``
+entry, both with lowest-index ties. After a run of ``_PERTURB_AFTER``
 zero-length dual steps it shifts the cost of every movable nonbasic column
-toward its bound by a distinct amount of about ``_DUAL_PERTURBATION``, which
-keeps the basis dual feasible; after a second such run it switches to
-Bland's rule (lowest violated basic column, lowest tied column). A violated
-row that no movable column can repair proves the LP infeasible, and the
-basis is still dual feasible, so the next LP of the chain can restart from
-it. Once the basis is primal feasible, the primal loop optimizes the new
-``c``.
+toward its bound by a distinct amount of about ``_DUAL_PERTURBATION``, once
+per solve, which keeps the basis dual feasible. A violated row that no
+movable column can repair proves the LP infeasible, and the basis is still
+dual feasible, so the next LP of the chain can restart from it. Once the
+basis is primal feasible, the primal loop optimizes the new ``c``.
 
 Sized for the planner's instances (tens of rows, a few hundred columns). The
 solver keeps an explicit basis inverse and a boolean mask of the basic
@@ -49,7 +48,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_BLAND_TRIGGER = 50  # consecutive degenerate pivots before switching rules
+_TOL = 1e-9  # pivot, ratio-test and reduced-cost tolerance
+_PERTURB_AFTER = 50  # zero-length dual steps in a row before the cost shift
 _ITERATION_LIMIT = 20000  # pivots per phase before the solve gives up
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _DUAL_PERTURBATION = 1e-6  # smallest cost shift of a stalled dual loop
@@ -77,19 +77,18 @@ class LpResult:
 
 
 class _Lp:
-    def __init__(self, c, a, b, lower, upper, tol):
+    def __init__(self, c, a, b, lower, upper):
         self.c = np.asarray(c, dtype=float)
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        self.tol = tol
         self.m, self.n = self.a.shape
         self.pivots = 0
         self.since_refactor = 0
         if not np.isfinite(self.lower).all():
             raise ValueError("lower bounds must be finite")
-        if (self.upper < self.lower - tol).any():
+        if (self.upper < self.lower - _TOL).any():
             raise ValueError("upper bound below lower bound")
 
     def _extend(self, signs, artificial_upper):
@@ -139,10 +138,9 @@ class _Lp:
     def _iterate(self, cost, basis, in_basis, at_upper):
         """Run the primal simplex loop; mutates basis/in_basis/at_upper and
         the basis inverse, returns status."""
-        tol = self.tol
+        tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
-        degenerate_run = 0
         for _ in range(_ITERATION_LIMIT):
             _, xb = self._basic_values(in_basis, at_upper)
             reduced = self._reduced_costs(cost, basis)
@@ -151,10 +149,7 @@ class _Lp:
             eligible = np.flatnonzero(can_rise | can_fall)
             if eligible.size == 0:
                 return OPTIMAL
-            if degenerate_run >= _BLAND_TRIGGER:
-                enter = int(eligible[0])  # Bland: lowest index
-            else:
-                enter = int(eligible[np.argmax(np.abs(reduced[eligible]))])
+            enter = int(eligible[np.argmax(np.abs(reduced[eligible]))])
             direction = -1.0 if at_upper[enter] else 1.0
 
             w = self.binv @ self.a_ext[:, enter]
@@ -186,7 +181,6 @@ class _Lp:
             if not math.isfinite(step):
                 return UNBOUNDED
             self.pivots += 1
-            degenerate_run = degenerate_run + 1 if step <= tol else 0
             if leave_pos < 0:
                 at_upper[enter] = ~at_upper[enter]  # bound flip, basis unchanged
                 continue
@@ -214,11 +208,10 @@ class _Lp:
 
         Under the planner's zero or one-hot costs most reduced costs are
         zero and the loop can stall on zero-length dual steps for thousands
-        of pivots, even under Bland's rule. After ``_BLAND_TRIGGER`` such
-        steps in a row the cost is perturbed once (any cost under which the
-        basis is dual feasible serves); only a second such run switches to
-        Bland's rule."""
-        tol = self.tol
+        of pivots. After ``_PERTURB_AFTER`` such steps in a row the cost is
+        perturbed, once (any cost under which the basis is dual feasible
+        serves)."""
+        tol = _TOL
         feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
         movable = self.upper - self.lower > tol  # fixed columns never enter
         degenerate_run = 0
@@ -230,12 +223,10 @@ class _Lp:
             rows = np.flatnonzero(violation > feas_tol)
             if rows.size == 0:
                 return OPTIMAL, cost
-            if degenerate_run == _BLAND_TRIGGER and not perturbed:
+            if degenerate_run == _PERTURB_AFTER and not perturbed:
                 cost = self._perturbed(cost, in_basis, at_upper, movable)
                 perturbed = True
-                degenerate_run = 0
-            if degenerate_run < _BLAND_TRIGGER:  # Dantzig: largest violation
-                rows = rows[violation[rows] == violation[rows].max()]
+            rows = rows[violation[rows] == violation[rows].max()]
             leave_pos = int(rows[np.argmin(basis[rows])])  # lowest index
             # The leaving column moves to the bound it violates; sigma
             # orients row leave_pos of B^-1 A so that the dual step is >= 0.
@@ -318,8 +309,8 @@ class _Lp:
         at_upper = warm.at_upper.copy()
         self._refactor(basis)
         reduced = self._reduced_costs(warm.cost, basis)
-        wrong = ~in_basis & np.where(at_upper, reduced > self.tol,
-                                     reduced < -self.tol)
+        wrong = ~in_basis & np.where(at_upper, reduced > _TOL,
+                                     reduced < -_TOL)
         at_upper[wrong] = ~at_upper[wrong]
         if not np.isfinite(self.upper[at_upper]).all():
             raise SolverError(
@@ -333,7 +324,7 @@ class _Lp:
         return self._optimize(basis, in_basis, at_upper)
 
 
-def solve_bounded_lp(c, a, b, lower, upper, tol: float = 1e-9,
+def solve_bounded_lp(c, a, b, lower, upper,
                      warm: WarmStart | None = None) -> LpResult:
     """Minimize ``c @ x`` over ``a @ x = b``, ``lower <= x <= upper``.
 
@@ -348,5 +339,5 @@ def solve_bounded_lp(c, a, b, lower, upper, tol: float = 1e-9,
     ``SolverError`` when the basis turns out singular or the warm basis
     cannot be made dual feasible.
     """
-    lp = _Lp(c, a, b, lower, upper, tol)
+    lp = _Lp(c, a, b, lower, upper)
     return lp.solve() if warm is None else lp.solve_warm(warm)

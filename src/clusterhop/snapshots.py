@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .scenario import ClusterAdjacency
 
-DEFAULT_CANDIDATE_CAP = 10 ** 6
+CANDIDATE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -33,25 +32,24 @@ class SnapshotSet:
 
 
 def enumerate_valid_snapshots(
-    adjacency: ClusterAdjacency,
+    adjacency: np.ndarray,
     n_p: int,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> np.ndarray:
-    """Binary matrix of all independent cluster sets of size exactly ``n_p``.
+    """Binary matrix of all independent sets of size exactly ``n_p`` in the
+    0/1 cluster adjacency matrix.
 
     Columns are ordered lexicographically by member indices. Returns a
     (N_C, 0) matrix when no such set exists. Raises CapExceededError when the
-    candidate combination count C(N_C, n_p) exceeds ``candidate_cap``.
+    candidate combination count C(N_C, n_p) exceeds ``CANDIDATE_CAP``.
     """
-    a = adjacency.matrix
-    n_c = a.shape[0]
+    n_c = adjacency.shape[0]
     if not 1 <= n_p <= n_c:
         raise ValidationError(f"N_P must be in 1..{n_c}, got {n_p}")
     candidates = math.comb(n_c, n_p)
-    if candidates > candidate_cap:
+    if candidates > CANDIDATE_CAP:
         raise CapExceededError(
             f"C({n_c},{n_p}) = {candidates} candidate snapshots exceed the "
-            f"cap of {candidate_cap}"
+            f"cap of {CANDIDATE_CAP}"
         )
     columns: list[list[int]] = []
     prefix: list[int] = []
@@ -62,7 +60,7 @@ def enumerate_valid_snapshots(
             return
         remaining = n_p - len(prefix)
         for c in range(start, n_c - remaining + 1):
-            if any(a[c, p] for p in prefix):
+            if any(adjacency[c, p] for p in prefix):
                 continue
             prefix.append(c)
             extend(c + 1)
@@ -89,12 +87,11 @@ def supply_matrix(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def build_snapshot_set(
-    adjacency: ClusterAdjacency,
+    adjacency: np.ndarray,
     n_p: int,
     p: np.ndarray,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> SnapshotSet:
-    v = enumerate_valid_snapshots(adjacency, n_p, candidate_cap)
+    v = enumerate_valid_snapshots(adjacency, n_p)
     return SnapshotSet(v=v, l=supply_matrix(v, p))
 
 

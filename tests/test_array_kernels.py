@@ -50,7 +50,7 @@ def _loop_coloring(adj, n_colors):
 def _loop_four_color(scenario, field, table):
     cfg = scenario.system
     colors = _loop_coloring(scenario.beam_adjacency, 4)
-    power = cfg.p_t_w / scenario.n_beams * field.gains ** 2
+    power = cfg.p_t_w / scenario.n_beams * field ** 2
     tau_half = channel.noise_power_w(cfg, cfg.b_w_hz / 2.0)
     gammas, offered = np.zeros(scenario.n_beams), np.zeros(scenario.n_beams)
     for i in range(scenario.n_beams):
@@ -90,7 +90,7 @@ def _loop_bh(scenario, field, table):
     cfg = scenario.system
     groups, _ = _loop_grouping(scenario.centers, scenario.beam_adjacency, 4)
     dwell = 1.0 / len(groups)
-    power = cfg.p_t_w / scenario.n_beams * field.gains ** 2
+    power = cfg.p_t_w / scenario.n_beams * field ** 2
     tau = channel.noise_power_w(cfg)
     pol = 2.0 if cfg.dual_polarization else 1.0
     gammas, offered = np.zeros(scenario.n_beams), np.zeros(scenario.n_beams)
@@ -111,7 +111,7 @@ def _loop_beam_links(scenario, channels, table):
     snir_lin, se, r = np.zeros(n_b), np.zeros(n_b), np.zeros(n_b)
     for ch in channels:
         gammas = precoding.snir(ch, precoding.mmse_precoder(ch, cfg, n_b))
-        for local, beam in enumerate(scenario.clusters.members[ch.cluster_id]):
+        for local, beam in enumerate(scenario.clusters[ch.cluster_id]):
             snir_lin[beam] = gammas[local]
             se[beam] = _loop_dvbs2(float(gammas[local]), table)
             r[beam] = precoding.beam_capacity_bps(se[beam], cfg)
@@ -119,8 +119,8 @@ def _loop_beam_links(scenario, channels, table):
 
 
 def _loop_leakage(scenario, field, snapshot_set, plan):
-    power = field.gains ** 2
-    members = scenario.clusters.members
+    power = field ** 2
+    members = scenario.clusters
     per_snapshot, out = {}, []
     for snap in plan.schedule:
         snap = int(snap)

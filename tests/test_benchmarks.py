@@ -52,7 +52,7 @@ def test_four_color_isolated_beam(dvbs2):
     res = benchmarks.four_color_evaluate(sc, field, dvbs2)
     cfg = sc.system
     p = cfg.p_t_w / sc.n_beams
-    snr = p * field.gains[0, 0] ** 2 / channel.noise_power_w(cfg, cfg.b_w_hz / 2)
+    snr = p * field[0, 0] ** 2 / channel.noise_power_w(cfg, cfg.b_w_hz / 2)
     se = precoding.dvbs2_efficiency(float(snr), dvbs2)
     expected = se * (cfg.b_w_hz / 2) / (1 + cfg.rolloff)
     assert res.offered_bps[0] == pytest.approx(expected)
@@ -104,7 +104,7 @@ def test_bh_quarter_duty_formula(ref_scenario, ref_field, dvbs2):
     res = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
     groups = res.config["groups"]
     p = cfg.p_t_w / ref_scenario.n_beams
-    power = p * ref_field.gains ** 2
+    power = p * ref_field ** 2
     tau = channel.noise_power_w(cfg)
     i = groups[0][0]
     interference = sum(power[i, j] for j in groups[0] if j != i)

@@ -96,8 +96,8 @@ def test_unknown_cluster_id(ref_scenario):
 def test_beam_field_matches_cluster_channels(ref_scenario, ref_channels):
     field = channel.build_beam_field(ref_scenario)
     for ch in ref_channels:
-        idx = np.array(ref_scenario.clusters.members[ch.cluster_id])
-        sub = field.gains[np.ix_(idx, idx)]
+        idx = np.array(ref_scenario.clusters[ch.cluster_id])
+        sub = field[np.ix_(idx, idx)]
         assert np.abs(ch.h) == pytest.approx(sub)
 
 
@@ -133,7 +133,7 @@ def test_reference_channels_match_scalar_construction(ref_doc, seed):
         doc = {**ref_doc, "system": {**ref_doc["system"], "seed": seed}}
     sc = scenario_from_dict(doc)
     gains = channel.gain_magnitude_matrix(sc)
-    for j, members in enumerate(sc.clusters.members):
+    for j, members in enumerate(sc.clusters):
         idx = np.array(members)
         phases = _numpy_phases(sc.system.seed, j, members)
         got = channel._pair_phases(sc.system.seed, j, members)

@@ -124,6 +124,85 @@ def test_negative_seed_is_validate_error(tmp_path, capsys, where):
     assert not (tmp_path / "out").exists()
 
 
+_DROP = object()
+
+
+def _toy_with(path, value):
+    """The toy document with the entry at ``path`` set to ``value``, or
+    deleted for ``_DROP``; the empty path replaces the whole document."""
+    if not path:
+        return value
+    doc = toy_doc()
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param((), [], "scenario document must be a JSON object",
+                 id="document-not-object"),
+    pytest.param(("system",), _DROP, "missing top-level key 'system'",
+                 id="top-level-key-missing"),
+    pytest.param(("beams",), [], "'beams' must be a non-empty array",
+                 id="beams-empty"),
+    pytest.param(("beams",), {"id": 1}, "'beams' must be a non-empty array",
+                 id="beams-not-list"),
+    pytest.param(("beams", 0, "u"), _DROP, "malformed beam entry",
+                 id="beam-key-missing"),
+    pytest.param(("beams", 0), 5, "malformed beam entry 5",
+                 id="beam-not-object"),
+    pytest.param(("beams", 1, "id"), 1, "beam ids are not unique",
+                 id="beam-ids-repeat"),
+    pytest.param(("beams", 0, "u"), 10 ** 400, "beam 1: u is out of range",
+                 id="u-out-of-float-range"),
+    pytest.param(("clusters",), [], "'clusters' must be a non-empty array",
+                 id="clusters-empty"),
+    pytest.param(("clusters", 0), [],
+                 "cluster 0 must be a non-empty array of beam ids",
+                 id="cluster-empty"),
+    pytest.param(("clusters", 0), 5,
+                 "cluster 0 must be a non-empty array of beam ids",
+                 id="cluster-not-list"),
+    pytest.param(("adjacency",), [[0, 1], [1, 0]], "adjacency must be 4x4",
+                 id="adjacency-shape"),
+    pytest.param(("adjacency", 0, 2), 2, "adjacency entries must be 0 or 1",
+                 id="adjacency-not-binary"),
+    pytest.param(("adjacency", 0, 0), 1, "adjacency diagonal must be zero",
+                 id="adjacency-diagonal"),
+    pytest.param(("system",), [], "'system' must be an object",
+                 id="system-not-object"),
+    pytest.param(("system", "N_slot"), _DROP, "system: missing key 'N_slot'",
+                 id="system-key-missing"),
+    pytest.param(("system", "P_T_W"), 0.0, "system: p_t_w must be > 0",
+                 id="power-zero"),
+    pytest.param(("system", "T_slot_s"), -1e-3, "system: t_slot_s must be > 0",
+                 id="slot-negative"),
+    pytest.param(("system", "rolloff"), 1.0, "system: rolloff must be in [0, 1)",
+                 id="rolloff-one"),
+    pytest.param(("system", "rolloff"), -0.1,
+                 "system: rolloff must be in [0, 1)", id="rolloff-negative"),
+    pytest.param(("system", "N_slot"), 0, "system: N_slot must be >= 1",
+                 id="n-slot-zero"),
+    pytest.param(("system", "N_P"), 0, "system: N_P must be >= 1",
+                 id="n-p-zero"),
+])
+def test_loader_rejection_names_the_field(tmp_path, capsys, path, value,
+                                          message):
+    scenario_path = _write(tmp_path, _toy_with(path, value))
+    rc = _run(["plan", "--scenario", scenario_path, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: validate: ") and message in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_outputs(tmp_path, toy_file, capsys):
     out = tmp_path / "out"
     assert _run(["plan", "--scenario", toy_file, "--out", out]) == 0
@@ -551,7 +630,7 @@ def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
     arrays = {
         "plan.psi": pipe.plan.psi, "plan.s": pipe.plan.s,
         "plan.schedule": pipe.plan.schedule,
-        "field.gains": pipe.field.gains, "field.tau": pipe.field.tau,
+        "field": pipe.field,
         "capacities.snir": pipe.capacities.snir_beam,
         "capacities.se": pipe.capacities.se_beam,
         "capacities.r": pipe.capacities.r_beam_bps,

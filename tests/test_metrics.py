@@ -42,7 +42,7 @@ def test_redistribute_conserves_cluster_totals(demands, cluster_offered):
     sc = scenario_from_dict(toy_doc(demands=demands))
     offered = metrics.redistribute(np.array(cluster_offered), sc)
     assert (offered >= 0).all()
-    for j, members in enumerate(sc.clusters.members):
+    for j, members in enumerate(sc.clusters):
         assert offered[list(members)].sum() == pytest.approx(
             cluster_offered[j], rel=1e-12, abs=1e-6)
 
@@ -127,7 +127,7 @@ def test_leakage_monotone_with_adjacency(ref_scenario, ref_field):
     from clusterhop.planner import HoppingPlan
     from clusterhop.snapshots import SnapshotSet
 
-    a = ref_scenario.adjacency.matrix
+    a = ref_scenario.adjacency
     adj_pair = next((i, j) for i in range(12) for j in range(12)
                     if i < j and a[i, j])
     far_pair = next((i, j) for i in range(12) for j in range(12)
@@ -184,7 +184,7 @@ def test_uniform_symmetric_ratios_within_quantum():
     doc["system"]["N_slot"] = 256
     sc = scenario_from_dict(doc)
     # ring adjacency from geometry
-    a = sc.adjacency.matrix
+    a = sc.adjacency
     assert all(a[k, (k + 1) % n] == 1 for k in range(n))
     assert a.sum() == 2 * n
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from clusterhop.cli import main
 from clusterhop.errors import ParseError, ValidationError
-from clusterhop.scenario import (ClusterMap, aggregate_and_scale_demands,
+from clusterhop.scenario import (aggregate_and_scale_demands,
                                  beam_adjacency, center_distances,
                                  derive_adjacency, load_scenario,
                                  nominal_pitch, scenario_from_dict)
@@ -19,7 +19,7 @@ from conftest import toy_doc
 def test_reference_scenario_shape(ref_scenario):
     assert ref_scenario.n_beams == 71
     assert ref_scenario.n_clusters == 12
-    sizes = sorted(ref_scenario.clusters.sizes)
+    sizes = sorted(len(ms) for ms in ref_scenario.clusters)
     assert sizes == [5] + [6] * 11
 
 
@@ -181,7 +181,7 @@ def test_asymmetric_adjacency_rejected():
 
 
 def test_explicit_path_adjacency_echo(toy_scenario):
-    a = toy_scenario.adjacency.matrix
+    a = toy_scenario.adjacency
     expected = np.zeros((4, 4), dtype=int)
     for i, j in [(0, 1), (1, 2), (2, 3)]:
         expected[i, j] = expected[j, i] = 1
@@ -192,26 +192,26 @@ def test_derived_adjacency_matches_explicit():
     doc = toy_doc()
     del doc["adjacency"]
     sc = scenario_from_dict(doc)
-    expected = scenario_from_dict(toy_doc()).adjacency.matrix
-    assert (sc.adjacency.matrix == expected).all()
+    expected = scenario_from_dict(toy_doc()).adjacency
+    assert (sc.adjacency == expected).all()
 
 
 def test_touching_and_isolated_clusters():
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    cmap = ClusterMap(members=((0, 1), (2, 3)))
+    cmap = ((0, 1), (2, 3))
     dist = center_distances(centers)
     touching = derive_adjacency(beam_adjacency(dist, 1.1), cmap)
-    assert touching.matrix[0, 1] == 1 and touching.matrix[1, 0] == 1
+    assert touching[0, 1] == 1 and touching[1, 0] == 1
     apart = derive_adjacency(beam_adjacency(dist, 0.5), cmap)
-    assert not apart.matrix.any()
+    assert not apart.any()
 
 
 def test_hex71_adjacency_against_distance_oracle(ref_scenario):
     centers = ref_scenario.centers
     pitch = nominal_pitch(center_distances(centers))
     threshold = 1.1 * pitch
-    members = ref_scenario.clusters.members
-    a = ref_scenario.adjacency.matrix
+    members = ref_scenario.clusters
+    a = ref_scenario.adjacency
     n_c = ref_scenario.n_clusters
     for j in range(n_c):
         for l in range(n_c):
@@ -265,11 +265,11 @@ def test_derived_adjacency_symmetric_zero_diagonal(n, seed):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-3, 3, size=(n, 2))
     half = max(1, n // 2)
-    cmap = ClusterMap(members=(tuple(range(half)), tuple(range(half, n))))
+    cmap = (tuple(range(half)), tuple(range(half, n)))
     adj = derive_adjacency(beam_adjacency(center_distances(centers), 1.0),
                            cmap)
-    assert (adj.matrix == adj.matrix.T).all()
-    assert not np.diag(adj.matrix).any()
+    assert (adj == adj.T).all()
+    assert not np.diag(adj).any()
 
 
 def test_beam_adjacency_default_threshold(ref_scenario):

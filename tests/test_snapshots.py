@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterhop.errors import CapExceededError, ValidationError
-from clusterhop.scenario import ClusterAdjacency
 from clusterhop.snapshots import (build_snapshot_set,
                                   enumerate_valid_snapshots, supply_matrix)
 
@@ -12,8 +11,7 @@ from conftest import brute_force_valid_snapshots
 
 
 def _adjacency(matrix):
-    a = np.array(matrix, dtype=np.uint8)
-    return ClusterAdjacency(matrix=a)
+    return np.array(matrix, dtype=np.uint8)
 
 
 def path4():
@@ -29,7 +27,7 @@ def test_path_graph_pairs():
     v = enumerate_valid_snapshots(path4(), 2)
     cols = [tuple(np.flatnonzero(v[:, n])) for n in range(v.shape[1])]
     assert cols == [(0, 2), (0, 3), (1, 3)]
-    assert cols == brute_force_valid_snapshots(path4().matrix, 2)
+    assert cols == brute_force_valid_snapshots(path4(), 2)
 
 
 def test_no_edges_gives_all_combinations():
@@ -46,7 +44,7 @@ def test_complete_graph_has_none():
 
 def test_column_constraints_hold(ref_scenario, ref_snapshots):
     v = ref_snapshots.v
-    a = ref_scenario.adjacency.matrix.astype(int)
+    a = ref_scenario.adjacency.astype(int)
     n_p = ref_scenario.system.n_p
     assert v.shape[1] > 0
     for n in range(v.shape[1]):
@@ -59,7 +57,7 @@ def test_column_constraints_hold(ref_scenario, ref_snapshots):
 
 def test_reference_matches_brute_force(ref_scenario, ref_snapshots):
     expected = brute_force_valid_snapshots(
-        ref_scenario.adjacency.matrix, ref_scenario.system.n_p)
+        ref_scenario.adjacency, ref_scenario.system.n_p)
     got = [ref_snapshots.members(n) for n in range(ref_snapshots.n_snapshots)]
     assert got == expected
 
@@ -73,8 +71,7 @@ def test_enumeration_equals_brute_force(n_c, n_p, seed):
     rng = np.random.default_rng(seed)
     a = np.triu((rng.random((n_c, n_c)) < 0.4).astype(np.uint8), 1)
     a = a + a.T
-    adj = ClusterAdjacency(matrix=a)
-    v = enumerate_valid_snapshots(adj, n_p)
+    v = enumerate_valid_snapshots(a, n_p)
     got = [tuple(np.flatnonzero(v[:, n])) for n in range(v.shape[1])]
     assert got == brute_force_valid_snapshots(a, n_p)
 
