@@ -16,6 +16,7 @@ for bit (O'Neill, *PCG*, HMC-CS-2014-0905).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,19 @@ def _out_of_range(field: str, value: float) -> ValidationError:
 
 
 def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> float:
-    """Thermal noise power k_B * T_sys * B over the given bandwidth."""
+    """Thermal noise power k_B * T_sys * B over the given bandwidth. A noise
+    power below the smallest normal float is a ValidationError: the SNIR
+    divide would overflow."""
     if bandwidth_hz is None:
         bandwidth_hz = config.b_w_hz
-    return BOLTZMANN_J_K * config.t_sys_k * bandwidth_hz
+    tau = BOLTZMANN_J_K * config.t_sys_k * bandwidth_hz
+    if not tau >= sys.float_info.min:
+        raise ValidationError(
+            f"system: B_W_Hz = {config.b_w_hz!r} and T_sys_K = "
+            f"{config.t_sys_k!r} put the noise power out of floating-point "
+            "range"
+        )
+    return tau
 
 
 def _gain_block(distances: np.ndarray, config: SystemConfig) -> np.ndarray:

@@ -239,14 +239,14 @@ def _parse_system(raw) -> SystemConfig:
             raise ValidationError(f"system: missing key '{file_key}'")
         kwargs[field] = _typed(raw[file_key], kind, f"system: {file_key}")
     cfg = SystemConfig(**kwargs)
-    for name in ("p_t_w", "b_w_hz", "carrier_hz", "rolloff", "t_slot_s",
-                 "gain_peak_dbi", "beamwidth_3db_deg", "t_sys_k"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValidationError(f"system: {name} must be finite")
-    for name in ("p_t_w", "b_w_hz", "carrier_hz", "t_slot_s", "t_sys_k",
-                 "gain_peak_dbi", "beamwidth_3db_deg"):
-        if getattr(cfg, name) <= 0:
-            raise ValidationError(f"system: {name} must be > 0")
+    for key in ("P_T_W", "B_W_Hz", "carrier_Hz", "rolloff", "T_slot_s",
+                "gain_peak_dBi", "beamwidth_3dB_deg", "T_sys_K"):
+        if not math.isfinite(kwargs[_SYSTEM_KEYS[key][0]]):
+            raise ValidationError(f"system: {key} must be finite")
+    for key in ("P_T_W", "B_W_Hz", "carrier_Hz", "T_slot_s", "T_sys_K",
+                "gain_peak_dBi", "beamwidth_3dB_deg"):
+        if kwargs[_SYSTEM_KEYS[key][0]] <= 0:
+            raise ValidationError(f"system: {key} must be > 0")
     if not 0 <= cfg.rolloff < 1:
         raise ValidationError("system: rolloff must be in [0, 1)")
     if cfg.n_slot < 1:

@@ -179,9 +179,11 @@ def _toy_with(path, value):
                  id="system-not-object"),
     pytest.param(("system", "N_slot"), _DROP, "system: missing key 'N_slot'",
                  id="system-key-missing"),
-    pytest.param(("system", "P_T_W"), 0.0, "system: p_t_w must be > 0",
+    pytest.param(("system", "P_T_W"), 0.0, "system: P_T_W must be > 0",
                  id="power-zero"),
-    pytest.param(("system", "T_slot_s"), -1e-3, "system: t_slot_s must be > 0",
+    pytest.param(("system", "B_W_Hz"), -1, "system: B_W_Hz must be > 0",
+                 id="bandwidth-negative"),
+    pytest.param(("system", "T_slot_s"), -1e-3, "system: T_slot_s must be > 0",
                  id="slot-negative"),
     pytest.param(("system", "rolloff"), 1.0, "system: rolloff must be in [0, 1)",
                  id="rolloff-one"),
@@ -450,6 +452,7 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     ("carrier_Hz", 1e300),       # the free-space loss overflows
     ("carrier_Hz", 1e-300),      # the free-space loss is 0
     ("carrier_Hz", 1e-152),      # G_tx * G_rx / L_fs overflows
+    ("B_W_Hz", 1e-300),          # k_B T B is subnormal; the SNIR overflows
 ])
 def test_link_budget_overflow_is_validate_error(tmp_path, capsys, field,
                                                 value):

@@ -3,7 +3,7 @@
 The 120-beam / 20-cluster / N_P=4 rung (654 snapshots) is re-solved with
 scipy's HiGHS MILP on the integer data: snapshot supplies are V * p with V
 0/1, so every threshold g is the integer requirement V psi >= k with
-k_j = ceil(g * m_j / p_j). The 150/25/3 answer is pinned.
+k_j = ceil(g * m_j / p_j). The 150/25/3 and 150/25/4 answers are pinned.
 """
 import hashlib
 import math
@@ -77,9 +77,17 @@ def test_highs_confirms_optimum_and_lexicographic_order(dvbs2):
         assert round(res.fun) == psi[i], f"psi_{i} can be {res.fun}"
 
 
-def test_150_25_3_answer_is_pinned(dvbs2):
-    _, _, instance = _rung(150, 25, 3, dvbs2)
+def _pinned(n_p, dvbs2):
+    """(t, psi hash) of the 150-beam / 25-cluster rung with this N_P."""
+    _, _, instance = _rung(150, 25, n_p, dvbs2)
     plan = solve_illumination(instance)
-    assert plan.t == 0.35164206871831083
     digest = hashlib.sha256(plan.psi.astype(np.int64).tobytes()).hexdigest()
-    assert digest[:12] == "2776c528dc91"
+    return plan.t, digest[:12]
+
+
+def test_150_25_3_answer_is_pinned(dvbs2):
+    assert _pinned(3, dvbs2) == (0.35164206871831083, "2776c528dc91")
+
+
+def test_150_25_4_answer_is_pinned(dvbs2):
+    assert _pinned(4, dvbs2) == (0.47141399903518083, "6c2dfb834986")

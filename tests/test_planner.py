@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhop import planner
 from clusterhop.errors import CapExceededError, InfeasibleError, ValidationError
 from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
                                 greedy_plan, lp_relaxation_bound,
@@ -75,6 +76,71 @@ def test_brute_force_matches_exact_fuzz():
         if (inst.m > 0).any():
             assert exact_min_ratio(inst, a.psi) == exact_min_ratio(inst, b.psi)
             assert a.psi.tolist() == b.psi.tolist()  # lexicographic tie-break
+
+
+def snapshot_shaped_instance(rng, max_cols=7, max_slots=9):
+    """Supply p_j times a 0/1 V whose distinct columns hold 1 to 3 clusters.
+    Cluster 0 is undemanded, so two columns can share their demanded rows,
+    and sometimes a demanded cluster is in outage (p_j = 0)."""
+    n_c = int(rng.integers(3, 6))
+    subsets = [s for r in (1, 2, 3) for s in itertools.combinations(range(n_c), r)]
+    n_ss = int(rng.integers(2, max_cols + 1))
+    v = np.zeros((n_c, n_ss))
+    for col, pick in enumerate(rng.choice(len(subsets), n_ss, replace=False)):
+        v[list(subsets[pick]), col] = 1.0
+    p = rng.integers(1, 6, size=n_c).astype(float)
+    if rng.random() < 0.2:
+        p[int(rng.integers(1, n_c))] = 0.0
+    m = rng.integers(1, 9, size=n_c).astype(float)
+    m[0] = 0.0
+    return IlpInstance(l=p[:, None] * v, m=m,
+                       n_slot=int(rng.integers(1, max_slots + 1)))
+
+
+def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
+    lowered = {"same mask": 0, "split": 0}
+    exchange = planner._exchange_down
+
+    def counted(w, i, masks, index, sizes):
+        before = int(w[i])
+        exchange(w, i, masks, index, sizes)
+        if w[i] < before:
+            lowered["same mask" if index[masks[i]] > i else "split"] += 1
+
+    monkeypatch.setattr(planner, "_exchange_down", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        inst = snapshot_shaped_instance(rng)
+        a = solve_illumination(inst)
+        b = brute_force_plan(inst)
+        assert exact_min_ratio(inst, a.psi) == exact_min_ratio(inst, b.psi)
+        assert a.psi.tolist() == b.psi.tolist()
+    assert lowered["same mask"] > 0 and lowered["split"] > 0, lowered
+
+
+def test_each_exchange_keeps_supply_count_and_prefix():
+    # columns {0, 1}, {2, 3}, {0, 2}, {1, 3}: two slots of column 0 and of
+    # column 1 move to columns 2 and 3
+    v = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]])
+    w = np.array([2, 3, 0, 0])
+    planner._exchange_down(w, 0, *planner._column_masks(v))
+    assert w.tolist() == [0, 1, 2, 2]
+
+    rng = np.random.default_rng(5)
+    moves = 0
+    for _ in range(200):
+        n_rows, n_ss = int(rng.integers(2, 6)), int(rng.integers(2, 12))
+        v = rng.integers(0, 2, size=(n_rows, n_ss))
+        masks = planner._column_masks(v)
+        w = rng.integers(0, 4, size=n_ss)
+        for i in np.flatnonzero(w).tolist():
+            before = w.copy()
+            planner._exchange_down(w, i, *masks)
+            assert (v @ w == v @ before).all()
+            assert w.sum() == before.sum() and (w >= 0).all()
+            assert (w[:i] == before[:i]).all() and w[i] <= before[i]
+            moves += int(w[i] < before[i])
+    assert moves > 0
 
 
 def test_brute_force_respects_cap():

@@ -85,7 +85,7 @@ def test_non_finite_beam_value_rejected(key, value):
 def test_non_finite_system_value_rejected(key):
     doc = toy_doc()
     doc["system"][key] = float("inf")
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match=f"system: {key} must be finite"):
         scenario_from_dict(doc)
 
 
