@@ -9,20 +9,10 @@ from clusterhop.scenariogen import hex_scenario_dict, write_scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="scenarios/ref_71beam.json")
-    parser.add_argument("--n-beams", type=int, default=71)
-    parser.add_argument("--n-clusters", type=int, default=12)
-    parser.add_argument("--pitch-deg", type=float, default=0.6)
-    parser.add_argument("--aspect", type=float, default=3.0)
     args = parser.parse_args()
-    doc = hex_scenario_dict(
-        n_beams=args.n_beams,
-        n_clusters=args.n_clusters,
-        pitch_deg=args.pitch_deg,
-        aspect=args.aspect,
-    )
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_scenario(doc, args.out)
-    print(f"wrote {args.out}: {args.n_beams} beams, {args.n_clusters} clusters")
+    write_scenario(hex_scenario_dict(), args.out)
+    print(f"wrote {args.out}: 71 beams, 12 clusters")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ the behavior the cluster-hopping planner is measured against.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +18,6 @@ from .scenario import Scenario
 
 FOUR_COLOR = "4c_fr"
 ONE_COLOR_BH = "1c_ffr_bh"
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    scheme: str
-    offered_bps: np.ndarray  # (N_B,)
-    config: dict             # construction echo: colors or groups and dwell
 
 
 def _greedy_coloring(adj: np.ndarray, n_colors: int) -> np.ndarray:
@@ -54,9 +46,10 @@ def _greedy_coloring(adj: np.ndarray, n_colors: int) -> np.ndarray:
 
 
 def four_color_evaluate(scenario: Scenario, gains: np.ndarray,
-                        table: Dvbs2Table) -> BenchmarkResult:
-    """Offered capacity under 2 frequency halves x 2 polarizations, from the
-    beam field's amplitude gains (see ``channel.build_beam_field``).
+                        table: Dvbs2Table) -> np.ndarray:
+    """Read-only (N_B,) offered rates (bps) under 2 frequency halves x 2
+    polarizations, from the beam field's amplitude gains (see
+    ``channel.build_beam_field``).
 
     Every beam is continuously active on half the bandwidth and a single
     polarization; interference comes only from beams of the same color.
@@ -79,15 +72,12 @@ def four_color_evaluate(scenario: Scenario, gains: np.ndarray,
     se = dvbs2_efficiency(gamma, table)
     offered = se * (cfg.b_w_hz / 2.0) / (1.0 + cfg.rolloff)
     offered.flags.writeable = False
-    return BenchmarkResult(
-        scheme=FOUR_COLOR,
-        offered_bps=offered,
-        config={"colors": colors.tolist(), "n_colors": 4},
-    )
+    return offered
 
 
 def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
-    """Partition beams into internally non-adjacent groups.
+    """Partition beams into internally non-adjacent groups: the list of each
+    group's beam indices.
 
     Greedy: each beam joins the adjacency-free group whose nearest member is
     farthest away (spreading co-active beams), the earliest such group on a
@@ -97,7 +87,6 @@ def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
     """
     n = adj.shape[0]
     groups: list[list[int]] = [[] for _ in range(n_groups)]
-    assignment = np.full(n, -1, dtype=int)
     touches = np.ascontiguousarray(adj.T != 0)  # row i: beams adjacent to i
     nearest = np.full((n, n_groups), np.inf)
     blocked = np.zeros((n, n_groups), dtype=bool)
@@ -124,21 +113,20 @@ def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
         later = nearest[i + 1:, best_g]
         np.minimum(later, dist, out=later)
         blocked[:, best_g] |= touches[i]
-        assignment[i] = best_g
-    return groups, assignment
+    return groups
 
 
 def bh_evaluate(scenario: Scenario, gains: np.ndarray,
-                table: Dvbs2Table) -> BenchmarkResult:
-    """Offered capacity under single-color FFR beam hopping.
+                table: Dvbs2Table) -> np.ndarray:
+    """Read-only (N_B,) offered rates (bps) under single-color FFR beam
+    hopping.
 
     Four fixed groups of pairwise non-adjacent beams are illuminated
     round-robin with equal dwell; active beams use the full bandwidth on both
     polarizations without precoding.
     """
     cfg = scenario.system
-    groups, assignment = _spread_grouping(scenario.centers,
-                                          scenario.beam_adjacency, 4)
+    groups = _spread_grouping(scenario.centers, scenario.beam_adjacency, 4)
     n_groups = len(groups)
     dwell = 1.0 / n_groups
     p = cfg.p_t_w / scenario.n_beams
@@ -156,12 +144,4 @@ def bh_evaluate(scenario: Scenario, gains: np.ndarray,
     se = dvbs2_efficiency(gamma, table)
     offered = dwell * se * cfg.b_w_hz / (1.0 + cfg.rolloff) * pol
     offered.flags.writeable = False
-    return BenchmarkResult(
-        scheme=ONE_COLOR_BH,
-        offered_bps=offered,
-        config={
-            "groups": [[int(b) for b in g] for g in groups],
-            "assignment": assignment.tolist(),
-            "dwell": dwell,
-        },
-    )
+    return offered

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +31,6 @@ BOLTZMANN_J_K = 1.380_649e-23
 # for the whole (angularly small) coverage.
 RX_GAIN_DBI = 40.0
 SLANT_RANGE_M = 38.5e6
-
-
-@dataclass(frozen=True)
-class ClusterChannel:
-    """Square complex channel of one cluster plus per-beam noise powers (W)."""
-
-    cluster_id: int
-    h: np.ndarray    # (Pi_j, Pi_j) complex amplitude gains, row = receiving user
-    tau: np.ndarray  # (Pi_j,) noise powers, W
-
-    @property
-    def size(self) -> int:
-        return self.h.shape[0]
 
 
 def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
@@ -241,8 +227,9 @@ def _pair_phases(seed: int, cluster_id: int, members) -> np.ndarray:
     return (x >> _U64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
 
 
-def build_cluster_channel(scenario: Scenario, cluster_id: int) -> ClusterChannel:
-    """Complex channel of one cluster, deterministic per (scenario, seed).
+def build_cluster_channel(scenario: Scenario, cluster_id: int) -> np.ndarray:
+    """Read-only (Pi_j, Pi_j) complex amplitude gains H of one cluster, row =
+    receiving user, deterministic per (scenario, seed).
 
     Magnitudes come from the gain model over the member beams only; phases
     are uniform on [0, 2*pi), one independent stream per (seed, cluster, beam
@@ -255,13 +242,11 @@ def build_cluster_channel(scenario: Scenario, cluster_id: int) -> ClusterChannel
                        scenario.system)
     phases = _pair_phases(scenario.system.seed, cluster_id, members)
     h = mags * np.exp(1j * phases)
-    tau = np.full(len(members), noise_power_w(scenario.system))
     if not np.isfinite(h).all():
         raise ValidationError(f"cluster {cluster_id}: non-finite channel entries")
     h.flags.writeable = False
-    tau.flags.writeable = False
-    return ClusterChannel(cluster_id=cluster_id, h=h, tau=tau)
+    return h
 
 
-def build_all_cluster_channels(scenario: Scenario) -> list[ClusterChannel]:
+def build_all_cluster_channels(scenario: Scenario) -> list[np.ndarray]:
     return [build_cluster_channel(scenario, j) for j in range(scenario.n_clusters)]

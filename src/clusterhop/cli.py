@@ -75,7 +75,7 @@ class Pipeline:
         return precoding.load_dvbs2_table(self.dvbs2_table)
 
     @cached_property
-    def channels(self) -> list[channel.ClusterChannel]:
+    def channels(self) -> list[np.ndarray]:
         return channel.build_all_cluster_channels(self.scenario)
 
     @cached_property
@@ -240,9 +240,9 @@ def run(manifest: RunManifest) -> list[str]:
         offered = {
             SCHEME_CH: metrics.plan_beam_offered(pipe.plan, scenario),
             benchmarks.FOUR_COLOR: benchmarks.four_color_evaluate(
-                scenario, pipe.field, table).offered_bps,
+                scenario, pipe.field, table),
             benchmarks.ONE_COLOR_BH: benchmarks.bh_evaluate(
-                scenario, pipe.field, table).offered_bps,
+                scenario, pipe.field, table),
         }
         reports = [metrics.score(offered[scheme], scenario, scheme)
                    for scheme in ALL_SCHEMES]

@@ -20,12 +20,11 @@ smallest optimal count vector. At each position, exact exchange moves find
 the smaller values and the search only proves them: when V is 0/1, slots
 of two columns move to two later columns with the same column sum, which
 keeps V psi and sum(psi) unchanged and needs no LP, and the search runs
-only on what is left. The exchange adds 86 lines to this module,
-docstrings included; it took the refinement of the 150-beam / 25-cluster /
-N_P=4 rung from 683 LPs to 98. The LPs are over the normalized rows
-l_j / m_j, solved by the in-repo bounded-variable simplex; after the first,
-every LP restarts from the basis of the LP before it. A point is accepted
-only by the integer test. A row that does not factor is a ValidationError,
+only on what is left. The LPs are over the normalized rows l_j / m_j,
+solved by the in-repo bounded-variable simplex; after the first, every LP
+restarts from the basis of the LP before it. A point is accepted only by
+the integer test, and an LP point outside its node's bounds is a
+SolverError. A row that does not factor is a ValidationError,
 and one with n_slot * max V_j above ``OBJECTIVE_GRID_CAP`` is a
 CapExceededError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
@@ -279,11 +278,18 @@ def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
+            if ((psi_int < nlb) | (psi_int > nub)).any():
+                raise SolverError("a rounded LP point lies outside its node's "
+                                  "box; the LP is too ill-conditioned to solve")
             val = int(cost @ psi_int)
             if (val < best_val and psi_int.sum() == n_slot
                     and (v @ psi_int >= k).all()):
                 best_val, best_psi = val, psi_int
             continue
+        if not nlb[branch] < psi_lp[branch] < nub[branch]:
+            raise SolverError("the LP point's branching coordinate lies outside "
+                              "its node's box; the LP is too ill-conditioned "
+                              "to solve")
         floor_val = math.floor(psi_lp[branch])
         ub_down = nub.copy()
         ub_down[branch] = floor_val

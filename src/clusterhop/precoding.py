@@ -1,10 +1,10 @@
 """Regularized MMSE precoding, SNIR, DVB-S2 mapping and cluster capacities.
 
-The precoder is W = beta * H^H (H H^H + (1/P) diag(tau))^{-1} with
-P = P_T / N_B the per-beam power and beta chosen so that the largest
-per-feed transmit power {W W^H}_ii equals exactly P. Spectral efficiency is a
-step-function lookup in a MODCOD table shipped as CSV, and beam capacity is
-SE * B_W / (1 + rolloff) per polarization.
+The precoder is W = beta * H^H (H H^H + (tau/P) I)^{-1} with tau the
+thermal noise power, P = P_T / N_B the per-beam power and beta chosen so
+that the largest per-feed transmit power {W W^H}_ii equals exactly P.
+Spectral efficiency is a step-function lookup in a MODCOD table shipped as
+CSV, and beam capacity is SE * B_W / (1 + rolloff) per polarization.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .channel import ClusterChannel
+from .channel import noise_power_w
 from .errors import ParseError, ValidationError
 from .scenario import Scenario, SystemConfig, cluster_sums
 
@@ -68,47 +68,47 @@ def load_dvbs2_table(source: bytes | None = None) -> Dvbs2Table:
     return Dvbs2Table(thresholds_db=thr, se_bits_per_symbol=se)
 
 
-def mmse_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> np.ndarray:
-    """MMSE precoder W of one cluster under the per-feed power constraint.
+def mmse_precoder(h: np.ndarray, tau: float, config: SystemConfig,
+                  n_beams: int, cluster_id: int) -> np.ndarray:
+    """MMSE precoder W for the channel ``h`` of cluster ``cluster_id`` (named
+    in errors), with noise power ``tau`` (W) at every user, under the
+    per-feed power constraint.
 
     ``n_beams`` is the system-wide beam count fixing P = P_T / N_B.
     """
-    h = channel.h
-    tau = channel.tau
     if not np.isfinite(h).all():
         raise ValidationError("channel matrix has non-finite entries")
-    if (tau <= 0).any():
-        raise ValidationError("noise powers must be strictly positive")
+    if not tau > 0:
+        raise ValidationError("noise power must be strictly positive")
     p = config.p_t_w / n_beams
     if p <= 0:
         raise ValidationError("per-beam power must be positive")
-    gram = h @ h.conj().T + np.diag(tau) / p
+    gram = h @ h.conj().T + np.diag(np.full(h.shape[0], tau)) / p
     w_hat = h.conj().T @ np.linalg.inv(gram)
     row_power = np.real(np.einsum("ij,ij->i", w_hat, w_hat.conj()))
     peak = row_power.max()
     if not peak > 0:  # underflow: beta would be inf and every SNIR NaN
         raise ValidationError(
-            f"cluster {channel.cluster_id}: MMSE feed powers underflow to "
+            f"cluster {cluster_id}: MMSE feed powers underflow to "
             f"{float(peak)!r}; P_T_W and T_sys_K put the link budget out of "
             "floating-point range"
         )
     return math.sqrt(p / peak) * w_hat
 
 
-def identity_precoder(channel: ClusterChannel, config: SystemConfig, n_beams: int) -> np.ndarray:
+def identity_precoder(h: np.ndarray, config: SystemConfig, n_beams: int) -> np.ndarray:
     """No-precoding baseline: sqrt(P) * I, every feed at exactly P."""
     p = config.p_t_w / n_beams
-    return math.sqrt(p) * np.eye(channel.size, dtype=complex)
+    return math.sqrt(p) * np.eye(h.shape[0], dtype=complex)
 
 
-def snir(channel: ClusterChannel, w: np.ndarray) -> np.ndarray:
-    """Per-beam linear SNIR at the beam-center users of one cluster under
-    the precoder ``w``."""
-    hw = channel.h @ w
-    power = np.abs(hw) ** 2
+def snir(h: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    """Per-beam linear SNIR at the beam-center users of one cluster with
+    channel ``h``, precoder ``w`` and noise power ``tau`` (W)."""
+    power = np.abs(h @ w) ** 2
     signal = np.diag(power).copy()
     interference = power.sum(axis=1) - signal
-    return signal / (interference + channel.tau)
+    return signal / (interference + tau)
 
 
 def dvbs2_efficiency(snir_linear, table: Dvbs2Table):
@@ -144,17 +144,19 @@ def beam_capacity_bps(se_bits_per_symbol, config: SystemConfig):
 
 def beam_links(
     scenario: Scenario,
-    channels: list[ClusterChannel],
+    channels: list[np.ndarray],
     table: Dvbs2Table,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-beam (linear SNIR, spectral efficiency, capacity bps) under MMSE."""
+    """Per-beam (linear SNIR, spectral efficiency, capacity bps) under MMSE,
+    from each cluster's channel in cluster order."""
     cfg = scenario.system
     n_b = scenario.n_beams
+    tau = noise_power_w(cfg)
     snir_lin = np.zeros(n_b)
     se = np.zeros(n_b)
-    for channel in channels:
-        members = list(scenario.clusters[channel.cluster_id])
-        gammas = snir(channel, mmse_precoder(channel, cfg, n_b))
+    for j, h in enumerate(channels):
+        members = list(scenario.clusters[j])
+        gammas = snir(h, mmse_precoder(h, tau, cfg, n_b, j), tau)
         snir_lin[members] = gammas
         se[members] = dvbs2_efficiency(gammas, table)
     return snir_lin, se, beam_capacity_bps(se, cfg)
@@ -162,7 +164,7 @@ def beam_links(
 
 def cluster_capacities(
     scenario: Scenario,
-    channels: list[ClusterChannel],
+    channels: list[np.ndarray],
     table: Dvbs2Table,
 ) -> CapacityVector:
     """Per-beam SNIR, SE and rates r, per-cluster capacities c and per-slot

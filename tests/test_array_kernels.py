@@ -64,7 +64,6 @@ def _loop_four_color(scenario, field, table):
 
 def _loop_grouping(centers, adj, n_groups):
     groups = [[] for _ in range(n_groups)]
-    assignment = np.full(adj.shape[0], -1, dtype=int)
     for i in range(adj.shape[0]):
         best_g, best_d = -1, -1.0
         for g, members in enumerate(groups):
@@ -79,16 +78,14 @@ def _loop_grouping(centers, adj, n_groups):
                 best_d, best_g = d, g
         if best_g < 0:
             groups.append([i])
-            assignment[i] = len(groups) - 1
         else:
             groups[best_g].append(i)
-            assignment[i] = best_g
-    return groups, assignment
+    return groups
 
 
 def _loop_bh(scenario, field, table):
     cfg = scenario.system
-    groups, _ = _loop_grouping(scenario.centers, scenario.beam_adjacency, 4)
+    groups = _loop_grouping(scenario.centers, scenario.beam_adjacency, 4)
     dwell = 1.0 / len(groups)
     power = cfg.p_t_w / scenario.n_beams * field ** 2
     tau = channel.noise_power_w(cfg)
@@ -109,9 +106,11 @@ def _loop_beam_links(scenario, channels, table):
     cfg = scenario.system
     n_b = scenario.n_beams
     snir_lin, se, r = np.zeros(n_b), np.zeros(n_b), np.zeros(n_b)
-    for ch in channels:
-        gammas = precoding.snir(ch, precoding.mmse_precoder(ch, cfg, n_b))
-        for local, beam in enumerate(scenario.clusters[ch.cluster_id]):
+    tau = channel.noise_power_w(cfg)
+    for j, h in enumerate(channels):
+        gammas = precoding.snir(h, precoding.mmse_precoder(h, tau, cfg, n_b, j),
+                                tau)
+        for local, beam in enumerate(scenario.clusters[j]):
             snir_lin[beam] = gammas[local]
             se[beam] = _loop_dvbs2(float(gammas[local]), table)
             r[beam] = precoding.beam_capacity_bps(se[beam], cfg)
@@ -206,29 +205,30 @@ def test_four_color_matches_per_beam_loop(stages, dvbs2, lookups):
     name, scenario, _, field, _, _ = stages
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = benchmarks.four_color_evaluate(scenario, field, dvbs2)
+        got = benchmarks.four_color_evaluate(scenario, field, dvbs2)
+        got_colors = benchmarks._greedy_coloring(scenario.beam_adjacency, 4)
     fallback = any("no conflict-free color" in str(w.message) for w in caught)
     assert fallback == (name == "color_conflict")
     colors, gammas, offered = _loop_four_color(scenario, field, dvbs2)
-    assert res.config["colors"] == colors.tolist()
+    assert np.array_equal(got_colors, colors)
     assert np.array_equal(np.concatenate(lookups), gammas)
-    assert np.array_equal(res.offered_bps, offered)
+    assert np.array_equal(got, offered)
 
 
 def test_bh_matches_per_beam_loop(stages, dvbs2, lookups):
     name, scenario, _, field, _, _ = stages
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = benchmarks.bh_evaluate(scenario, field, dvbs2)
+        got = benchmarks.bh_evaluate(scenario, field, dvbs2)
+        got_groups = benchmarks._spread_grouping(scenario.centers,
+                                                 scenario.beam_adjacency, 4)
     if name == "star":
         assert any("adjacent to all" in str(w.message) for w in caught)
-    groups, assignment = _loop_grouping(scenario.centers,
+    assert got_groups == _loop_grouping(scenario.centers,
                                         scenario.beam_adjacency, 4)
-    assert res.config["groups"] == groups
-    assert res.config["assignment"] == assignment.tolist()
     gammas, offered = _loop_bh(scenario, field, dvbs2)
     assert np.array_equal(np.concatenate(lookups), gammas)
-    assert np.array_equal(res.offered_bps, offered)
+    assert np.array_equal(got, offered)
 
 
 def test_beam_links_match_per_beam_loop(stages, dvbs2):

@@ -19,15 +19,15 @@ def _permuted_demands(doc):
 
 
 def test_four_color_proper_on_reference(ref_scenario, ref_field, dvbs2):
-    res = benchmarks.four_color_evaluate(ref_scenario, ref_field, dvbs2)
-    colors = np.array(res.config["colors"])
+    offered = benchmarks.four_color_evaluate(ref_scenario, ref_field, dvbs2)
     adj = beam_adjacency(center_distances(ref_scenario.centers))
+    colors = benchmarks._greedy_coloring(adj, 4)
     for i in range(ref_scenario.n_beams):
         for j in range(i + 1, ref_scenario.n_beams):
             if adj[i, j]:
                 assert colors[i] != colors[j]
-    assert (res.offered_bps >= 0).all()
-    assert res.offered_bps.shape == (ref_scenario.n_beams,)
+    assert (offered >= 0).all()
+    assert offered.shape == (ref_scenario.n_beams,)
 
 
 def test_four_color_demand_independent(ref_doc, dvbs2):
@@ -37,7 +37,7 @@ def test_four_color_demand_independent(ref_doc, dvbs2):
     f2 = channel.build_beam_field(sc2)
     r1 = benchmarks.four_color_evaluate(sc1, f1, dvbs2)
     r2 = benchmarks.four_color_evaluate(sc2, f2, dvbs2)
-    assert (r1.offered_bps == r2.offered_bps).all()
+    assert (r1 == r2).all()
 
 
 def test_four_color_isolated_beam(dvbs2):
@@ -49,30 +49,28 @@ def test_four_color_isolated_beam(dvbs2):
     doc["system"]["N_P"] = 1
     sc = scenario_from_dict(doc)
     field = channel.build_beam_field(sc)
-    res = benchmarks.four_color_evaluate(sc, field, dvbs2)
+    offered = benchmarks.four_color_evaluate(sc, field, dvbs2)
     cfg = sc.system
     p = cfg.p_t_w / sc.n_beams
     snr = p * field[0, 0] ** 2 / channel.noise_power_w(cfg, cfg.b_w_hz / 2)
     se = precoding.dvbs2_efficiency(float(snr), dvbs2)
     expected = se * (cfg.b_w_hz / 2) / (1 + cfg.rolloff)
-    assert res.offered_bps[0] == pytest.approx(expected)
+    assert offered[0] == pytest.approx(expected)
 
 
-def test_bh_groups_non_adjacent(ref_scenario, ref_field, dvbs2):
-    res = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
+def test_bh_groups_non_adjacent(ref_scenario):
     adj = beam_adjacency(center_distances(ref_scenario.centers))
-    for group in res.config["groups"]:
+    for group in benchmarks._spread_grouping(ref_scenario.centers, adj, 4):
         for i in group:
             for j in group:
                 if i != j:
                     assert adj[i, j] == 0
 
 
-def test_bh_dwell_covers_every_beam(ref_scenario, ref_field, dvbs2):
-    res = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
-    groups = res.config["groups"]
-    dwell = res.config["dwell"]
-    assert dwell * len(groups) == pytest.approx(1.0)
+def test_bh_dwell_covers_every_beam(ref_scenario):
+    groups = benchmarks._spread_grouping(ref_scenario.centers,
+                                         ref_scenario.beam_adjacency, 4)
+    assert len(groups) == 4
     seen = sorted(b for g in groups for b in g)
     assert seen == list(range(ref_scenario.n_beams))
 
@@ -84,25 +82,26 @@ def test_bh_demand_independent(ref_doc, dvbs2):
     f2 = channel.build_beam_field(sc2)
     r1 = benchmarks.bh_evaluate(sc1, f1, dvbs2)
     r2 = benchmarks.bh_evaluate(sc2, f2, dvbs2)
-    assert (r1.offered_bps == r2.offered_bps).all()
+    assert (r1 == r2).all()
 
 
 def test_bh_uniform_demands_flat_interior(ref_doc, dvbs2):
     beams = [{**b, "demand_bps": 5e8} for b in ref_doc["beams"]]
     sc = scenario_from_dict({**ref_doc, "beams": beams})
     field = channel.build_beam_field(sc)
-    res = benchmarks.bh_evaluate(sc, field, dvbs2)
+    offered = benchmarks.bh_evaluate(sc, field, dvbs2)
     # interior beams (six neighbors) all land on the same MODCOD
     adj = beam_adjacency(center_distances(sc.centers))
     interior = np.flatnonzero(adj.sum(axis=1) == 6)
-    values = np.unique(np.round(res.offered_bps[interior], 3))
+    values = np.unique(np.round(offered[interior], 3))
     assert values.size <= 2
 
 
 def test_bh_quarter_duty_formula(ref_scenario, ref_field, dvbs2):
     cfg = ref_scenario.system
-    res = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
-    groups = res.config["groups"]
+    offered = benchmarks.bh_evaluate(ref_scenario, ref_field, dvbs2)
+    groups = benchmarks._spread_grouping(ref_scenario.centers,
+                                         ref_scenario.beam_adjacency, 4)
     p = cfg.p_t_w / ref_scenario.n_beams
     power = p * ref_field ** 2
     tau = channel.noise_power_w(cfg)
@@ -111,7 +110,7 @@ def test_bh_quarter_duty_formula(ref_scenario, ref_field, dvbs2):
     se = precoding.dvbs2_efficiency(float(power[i, i] / (interference + tau)),
                                     dvbs2)
     expected = 0.25 * se * cfg.b_w_hz / (1 + cfg.rolloff) * 2
-    assert res.offered_bps[i] == pytest.approx(expected)
+    assert offered[i] == pytest.approx(expected)
 
 
 def test_grouping_fallback_adds_group(dvbs2):
@@ -130,6 +129,14 @@ def test_grouping_fallback_adds_group(dvbs2):
     sc = scenario_from_dict(doc)
     field = channel.build_beam_field(sc)
     with pytest.warns(UserWarning, match="adjacent to all"):
-        res = benchmarks.bh_evaluate(sc, field, dvbs2)
-    assert len(res.config["groups"]) == 5
-    assert res.config["dwell"] == pytest.approx(1 / 5)
+        offered = benchmarks.bh_evaluate(sc, field, dvbs2)
+    with pytest.warns(UserWarning, match="adjacent to all"):
+        groups = benchmarks._spread_grouping(sc.centers, sc.beam_adjacency, 4)
+    assert len(groups) == 5
+    # every beam is lit for a fifth of the window
+    cfg = sc.system
+    tau = channel.noise_power_w(cfg)
+    power = cfg.p_t_w / sc.n_beams * field[4, 4] ** 2
+    se = precoding.dvbs2_efficiency(float(power / tau), dvbs2)
+    expected = se * cfg.b_w_hz / (1 + cfg.rolloff) * 2 / 5
+    assert offered[4] == pytest.approx(expected)

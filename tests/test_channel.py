@@ -43,16 +43,15 @@ def test_gain_monotone_nonincreasing(ref_scenario):
 def test_channel_determinism(ref_scenario):
     a = channel.build_cluster_channel(ref_scenario, 3)
     b = channel.build_cluster_channel(ref_scenario, 3)
-    assert (a.h == b.h).all()
-    assert (a.tau == b.tau).all()
+    assert (a == b).all()
 
 
 def test_channel_changes_with_seed(ref_doc):
     sc1 = scenario_from_dict(ref_doc)
     doc2 = {**ref_doc, "system": {**ref_doc["system"], "seed": 999}}
     sc2 = scenario_from_dict(doc2)
-    h1 = channel.build_cluster_channel(sc1, 0).h
-    h2 = channel.build_cluster_channel(sc2, 0).h
+    h1 = channel.build_cluster_channel(sc1, 0)
+    h2 = channel.build_cluster_channel(sc2, 0)
     assert not (h1 == h2).all()
     # magnitudes come from geometry only
     assert np.abs(h1) == pytest.approx(np.abs(h2))
@@ -63,29 +62,27 @@ def test_single_beam_cluster_magnitude():
     doc["clusters"] = [[1], [2, 3, 4], [5, 6], [7, 8]]
     doc.pop("adjacency")
     sc = scenario_from_dict(doc)
-    ch = channel.build_cluster_channel(sc, 0)
+    h = channel.build_cluster_channel(sc, 0)
     cfg = sc.system
     g_peak = 10 ** (cfg.gain_peak_dbi / 10)
     g_rx = 10 ** (channel.RX_GAIN_DBI / 10)
     wavelength = channel.SPEED_OF_LIGHT_M_S / cfg.carrier_hz
     l_fs = (4 * math.pi * channel.SLANT_RANGE_M / wavelength) ** 2
-    assert ch.h.shape == (1, 1)
-    assert abs(ch.h[0, 0]) == pytest.approx(math.sqrt(g_peak * g_rx / l_fs))
+    assert h.shape == (1, 1)
+    assert abs(h[0, 0]) == pytest.approx(math.sqrt(g_peak * g_rx / l_fs))
 
 
 def test_diagonal_dominance_all_clusters(ref_scenario, ref_channels):
-    for ch in ref_channels:
-        mags = np.abs(ch.h)
-        for k in range(ch.size):
+    for h in ref_channels:
+        mags = np.abs(h)
+        for k in range(h.shape[0]):
             off = np.delete(mags[k], k)
             if off.size:
                 assert mags[k, k] > off.max()
 
 
-def test_noise_positive_and_uniform(ref_channels):
-    for ch in ref_channels:
-        assert (ch.tau > 0).all()
-        assert np.unique(ch.tau).size == 1
+def test_noise_positive(ref_scenario):
+    assert channel.noise_power_w(ref_scenario.system) > 0
 
 
 def test_unknown_cluster_id(ref_scenario):
@@ -95,10 +92,10 @@ def test_unknown_cluster_id(ref_scenario):
 
 def test_beam_field_matches_cluster_channels(ref_scenario, ref_channels):
     field = channel.build_beam_field(ref_scenario)
-    for ch in ref_channels:
-        idx = np.array(ref_scenario.clusters[ch.cluster_id])
+    for h, members in zip(ref_channels, ref_scenario.clusters):
+        idx = np.array(members)
         sub = field[np.ix_(idx, idx)]
-        assert np.abs(ch.h) == pytest.approx(sub)
+        assert np.abs(h) == pytest.approx(sub)
 
 
 def _numpy_phases(seed, cluster_id, members):
@@ -139,13 +136,13 @@ def test_reference_channels_match_scalar_construction(ref_doc, seed):
         got = channel._pair_phases(sc.system.seed, j, members)
         assert np.array_equal(got, phases)
         expected = gains[np.ix_(idx, idx)] * np.exp(1j * phases)
-        assert np.array_equal(channel.build_cluster_channel(sc, j).h, expected)
+        assert np.array_equal(channel.build_cluster_channel(sc, j), expected)
 
 
 def test_reference_channel_golden(ref_scenario):
     # A change in the phase streams or the gain model fails here instead of
     # silently changing every artifact downstream.
-    h = channel.build_cluster_channel(ref_scenario, 0).h
+    h = channel.build_cluster_channel(ref_scenario, 0)
     assert repr(h[:2, :2].tolist()) == (
         "[[(1.5720683004576734e-07+7.825728896089945e-07j), "
         "(-1.7081090456846335e-07+1.0317232987588761e-07j)], "

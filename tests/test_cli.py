@@ -446,6 +446,26 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     assert json.loads((out / "plan.json").read_text())["t"] == 0.0
 
 
+@pytest.mark.parametrize("scale", [3e-9, 1e-10, 1e-11, 1e-12])
+def test_tiny_demand_scale_plans_or_is_solver_error(tmp_path, capsys, scale):
+    """Demands far below the supplies make the LPs ill-conditioned. A run
+    then plans a window of nonnegative counts or ends in a solver error;
+    an LP point outside its node's box is never accepted or branched on."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    for beam in doc["beams"]:
+        beam["demand_bps"] *= scale
+    out = tmp_path / "out"
+    rc = _run(["plan", "--scenario", _write(tmp_path, doc), "--out", out])
+    err = capsys.readouterr().err
+    assert rc in (0, 6), err
+    if rc == 6:
+        assert err.startswith("error: solver: ")
+    else:
+        psi = json.loads((out / "plan.json").read_text())["psi"]
+        assert min(psi.values()) >= 0
+        assert sum(psi.values()) == doc["system"]["N_slot"]
+
+
 @pytest.mark.parametrize("field, value", [
     ("gain_peak_dBi", 4000.0),   # 10**(dB/10) overflows
     ("gain_peak_dBi", 3070.0),   # G_tx * G_rx overflows
@@ -644,9 +664,8 @@ def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
         "distances": pipe.scenario.distances,
         "beam_adjacency": pipe.scenario.beam_adjacency,
     }
-    for j, chan in enumerate(pipe.channels):
-        arrays[f"channel{j}.h"] = chan.h
-        arrays[f"channel{j}.tau"] = chan.tau
+    for j, h in enumerate(pipe.channels):
+        arrays[f"channel{j}"] = h
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] += 1

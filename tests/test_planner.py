@@ -143,6 +143,29 @@ def test_each_exchange_keeps_supply_count_and_prefix():
     assert moves > 0
 
 
+def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
+    # 7-cluster columns {0..6}, {7..13}, {0..3, 7..9}, {4..6, 10..13}: the
+    # first two and the last two are disjoint, so each pair differs in 14
+    # rows, above _SPLIT_MAX_ROWS, and no exchange moves their slots
+    splits = []
+    split = planner._split
+
+    def recording(mask_i, mask_j, i, index, sizes):
+        result = split(mask_i, mask_j, i, index, sizes)
+        splits.append(((mask_i ^ mask_j).bit_count(), result))
+        return result
+
+    monkeypatch.setattr(planner, "_split", recording)
+    v = np.zeros((14, 4))
+    for col, rows in enumerate([range(7), range(7, 14), [0, 1, 2, 3, 7, 8, 9],
+                                [4, 5, 6, 10, 11, 12, 13]]):
+        v[list(rows), col] = 1.0
+    inst = IlpInstance(l=2.0 * v, m=np.ones(14), n_slot=4)
+    plan = solve_illumination(inst)
+    assert (14, None) in splits
+    assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist() == [0, 0, 2, 2]
+
+
 def test_brute_force_respects_cap():
     inst = IlpInstance(l=np.ones((1, 30)), m=np.array([1.0]), n_slot=100)
     with pytest.raises(CapExceededError):
@@ -241,6 +264,15 @@ def test_all_zero_demand_sentinel():
     assert plan.solver_status == "heuristic"
     assert plan.psi.sum() == 7
     assert plan.psi.tolist() == [3, 2, 2]
+
+
+def test_all_zero_demand_greedy_and_lp_bound():
+    inst = IlpInstance(l=np.eye(3), m=np.zeros(3), n_slot=7)
+    plan = greedy_plan(inst)
+    assert plan.t == np.inf
+    assert plan.solver_status == "heuristic"
+    assert plan.psi.tolist() == [3, 2, 2]
+    assert lp_relaxation_bound(inst) == np.inf
 
 
 def test_no_snapshots_is_infeasible():

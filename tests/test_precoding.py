@@ -4,17 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterhop import precoding
-from clusterhop.channel import ClusterChannel
+from clusterhop.channel import noise_power_w
 from clusterhop.errors import ValidationError
 from clusterhop.scenario import scenario_from_dict
 
 from conftest import toy_doc
-
-
-def _scalar_channel(h, tau):
-    return ClusterChannel(cluster_id=0,
-                          h=np.array([[h]], dtype=complex),
-                          tau=np.array([tau], dtype=float))
 
 
 def _config(p_t_w, n_beams=1, dual=True):
@@ -27,7 +21,8 @@ def test_scalar_precoder_hand_values():
     # H = 2, tau = 1, P = 1: regularized inverse gives 2/(4+1) = 0.4,
     # scaling sqrt(1/0.16) = 2.5, so W = 1 and the feed spends exactly P.
     cfg = _config(p_t_w=1.0)
-    w = precoding.mmse_precoder(_scalar_channel(2.0, 1.0), cfg, n_beams=1)
+    h = np.array([[2.0]], dtype=complex)
+    w = precoding.mmse_precoder(h, 1.0, cfg, 1, 0)
     assert w[0, 0] == pytest.approx(1.0)
     assert (abs(w) ** 2).sum(axis=1)[0] == pytest.approx(1.0)
 
@@ -35,8 +30,7 @@ def test_scalar_precoder_hand_values():
 def test_diagonal_channel_gives_diagonal_precoder():
     cfg = _config(p_t_w=4.0)
     h = 3.0 * np.eye(4, dtype=complex)
-    chan = ClusterChannel(cluster_id=0, h=h, tau=np.ones(4))
-    w = precoding.mmse_precoder(chan, cfg, n_beams=1)
+    w = precoding.mmse_precoder(h, 1.0, cfg, 1, 0)
     off = w - np.diag(np.diag(w))
     assert np.abs(off).max() < 1e-12
 
@@ -44,43 +38,43 @@ def test_diagonal_channel_gives_diagonal_precoder():
 def test_per_feed_power_cap_on_reference(ref_scenario, ref_channels):
     cfg = ref_scenario.system
     p = cfg.p_t_w / ref_scenario.n_beams
-    for chan in ref_channels:
-        w = precoding.mmse_precoder(chan, cfg, ref_scenario.n_beams)
+    tau = noise_power_w(cfg)
+    for j, h in enumerate(ref_channels):
+        w = precoding.mmse_precoder(h, tau, cfg, ref_scenario.n_beams, j)
         per_feed = (abs(w) ** 2).sum(axis=1)
         assert per_feed.max() == pytest.approx(p, rel=1e-9)
         assert (per_feed <= p * (1 + 1e-9)).all()
 
 
 def test_snir_zero_interference():
-    cfg = _config(p_t_w=1.0)
-    chan = ClusterChannel(cluster_id=0, h=np.eye(2, dtype=complex) * 2.0,
-                          tau=np.array([0.5, 0.5]))
+    h = np.eye(2, dtype=complex) * 2.0
     w = np.eye(2, dtype=complex) * 3.0
-    gammas = precoding.snir(chan, w)
+    gammas = precoding.snir(h, w, 0.5)
     assert gammas == pytest.approx([36.0 / 0.5, 36.0 / 0.5])
 
 
 def test_snir_scalar_example():
     cfg = _config(p_t_w=1.0)
-    chan = _scalar_channel(2.0, 1.0)
-    w = precoding.mmse_precoder(chan, cfg, n_beams=1)
-    assert precoding.snir(chan, w)[0] == pytest.approx(4.0)
+    h = np.array([[2.0]], dtype=complex)
+    w = precoding.mmse_precoder(h, 1.0, cfg, 1, 0)
+    assert precoding.snir(h, w, 1.0)[0] == pytest.approx(4.0)
 
 
 def test_snir_zero_precoder():
-    chan = ClusterChannel(cluster_id=0,
-                          h=np.ones((3, 3), dtype=complex),
-                          tau=np.ones(3))
+    h = np.ones((3, 3), dtype=complex)
     w = np.zeros((3, 3), dtype=complex)
-    assert (precoding.snir(chan, w) == 0).all()
+    assert (precoding.snir(h, w, 1.0) == 0).all()
 
 
 def test_mmse_beats_scaled_identity(ref_scenario, ref_channels):
     cfg = ref_scenario.system
-    for chan in ref_channels:
-        mmse = precoding.mmse_precoder(chan, cfg, ref_scenario.n_beams)
-        ident = precoding.identity_precoder(chan, cfg, ref_scenario.n_beams)
-        assert precoding.snir(chan, mmse).min() >= precoding.snir(chan, ident).min()
+    n_b = ref_scenario.n_beams
+    tau = noise_power_w(cfg)
+    for j, h in enumerate(ref_channels):
+        mmse = precoding.mmse_precoder(h, tau, cfg, n_b, j)
+        ident = precoding.identity_precoder(h, cfg, n_b)
+        assert (precoding.snir(h, mmse, tau).min()
+                >= precoding.snir(h, ident, tau).min())
 
 
 def test_table_is_valid(dvbs2):

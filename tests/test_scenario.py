@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +317,15 @@ def test_n_p_above_cluster_count_rejected():
 
 def test_generator_is_deterministic():
     assert hex_scenario_dict() == hex_scenario_dict()
+
+
+def test_reference_script_regenerates_the_bundled_scenario(tmp_path,
+                                                          monkeypatch):
+    repo = Path(__file__).resolve().parents[1]
+    out = tmp_path / "ref_71beam.json"
+    monkeypatch.setattr(sys, "argv", ["make_reference_scenario.py",
+                                      "--out", str(out)])
+    runpy.run_path(str(repo / "scripts" / "make_reference_scenario.py"),
+                   run_name="__main__")
+    assert (out.read_bytes()
+            == (repo / "scenarios" / "ref_71beam.json").read_bytes())
