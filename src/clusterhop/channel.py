@@ -8,10 +8,12 @@ construction reproducible and order-independent.
 
 Each pair's phase is the first draw of
 ``np.random.default_rng(np.random.SeedSequence([seed, cluster, rx, tx]))
-.uniform(0, 2*pi)``. Instead of building one generator per pair, a cluster's
-n x n phases are computed in one pass with elementwise integer arithmetic that
-reproduces NumPy's SeedSequence pool mixing and its PCG64 (XSL-RR) stream bit
-for bit (O'Neill, *PCG*, HMC-CS-2014-0905).
+.uniform(0, 2*pi)``. Instead of building one generator per pair, the phases
+of every cluster's pairs are computed in one flat pass with elementwise
+integer arithmetic that reproduces NumPy's SeedSequence pool mixing and its
+PCG64 (XSL-RR) stream bit for bit (O'Neill, *PCG*, HMC-CS-2014-0905). The
+magnitudes of all pairs are likewise gathered in one pass, and the flat
+result is split into the per-cluster matrices at the end.
 """
 from __future__ import annotations
 
@@ -87,11 +89,11 @@ def noise_power_w(config: SystemConfig, bandwidth_hz: float | None = None) -> fl
 
 
 def _gain_block(distances: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Amplitude gains |H_ki| over a block of the scenario's center
-    distances, rows receiving.
+    """Amplitude gains |H_ki| over an array of the scenario's center
+    distances, elementwise (rows receiving for the full matrix).
 
     The boresight budget G_peak G_rx / L_fs bounds every entry, so checking
-    that it is finite keeps the whole block in floating-point range.
+    that it is finite keeps the whole array in floating-point range.
     """
     g_rx = 10.0 ** (RX_GAIN_DBI / 10.0)
     peak = _peak_gain(config) * g_rx
@@ -203,17 +205,17 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
                    inc_hi, inc_lo)
 
 
-def _pair_phases(seed: int, cluster_id: int, members) -> np.ndarray:
-    """(n, n) phases, entry [k, i] drawn as
-    ``default_rng(SeedSequence([seed, cluster_id, members[k], members[i])))
-    .uniform(0, 2*pi)``, bit for bit. Beam indices are below 2**32."""
-    beams = np.asarray(members, dtype=np.uint32)
-    shape = (beams.size, beams.size)
-    entropy = [np.full(shape, w, dtype=np.uint32)
-               for w in _uint32_words(seed) + _uint32_words(cluster_id)]
-    entropy += [np.broadcast_to(beams[:, None], shape),
-                np.broadcast_to(beams[None, :], shape)]
-    s_hi, s_lo, q_hi, q_lo = _pcg64_seed_words(_seed_pool(entropy))
+def _pair_phases(seed: int, cluster, rx, tx) -> np.ndarray:
+    """Flat phases, entry p drawn as ``default_rng(SeedSequence([seed,
+    cluster[p], rx[p], tx[p]])).uniform(0, 2*pi)``, bit for bit.
+
+    ``cluster``, ``rx`` and ``tx`` are equal-length uint32 arrays: a cluster
+    id or beam index below 2**32 is one entropy word, so every entry has the
+    same entropy length and one mixing pass serves them all.
+    """
+    entropy = [np.array([w], dtype=np.uint32) for w in _uint32_words(seed)]
+    s_hi, s_lo, q_hi, q_lo = _pcg64_seed_words(
+        _seed_pool(entropy + [cluster, rx, tx]))
     # PCG64 seeding: inc = 2q + 1, state = inc + s, then one step.
     inc_hi = (q_hi << _U64(1)) | (q_lo >> _U64(63))
     inc_lo = (q_lo << _U64(1)) | _U64(1)
@@ -227,26 +229,38 @@ def _pair_phases(seed: int, cluster_id: int, members) -> np.ndarray:
     return (x >> _U64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
 
 
-def build_cluster_channel(scenario: Scenario, cluster_id: int) -> np.ndarray:
-    """Read-only (Pi_j, Pi_j) complex amplitude gains H of one cluster, row =
-    receiving user, deterministic per (scenario, seed).
-
-    Magnitudes come from the gain model over the member beams only; phases
-    are uniform on [0, 2*pi), one independent stream per (seed, cluster, beam
-    pair).
-    """
-    if not 0 <= cluster_id < scenario.n_clusters:
-        raise ValidationError(f"unknown cluster id {cluster_id}")
-    members = scenario.clusters[cluster_id]
-    mags = _gain_block(scenario.distances[np.ix_(members, members)],
-                       scenario.system)
-    phases = _pair_phases(scenario.system.seed, cluster_id, members)
-    h = mags * np.exp(1j * phases)
-    if not np.isfinite(h).all():
-        raise ValidationError(f"cluster {cluster_id}: non-finite channel entries")
-    h.flags.writeable = False
-    return h
+def _cluster_pairs(clusters):
+    """Every cluster's (rx, tx) member pairs, cluster by cluster and
+    row-major, as flat uint32 arrays (cluster id, rx, tx)."""
+    beams = np.concatenate(clusters).astype(np.uint32)
+    sizes = np.array([len(m) for m in clusters])
+    pairs = sizes * sizes
+    cluster = np.repeat(np.arange(sizes.size, dtype=np.uint32), pairs)
+    # Pair q of cluster j is (member q // n_j, member q % n_j), members
+    # counted from the cluster's first position in ``beams``.
+    first = np.repeat(np.cumsum(sizes) - sizes, pairs)
+    q = np.arange(cluster.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    row, col = np.divmod(q, sizes[cluster])
+    return cluster, beams[first + row], beams[first + col]
 
 
 def build_all_cluster_channels(scenario: Scenario) -> list[np.ndarray]:
-    return [build_cluster_channel(scenario, j) for j in range(scenario.n_clusters)]
+    """Read-only (Pi_j, Pi_j) complex amplitude gains H of every cluster, in
+    cluster order, row = receiving user, deterministic per (scenario, seed).
+
+    Magnitudes come from the gain model over each cluster's member beams;
+    phases are uniform on [0, 2*pi), one independent stream per (seed,
+    cluster, beam pair). All clusters' pairs are built in one flat pass,
+    which is split into the matrices at the end.
+    """
+    cluster, rx, tx = _cluster_pairs(scenario.clusters)
+    mags = _gain_block(scenario.distances[rx, tx], scenario.system)
+    h = mags * np.exp(1j * _pair_phases(scenario.system.seed, cluster, rx, tx))
+    finite = np.isfinite(h)
+    if not finite.all():
+        raise ValidationError(
+            f"cluster {cluster[np.argmin(finite)]}: non-finite channel entries")
+    h.flags.writeable = False  # every view split off below is read-only too
+    sizes = [len(m) for m in scenario.clusters]
+    blocks = np.split(h, np.cumsum([n * n for n in sizes[:-1]]))
+    return [b.reshape(n, n) for b, n in zip(blocks, sizes)]

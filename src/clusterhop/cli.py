@@ -142,7 +142,8 @@ def _json_text(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         inner = indent + "  "
-        if any(isinstance(x, (dict, list, tuple)) for x in obj):
+        if any(issubclass(t, (dict, list, tuple))
+               for t in set(map(type, obj))):
             body = (",\n" + inner).join(_json_text(x, inner) for x in obj)
         else:
             body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]

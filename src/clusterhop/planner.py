@@ -23,10 +23,10 @@ keeps V psi and sum(psi) unchanged and needs no LP, and the search runs
 only on what is left. The LPs are over the normalized rows l_j / m_j,
 solved by the in-repo bounded-variable simplex; after the first, every LP
 restarts from the basis of the LP before it. A point is accepted only by
-the integer test, and an LP point outside its node's bounds is a
-SolverError. A row that does not factor is a ValidationError,
-and one with n_slot * max V_j above ``OBJECTIVE_GRID_CAP`` is a
-CapExceededError.
+the integer test, and an LP point outside its node's bounds, or a
+requirement count beyond int64, is a SolverError. A row that does not
+factor is a ValidationError, and one with n_slot * max V_j above
+``OBJECTIVE_GRID_CAP`` is a CapExceededError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
 ``greedy_plan`` rounds the root LP into a heuristic lower bound; both accept
 any supply matrix. Clusters with zero demand are excluded from the
@@ -234,8 +234,14 @@ def _thresholds(spacing, lo: Fraction, hi: Fraction):
 
 def _requirement(spacing, step, m_dem, g):
     """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
-    V psi >= k, and its normalized LP right-hand side step * k / m."""
-    k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
+    V psi >= k, and its normalized LP right-hand side step * k / m. A k_j
+    beyond int64 is a SolverError."""
+    try:
+        k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
+    except OverflowError:
+        raise SolverError(
+            "demands and supplies are too far apart in scale for int64 "
+            "requirement counts") from None
     return k, step * k / m_dem
 
 

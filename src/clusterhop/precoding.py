@@ -153,12 +153,10 @@ def beam_links(
     n_b = scenario.n_beams
     tau = noise_power_w(cfg)
     snir_lin = np.zeros(n_b)
-    se = np.zeros(n_b)
     for j, h in enumerate(channels):
         members = list(scenario.clusters[j])
-        gammas = snir(h, mmse_precoder(h, tau, cfg, n_b, j), tau)
-        snir_lin[members] = gammas
-        se[members] = dvbs2_efficiency(gammas, table)
+        snir_lin[members] = snir(h, mmse_precoder(h, tau, cfg, n_b, j), tau)
+    se = dvbs2_efficiency(snir_lin, table)
     return snir_lin, se, beam_capacity_bps(se, cfg)
 
 

@@ -446,6 +446,21 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     assert json.loads((out / "plan.json").read_text())["t"] == 0.0
 
 
+@pytest.mark.parametrize("bandwidth", [1e-30, 1e-200])
+def test_requirement_counts_beyond_int64_are_solver_error(tmp_path, capsys,
+                                                          bandwidth):
+    """A bandwidth this small puts the demands so far above the supplies
+    that the integer requirement counts k_j overflow int64."""
+    path = _reference_with(tmp_path, B_W_Hz=bandwidth)
+    out = tmp_path / "out"
+    rc = _run(["plan", "--scenario", path, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 6, err
+    assert err == ("error: solver: demands and supplies are too far apart in "
+                   "scale for int64 requirement counts\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [3e-9, 1e-10, 1e-11, 1e-12])
 def test_tiny_demand_scale_plans_or_is_solver_error(tmp_path, capsys, scale):
     """Demands far below the supplies make the LPs ill-conditioned. A run
