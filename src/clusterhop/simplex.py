@@ -3,9 +3,12 @@
 Solves   minimize c @ x   subject to   a @ x = b,   lower <= x <= upper,
 where upper bounds may be +inf (lower bounds must be finite). Inequality
 constraints are the caller's job (add slack/surplus columns). Pivoting uses
-Dantzig's rule with lowest-index tie-breaks, so the method is deterministic.
-It is not guaranteed finite: a phase that stalls stops at
-``_ITERATION_LIMIT`` pivots with a ``CapExceededError`` (exit 4).
+Dantzig's rule, and a tie goes to the lowest index only when two prices or
+ratios are exactly equal (or within ``_TOL``). In practice rounding decides
+most ties between equally good columns, so the pivot path, though
+deterministic, moves with the order of floating-point operations. The method
+is not guaranteed finite: a phase that stalls stops at ``_ITERATION_LIMIT``
+pivots with a ``CapExceededError`` (exit 4).
 
 A cold solve is the two-phase primal method: phase 1 drives one artificial
 column per row to zero, phase 2 optimizes ``c``. Every result but an
@@ -26,14 +29,22 @@ movable column can repair proves the LP infeasible, and the basis is still
 dual feasible, so the next LP of the chain can restart from it. Once the
 basis is primal feasible, the primal loop optimizes the new ``c``.
 
-Sized for the planner's instances (tens of rows, a few hundred columns). The
-solver keeps an explicit basis inverse and a boolean mask of the basic
-columns. Each basis change updates the inverse with one rank-1 product-form
-step (the eta matrix of the pivot). Every ``_REFACTOR_INTERVAL`` basis
-changes, at the start of a warm solve and before the final point of each
-phase is read, the inverse is recomputed from the basis columns so that
-rounding error from the updates cannot build up. Basic values, duals, pivot
-rows and the entering column all come from that inverse.
+The matrix is dense and the basis small: the planner's LPs have tens of
+rows and up to tens of thousands of columns (15,466 snapshot columns on the
+200-beam / 34-cluster / N_P=4 scenario). The solver keeps an explicit basis
+inverse and a boolean mask of the basic columns. Each basis change updates
+the inverse with one rank-1 product-form step (the eta matrix of the pivot).
+Every ``_REFACTOR_INTERVAL`` basis changes, at the start of a warm solve and
+before the final point of each phase is read, the inverse is recomputed from
+the basis columns so that rounding error from the updates cannot build up.
+Pivot rows, the entering column and the primal loop's prices come from that
+inverse. The basic values ``x_B``, and the dual loop's reduced costs, are
+carried from pivot to pivot instead (Koberstein 2005, ch. 3; Chvatal,
+*Linear Programming*, 1983, ch. 8): each step moves ``x_B`` along the
+entering column and puts the entering value in the leaving row, and the
+dual loop subtracts a multiple of the pivot row from the reduced costs. Both
+are recomputed from scratch at the start of each loop and after every fresh
+inversion, and the reduced costs also after the dual loop's cost shift.
 """
 from __future__ import annotations
 
@@ -120,7 +131,8 @@ class _Lp:
     def _pivot(self, basis, in_basis, at_upper, leave_pos, enter,
                leave_to_upper, w):
         """Swap column ``enter`` (with ``w = B^-1 a_enter``) into basis
-        position ``leave_pos`` and update the basis inverse."""
+        position ``leave_pos`` and update the basis inverse. Returns whether
+        the inverse was recomputed from scratch."""
         leaving = basis[leave_pos]
         basis[leave_pos] = enter
         in_basis[enter] = True
@@ -130,10 +142,12 @@ class _Lp:
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_INTERVAL:
             self._refactor(basis)
-        else:  # product-form update: B_new^-1 = E @ B^-1
-            pivot_row = self.binv[leave_pos] / w[leave_pos]
-            self.binv -= np.outer(w, pivot_row)
-            self.binv[leave_pos] = pivot_row
+            return True
+        # product-form update: B_new^-1 = E @ B^-1
+        pivot_row = self.binv[leave_pos] / w[leave_pos]
+        self.binv -= np.outer(w, pivot_row)
+        self.binv[leave_pos] = pivot_row
+        return False
 
     def _iterate(self, cost, basis, in_basis, at_upper):
         """Run the primal simplex loop; mutates basis/in_basis/at_upper and
@@ -141,15 +155,16 @@ class _Lp:
         tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
+        _, xb = self._basic_values(in_basis, at_upper)
         for _ in range(_ITERATION_LIMIT):
-            _, xb = self._basic_values(in_basis, at_upper)
             reduced = self._reduced_costs(cost, basis)
-            can_rise = ~in_basis & ~at_upper & (reduced < -tol)
-            can_fall = ~in_basis & at_upper & (reduced > tol)
-            eligible = np.flatnonzero(can_rise | can_fall)
+            # gain = |reduced| on the columns that may improve the objective
+            gain = np.where(at_upper, reduced, -reduced)
+            gain[basis] = 0.0
+            eligible = np.flatnonzero(gain > tol)
             if eligible.size == 0:
                 return OPTIMAL
-            enter = int(eligible[np.argmax(np.abs(reduced[eligible]))])
+            enter = int(eligible[np.argmax(gain[eligible])])
             direction = -1.0 if at_upper[enter] else 1.0
 
             w = self.binv @ self.a_ext[:, enter]
@@ -181,11 +196,15 @@ class _Lp:
             if not math.isfinite(step):
                 return UNBOUNDED
             self.pivots += 1
+            xb -= (direction * step) * w
             if leave_pos < 0:
                 at_upper[enter] = ~at_upper[enter]  # bound flip, basis unchanged
                 continue
-            self._pivot(basis, in_basis, at_upper, leave_pos, enter,
-                        leave_to_upper, w)
+            xb[leave_pos] = (upper[enter] - step if at_upper[enter]
+                             else lower[enter] + step)
+            if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
+                           leave_to_upper, w):
+                _, xb = self._basic_values(in_basis, at_upper)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
@@ -216,8 +235,9 @@ class _Lp:
         movable = self.upper - self.lower > tol  # fixed columns never enter
         degenerate_run = 0
         perturbed = False
+        _, xb = self._basic_values(in_basis, at_upper)
+        reduced = self._reduced_costs(cost, basis)
         for _ in range(_ITERATION_LIMIT):
-            _, xb = self._basic_values(in_basis, at_upper)
             above = xb - self.upper[basis]
             violation = np.maximum(self.lower[basis] - xb, above)
             rows = np.flatnonzero(violation > feas_tol)
@@ -225,6 +245,7 @@ class _Lp:
                 return OPTIMAL, cost
             if degenerate_run == _PERTURB_AFTER and not perturbed:
                 cost = self._perturbed(cost, in_basis, at_upper, movable)
+                reduced = self._reduced_costs(cost, basis)
                 perturbed = True
             rows = rows[violation[rows] == violation[rows].max()]
             leave_pos = int(rows[np.argmin(basis[rows])])  # lowest index
@@ -237,15 +258,23 @@ class _Lp:
                 & np.where(at_upper, alpha < -tol, alpha > tol))
             if eligible.size == 0:
                 return INFEASIBLE, cost
-            reduced = self._reduced_costs(cost, basis)
             ratios = np.maximum(reduced[eligible] / alpha[eligible], 0.0)
             step = ratios.min()
             enter = int(eligible[np.flatnonzero(ratios <= step + tol)[0]])
             self.pivots += 1
             degenerate_run = degenerate_run + 1 if step <= tol else 0
             w = self.binv @ self.a_ext[:, enter]
-            self._pivot(basis, in_basis, at_upper, leave_pos, enter,
-                        sigma > 0, w)
+            # Primal step: the leaving value lands on the bound it violates
+            # and the entering column takes row leave_pos.
+            theta = sigma * violation[leave_pos] / w[leave_pos]
+            xb -= theta * w
+            xb[leave_pos] = (self.upper if at_upper[enter]
+                             else self.lower)[enter] + theta
+            reduced -= (reduced[enter] / alpha[enter]) * alpha
+            if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
+                           sigma > 0, w):
+                _, xb = self._basic_values(in_basis, at_upper)
+                reduced = self._reduced_costs(cost, basis)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
