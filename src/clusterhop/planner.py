@@ -5,33 +5,33 @@ The core problem maximizes the worst offered/demanded ratio over clusters:
     max t   s.t.   sum_i psi_i * l_i >= t * m   (elementwise, demanded rows)
                    sum_i psi_i = n_slot,  psi_i nonnegative integers
 
-``solve_illumination`` solves it exactly, on integers. Every demanded supply
-row factors exactly as l_j = step_j * V_j with V_j nonnegative integers
-(a snapshot supply row is p_j times a 0/1 row), so every achievable
-objective is a multiple of some step_j / m_j, and a threshold g is the
-integer requirement V psi >= k with k_j = ceil(g * m_j / step_j). One LP
-branch-and-bound answers both of the solver's questions. It walks the
-thresholds downward in exact rational order from the root LP's bound, and
-decides each as a feasibility search (zero cost, stopping at the first
-integer point); the walk stops above the trivial witness, every slot on the
-last snapshot. Then, at the optimum's requirement, it minimizes psi_0,
-psi_1, ... in turn with the prefix fixed, which gives the lexicographically
-smallest optimal count vector. At each position, exact exchange moves find
-the smaller values and the search only proves them: when V is 0/1, slots
-of two columns move to two later columns with the same column sum, which
-keeps V psi and sum(psi) unchanged and needs no LP, and the search runs
-only on what is left. The LPs are over the normalized rows l_j / m_j,
-solved by the in-repo bounded-variable simplex; after the first, every LP
-restarts from the basis of the LP before it. A point is accepted only by
-the integer test, and an LP point outside its node's bounds, or a
-requirement count beyond int64, is a SolverError. A row that does not
-factor is a ValidationError, and one with n_slot * max V_j above
-``OBJECTIVE_GRID_CAP`` is a CapExceededError.
+The supply is the paper's snapshot supply, which ``IlpInstance`` checks: row
+j of l is p_j times a 0/1 row V_j (a snapshot's slot gives p_j to each
+cluster it lights). Any other row is a ValidationError, and an n_slot above
+``N_SLOT_CAP`` is a CapExceededError, whichever solver runs.
+
+``solve_illumination`` solves it exactly, on integers. Every achievable
+objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
+cluster in outage), and a threshold g is the integer requirement
+V psi >= k with k_j = ceil(g * m_j / step_j). One LP branch-and-bound
+answers both of the solver's questions. It walks the thresholds downward in
+exact rational order from the root LP's bound, and decides each as a
+feasibility search (zero cost, stopping at the first integer point); the
+walk stops above the trivial witness, every slot on the last snapshot. Then,
+at the optimum's requirement, it minimizes psi_0, psi_1, ... in turn with
+the prefix fixed, which gives the lexicographically smallest optimal count
+vector. At each position, exact exchange moves find the smaller values and
+the search only proves them: slots of two columns move to two later columns
+with the same column sum, which keeps V psi and sum(psi) unchanged and needs
+no LP, and the search runs only on what is left. The LPs are over the
+normalized rows l_j / m_j, solved by the in-repo bounded-variable simplex;
+after the first, every LP restarts from the basis of the LP before it. A
+point is accepted only by the integer test, and an LP point outside its
+node's bounds, or a requirement count beyond int64, is a SolverError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
-``greedy_plan`` rounds the root LP into a heuristic lower bound; both accept
-any supply matrix. Clusters with zero demand are excluded from the
-objective; they still receive whatever supply the chosen snapshots give
-them.
+``greedy_plan`` rounds the root LP into a heuristic lower bound. Clusters
+with zero demand are excluded from the objective; they still receive
+whatever supply the chosen snapshots give them.
 """
 from __future__ import annotations
 
@@ -51,14 +51,14 @@ STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
 
 DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
-OBJECTIVE_GRID_CAP = 10 ** 6  # largest multiple k_max = n_slot * max V_j of one row
+N_SLOT_CAP = 10 ** 6  # largest n_slot: the grid and slot loops are O(n_slot)
 _INT_TOL = 1e-7
 _SPLIT_MAX_ROWS = 12  # at most 2**11 candidate splits per exchange pair
 
 
 @dataclass(frozen=True)
 class IlpInstance:
-    l: np.ndarray  # (N_C, N_ss) supply per slot, bits
+    l: np.ndarray  # (N_C, N_ss) supply per slot, bits: p_j times a 0/1 row
     m: np.ndarray  # (N_C,) demand per window, bits
     n_slot: int
 
@@ -71,8 +71,16 @@ class IlpInstance:
             raise ValidationError("supplies and demands must be nonnegative")
         if not (np.isfinite(l).all() and np.isfinite(m).all()):
             raise ValidationError("supplies and demands must be finite")
+        row_max = l.max(axis=1, initial=0.0)[:, None]
+        bad = ((l != 0) & (l != row_max)).any(axis=1)
+        if bad.any():
+            raise ValidationError(f"supply row of cluster {int(bad.argmax())} "
+                                  "is not one value times a 0/1 row")
         if self.n_slot < 1:
             raise ValidationError("n_slot must be >= 1")
+        if self.n_slot > N_SLOT_CAP:
+            raise CapExceededError(
+                f"N_slot={self.n_slot} is above the cap {N_SLOT_CAP}")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
 
@@ -188,36 +196,6 @@ def _fractional_index(psi: np.ndarray):
 # ---------------------------------------------------------------------------
 # Integer thresholds
 
-def _factor_rows(l_dem, n_slot, clusters):
-    """Exact factorization l_dem == step[:, None] * V with V a nonnegative
-    int64 matrix: step_j is the common value of a row uniform on its support
-    (the snapshot-supply case), the gcd of an all-integer row, or 1 for an
-    all-zero row (a cluster in outage). Any other row is a ValidationError,
-    and a row whose largest multiple n_slot * max V_j exceeds
-    ``OBJECTIVE_GRID_CAP`` is a CapExceededError."""
-    step = np.ones(len(l_dem))
-    for j, row in enumerate(l_dem):
-        nz = row[row > 0]
-        if nz.size and (nz == nz[0]).all():
-            step[j] = nz[0]
-        elif (row == np.rint(row)).all():
-            step[j] = math.gcd(*map(int, nz)) or 1
-        else:
-            raise ValidationError(
-                f"supply row of cluster {clusters[j]} is neither uniform on its "
-                "support nor integer; the exact planner needs a value lattice"
-            )
-    v = l_dem / step[:, None]  # exact: every entry is a multiple of its step
-    for j, v_max in enumerate(v.max(axis=1)):
-        k_max = n_slot * int(v_max)
-        if k_max > OBJECTIVE_GRID_CAP:
-            raise CapExceededError(
-                f"objective grid of cluster {clusters[j]} has {k_max} steps, "
-                f"above the cap {OBJECTIVE_GRID_CAP} (N_slot={n_slot})"
-            )
-    return step, v.astype(np.int64)
-
-
 def _exact_t(v, spacing, psi) -> Fraction:
     """Exact objective of an integer count vector: cluster j is offered
     (V_j psi) * spacing_j times its demand."""
@@ -312,11 +290,11 @@ def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
 def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     """Exact max-min plan; the lexicographically smallest optimal counts.
 
-    Raises InfeasibleError when there is no snapshot at all, ValidationError
-    when a demanded supply row does not factor as step_j * V_j, and
-    CapExceededError when n_slot * max V_j exceeds ``OBJECTIVE_GRID_CAP``.
-    When every cluster demand is zero the ratio objective is undefined: the
-    plan spreads slots uniformly, reports t = inf and status 'heuristic'.
+    Reads demanded row j as p_j = max(l_j) times V_j = (l_j > 0), the shape
+    ``IlpInstance`` guarantees, as it guarantees n_slot <= ``N_SLOT_CAP``.
+    Raises InfeasibleError when there is no snapshot at all. When every
+    cluster demand is zero the ratio objective is undefined: the plan
+    spreads slots uniformly, reports t = inf and status 'heuristic'.
     """
     _require_snapshots(instance)
     demanded = instance.m > 0
@@ -329,7 +307,9 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     l_dem = instance.l[demanded]
     m_dem = instance.m[demanded]
     a = l_dem / m_dem[:, None]
-    step, v = _factor_rows(l_dem, n_slot, np.flatnonzero(demanded))
+    v = (l_dem > 0).astype(np.int64)
+    step = l_dem.max(axis=1)
+    step[step == 0] = 1.0  # a cluster in outage
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
     t_lp, _ = _root_lp(a, n_slot)
@@ -369,7 +349,7 @@ def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
     an integer completion meeting the requirement. The incumbent 'witness'
     certifies feasibility of each fixed prefix, so only positions where it
     is nonzero need work. At such a position i, exact exchange moves
-    (``_exchange_down``, when v is 0/1) first lower witness_i without an LP;
+    (``_exchange_down``) first lower witness_i without an LP;
     then ``_branch_and_bound`` with a one-hot cost proves that no smaller
     value exists, and runs only if witness_i > 0 is left. Each search
     restarts from the basis of the LP solved before it, ``warm`` at first.
@@ -378,9 +358,9 @@ def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
     n_ss = len(witness)
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
-    masks = _column_masks(v) if v.max() <= 1 else None
+    masks = _column_masks(v)
     for i in range(n_ss):
-        if witness[i] > 0 and masks is not None:
+        if witness[i] > 0:
             _exchange_down(witness, i, *masks)
         if witness[i] > 0:
             cost = np.zeros(n_ss)
@@ -518,11 +498,10 @@ def brute_force_plan(instance: IlpInstance,
 
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
-    """LP-rounding heuristic, a lower bound on the optimum for any supply
-    matrix: floor the root LP's counts, hand out the remaining slots one by
-    one, each to the snapshot that lifts the worst offered/demand ratio the
-    most (ties to the lowest snapshot index), then hill-climb with
-    single-slot moves."""
+    """LP-rounding heuristic, a lower bound on the optimum: floor the root
+    LP's counts, hand out the remaining slots one by one, each to the
+    snapshot that lifts the worst offered/demand ratio the most (ties to the
+    lowest snapshot index), then hill-climb with single-slot moves."""
     _require_snapshots(instance)
     demanded = instance.m > 0
     n_ss = instance.n_snapshots

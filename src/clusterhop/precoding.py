@@ -26,7 +26,8 @@ _THRESHOLD_GUARD_DB = 1e-9
 
 @dataclass(frozen=True)
 class Dvbs2Table:
-    """MODCOD thresholds (dB) and spectral efficiencies, both strictly rising."""
+    """MODCOD thresholds (dB) and spectral efficiencies, both finite and
+    strictly rising; the efficiencies are nonnegative."""
 
     thresholds_db: np.ndarray
     se_bits_per_symbol: np.ndarray
@@ -35,6 +36,11 @@ class Dvbs2Table:
         t, se = self.thresholds_db, self.se_bits_per_symbol
         if t.ndim != 1 or t.shape != se.shape or t.size == 0:
             raise ValidationError("MODCOD table must be two equal-length columns")
+        if not np.isfinite(t).all():
+            raise ValidationError("MODCOD threshold_db must be finite")
+        if not (np.isfinite(se).all() and (se >= 0).all()):
+            raise ValidationError(
+                "MODCOD se_bits_per_symbol must be finite and nonnegative")
         if not (np.diff(t) > 0).all():
             raise ValidationError("MODCOD thresholds must be strictly increasing")
         if not (np.diff(se) > 0).all():

@@ -116,6 +116,13 @@ def ref_field(ref_scenario):
     return channel.build_beam_field(ref_scenario)
 
 
+def random_snapshot_supply(rng, n_c: int, n_ss: int) -> np.ndarray:
+    """A random supply of snapshot shape: row j is p_j, an integer from 0 to
+    5 (0 is a cluster in outage), times a random 0/1 row."""
+    p = rng.integers(0, 6, size=n_c)
+    return (p[:, None] * rng.integers(0, 2, size=(n_c, n_ss))).astype(float)
+
+
 def brute_force_valid_snapshots(adjacency: np.ndarray, n_p: int) -> list[tuple]:
     """Independent oracle: test every size-n_p combination directly."""
     import itertools

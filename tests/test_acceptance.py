@@ -14,7 +14,7 @@ from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set, enumerate_valid_snapshots
 
-from conftest import brute_force_valid_snapshots
+from conftest import brute_force_valid_snapshots, random_snapshot_supply
 
 
 def _report(criterion, message):
@@ -48,7 +48,7 @@ def test_criterion_02_ilp_matches_brute_force():
         n_c = int(rng.integers(1, 5))
         n_ss = int(rng.integers(1, 7))
         n_slot = int(rng.integers(1, 13))
-        l = rng.integers(0, 6, size=(n_c, n_ss)).astype(float)
+        l = random_snapshot_supply(rng, n_c, n_ss)
         m = rng.integers(0, 9, size=n_c).astype(float)
         if not (m > 0).any():
             continue
@@ -75,7 +75,7 @@ def test_criterion_03_sequence_and_count_formulations_agree():
         n_c = int(rng.integers(1, 4))
         n_ss = int(rng.integers(1, 5))
         n_slot = int(rng.integers(1, 7))
-        l = rng.integers(0, 5, size=(n_c, n_ss)).astype(float)
+        l = random_snapshot_supply(rng, n_c, n_ss)
         m = rng.integers(1, 7, size=n_c).astype(float)
         best = None
         for seq in itertools.product(range(n_ss), repeat=n_slot):

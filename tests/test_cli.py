@@ -312,6 +312,25 @@ def test_custom_dvbs2_table(tmp_path, toy_file):
     assert ses == {1.5}
 
 
+@pytest.mark.parametrize("row, column", [("nan,1.0", "threshold_db"),
+                                         ("-100,inf", "se_bits_per_symbol"),
+                                         ("-100,-0.5", "se_bits_per_symbol")])
+def test_non_finite_or_negative_modcod_entry_is_refused(tmp_path, toy_file,
+                                                        capsys, row, column):
+    """A one-row table passes both monotonicity checks, so a NaN threshold
+    gave a t = 0 'optimal' plan, and an infinite or negative efficiency gave
+    infinite or negative capacities."""
+    table = tmp_path / "table.csv"
+    table.write_text(f"threshold_db,se_bits_per_symbol\n{row}\n")
+    out = tmp_path / "out"
+    rc = _run(["capacity", "--scenario", toy_file, "--out", out,
+               "--dvbs2-table", table])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: validate: MODCOD {column} must be finite")
+    assert not out.exists()
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -444,6 +463,18 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     lines = (out / "capacity_beams.csv").read_text().splitlines()[1:]
     assert {line.split(",", 3)[3] for line in lines} == {"0.0,0.0"}
     assert json.loads((out / "plan.json").read_text())["t"] == 0.0
+
+
+@pytest.mark.parametrize("solver", ["ilp", "greedy"])
+def test_n_slot_above_the_cap_is_refused_by_every_solver(tmp_path, capsys,
+                                                         solver):
+    path = _reference_with(tmp_path, N_slot=10 ** 6 + 1)
+    out = tmp_path / "out"
+    rc = _run(["plan", "--scenario", path, "--out", out, "--solver", solver])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: cap-exceeded: N_slot=1000001 is above")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bandwidth", [1e-30, 1e-200])

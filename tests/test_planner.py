@@ -12,6 +12,8 @@ from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
                                 greedy_plan, lp_relaxation_bound,
                                 solve_illumination)
 
+from conftest import random_snapshot_supply
+
 
 def exact_min_ratio(instance, psi):
     """Rational objective value of an integer count vector (integer data)."""
@@ -28,7 +30,7 @@ def random_integer_instance(rng, max_cols=6, max_slots=12):
     n_c = int(rng.integers(1, 5))
     n_ss = int(rng.integers(1, max_cols + 1))
     n_slot = int(rng.integers(1, max_slots + 1))
-    l = rng.integers(0, 6, size=(n_c, n_ss)).astype(float)
+    l = random_snapshot_supply(rng, n_c, n_ss)
     m = rng.integers(0, 9, size=n_c).astype(float)
     return IlpInstance(l=l, m=m, n_slot=n_slot)
 
@@ -173,10 +175,11 @@ def test_brute_force_respects_cap():
 
 
 def test_brute_force_single_slot():
-    l = np.array([[1.0, 3.0], [2.0, 1.0]])
-    inst = IlpInstance(l=l, m=np.array([1.0, 1.0]), n_slot=1)
+    l = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
+    inst = IlpInstance(l=l, m=np.array([1.0, 1.0, 0.0]), n_slot=1)
     plan = brute_force_plan(inst)
-    # both columns reach min ratio 1; (0,1) precedes (1,0) lexicographically
+    # both columns reach min ratio 1 (they differ only on the undemanded
+    # cluster); (0,1) precedes (1,0) lexicographically
     assert plan.psi.tolist() == [0, 1]
     assert plan.t == pytest.approx(1.0)
 
@@ -192,7 +195,7 @@ def test_column_permutation_keeps_objective():
 
 
 def test_greedy_concentrates_on_dominant():
-    l = np.array([[3.0, 1.0], [3.0, 1.0]])
+    l = np.array([[3.0, 0.0], [3.0, 3.0]])
     inst = IlpInstance(l=l, m=np.array([2.0, 2.0]), n_slot=5)
     plan = greedy_plan(inst)
     assert plan.psi.tolist() == [5, 0]
@@ -236,7 +239,7 @@ def test_ordered_sequences_equal_count_vectors():
         n_c = int(rng.integers(1, 4))
         n_ss = int(rng.integers(1, 5))
         n_slot = int(rng.integers(1, 7))
-        l = rng.integers(0, 5, size=(n_c, n_ss)).astype(float)
+        l = random_snapshot_supply(rng, n_c, n_ss)
         m = rng.integers(1, 7, size=n_c).astype(float)
         inst = IlpInstance(l=l, m=m, n_slot=n_slot)
         best = None
@@ -296,14 +299,25 @@ def test_demanded_zero_supply_row_gives_zero_t():
     assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist()
 
 
-def test_non_lattice_row_is_rejected():
+def test_non_snapshot_row_is_rejected():
+    # each row is compared exactly with its own maximum; the error names the
+    # first cluster whose row is not one value times a 0/1 row
     for row in ([0.5, 0.7], [1.0, 1.0 + 1e-12]):
-        inst = IlpInstance(l=np.array([row]), m=np.array([1.0]), n_slot=3)
-        with pytest.raises(ValidationError, match="cluster 0"):
-            solve_illumination(inst)
-        plan = brute_force_plan(inst)
-        assert plan.psi.tolist() == [0, 3]
-        assert greedy_plan(inst).psi.sum() == 3
+        with pytest.raises(ValidationError, match="cluster 0 "):
+            IlpInstance(l=np.array([row]), m=np.array([1.0]), n_slot=3)
+        with pytest.raises(ValidationError, match="cluster 1 "):
+            IlpInstance(l=np.array([[2.0, 0.0], row, row]), m=np.ones(3),
+                        n_slot=3)
+
+
+def test_n_slot_cap_bounds_every_solver(monkeypatch):
+    monkeypatch.setattr(planner, "N_SLOT_CAP", 5)
+    inst = IlpInstance(l=np.eye(2), m=np.array([2.0, 3.0]), n_slot=5)
+    for plan in (solve_illumination(inst), greedy_plan(inst),
+                 brute_force_plan(inst)):
+        assert plan.psi.tolist() == [2, 3]
+    with pytest.raises(CapExceededError, match="N_slot=6 "):
+        IlpInstance(l=np.eye(2), m=np.array([2.0, 3.0]), n_slot=6)
 
 
 def _fraction_optimum(l, m, n_slot):
@@ -363,17 +377,6 @@ def test_near_tie_demands_match_fraction_oracle():
 def test_non_finite_instance_is_rejected(l, m):
     with pytest.raises(ValidationError, match="finite"):
         IlpInstance(l=np.array(l), m=np.array(m), n_slot=2)
-
-
-def test_integer_row_lattice_step_is_gcd():
-    # grid {0, 2e6, 4e6}: the step is gcd(2e6, 4e6), not 1
-    inst = IlpInstance(l=np.array([[2e6, 4e6]]), m=np.array([1.0]), n_slot=1)
-    plan = solve_illumination(inst)
-    assert plan.t == 4e6
-    assert plan.psi.tolist() == [0, 1]
-    oracle = brute_force_plan(inst)
-    assert oracle.t == plan.t
-    assert oracle.psi.tolist() == plan.psi.tolist()
 
 
 def test_expand_even_interleave():
