@@ -159,21 +159,29 @@ def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     return float(res.x[n_ss]), res.x[:n_ss]
 
 
-def _lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
-    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot.
-
-    Returns ((objective, psi) or None when infeasible, restart point). The
-    LP restarts from ``warm``, the restart point of an earlier LP of this
-    form over the same ``a``, when one is given."""
+def _requirement_rows(a: np.ndarray) -> np.ndarray:
+    """The requirement LPs' equality rows [[a, -I], [1, 0]] over (psi,
+    surplus per demanded row), read-only: built once per solve, so every LP
+    of the chain shares one matrix."""
     n_dem, n_ss = a.shape
-    n_var = n_ss + n_dem
-    rows = np.zeros((n_dem + 1, n_var))
-    rhs = np.zeros(n_dem + 1)
+    rows = np.zeros((n_dem + 1, n_ss + n_dem))
     rows[:n_dem, :n_ss] = a
     rows[:n_dem, n_ss:] = -np.eye(n_dem)
-    rhs[:n_dem] = rhs_req
     rows[n_dem, :n_ss] = 1.0
-    rhs[n_dem] = n_slot
+    rows.flags.writeable = False
+    return rows
+
+
+def _lp_over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
+    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot, over
+    ``rows = _requirement_rows(a)``.
+
+    Returns ((objective, psi) or None when infeasible, restart point). The
+    LP restarts from ``warm``, the restart point of an earlier LP over the
+    same ``rows``, when one is given."""
+    n_dem = rows.shape[0] - 1
+    n_ss = rows.shape[1] - n_dem
+    rhs = np.append(rhs_req, float(n_slot))
     cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
@@ -226,7 +234,7 @@ def _requirement(spacing, step, m_dem, g):
 # ---------------------------------------------------------------------------
 # Exact integer search
 
-def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
+def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
                       best_psi, warm):
     """Exact integer minimum of the 0/1 objective cost @ psi over count
     vectors with v @ psi >= k, sum(psi) = n_slot and lb <= psi <= ub, if it
@@ -235,7 +243,8 @@ def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
     integer point does better.
 
     Depth-first LP branch-and-bound, down-branch first. The LPs relax the
-    requirement as a @ psi >= rhs_req, its normalized form; the root LP
+    requirement as a @ psi >= rhs_req, its normalized form, over
+    ``rows = _requirement_rows(a)``; the root LP
     restarts from ``warm`` and every child from its parent's basis. A node
     is pruned once the ceiling of an LP value bounding it reaches
     ``best_val``, and the search stops when ``best_val`` reaches its floor
@@ -251,8 +260,8 @@ def _branch_and_bound(a, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
             continue
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        lp, warm = _lp_over_requirements(a, rhs_req, n_slot, nlb, nub, cost,
-                                         parent)
+        lp, warm = _lp_over_requirements(rows, rhs_req, n_slot, nlb, nub,
+                                         cost, parent)
         if lp is None:
             continue
         val_lp, psi_lp = lp
@@ -313,6 +322,7 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
     t_lp, _ = _root_lp(a, n_slot)
+    rows = _requirement_rows(a)
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -330,18 +340,19 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     zero_cost = np.zeros(n_ss)
     for g in _thresholds(spacing, best_t, t_top):
         k, rhs_req = _requirement(spacing, step, m_dem, g)
-        _, psi_g, warm = _branch_and_bound(a, rhs_req, v, k, n_slot, lb0, ub0,
-                                           zero_cost, 1, None, warm)
+        _, psi_g, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb0,
+                                           ub0, zero_cost, 1, None, warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
 
     k, rhs_req = _requirement(spacing, step, m_dem, best_t)
-    best_psi = _lex_smallest_optimal(a, rhs_req, v, k, best_psi, n_slot, warm)
+    best_psi = _lex_smallest_optimal(rows, rhs_req, v, k, best_psi, n_slot,
+                                     warm)
     return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
 
 
-def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
+def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
     """Among count vectors meeting v @ psi >= k, the optimum's requirement,
     the lexicographically smallest.
 
@@ -365,8 +376,8 @@ def _lex_smallest_optimal(a, rhs_req, v, k, witness, n_slot, warm):
         if witness[i] > 0:
             cost = np.zeros(n_ss)
             cost[i] = 1.0
-            _, witness, warm = _branch_and_bound(a, rhs_req, v, k, n_slot, lb,
-                                                 ub, cost, int(witness[i]),
+            _, witness, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot,
+                                                 lb, ub, cost, int(witness[i]),
                                                  witness, warm)
         lb[i] = ub[i] = float(witness[i])
     return witness

@@ -96,7 +96,8 @@ def mmse_precoder(h: np.ndarray, tau: float, config: SystemConfig,
     if not peak > 0:  # underflow: beta would be inf and every SNIR NaN
         raise ValidationError(
             f"cluster {cluster_id}: MMSE feed powers underflow to "
-            f"{float(peak)!r}; P_T_W and T_sys_K put the link budget out of "
+            f"{float(peak)!r}; P_T_W, B_W_Hz and T_sys_K (the noise power "
+            "k_B * T_sys_K * B_W_Hz) put the link budget out of "
             "floating-point range"
         )
     return math.sqrt(p / peak) * w_hat
@@ -175,7 +176,13 @@ def cluster_capacities(
     supplies p, from one MMSE precoder per cluster."""
     snir_lin, se, r = beam_links(scenario, channels, table)
     c = cluster_sums(r, scenario.clusters)
-    p = scenario.system.t_slot_s * c
+    t_slot_s, c_max = scenario.system.t_slot_s, float(c.max())
+    if not math.isfinite(t_slot_s * c_max):
+        raise ValidationError(
+            f"system: T_slot_s = {t_slot_s!r} puts the per-slot supply "
+            f"T_slot_s * c out of floating-point range (largest c = {c_max!r}"
+            " bps)")
+    p = t_slot_s * c
     for a in (snir_lin, se, r, c, p):
         a.flags.writeable = False
     return CapacityVector(snir_beam=snir_lin, se_beam=se, r_beam_bps=r,

@@ -121,6 +121,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     centers, demands = _parse_beams(doc["beams"])
     clusters = _parse_clusters(doc["clusters"], len(demands))
     system = _parse_system(doc["system"])
+    _check_window_demand(system, demands, clusters)
 
     distances = center_distances(centers)  # also read by the channel model
     badj = beam_adjacency(distances)  # also read by both benchmark schemes
@@ -256,6 +257,25 @@ def _parse_system(raw) -> SystemConfig:
     if cfg.seed < 0:
         raise ValidationError("system: seed must be >= 0")
     return cfg
+
+
+def _check_window_demand(system: SystemConfig, demands, clusters) -> None:
+    """Each cluster's demand d and window demand N_slot * T_slot_s * d must
+    be floats; the per-slot supply T_slot_s * c is checked once c is
+    known (``precoding.cluster_capacities``)."""
+    with np.errstate(over="ignore"):
+        d = cluster_sums(demands, clusters)
+    if not np.isfinite(d).all():
+        raise ValidationError(f"cluster {int(np.isinf(d).argmax())}: its beam "
+                              "demands sum beyond floating-point range")
+    try:
+        window = system.hopping_window_s * float(d.max())
+    except OverflowError:  # an N_slot too large for a float
+        window = math.inf
+    if not math.isfinite(window):
+        raise ValidationError(
+            "system: T_slot_s and N_slot put the window demand "
+            "N_slot * T_slot_s * d out of floating-point range")
 
 
 def center_distances(centers: np.ndarray) -> np.ndarray:

@@ -12,39 +12,51 @@ pivots with a ``CapExceededError`` (exit 4).
 
 A cold solve is the two-phase primal method: phase 1 drives one artificial
 column per row to zero, phase 2 optimizes ``c``. Every result but an
-unbounded one carries a ``WarmStart``: the artificial signs, the basis, the
-nonbasic columns at their upper bound and the cost under which that basis
-is dual feasible. An LP of the same shape that differs in ``c``, ``b`` or
-the bounds can restart from it (Koberstein, *The dual simplex method*,
-2005): the artificials are fixed at zero, boxed nonbasic columns whose
-reduced cost points the other way move to their other bound, and a bounded
-dual simplex under the old cost pivots until every basic value is within
-its bounds. It picks the leaving row with the largest bound violation and
-the entering column with the smallest ratio of reduced cost to pivot-row
-entry, both with lowest-index ties. After a run of ``_PERTURB_AFTER``
-zero-length dual steps it shifts the cost of every movable nonbasic column
-toward its bound by a distinct amount of about ``_DUAL_PERTURBATION``, once
-per solve, which keeps the basis dual feasible. A violated row that no
-movable column can repair proves the LP infeasible, and the basis is still
-dual feasible, so the next LP of the chain can restart from it. Once the
-basis is primal feasible, the primal loop optimizes the new ``c``.
+unbounded one carries a ``WarmStart``: the matrix extended by the
+sign-matched artificial columns, ``[A | diag(signs)]`` (built once by the
+chain's cold solve and shared, read-only, by every LP after it), the basis,
+the nonbasic columns at their upper bound, the cost under which that basis
+is dual feasible, and the basis inverse when the LP ended on a fresh
+inversion. An LP with the same matrix that differs in ``c``, ``b`` or the
+bounds can restart from it (Koberstein, *The dual simplex method*, 2005);
+another matrix is a ValueError. The artificials are fixed at zero, boxed
+nonbasic columns whose reduced cost points the other way move to their
+other bound, and a bounded dual simplex under the old cost pivots until
+every basic value is within its bounds. It picks the leaving row with the
+largest bound violation and the entering column with the smallest ratio of
+reduced cost to pivot-row entry, both with lowest-index ties. After a run
+of ``_PERTURB_AFTER`` zero-length dual steps it shifts the cost of every
+movable nonbasic column toward its bound by a distinct amount of about
+``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
+feasible. A violated row that no movable column can repair proves the LP
+infeasible, and the basis is still dual feasible, so the next LP of the
+chain can restart from it. Once the basis is primal feasible, the primal
+loop optimizes the new ``c``.
 
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
 200-beam / 34-cluster / N_P=4 scenario). The solver keeps an explicit basis
 inverse and a boolean mask of the basic columns. Each basis change updates
 the inverse with one rank-1 product-form step (the eta matrix of the pivot).
-Every ``_REFACTOR_INTERVAL`` basis changes, at the start of a warm solve and
-before the final point of each phase is read, the inverse is recomputed from
-the basis columns so that rounding error from the updates cannot build up.
-Pivot rows, the entering column and the primal loop's prices come from that
-inverse. The basic values ``x_B``, and the dual loop's reduced costs, are
-carried from pivot to pivot instead (Koberstein 2005, ch. 3; Chvatal,
-*Linear Programming*, 1983, ch. 8): each step moves ``x_B`` along the
-entering column and puts the entering value in the leaving row, and the
-dual loop subtracts a multiple of the pivot row from the reduced costs. Both
-are recomputed from scratch at the start of each loop and after every fresh
-inversion, and the reduced costs also after the dual loop's cost shift.
+Every ``_REFACTOR_INTERVAL`` basis changes, and before the final point of
+each phase is read, the inverse is recomputed from the basis columns so
+that rounding error from the updates cannot build up. So an optimal LP, and
+a phase 1 that proves infeasibility, end on a fresh inversion of their
+final basis, and the restart point carries it. A warm solve starts from a
+copy of that inverse. The copy is bit for bit what inverting the same
+columns of the same matrix again would give, so the restart takes exactly
+the pivots of one that inverts its basis itself. After a dual-loop
+infeasibility the inverse carries updates; no inverse is carried then, and
+the restart inverts its basis. Pivot rows, the entering column and the
+primal loop's prices come from the inverse. The basic values ``x_B``, and
+the dual loop's reduced costs, are carried from pivot to pivot instead
+(Koberstein 2005, ch. 3; Chvatal, *Linear Programming*, 1983, ch. 8): each
+step moves ``x_B`` along the entering column and puts the entering value in
+the leaving row, and the dual loop subtracts a multiple of the pivot row
+from the reduced costs. Both are recomputed from scratch at the start of
+each loop and after every fresh inversion, and the reduced costs also after
+the dual loop's cost shift. The dual loop's first reduced costs are those
+the warm start's sign check computed from the same inverse.
 """
 from __future__ import annotations
 
@@ -69,13 +81,19 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the shifts so none tie
 
 @dataclass(frozen=True)
 class WarmStart:
-    """A basis to restart from: artificial-column signs, basic columns,
-    nonbasic columns at their upper bound, and the extended cost vector
-    (real columns then artificials) under which the basis is dual feasible."""
-    signs: np.ndarray
+    """A basis to restart from: the LP's matrix ``a`` and its extension
+    ``a_ext = [a | diag(signs)]`` by the sign-matched artificial columns,
+    basic columns, nonbasic columns at their upper bound, the extended cost
+    vector (real columns then artificials) under which the basis is dual
+    feasible, and the basis inverse when the LP ended on a fresh inversion
+    (None after a dual-loop infeasibility). Nothing here is written to; a
+    restart copies what it changes."""
+    a: np.ndarray
+    a_ext: np.ndarray
     basis: np.ndarray
     at_upper: np.ndarray
     cost: np.ndarray
+    binv: np.ndarray | None
 
 
 @dataclass
@@ -102,10 +120,10 @@ class _Lp:
         if (self.upper < self.lower - _TOL).any():
             raise ValueError("upper bound below lower bound")
 
-    def _extend(self, signs, artificial_upper):
-        """Append one artificial column per row, sign-matched to the row."""
-        self.signs = signs
-        self.a_ext = np.hstack([self.a, np.diag(signs)])
+    def _extend(self, a_ext, artificial_upper):
+        """Take ``a_ext``, the matrix with one artificial column per row
+        appended, and bound the artificials."""
+        self.a_ext = a_ext
         self.lower = np.concatenate([self.lower, np.zeros(self.m)])
         self.upper = np.concatenate(
             [self.upper, np.full(self.m, artificial_upper)])
@@ -161,10 +179,9 @@ class _Lp:
             # gain = |reduced| on the columns that may improve the objective
             gain = np.where(at_upper, reduced, -reduced)
             gain[basis] = 0.0
-            eligible = np.flatnonzero(gain > tol)
-            if eligible.size == 0:
+            enter = int(np.argmax(gain))  # the first largest gain
+            if not gain[enter] > tol:
                 return OPTIMAL
-            enter = int(eligible[np.argmax(gain[eligible])])
             direction = -1.0 if at_upper[enter] else 1.0
 
             w = self.binv @ self.a_ext[:, enter]
@@ -218,9 +235,10 @@ class _Lp:
         return cost + np.where(at_upper, -shift, shift) * (
             movable & ~in_basis) * spread
 
-    def _dual_iterate(self, cost, basis, in_basis, at_upper):
+    def _dual_iterate(self, cost, reduced, basis, in_basis, at_upper):
         """Run the bounded dual simplex loop under ``cost``, whose reduced
-        costs must already have the right sign at every nonbasic column.
+        costs ``reduced`` (updated in place) must already have the right
+        sign at every nonbasic column.
         Pivots until every basic value lies within its bounds (OPTIMAL) or a
         violated row cannot be repaired (INFEASIBLE); returns the status and
         the cost under which the final basis is dual feasible.
@@ -236,10 +254,11 @@ class _Lp:
         degenerate_run = 0
         perturbed = False
         _, xb = self._basic_values(in_basis, at_upper)
-        reduced = self._reduced_costs(cost, basis)
+        lower_b = self.lower[basis]  # the basic columns' bounds, by row
+        upper_b = self.upper[basis]
         for _ in range(_ITERATION_LIMIT):
-            above = xb - self.upper[basis]
-            violation = np.maximum(self.lower[basis] - xb, above)
+            above = xb - upper_b
+            violation = np.maximum(lower_b - xb, above)
             rows = np.flatnonzero(violation > feas_tol)
             if rows.size == 0:
                 return OPTIMAL, cost
@@ -271,6 +290,8 @@ class _Lp:
             xb[leave_pos] = (self.upper if at_upper[enter]
                              else self.lower)[enter] + theta
             reduced -= (reduced[enter] / alpha[enter]) * alpha
+            lower_b[leave_pos] = self.lower[enter]
+            upper_b[leave_pos] = self.upper[enter]
             if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
                            sigma > 0, w):
                 _, xb = self._basic_values(in_basis, at_upper)
@@ -288,6 +309,9 @@ class _Lp:
     def _result(self, status, x=None, objective=None, warm=None):
         return LpResult(status, x, objective, self.pivots, warm)
 
+    def _warm(self, basis, at_upper, cost, binv):
+        return WarmStart(self.a, self.a_ext, basis, at_upper, cost, binv)
+
     def _optimize(self, basis, in_basis, at_upper):
         """Primal phase from a primal-feasible basis with the artificials
         pinned at zero."""
@@ -298,19 +322,22 @@ class _Lp:
         x = self._final_values(basis, in_basis, at_upper)
         xs = x[: self.n]
         return self._result(OPTIMAL, xs, float(self.c @ xs),
-                            WarmStart(self.signs, basis, at_upper, cost))
+                            self._warm(basis, at_upper, cost, self.binv))
 
     def solve(self):
         # Phase 1: artificials sized to the residual at the all-lower point.
         x0 = self.lower.copy()
         resid = self.b - self.a @ x0
-        self._extend(np.where(resid >= 0, 1.0, -1.0), np.inf)
+        signs = np.where(resid >= 0, 1.0, -1.0)
+        a_ext = np.hstack([self.a, np.diag(signs)])
+        a_ext.flags.writeable = False  # shared by every warm LP of the chain
+        self._extend(a_ext, np.inf)
         cols = self.n + self.m
         basis = np.arange(self.n, cols)
         in_basis = np.zeros(cols, dtype=bool)
         in_basis[basis] = True
         at_upper = np.zeros(cols, dtype=bool)
-        self.binv = np.diag(self.signs)  # inverse of the artificial basis
+        self.binv = np.diag(signs)  # inverse of the artificial basis
 
         phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
         status = self._iterate(phase1_cost, basis, in_basis, at_upper)
@@ -319,8 +346,8 @@ class _Lp:
         x = self._final_values(basis, in_basis, at_upper)
         feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
         if x[self.n:].sum() > feas_tol:
-            return self._result(INFEASIBLE, warm=WarmStart(
-                self.signs, basis, at_upper, phase1_cost))
+            return self._result(INFEASIBLE, warm=self._warm(
+                basis, at_upper, phase1_cost, self.binv))
 
         # Phase 2: pin artificials at zero and optimize the real objective.
         self.upper[self.n:] = 0.0
@@ -331,12 +358,17 @@ class _Lp:
         boxed columns to the other bound, run the dual simplex under the
         warm cost until the basis is primal feasible for this LP's bounds
         and right-hand side, then the primal simplex under this LP's cost."""
-        self._extend(warm.signs, 0.0)
+        if warm.a is not self.a and not np.array_equal(warm.a, self.a):
+            raise ValueError("a warm start needs the LP's own matrix")
+        self._extend(warm.a_ext, 0.0)
         basis = warm.basis.copy()
         in_basis = np.zeros(self.n + self.m, dtype=bool)
         in_basis[basis] = True
         at_upper = warm.at_upper.copy()
-        self._refactor(basis)
+        if warm.binv is None:
+            self._refactor(basis)
+        else:
+            self.binv = warm.binv.copy()
         reduced = self._reduced_costs(warm.cost, basis)
         wrong = ~in_basis & np.where(at_upper, reduced > _TOL,
                                      reduced < -_TOL)
@@ -345,11 +377,11 @@ class _Lp:
             raise SolverError(
                 "warm start is not dual feasible: a column without an upper "
                 "bound has a reduced cost of the wrong sign")
-        status, cost = self._dual_iterate(warm.cost, basis, in_basis,
-                                          at_upper)
+        status, cost = self._dual_iterate(warm.cost, reduced, basis,
+                                          in_basis, at_upper)
         if status == INFEASIBLE:
-            return self._result(INFEASIBLE, warm=WarmStart(
-                warm.signs, basis, at_upper, cost))
+            return self._result(INFEASIBLE, warm=self._warm(
+                basis, at_upper, cost, None))
         return self._optimize(basis, in_basis, at_upper)
 
 
@@ -359,14 +391,15 @@ def solve_bounded_lp(c, a, b, lower, upper,
 
     Without ``warm`` the solve is the cold two-phase method. With it, the
     solve restarts from that basis (``LpResult.warm`` of an LP with the same
-    shape and artificial signs, which may differ in ``c``, ``b`` and the
-    bounds). Every nonbasic column whose reduced cost has the wrong sign
-    must have a finite upper bound. The result's ``warm`` is the restart
-    point for the next LP of a chain; it is None only for an unbounded LP.
+    matrix ``a``, which may differ in ``c``, ``b`` and the bounds). Every
+    nonbasic column whose reduced cost has the wrong sign must have a finite
+    upper bound. The result's ``warm`` is the restart point for the next LP
+    of a chain; it is None only for an unbounded LP.
 
-    Raises ``CapExceededError`` when a phase runs out of pivots and
+    Raises ``CapExceededError`` when a phase runs out of pivots,
     ``SolverError`` when the basis turns out singular or the warm basis
-    cannot be made dual feasible.
+    cannot be made dual feasible, and ``ValueError`` when ``warm`` comes
+    from an LP with another matrix.
     """
     lp = _Lp(c, a, b, lower, upper)
     return lp.solve() if warm is None else lp.solve_warm(warm)

@@ -465,6 +465,53 @@ def test_link_budget_underflow_is_refused(tmp_path, capsys):
     assert json.loads((out / "plan.json").read_text())["t"] == 0.0
 
 
+def test_link_budget_underflow_names_the_bandwidth(tmp_path, capsys):
+    """A bandwidth this large makes the noise power k_B T B so large that
+    the MMSE feed powers underflow; the message names B_W_Hz too."""
+    path = _reference_with(tmp_path, B_W_Hz=1e308)
+    for command in ("capacity", "plan"):
+        out = tmp_path / f"out_{command}"
+        rc = _run([command, "--scenario", path, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: validate: cluster 0: MMSE feed powers "
+                              "underflow to 0.0; P_T_W, B_W_Hz and T_sys_K")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("system, demand_bps, message", [
+    pytest.param({"T_slot_s": 1e300}, None,
+                 "system: T_slot_s and N_slot put the window demand",
+                 id="window-demand"),
+    pytest.param({"N_slot": 10 ** 400}, None,
+                 "system: T_slot_s and N_slot put the window demand",
+                 id="n-slot-beyond-float"),
+    pytest.param({"T_slot_s": 1e300}, 1e-9,
+                 "system: T_slot_s = 1e+300 puts the per-slot supply",
+                 id="per-slot-supply"),
+    pytest.param({}, 1e308, "cluster 0: its beam demands sum beyond",
+                 id="cluster-demand"),
+])
+def test_window_overflow_is_validate_error(tmp_path, capsys, system,
+                                           demand_bps, message):
+    """A slot length, slot count or demand whose window demand
+    N_slot * T_slot_s * d or per-slot supply T_slot_s * c is not a float is
+    refused at load or capacity time, without a RuntimeWarning (which the
+    test configuration turns into an error)."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    doc["system"].update(system)
+    for beam in doc["beams"] if demand_bps is not None else ():
+        beam["demand_bps"] = demand_bps
+    path = _write(tmp_path, doc)
+    for command in ("capacity", "plan"):
+        out = tmp_path / f"out_{command}"
+        rc = _run([command, "--scenario", path, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: validate: {message}"), err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("solver", ["ilp", "greedy"])
 def test_n_slot_above_the_cap_is_refused_by_every_solver(tmp_path, capsys,
                                                          solver):

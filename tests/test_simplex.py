@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from clusterhop import channel, planner, precoding, simplex
 from clusterhop.errors import CapExceededError, SolverError
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
-from clusterhop.scenariogen import hex_scenario_dict
+from clusterhop.scenariogen import heterogeneous_demands, hex_scenario_dict
 from clusterhop.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                                 solve_bounded_lp)
 from clusterhop.snapshots import build_snapshot_set
@@ -156,9 +157,12 @@ def _assert_dual_feasible(a, lower, upper, warm):
     """Every movable nonbasic column of the restart point rests at the bound
     its reduced cost under the restart cost points to (artificials count as
     fixed at zero, as in a warm solve)."""
-    a_ext = np.hstack([a, np.diag(warm.signs)])
-    lower = np.concatenate([lower, np.zeros(len(warm.signs))])
-    upper = np.concatenate([upper, np.zeros(len(warm.signs))])
+    m, n = np.shape(a)
+    a_ext = warm.a_ext
+    assert np.array_equal(a_ext[:, :n], a)
+    assert np.array_equal(np.abs(a_ext[:, n:]), np.eye(m))
+    lower = np.concatenate([lower, np.zeros(m)])
+    upper = np.concatenate([upper, np.zeros(m)])
     y = np.linalg.solve(a_ext[:, warm.basis].T, warm.cost[warm.basis])
     reduced = warm.cost - y @ a_ext
     movable = upper - lower > 1e-9
@@ -189,14 +193,15 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         lb = np.zeros(n_ss)
         ub = np.full(n_ss, float(n_slot))
         t, _ = planner._root_lp(a, n_slot)
+        rows = planner._requirement_rows(a)
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
         step = a.max(axis=1)
         rhs_req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
         cost = np.zeros(n_ss)
         cost[k] = 1.0
-        lp, warm = planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub,
-                                                 cost)
+        lp, warm = planner._lp_over_requirements(rows, rhs_req, n_slot, lb,
+                                                 ub, cost)
         # branch on one free count, both children from the parent's basis
         j = int(rng.integers(k, n_ss))
         split = math.floor(lp[1][j]) if lp else int(rng.integers(0, 3))
@@ -204,19 +209,20 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         ub_down[j] = split
         lb_up = lb.copy()
         lb_up[j] = split + 1
-        planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub_down, cost,
-                                      warm)
-        planner._lp_over_requirements(a, rhs_req, n_slot, lb_up, ub, cost,
+        planner._lp_over_requirements(rows, rhs_req, n_slot, lb, ub_down,
+                                      cost, warm)
+        planner._lp_over_requirements(rows, rhs_req, n_slot, lb_up, ub, cost,
                                       warm)
         # fix position k and minimize the next count, then raise or lower
         # every requirement, each from the last basis
         fixed = float(lp[1][k].round()) if lp else 0.0
         lb[k] = ub[k] = fixed
         cost = np.roll(cost, 1)
-        _, warm = planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub,
-                                                cost, warm)
+        _, warm = planner._lp_over_requirements(rows, rhs_req, n_slot, lb,
+                                                ub, cost, warm)
         rhs_req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
-        planner._lp_over_requirements(a, rhs_req, n_slot, lb, ub, cost, warm)
+        planner._lp_over_requirements(rows, rhs_req, n_slot, lb, ub, cost,
+                                      warm)
 
     assert len(captured) == 240
     cold = [lp for lp, warm in captured if not warm]
@@ -304,6 +310,107 @@ def test_warm_start_without_dual_feasible_basis_is_solver_error():
                          [0.0, 0.0], [2.0, np.inf], warm=res.warm)
 
 
+def _exact_instance(doc):
+    """The planner's instance for a scenario document, as the CLI builds
+    it."""
+    scenario = scenario_from_dict(doc)
+    caps = precoding.cluster_capacities(
+        scenario, channel.build_all_cluster_channels(scenario),
+        precoding.load_dvbs2_table())
+    snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
+                               caps.p_cluster_bits)
+    _, m = aggregate_and_scale_demands(scenario)
+    return planner.IlpInstance(l=snaps.l, m=m, n_slot=scenario.system.n_slot)
+
+
+def _solver_mid_seed_1():
+    """The first scenario of the benchmark's seed-1 ``solver_mid`` list:
+    76 beams, 13 clusters, N_P = 3, heterogeneous demands."""
+    demands = heterogeneous_demands(76, np.random.default_rng(1))
+    return hex_scenario_dict(76, 13, system={"N_P": 3, "N_slot": 256,
+                                             "seed": 1}, demands=demands)
+
+
+@pytest.mark.parametrize("doc", [hex_scenario_dict(), _solver_mid_seed_1()],
+                         ids=["ref_71beam", "solver_mid_seed_1"])
+def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
+    """A restart point carries the basis inverse of the LP's last, fresh
+    inversion. Every warm LP of an exact solve, replayed from a copy of
+    its restart point whose inverse is recomputed from the basis columns,
+    or left for the restart to recompute, takes the same pivots to the
+    same bits."""
+    captured = []
+
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        captured.append(((c, a, b, lower, upper), warm, res))
+        return res
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", recording)
+    planner.solve_illumination(_exact_instance(doc))
+    warm_lps = [lp for lp in captured if lp[1] is not None]
+    assert len(warm_lps) > 10
+    carried = [warm.binv is not None for _, warm, _ in warm_lps]
+    assert any(carried) and not all(carried)
+    for args, warm, res in warm_lps:
+        binv = warm.binv
+        if binv is not None:
+            binv = np.linalg.inv(warm.a_ext[:, warm.basis])
+            assert binv.tobytes() == warm.binv.tobytes()
+        for replay in (binv, None):
+            again = solve_bounded_lp(
+                *args, warm=dataclasses.replace(warm, binv=replay))
+            assert (again.status, again.pivots) == (res.status, res.pivots)
+            assert (again.x is None) == (res.x is None)
+            if res.x is not None:
+                assert again.x.tobytes() == res.x.tobytes()
+
+
+def test_both_children_share_one_restart_point():
+    """Branch-and-bound solves both children from their parent's restart
+    point: the down child then the up child gives byte-identical results
+    to the opposite order, and the restart point is unchanged after."""
+    rng = np.random.default_rng(31)
+    statuses = set()
+    for _ in range(20):
+        c, a, b, lower, upper, n_ss = _requirement_lp(rng)
+        parent = solve_bounded_lp(c, a, b, lower, upper)
+        assert parent.status == OPTIMAL and parent.warm.binv is not None
+        before = [f.tobytes() for f in dataclasses.astuple(parent.warm)]
+        j = int(np.argmax(np.abs(parent.x[:n_ss] - parent.x[:n_ss].round())))
+        split = max(math.floor(parent.x[j]), 0)
+        ub_down = upper.copy()
+        ub_down[j] = split
+        lb_up = lower.copy()
+        lb_up[j] = min(split + float(rng.choice([1, 60])), upper[j])
+        children = [(c, a, b, lower, ub_down), (c, a, b, lb_up, upper)]
+        runs = []
+        for order in (children, children[::-1]):
+            results = [solve_bounded_lp(*lp, warm=parent.warm) for lp in order]
+            runs.append([(r.status, r.pivots,
+                          None if r.x is None else r.x.tobytes(),
+                          r.warm.basis.tobytes(), r.warm.at_upper.tobytes())
+                         for r in results])
+            statuses.update(r.status for r in results)
+        assert runs[0] == runs[1][::-1]
+        assert [f.tobytes() for f in dataclasses.astuple(parent.warm)] == before
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_warm_start_with_another_matrix_is_value_error():
+    res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
+                           [0.0, 0.0], [2.0, 2.0])
+    for c, a in (([-1.0, -2.0], [[1.0, 2.0]]),
+                 ([-1.0, -2.0, 0.0], [[1.0, 1.0, 0.0]])):
+        n = len(c)
+        with pytest.raises(ValueError, match="own matrix"):
+            solve_bounded_lp(c, a, [3.0], [0.0] * n, [2.0] * n, warm=res.warm)
+    # an equal matrix in a new array is the same matrix
+    again = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
+                             [0.0, 0.0], [2.0, 2.0], warm=res.warm)
+    assert again.status == OPTIMAL and again.pivots == 0
+
+
 def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     """Every LP of an exact solve on a 120-beam / 20-cluster / N_P = 4
     scenario, whose one-hot refinement costs leave the dual loop on long runs
@@ -323,17 +430,10 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
         stalls.append(1)
         return perturbed(self, *args)
 
-    scenario = scenario_from_dict(hex_scenario_dict(120, 20, system={"N_P": 4}))
-    table = precoding.load_dvbs2_table()
-    caps = precoding.cluster_capacities(
-        scenario, channel.build_all_cluster_channels(scenario), table)
-    snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scenario)
+    instance = _exact_instance(hex_scenario_dict(120, 20, system={"N_P": 4}))
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_perturbed", counting)
-    planner.solve_illumination(planner.IlpInstance(
-        l=snaps.l, m=m, n_slot=scenario.system.n_slot))
+    planner.solve_illumination(instance)
 
     assert stalls
     cold = max(lp[-1].pivots for lp, warm in captured if not warm)
