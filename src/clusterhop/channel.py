@@ -39,11 +39,13 @@ def beam_gain(offaxis_angle_deg: float | np.ndarray, config: SystemConfig):
     """Linear transmit power gain of the Gaussian taper at an off-axis angle.
 
     ``beamwidth_3db_deg`` is the full 3 dB width: the half-power point sits at
-    half that angle, and the gain at one full width is peak/16.
+    half that angle, and the gain at one full width is peak/16. Where the
+    squared ratio leaves float range the gain is 0.
     """
     g_peak = _peak_gain(config)
     ratio = np.asarray(offaxis_angle_deg, dtype=float) / config.beamwidth_3db_deg
-    return g_peak * np.exp(-4.0 * math.log(2.0) * ratio ** 2)
+    with np.errstate(over="ignore"):
+        return g_peak * np.exp(-4.0 * math.log(2.0) * ratio ** 2)
 
 
 def _peak_gain(config: SystemConfig) -> float:

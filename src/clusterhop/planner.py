@@ -8,7 +8,11 @@ The core problem maximizes the worst offered/demanded ratio over clusters:
 The supply is the paper's snapshot supply, which ``IlpInstance`` checks: row
 j of l is p_j times a 0/1 row V_j (a snapshot's slot gives p_j to each
 cluster it lights). Any other row is a ValidationError, and an n_slot above
-``N_SLOT_CAP`` is a CapExceededError, whichever solver runs.
+``N_SLOT_CAP`` is a CapExceededError, whichever solver runs. The instance
+carries the demanded rows' factors V and p and their normalized form
+a_j = l_j / m_j. Every solver runs in one frame (``_framed``): no snapshot
+is an InfeasibleError, and without a demanded cluster, where the ratio is
+undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 
 ``solve_illumination`` solves it exactly, on integers. Every achievable
 objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
@@ -38,7 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +65,11 @@ class IlpInstance:
     l: np.ndarray  # (N_C, N_ss) supply per slot, bits: p_j times a 0/1 row
     m: np.ndarray  # (N_C,) demand per window, bits
     n_slot: int
+    # Set once by the check below; v, step and a hold the demanded rows only
+    demanded: np.ndarray = field(init=False, repr=False)  # (N_C,) m > 0
+    v: np.ndarray = field(init=False, repr=False)     # V_j, int64 0/1 rows
+    step: np.ndarray = field(init=False, repr=False)  # p_j, 1 in outage
+    a: np.ndarray = field(init=False, repr=False)     # l_j / m_j
 
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
@@ -81,8 +90,14 @@ class IlpInstance:
         if self.n_slot > N_SLOT_CAP:
             raise CapExceededError(
                 f"N_slot={self.n_slot} is above the cap {N_SLOT_CAP}")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
+        demanded = m > 0
+        l_dem, m_dem = l[demanded], m[demanded]
+        step = row_max[demanded, 0]
+        step[step == 0] = 1.0  # a cluster in outage
+        for name, value in (("l", l), ("m", m), ("demanded", demanded),
+                            ("v", (l_dem > 0).astype(np.int64)),
+                            ("step", step), ("a", l_dem / m_dem[:, None])):
+            object.__setattr__(self, name, value)
 
     @property
     def n_snapshots(self) -> int:
@@ -98,39 +113,34 @@ class HoppingPlan:
     solver_status: str
 
 
-def _ratio_t(instance: IlpInstance, psi: np.ndarray, demanded: np.ndarray) -> float:
-    s = instance.l @ psi
-    return float((s[demanded] / instance.m[demanded]).min())
+def _prologue(instance: IlpInstance) -> bool:
+    """Every solver's first step: InfeasibleError when there is no snapshot
+    at all, else whether the ratio objective is defined (a cluster is
+    demanded)."""
+    if instance.n_snapshots == 0:
+        raise InfeasibleError("no valid snapshot exists; the illumination "
+                              "plan is infeasible")
+    return bool(instance.demanded.any())
 
 
-def _make_plan(instance: IlpInstance, psi: np.ndarray, status: str,
-               demanded: np.ndarray) -> HoppingPlan:
-    psi = np.array(psi, dtype=int)
+def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
+    """The plan of the count vector ``counts(instance)``, reported with
+    ``status``, after the prologue. With no demanded cluster the plan
+    spreads the slots uniformly instead, with t = inf and status
+    'heuristic'."""
+    if _prologue(instance):
+        psi = np.array(counts(instance), dtype=int)
+    else:
+        base, extra = divmod(instance.n_slot, instance.n_snapshots)
+        psi = base + (np.arange(instance.n_snapshots) < extra)
+        status = STATUS_HEURISTIC
     s = instance.l @ psi
-    t = _ratio_t(instance, psi, demanded) if demanded.any() else math.inf
+    d = instance.demanded
+    t = float((s[d] / instance.m[d]).min(initial=math.inf))
     psi.flags.writeable = False
     s.flags.writeable = False
-    return HoppingPlan(
-        psi=psi,
-        t=t,
-        s=s,
-        schedule=expand_schedule(psi),
-        solver_status=status,
-    )
-
-
-def _uniform_psi(n_snapshots: int, n_slot: int) -> np.ndarray:
-    base, extra = divmod(n_slot, n_snapshots)
-    psi = np.full(n_snapshots, base, dtype=int)
-    psi[:extra] += 1
-    return psi
-
-
-def _require_snapshots(instance: IlpInstance) -> None:
-    if instance.n_snapshots == 0:
-        raise InfeasibleError(
-            "no valid snapshot exists; the illumination plan is infeasible"
-        )
+    return HoppingPlan(psi=psi, t=t, s=s, schedule=expand_schedule(psi),
+                       solver_status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +149,13 @@ def _require_snapshots(instance: IlpInstance) -> None:
 def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     """The root LP, max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot,
     0 <= psi <= n_slot: its optimum (t, psi). Its feasible set is never
-    empty, so a solve that reports no optimum is a SolverError."""
+    empty, so a solve that reports no optimum is a SolverError. Its matrix
+    is ``_requirement_rows(a)`` with the t column after psi."""
     n_dem, n_ss = a.shape
     n_var = n_ss + 1 + n_dem  # psi, t, surplus per demanded row
-    rows = np.zeros((n_dem + 1, n_var))
-    rhs = np.zeros(n_dem + 1)
-    rows[:n_dem, :n_ss] = a
-    rows[:n_dem, n_ss] = -1.0
-    rows[:n_dem, n_ss + 1:] = -np.eye(n_dem)
-    rows[n_dem, :n_ss] = 1.0
-    rhs[n_dem] = n_slot
+    rows = np.insert(_requirement_rows(a), n_ss, -1.0, axis=1)
+    rows[n_dem, n_ss] = 0.0
+    rhs = np.append(np.zeros(n_dem), float(n_slot))
     cost = np.zeros(n_var)
     cost[n_ss] = -1.0
     upper = np.full(n_var, np.inf)
@@ -161,8 +168,9 @@ def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
 
 def _requirement_rows(a: np.ndarray) -> np.ndarray:
     """The requirement LPs' equality rows [[a, -I], [1, 0]] over (psi,
-    surplus per demanded row), read-only: built once per solve, so every LP
-    of the chain shares one matrix."""
+    surplus per demanded row), read-only: the exact solve builds it once, so
+    every LP of its chain shares one matrix. The root LP's matrix is built
+    from it too."""
     n_dem, n_ss = a.shape
     rows = np.zeros((n_dem + 1, n_ss + n_dem))
     rows[:n_dem, :n_ss] = a
@@ -179,8 +187,7 @@ def _lp_over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
     Returns ((objective, psi) or None when infeasible, restart point). The
     LP restarts from ``warm``, the restart point of an earlier LP over the
     same ``rows``, when one is given."""
-    n_dem = rows.shape[0] - 1
-    n_ss = rows.shape[1] - n_dem
+    n_dem, n_ss = len(rhs_req), len(cost_psi)
     rhs = np.append(rhs_req, float(n_slot))
     cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
@@ -298,31 +305,19 @@ def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
 
 def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     """Exact max-min plan; the lexicographically smallest optimal counts.
+    Reads demanded row j as p_j times V_j, the factorization ``IlpInstance``
+    carries, as it guarantees n_slot <= ``N_SLOT_CAP``."""
+    return _framed(instance, _exact_counts, STATUS_OPTIMAL)
 
-    Reads demanded row j as p_j = max(l_j) times V_j = (l_j > 0), the shape
-    ``IlpInstance`` guarantees, as it guarantees n_slot <= ``N_SLOT_CAP``.
-    Raises InfeasibleError when there is no snapshot at all. When every
-    cluster demand is zero the ratio objective is undefined: the plan
-    spreads slots uniformly, reports t = inf and status 'heuristic'.
-    """
-    _require_snapshots(instance)
-    demanded = instance.m > 0
-    n_ss = instance.n_snapshots
-    n_slot = instance.n_slot
-    if not demanded.any():
-        return _make_plan(instance, _uniform_psi(n_ss, n_slot),
-                          STATUS_HEURISTIC, demanded)
 
-    l_dem = instance.l[demanded]
-    m_dem = instance.m[demanded]
-    a = l_dem / m_dem[:, None]
-    v = (l_dem > 0).astype(np.int64)
-    step = l_dem.max(axis=1)
-    step[step == 0] = 1.0  # a cluster in outage
+def _exact_counts(instance: IlpInstance) -> np.ndarray:
+    n_ss, n_slot = instance.n_snapshots, instance.n_slot
+    v, step = instance.v, instance.step
+    m_dem = instance.m[instance.demanded]
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
-    t_lp, _ = _root_lp(a, n_slot)
-    rows = _requirement_rows(a)
+    t_lp, _ = _root_lp(instance.a, n_slot)
+    rows = _requirement_rows(instance.a)
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -347,9 +342,7 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
             break
 
     k, rhs_req = _requirement(spacing, step, m_dem, best_t)
-    best_psi = _lex_smallest_optimal(rows, rhs_req, v, k, best_psi, n_slot,
-                                     warm)
-    return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
+    return _lex_smallest_optimal(rows, rhs_req, v, k, best_psi, n_slot, warm)
 
 
 def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
@@ -469,23 +462,21 @@ def brute_force_plan(instance: IlpInstance,
     smallest one. Raises CapExceededError when the composition count
     C(n_slot + N_ss - 1, N_ss - 1) exceeds ``cap``.
     """
-    _require_snapshots(instance)
-    n_ss = instance.n_snapshots
-    n_slot = instance.n_slot
+    return _framed(instance, lambda inst: _enumerated_counts(inst, cap),
+                   STATUS_OPTIMAL)
+
+
+def _enumerated_counts(instance: IlpInstance, cap: int) -> np.ndarray:
+    n_ss, n_slot = instance.n_snapshots, instance.n_slot
     n_compositions = math.comb(n_slot + n_ss - 1, n_ss - 1)
     if n_compositions > cap:
         raise CapExceededError(
             f"{n_compositions} count vectors exceed the brute-force cap {cap}"
         )
-    demanded = instance.m > 0
-    if not demanded.any():
-        return _make_plan(instance, _uniform_psi(n_ss, n_slot),
-                          STATUS_HEURISTIC, demanded)
-    m_dem = instance.m[demanded]
-    l_dem = instance.l[demanded]
+    m_dem = instance.m[instance.demanded]
+    l_dem = instance.l[instance.demanded]
 
-    best_t = -1.0
-    best_psi: np.ndarray | None = None
+    best_t, best_psi = -1.0, None  # every t is >= 0
     psi = np.zeros(n_ss, dtype=int)
 
     def recurse(pos: int, remaining: int, s_dem: np.ndarray) -> None:
@@ -503,9 +494,8 @@ def brute_force_plan(instance: IlpInstance,
             recurse(pos + 1, remaining - count, s_dem + count * l_dem[:, pos])
         psi[pos] = 0
 
-    recurse(0, n_slot, np.zeros(int(demanded.sum())))
-    assert best_psi is not None
-    return _make_plan(instance, best_psi, STATUS_OPTIMAL, demanded)
+    recurse(0, n_slot, np.zeros(len(m_dem)))
+    return best_psi
 
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
@@ -513,17 +503,15 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     LP's counts, hand out the remaining slots one by one, each to the
     snapshot that lifts the worst offered/demand ratio the most (ties to the
     lowest snapshot index), then hill-climb with single-slot moves."""
-    _require_snapshots(instance)
-    demanded = instance.m > 0
-    n_ss = instance.n_snapshots
+    return _framed(instance, _greedy_counts, STATUS_HEURISTIC)
+
+
+def _greedy_counts(instance: IlpInstance) -> np.ndarray:
     n_slot = instance.n_slot
-    if not demanded.any():
-        return _make_plan(instance, _uniform_psi(n_ss, n_slot),
-                          STATUS_HEURISTIC, demanded)
-    l_dem = instance.l[demanded]
-    m_dem = instance.m[demanded]
+    l_dem = instance.l[instance.demanded]
+    m_dem = instance.m[instance.demanded]
     m_col = m_dem[:, None]
-    _, psi_lp = _root_lp(l_dem / m_col, n_slot)
+    _, psi_lp = _root_lp(instance.a, n_slot)
     psi = np.maximum(np.floor(psi_lp + _INT_TOL).astype(int), 0)
     s = l_dem @ psi
     for _ in range(n_slot - int(psi.sum())):
@@ -547,17 +535,15 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
         psi[src] -= 1
         psi[dst] += 1
         s = s - l_dem[:, src] + l_dem[:, dst]
-    return _make_plan(instance, psi, STATUS_HEURISTIC, demanded)
+    return psi
 
 
 def lp_relaxation_bound(instance: IlpInstance) -> float:
-    """Optimum of the continuous relaxation; upper-bounds the integer optimum."""
-    _require_snapshots(instance)
-    demanded = instance.m > 0
-    if not demanded.any():
+    """Optimum of the continuous relaxation, an upper bound on the integer
+    optimum; inf, like the plan's t, when no cluster is demanded."""
+    if not _prologue(instance):
         return math.inf
-    a = instance.l[demanded] / instance.m[demanded][:, None]
-    return _root_lp(a, instance.n_slot)[0]
+    return _root_lp(instance.a, instance.n_slot)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,11 @@ def dvbs2_efficiency(snir_linear, table: Dvbs2Table):
 
 def beam_capacity_bps(se_bits_per_symbol, config: SystemConfig):
     """Capacity of a beam, elementwise: SE * symbol rate, doubled under dual
-    polarization."""
-    r_pol = se_bits_per_symbol * config.b_w_hz / (1.0 + config.rolloff)
-    return 2.0 * r_pol if config.dual_polarization else r_pol
+    polarization. A rate beyond float range is inf, without a warning;
+    ``cluster_capacities`` refuses it."""
+    with np.errstate(over="ignore"):
+        r_pol = se_bits_per_symbol * config.b_w_hz / (1.0 + config.rolloff)
+        return 2.0 * r_pol if config.dual_polarization else r_pol
 
 
 def beam_links(
@@ -175,7 +177,13 @@ def cluster_capacities(
     """Per-beam SNIR, SE and rates r, per-cluster capacities c and per-slot
     supplies p, from one MMSE precoder per cluster."""
     snir_lin, se, r = beam_links(scenario, channels, table)
-    c = cluster_sums(r, scenario.clusters)
+    with np.errstate(over="ignore"):
+        c = cluster_sums(r, scenario.clusters)
+    if not np.isfinite(c).all():  # an infinite r makes its cluster's c inf
+        raise ValidationError(
+            f"system: B_W_Hz = {scenario.system.b_w_hz!r} puts the capacity "
+            f"of cluster {int(np.isinf(c).argmax())} beyond floating-point "
+            "range")
     t_slot_s, c_max = scenario.system.t_slot_s, float(c.max())
     if not math.isfinite(t_slot_s * c_max):
         raise ValidationError(

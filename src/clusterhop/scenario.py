@@ -279,10 +279,12 @@ def _check_window_demand(system: SystemConfig, demands, clusters) -> None:
 
 
 def center_distances(centers: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every pair of beam centers (u, v)."""
+    """Euclidean distances between every pair of beam centers (u, v); a
+    distance beyond float range is inf."""
     du = centers[:, None, 0] - centers[None, :, 0]
     dv = centers[:, None, 1] - centers[None, :, 1]
-    return np.sqrt(du * du + dv * dv)
+    with np.errstate(over="ignore"):
+        return np.sqrt(du * du + dv * dv)
 
 
 def nominal_pitch(dist: np.ndarray) -> float:

@@ -16,8 +16,8 @@ unbounded one carries a ``WarmStart``: the matrix extended by the
 sign-matched artificial columns, ``[A | diag(signs)]`` (built once by the
 chain's cold solve and shared, read-only, by every LP after it), the basis,
 the nonbasic columns at their upper bound, the cost under which that basis
-is dual feasible, and the basis inverse when the LP ended on a fresh
-inversion. An LP with the same matrix that differs in ``c``, ``b`` or the
+is dual feasible, and the basis inverse, freshly computed from its
+columns. An LP with the same matrix that differs in ``c``, ``b`` or the
 bounds can restart from it (Koberstein, *The dual simplex method*, 2005);
 another matrix is a ValueError. The artificials are fixed at zero, boxed
 nonbasic columns whose reduced cost points the other way move to their
@@ -40,14 +40,13 @@ inverse and a boolean mask of the basic columns. Each basis change updates
 the inverse with one rank-1 product-form step (the eta matrix of the pivot).
 Every ``_REFACTOR_INTERVAL`` basis changes, and before the final point of
 each phase is read, the inverse is recomputed from the basis columns so
-that rounding error from the updates cannot build up. So an optimal LP, and
-a phase 1 that proves infeasibility, end on a fresh inversion of their
-final basis, and the restart point carries it. A warm solve starts from a
-copy of that inverse. The copy is bit for bit what inverting the same
-columns of the same matrix again would give, so the restart takes exactly
-the pivots of one that inverts its basis itself. After a dual-loop
-infeasibility the inverse carries updates; no inverse is carried then, and
-the restart inverts its basis. Pivot rows, the entering column and the
+that rounding error from the updates cannot build up, and a dual loop that
+proves infeasibility inverts its final basis too. So every LP with a
+restart point ends on a fresh inversion of its final basis, and the restart
+point carries it. A warm solve starts from a copy of that inverse. The copy
+is bit for bit what inverting the same columns of the same matrix again
+would give, so the restart takes exactly the pivots of one that inverts its
+basis itself. Pivot rows, the entering column and the
 primal loop's prices come from the inverse. The basic values ``x_B``, and
 the dual loop's reduced costs, are carried from pivot to pivot instead
 (Koberstein 2005, ch. 3; Chvatal, *Linear Programming*, 1983, ch. 8): each
@@ -85,15 +84,15 @@ class WarmStart:
     ``a_ext = [a | diag(signs)]`` by the sign-matched artificial columns,
     basic columns, nonbasic columns at their upper bound, the extended cost
     vector (real columns then artificials) under which the basis is dual
-    feasible, and the basis inverse when the LP ended on a fresh inversion
-    (None after a dual-loop infeasibility). Nothing here is written to; a
-    restart copies what it changes."""
+    feasible, and the basis inverse, freshly computed from the basic
+    columns. Nothing here is written to; a restart copies what it
+    changes."""
     a: np.ndarray
     a_ext: np.ndarray
     basis: np.ndarray
     at_upper: np.ndarray
     cost: np.ndarray
-    binv: np.ndarray | None
+    binv: np.ndarray
 
 
 @dataclass
@@ -309,8 +308,8 @@ class _Lp:
     def _result(self, status, x=None, objective=None, warm=None):
         return LpResult(status, x, objective, self.pivots, warm)
 
-    def _warm(self, basis, at_upper, cost, binv):
-        return WarmStart(self.a, self.a_ext, basis, at_upper, cost, binv)
+    def _warm(self, basis, at_upper, cost):
+        return WarmStart(self.a, self.a_ext, basis, at_upper, cost, self.binv)
 
     def _optimize(self, basis, in_basis, at_upper):
         """Primal phase from a primal-feasible basis with the artificials
@@ -322,7 +321,7 @@ class _Lp:
         x = self._final_values(basis, in_basis, at_upper)
         xs = x[: self.n]
         return self._result(OPTIMAL, xs, float(self.c @ xs),
-                            self._warm(basis, at_upper, cost, self.binv))
+                            self._warm(basis, at_upper, cost))
 
     def solve(self):
         # Phase 1: artificials sized to the residual at the all-lower point.
@@ -347,7 +346,7 @@ class _Lp:
         feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
         if x[self.n:].sum() > feas_tol:
             return self._result(INFEASIBLE, warm=self._warm(
-                basis, at_upper, phase1_cost, self.binv))
+                basis, at_upper, phase1_cost))
 
         # Phase 2: pin artificials at zero and optimize the real objective.
         self.upper[self.n:] = 0.0
@@ -365,10 +364,7 @@ class _Lp:
         in_basis = np.zeros(self.n + self.m, dtype=bool)
         in_basis[basis] = True
         at_upper = warm.at_upper.copy()
-        if warm.binv is None:
-            self._refactor(basis)
-        else:
-            self.binv = warm.binv.copy()
+        self.binv = warm.binv.copy()
         reduced = self._reduced_costs(warm.cost, basis)
         wrong = ~in_basis & np.where(at_upper, reduced > _TOL,
                                      reduced < -_TOL)
@@ -380,8 +376,9 @@ class _Lp:
         status, cost = self._dual_iterate(warm.cost, reduced, basis,
                                           in_basis, at_upper)
         if status == INFEASIBLE:
-            return self._result(INFEASIBLE, warm=self._warm(
-                basis, at_upper, cost, None))
+            self._refactor(basis)  # so the restart point carries an inverse
+            return self._result(INFEASIBLE,
+                                warm=self._warm(basis, at_upper, cost))
         return self._optimize(basis, in_basis, at_upper)
 
 

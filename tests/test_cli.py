@@ -422,6 +422,28 @@ def test_plan_json_is_pinned(tmp_path, scenario, command):
     assert digests == _PINNED[scenario, command]
 
 
+_PINNED_GREEDY = {  # sha256 of plan.json from plan --solver greedy
+    "ref_71beam":
+        "5b5793f9eaad25402dd833c6670cca3cf299b194ef7e2273a6c3d4eb5193ea4d",
+    "toy": "51d5ed144e9d2d3b31e2c7044d24ac8370803cb2996068b6f6e05dd84cecc787",
+}
+
+
+@pytest.mark.parametrize("scenario", list(_PINNED_GREEDY))
+def test_greedy_plan_json_is_pinned(tmp_path, scenario):
+    """The heuristic's plan.json, byte for byte, on the reference and toy
+    scenarios."""
+    if scenario == "toy":
+        path = _write(tmp_path, toy_doc())
+    else:
+        path = REPO / "scenarios" / f"{scenario}.json"
+    out = tmp_path / "out"
+    assert _run(["plan", "--scenario", path, "--out", out,
+                 "--solver", "greedy"]) == 0
+    digest = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
+    assert digest == _PINNED_GREEDY[scenario]
+
+
 def test_beam_ids_follow_the_file_not_its_order(tmp_path):
     """Beam i of the scenario is the beam with id i + 1 wherever the file
     lists it: reversing the beams array changes no artifact."""
@@ -477,6 +499,45 @@ def test_link_budget_underflow_names_the_bandwidth(tmp_path, capsys):
         assert err.startswith("error: validate: cluster 0: MMSE feed powers "
                               "underflow to 0.0; P_T_W, B_W_Hz and T_sys_K")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", [1e308, 5e306])
+def test_capacity_overflow_names_the_bandwidth(tmp_path, capsys, bandwidth):
+    """With a noise temperature this small the feed powers do not
+    underflow; the bandwidth then puts a beam rate (1e308) or a cluster's
+    sum of rates (5e306) beyond float range. The run is refused without a
+    RuntimeWarning, and the message names B_W_Hz, not T_slot_s."""
+    path = _reference_with(tmp_path, B_W_Hz=bandwidth, T_sys_K=1e-300)
+    for command in ("capacity", "plan"):
+        out = tmp_path / f"out_{command}"
+        rc = _run([command, "--scenario", path, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: validate: system: B_W_Hz = "
+                              f"{bandwidth!r} puts the capacity of cluster 0 "
+                              "beyond floating-point range"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("beam_u, system", [
+    pytest.param(1e300, {}, id="distance-beyond-float"),
+    pytest.param(1e154, {}, id="squared-gain-ratio-beyond-float"),
+    pytest.param(None, {"beamwidth_3dB_deg": 1e-300},
+                 id="beamwidth-below-float"),
+])
+def test_far_beam_plans_without_a_warning(tmp_path, beam_u, system):
+    """A beam center distance beyond float range is inf, and a gain whose
+    squared off-axis ratio leaves float range is 0: these are the right
+    values, so the run plans, without a RuntimeWarning (which the test
+    configuration turns into an error)."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    doc["system"].update(system)
+    if beam_u is not None:
+        doc["beams"][0]["u"] = beam_u
+    out = tmp_path / "out"
+    assert _run(["plan", "--scenario", _write(tmp_path, doc),
+                 "--out", out]) == 0
+    assert (out / "plan.json").exists()
 
 
 @pytest.mark.parametrize("system, demand_bps, message", [

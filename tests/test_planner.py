@@ -262,11 +262,11 @@ def test_zero_demand_cluster_excluded():
 
 def test_all_zero_demand_sentinel():
     inst = IlpInstance(l=np.eye(3), m=np.zeros(3), n_slot=7)
-    plan = solve_illumination(inst)
-    assert plan.t == np.inf
-    assert plan.solver_status == "heuristic"
-    assert plan.psi.sum() == 7
-    assert plan.psi.tolist() == [3, 2, 2]
+    for plan in (solve_illumination(inst), brute_force_plan(inst)):
+        assert plan.t == np.inf
+        assert plan.solver_status == "heuristic"
+        assert plan.psi.sum() == 7
+        assert plan.psi.tolist() == [3, 2, 2]
 
 
 def test_all_zero_demand_greedy_and_lp_bound():
@@ -286,6 +286,8 @@ def test_no_snapshots_is_infeasible():
         greedy_plan(inst)
     with pytest.raises(InfeasibleError):
         brute_force_plan(inst)
+    with pytest.raises(InfeasibleError):
+        lp_relaxation_bound(inst)
 
 
 def test_demanded_zero_supply_row_gives_zero_t():
