@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the bundled 71-beam / 12-cluster reference scenario."""
 import argparse
+import sys
 from pathlib import Path
 
-from clusterhop.scenariogen import hex_scenario_dict, write_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from clusterhop.scenariogen import hex_scenario_dict, write_scenario  # noqa: E402
 
 
 def main() -> None:

@@ -8,10 +8,13 @@ leakage.json, run_config.json).
 """
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-from clusterhop.cli import SOLVERS, RunManifest, run
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from clusterhop.cli import SOLVERS, RunManifest, run  # noqa: E402
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from checks import reference  # noqa: E402
 from clusterhop import planner  # noqa: E402

@@ -155,6 +155,22 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, _json_text(obj) + "\n")
 
 
+def _leakage_text(ratios: np.ndarray, schedule: np.ndarray) -> str:
+    """What ``_write_json`` writes for ``{"per_slot_worst_ratio":
+    ratios[schedule], "max_ratio": its maximum}``, a non-empty schedule.
+
+    A window lights only a few snapshots, so each scheduled snapshot's
+    ratio is encoded once (``json.dumps`` of a float is the C encoder's
+    text for it, ``Infinity`` included) and its text repeated in its slots.
+    """
+    used = np.unique(schedule)
+    texts = np.empty(len(ratios), dtype=object)
+    texts[used] = [json.dumps(x) for x in ratios[used].tolist()]
+    slots = ",\n    ".join(texts[schedule].tolist())
+    return (f'{{\n  "max_ratio": {json.dumps(float(ratios[used].max()))},\n'
+            f'  "per_slot_worst_ratio": [\n    {slots}\n  ]\n}}\n')
+
+
 def _knobs(manifest: RunManifest, scenario: Scenario) -> dict:
     return {
         "command": manifest.command,
@@ -258,13 +274,10 @@ def run(manifest: RunManifest) -> list[str]:
              lambda p: _write_json(p, metrics.summary_dict(reports)))
 
     elif manifest.command == "leakage":
-        leak = metrics.cross_cluster_leakage(scenario, pipe.field,
-                                             pipe.snapshots, pipe.plan)
-        doc = {
-            "per_slot_worst_ratio": leak,
-            "max_ratio": max(leak) if leak else 0.0,
-        }
-        emit("leakage.json", lambda p: _write_json(p, doc))
+        ratios = metrics.cross_cluster_leakage(scenario, pipe.field,
+                                               pipe.snapshots, pipe.plan)
+        text = _leakage_text(ratios, pipe.plan.schedule)
+        emit("leakage.json", lambda p: _write_text(p, text))
 
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown command {manifest.command}")

@@ -100,19 +100,22 @@ def plan_beam_offered(plan: HoppingPlan, scenario: Scenario) -> np.ndarray:
 
 def cross_cluster_leakage(scenario: Scenario, gains: np.ndarray,
                           snapshot_set: SnapshotSet,
-                          plan: HoppingPlan) -> list[float]:
+                          plan: HoppingPlan) -> np.ndarray:
     """Worst-case co-slot interference from other active clusters.
 
-    For each slot: the largest (over active beam-center users) ratio of power
-    received from the other active clusters' feeds to the user's own-beam
-    signal power, with every active feed at the per-beam power. Zero when a
-    single cluster is active. Validates the assumption that non-adjacent
-    clusters do not meaningfully interfere.
+    For each snapshot the plan schedules: the largest (over active
+    beam-center users) ratio of power received from the other active
+    clusters' feeds to the user's own-beam signal power, with every active
+    feed at the per-beam power. Zero when a single cluster is active.
+    Validates the assumption that non-adjacent clusters do not meaningfully
+    interfere.
 
-    Each snapshot of the schedule is evaluated once, one block of its
-    clusters' members against the other active beams per active cluster;
-    a row sum of that block equals the user's own sum over the other beams
-    bit for bit. A NaN ratio never wins the maximum.
+    Returns the read-only ratios per snapshot, shape ``(N_ss,)``, 0.0 for a
+    snapshot the plan never schedules; a slot's ratio is its snapshot's,
+    ``ratios[plan.schedule]``. Each scheduled snapshot is evaluated once,
+    one block of its clusters' members against the other active beams per
+    active cluster; a row sum of that block equals the user's own sum over
+    the other beams bit for bit. A NaN ratio never wins the maximum.
     """
     power = gains ** 2  # per-beam transmit power cancels in the ratio
     members = scenario.clusters
@@ -125,7 +128,8 @@ def cross_cluster_leakage(scenario: Scenario, gains: np.ndarray,
             leak = power[np.ix_(own, others)].sum(axis=1)
             worst[snap] = np.fmax.reduce(leak / power[own, own],
                                          initial=worst[snap])
-    return worst[plan.schedule].tolist()
+    worst.flags.writeable = False
+    return worst
 
 
 def beam_csv_lines(report: CapacityReport) -> list[str]:

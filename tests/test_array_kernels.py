@@ -240,7 +240,8 @@ def test_beam_links_match_per_beam_loop(stages, dvbs2):
 
 def test_leakage_matches_per_slot_loop(stages):
     _, scenario, _, field, snaps, plan = stages
-    got = metrics.cross_cluster_leakage(scenario, field, snaps, plan)
+    got = metrics.cross_cluster_leakage(scenario, field, snaps,
+                                        plan)[plan.schedule]
     want = _loop_leakage(scenario, field, snaps, plan)
     assert len(got) == len(want)
     assert np.array_equal(np.array(got), np.array(want))

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -442,6 +445,53 @@ def test_greedy_plan_json_is_pinned(tmp_path, scenario):
                  "--solver", "greedy"]) == 0
     digest = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
     assert digest == _PINNED_GREEDY[scenario]
+
+
+_PINNED_ODD_WINDOW = {  # sha256 with N_slot = 4095 on ref_71beam
+    "leakage.json":
+        "fe13e85a535eb1f89835eca93e6d5d2987ff8c3f76b8a5b43f9403a5aa7c0179",
+    "plan.json":
+        "ce960faa2615f5edb4227da4d48326dd9fa7ac26a9fdc6844b5e5c56ed95bfa4",
+}
+
+
+def test_odd_window_is_pinned(tmp_path):
+    """A long window of odd length: the schedule's ties and the leakage
+    list written per snapshot, byte for byte."""
+    path = _reference_with(tmp_path, N_slot=4095)
+    out = tmp_path / "out"
+    for command in ("plan", "leakage"):
+        assert _run([command, "--scenario", path, "--out", out]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in _PINNED_ODD_WINDOW}
+    assert digests == _PINNED_ODD_WINDOW
+
+
+@pytest.mark.parametrize("schedule", [[3], [2, 1], np.arange(4095) % 6,
+                                      np.arange(4095) % 5 + 1])
+def test_leakage_text_matches_the_per_slot_document(schedule):
+    """Each snapshot's ratio encoded once gives the text of the per-slot
+    document; the unscheduled snapshot 0 holds the largest ratio, which
+    only the schedules that light it report as max_ratio."""
+    ratios = np.array([math.inf, 0.0, 5e-324, 1e22, 0.1 + 0.2, 1 / 3])
+    schedule = np.asarray(schedule)
+    slots = ratios[schedule].tolist()
+    doc = {"per_slot_worst_ratio": slots, "max_ratio": max(slots)}
+    assert cli._leakage_text(ratios, schedule) == cli._json_text(doc) + "\n"
+
+
+def test_reference_pipeline_runs_from_a_checkout(tmp_path):
+    """The experiment script imports the checkout's own package, with no
+    install and no PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, REPO / "scripts" / "run_reference_pipeline.py",
+         "--scenario", REPO / "scenarios" / "ref_71beam.json", "--out", out],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256((out / "leakage.json").read_bytes()).hexdigest()
+    assert {"leakage.json": digest} == _PINNED["ref_71beam", "leakage"]
 
 
 def test_beam_ids_follow_the_file_not_its_order(tmp_path):

@@ -119,7 +119,8 @@ def test_leakage_zero_for_single_cluster(ref_scenario, ref_field):
     plan = HoppingPlan(psi=np.array([2] + [0] * 11), t=1.0,
                        s=np.zeros(12), schedule=np.array([0, 0]),
                        solver_status="optimal")
-    leak = metrics.cross_cluster_leakage(ref_scenario, ref_field, single, plan)
+    leak = metrics.cross_cluster_leakage(ref_scenario, ref_field, single,
+                                         plan)[plan.schedule].tolist()
     assert leak == [0.0, 0.0]
 
 
@@ -138,7 +139,8 @@ def test_leakage_monotone_with_adjacency(ref_scenario, ref_field):
     snaps = SnapshotSet(v=v, l=v.astype(float))
     plan = HoppingPlan(psi=np.array([1, 1]), t=1.0, s=np.zeros(12),
                        schedule=np.array([0, 1]), solver_status="optimal")
-    leak = metrics.cross_cluster_leakage(ref_scenario, ref_field, snaps, plan)
+    leak = metrics.cross_cluster_leakage(ref_scenario, ref_field, snaps,
+                                         plan)[plan.schedule].tolist()
     assert leak[0] > leak[1]
 
 
@@ -146,6 +148,7 @@ def test_leakage_finite_on_reference_plan(ref_scenario, ref_field,
                                           ref_snapshots, ref_plan):
     leak = metrics.cross_cluster_leakage(ref_scenario, ref_field,
                                          ref_snapshots, ref_plan)
+    leak = leak[ref_plan.schedule].tolist()
     assert len(leak) == ref_scenario.system.n_slot
     assert all(np.isfinite(x) and x >= 0 for x in leak)
 
