@@ -6,76 +6,120 @@ For every scenario in a workload's fixed seed-1 list (see
 check does (``perfbench/checks.py``) and counts the ``solve_bounded_lp``
 calls, and their pivots, made inside ``solve_illumination``, in total and
 per phase: the root LP, the threshold walk and the lexicographic
-refinement. The counts depend only on the code and the arithmetic, not on
-how fast the machine is. Prints one line per workload:
+refinement. It also splits the pivots between the dual and the primal
+simplex loop, counts the refinement's feasibility probes (one
+``_branch_and_bound`` search each) by outcome, and prints the psi digest:
+sha256 over each scenario's ``psi.astype(int64).tobytes()``, in list order,
+first 12 hex digits. The counts depend only on the code and the
+arithmetic, not on how fast the machine is; the digest depends only on the
+answers. Prints one line per workload:
 
     python3 scripts/solver_work.py
 """
+import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from checks import reference  # noqa: E402
-from clusterhop import planner  # noqa: E402
+from clusterhop import planner, simplex  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PHASES = ("root LP", "threshold walk", "refinement")
 
 
-def solver_work(workload) -> dict[str, list[int]]:
-    """[LPs, pivots] of ``solve_illumination`` per phase, summed over the
-    workload's seed-1 scenarios. The phase changes when ``_root_lp``
-    returns and when ``_lex_smallest_optimal`` is called."""
+def solver_work(workload) -> dict:
+    """Work of ``solve_illumination`` over the workload's seed-1
+    scenarios: [LPs, pivots] per phase, pivots per simplex loop,
+    refinement probes by outcome, and the psi digest. The phase changes
+    when ``_root_lp`` returns and when ``_lex_smallest_optimal`` is
+    called."""
     work = {phase: [0, 0] for phase in PHASES}
+    loops = {"dual": 0, "primal": 0}
+    probes = {"feasible": 0, "infeasible": 0}
+    digest = hashlib.sha256()
     phase = PHASES[0]
-    solve = planner.solve_bounded_lp
-    root_lp = planner._root_lp
-    refine = planner._lex_smallest_optimal
+    originals = {(planner, name): getattr(planner, name) for name in (
+        "solve_bounded_lp", "_root_lp", "_lex_smallest_optimal",
+        "_branch_and_bound")}
+    originals.update({(simplex._Lp, name): getattr(simplex._Lp, name)
+                      for name in ("_dual_iterate", "_iterate")})
 
     def counted(*args, **kwargs):
-        result = solve(*args, **kwargs)
+        result = originals[planner, "solve_bounded_lp"](*args, **kwargs)
         work[phase][0] += 1
         work[phase][1] += result.pivots
         return result
 
     def walk_after_root(*args, **kwargs):
         nonlocal phase
-        result = root_lp(*args, **kwargs)
+        result = originals[planner, "_root_lp"](*args, **kwargs)
         phase = PHASES[1]
         return result
 
     def refinement(*args, **kwargs):
         nonlocal phase
         phase = PHASES[2]
-        return refine(*args, **kwargs)
+        return originals[planner, "_lex_smallest_optimal"](*args, **kwargs)
 
+    def search(*args, **kwargs):
+        result = originals[planner, "_branch_and_bound"](*args, **kwargs)
+        if phase == PHASES[2]:
+            probes["infeasible" if result[0] is None else "feasible"] += 1
+        return result
+
+    def loop(name, method):
+        def run(lp, *args, **kwargs):
+            before = lp.pivots
+            try:
+                return method(lp, *args, **kwargs)
+            finally:
+                loops[name] += lp.pivots - before
+        return run
+
+    patches = {(planner, "solve_bounded_lp"): counted,
+               (planner, "_root_lp"): walk_after_root,
+               (planner, "_lex_smallest_optimal"): refinement,
+               (planner, "_branch_and_bound"): search,
+               (simplex._Lp, "_dual_iterate"): loop(
+                   "dual", originals[simplex._Lp, "_dual_iterate"]),
+               (simplex._Lp, "_iterate"): loop(
+                   "primal", originals[simplex._Lp, "_iterate"])}
     for k in range(workload.scenarios):
         doc = workload.scenario(workload.scenario_seed(1, k))
         inst = reference(doc).instance
         phase = PHASES[0]
-        planner.solve_bounded_lp = counted
-        planner._root_lp = walk_after_root
-        planner._lex_smallest_optimal = refinement
+        for (owner, name), patch in patches.items():
+            setattr(owner, name, patch)
         try:
-            planner.solve_illumination(inst)
+            plan = planner.solve_illumination(inst)
         finally:
-            planner.solve_bounded_lp = solve
-            planner._root_lp = root_lp
-            planner._lex_smallest_optimal = refine
-    return work
+            for (owner, name), original in originals.items():
+                setattr(owner, name, original)
+        digest.update(plan.psi.astype(np.int64).tobytes())
+    return {"phases": work, "loops": loops, "probes": probes,
+            "digest": digest.hexdigest()[:12]}
 
 
 def main() -> None:
     for name, workload in WORKLOADS.items():
-        work = solver_work(workload)
+        result = solver_work(workload)
+        work = result["phases"]
         lps = sum(n for n, _ in work.values())
         pivots = sum(p for _, p in work.values())
         phases = ", ".join(f"{phase} {n} / {p}"
                            for phase, (n, p) in work.items())
+        loops, probes = result["loops"], result["probes"]
         print(f"{name} seed 1: {workload.scenarios} scenarios, {lps} LPs, "
-              f"{pivots} pivots (LPs / pivots: {phases})")
+              f"{pivots} pivots (LPs / pivots: {phases}); pivots: dual "
+              f"{loops['dual']}, primal {loops['primal']}; refinement "
+              f"probes: {probes['feasible']} feasible, "
+              f"{probes['infeasible']} infeasible; psi digest "
+              f"{result['digest']}")
 
 
 if __name__ == "__main__":

@@ -17,21 +17,28 @@ undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 ``solve_illumination`` solves it exactly, on integers. Every achievable
 objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
 cluster in outage), and a threshold g is the integer requirement
-V psi >= k with k_j = ceil(g * m_j / step_j). One LP branch-and-bound
-answers both of the solver's questions. It walks the thresholds downward in
-exact rational order from the root LP's bound, and decides each as a
-feasibility search (zero cost, stopping at the first integer point); the
-walk stops above the trivial witness, every slot on the last snapshot. Then,
-at the optimum's requirement, it minimizes psi_0, psi_1, ... in turn with
-the prefix fixed, which gives the lexicographically smallest optimal count
-vector. At each position, exact exchange moves find the smaller values and
-the search only proves them: slots of two columns move to two later columns
-with the same column sum, which keeps V psi and sum(psi) unchanged and needs
-no LP, and the search runs only on what is left. The LPs are over the
-normalized rows l_j / m_j, solved by the in-repo bounded-variable simplex;
-after the first, every LP restarts from the basis of the LP before it. A
-point is accepted only by the integer test, and an LP point outside its
-node's bounds, or a requirement count beyond int64, is a SolverError.
+V psi >= k with k_j = ceil(g * m_j / step_j). After the root LP, every LP
+is a feasibility LP (zero cost), run by one search: depth-first LP
+branch-and-bound that stops at the first integer point. The walk takes the
+thresholds downward in exact rational order from the root LP's bound and
+decides each with the search; it stops above the trivial witness, every
+slot on the last snapshot. Then, at the optimum's requirement, it fixes
+psi_0, psi_1, ... in turn to their smallest values, which gives the
+lexicographically smallest optimal count vector. At each position i, exact
+exchange moves lower the witness first: slots of two columns move to two
+later columns with the same column sum, which keeps V psi and sum(psi)
+unchanged and needs no LP. Then searches with ub_i = u ask whether
+psi_i <= u is possible, in this order: u = w_i - 1, whose infeasibility
+proves w_i; u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then
+bisection of the gap left. Every point found is exchanged down again. The
+LPs are over the normalized rows l_j / m_j, each scaled by the power of
+two that brings its largest entry into [0.5, 1), an exact scaling that
+keeps the LPs' pivots alike at every demand scale (the root LP, which
+``greedy_plan`` rounds, is not scaled). They are solved by the in-repo
+bounded-variable simplex; after the first, every LP restarts from the
+basis of the LP before it. A point is accepted only by the integer test,
+and an LP point outside its node's bounds, or a requirement count beyond
+int64, is a SolverError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
 ``greedy_plan`` rounds the root LP into a heuristic lower bound. Clusters
 with zero demand are excluded from the objective; they still receive
@@ -180,22 +187,20 @@ def _requirement_rows(a: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _lp_over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
-    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot, over
-    ``rows = _requirement_rows(a)``.
+def _lp_over_requirements(rows, rhs_req, n_slot, lb, ub, warm=None):
+    """A feasibility LP: is a @ psi >= rhs_req, sum(psi) = n_slot,
+    lb <= psi <= ub solvable, over ``rows = _requirement_rows(a)``?
 
-    Returns ((objective, psi) or None when infeasible, restart point). The
-    LP restarts from ``warm``, the restart point of an earlier LP over the
-    same ``rows``, when one is given."""
-    n_dem, n_ss = len(rhs_req), len(cost_psi)
+    Returns (a solution psi, or None when infeasible; restart point). The
+    LP has zero cost and restarts from ``warm``, the restart point of an
+    earlier LP over the same ``rows``, when one is given."""
+    n_dem, n_ss = len(rhs_req), len(lb)
     rhs = np.append(rhs_req, float(n_slot))
-    cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
-    res = solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
-    if res.status != OPTIMAL:
-        return None, res.warm
-    return (float(res.objective), res.x[:n_ss]), res.warm
+    res = solve_bounded_lp(np.zeros(n_ss + n_dem), rows, rhs, lower, upper,
+                           warm=warm)
+    return (res.x[:n_ss] if res.status == OPTIMAL else None), res.warm
 
 
 def _fractional_index(psi: np.ndarray):
@@ -227,8 +232,9 @@ def _thresholds(spacing, lo: Fraction, hi: Fraction):
 
 def _requirement(spacing, step, m_dem, g):
     """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
-    V psi >= k, and its normalized LP right-hand side step * k / m. A k_j
-    beyond int64 is a SolverError."""
+    V psi >= k, and its LP right-hand side step * k / m (normalized, and
+    scaled as the LP's rows when ``step`` is). A k_j beyond int64 is a
+    SolverError."""
     try:
         k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
     except OverflowError:
@@ -241,39 +247,25 @@ def _requirement(spacing, step, m_dem, g):
 # ---------------------------------------------------------------------------
 # Exact integer search
 
-def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
-                      best_psi, warm):
-    """Exact integer minimum of the 0/1 objective cost @ psi over count
-    vectors with v @ psi >= k, sum(psi) = n_slot and lb <= psi <= ub, if it
-    is below ``best_val``. Returns (best_val, best_psi, restart point of the
-    last LP solved); best_val and best_psi come back unchanged when no
-    integer point does better.
+def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, warm):
+    """The first count vector found with v @ psi >= k, sum(psi) = n_slot
+    and lb <= psi <= ub, or None when there is none, and the restart point
+    of the last LP solved.
 
-    Depth-first LP branch-and-bound, down-branch first. The LPs relax the
-    requirement as a @ psi >= rhs_req, its normalized form, over
-    ``rows = _requirement_rows(a)``; the root LP
-    restarts from ``warm`` and every child from its parent's basis. A node
-    is pruned once the ceiling of an LP value bounding it reaches
-    ``best_val``, and the search stops when ``best_val`` reaches its floor
-    cost @ lb. A point is accepted only by the integer test. With zero cost
-    and best_val = 1 this is a feasibility search that stops at the first
-    integer point.
+    Depth-first LP branch-and-bound, down-branch first, over feasibility
+    LPs. The LPs relax the requirement as a @ psi >= rhs_req, its
+    normalized form, over ``rows = _requirement_rows(a)``; the root LP
+    restarts from ``warm`` and every child from its parent's basis. A point
+    is accepted only by the integer test.
     """
-    floor = round(float(cost @ lb))
-    stack = [(lb, ub, floor, warm)]
-    while stack and best_val > floor:
-        nlb, nub, bound, parent = stack.pop()
-        if bound >= best_val or cost @ nlb >= best_val:
-            continue
+    stack = [(lb, ub, warm)]
+    while stack:
+        nlb, nub, parent = stack.pop()
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        lp, warm = _lp_over_requirements(rows, rhs_req, n_slot, nlb, nub,
-                                         cost, parent)
-        if lp is None:
-            continue
-        val_lp, psi_lp = lp
-        bound = math.ceil(val_lp - _INT_TOL)
-        if bound >= best_val:
+        psi_lp, warm = _lp_over_requirements(rows, rhs_req, n_slot, nlb, nub,
+                                             parent)
+        if psi_lp is None:
             continue
         branch = _fractional_index(psi_lp)
         if branch is None:
@@ -281,10 +273,8 @@ def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
             if ((psi_int < nlb) | (psi_int > nub)).any():
                 raise SolverError("a rounded LP point lies outside its node's "
                                   "box; the LP is too ill-conditioned to solve")
-            val = int(cost @ psi_int)
-            if (val < best_val and psi_int.sum() == n_slot
-                    and (v @ psi_int >= k).all()):
-                best_val, best_psi = val, psi_int
+            if psi_int.sum() == n_slot and (v @ psi_int >= k).all():
+                return psi_int, warm
             continue
         if not nlb[branch] < psi_lp[branch] < nub[branch]:
             raise SolverError("the LP point's branching coordinate lies outside "
@@ -295,9 +285,9 @@ def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, cost, best_val,
         ub_down[branch] = floor_val
         lb_up = nlb.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb_up, nub, bound, warm))    # explored second
-        stack.append((nlb, ub_down, bound, warm))  # explored first
-    return best_val, best_psi, warm
+        stack.append((lb_up, nub, warm))    # explored second
+        stack.append((nlb, ub_down, warm))  # explored first
+    return None, warm
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,13 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
     t_lp, _ = _root_lp(instance.a, n_slot)
-    rows = _requirement_rows(instance.a)
+    # Each requirement row, and through step its right-hand side, is scaled
+    # by the power of two that brings its largest entry into [0.5, 1): exact
+    # in binary floating point, and the LPs then pivot alike at any demand
+    # scale, where unscaled rows end in singular bases or wrong plans.
+    exponent = np.frexp(instance.a.max(axis=1))[1]
+    rows = _requirement_rows(np.ldexp(instance.a, -exponent[:, None]))
+    step_lp = np.ldexp(step, -exponent)
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -332,16 +328,15 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     warm = None  # every LP after the first restarts from the last LP's basis
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
-    zero_cost = np.zeros(n_ss)
     for g in _thresholds(spacing, best_t, t_top):
-        k, rhs_req = _requirement(spacing, step, m_dem, g)
-        _, psi_g, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb0,
-                                           ub0, zero_cost, 1, None, warm)
+        k, rhs_req = _requirement(spacing, step_lp, m_dem, g)
+        psi_g, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb0, ub0,
+                                        warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
 
-    k, rhs_req = _requirement(spacing, step, m_dem, best_t)
+    k, rhs_req = _requirement(spacing, step_lp, m_dem, best_t)
     return _lex_smallest_optimal(rows, rhs_req, v, k, best_psi, n_slot, warm)
 
 
@@ -353,9 +348,13 @@ def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
     an integer completion meeting the requirement. The incumbent 'witness'
     certifies feasibility of each fixed prefix, so only positions where it
     is nonzero need work. At such a position i, exact exchange moves
-    (``_exchange_down``) first lower witness_i without an LP;
-    then ``_branch_and_bound`` with a one-hot cost proves that no smaller
-    value exists, and runs only if witness_i > 0 is left. Each search
+    (``_exchange_down``) first lower witness_i without an LP. Then
+    feasibility searches (``_branch_and_bound`` with ub_i = u) ask whether
+    psi_i <= u is possible: u = w_i - 1, whose infeasibility proves w_i;
+    u = 0; u = w_i - 2, w_i - 4, ... down from the witness until one is
+    infeasible; then bisection of the gap that is left. Each point found
+    becomes the witness and is exchanged down again. Feasibility is
+    monotone in u, so the search ends on the smallest value. Each search
     restarts from the basis of the LP solved before it, ``warm`` at first.
     """
     witness = np.asarray(witness, dtype=int).copy()
@@ -363,15 +362,39 @@ def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
     masks = _column_masks(v)
+
+    def lowered(i, u):
+        """Whether psi_i <= u is feasible; a point found becomes the
+        witness, exchanged down at i."""
+        nonlocal warm
+        ub[i] = u
+        psi, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub,
+                                      warm)
+        if psi is None:
+            return False
+        witness[:] = psi
+        _exchange_down(witness, i, *masks, splits)
+        return True
+
     for i in range(n_ss):
+        splits = {}  # _split results of position i, shared by its exchanges
         if witness[i] > 0:
-            _exchange_down(witness, i, *masks)
-        if witness[i] > 0:
-            cost = np.zeros(n_ss)
-            cost[i] = 1.0
-            _, witness, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot,
-                                                 lb, ub, cost, int(witness[i]),
-                                                 witness, warm)
+            _exchange_down(witness, i, *masks, splits)
+        lo = -1  # the largest value proved out of psi_i's reach
+        if witness[i] > 0 and not lowered(i, witness[i] - 1):
+            lo = witness[i] - 1
+        if witness[i] > lo + 1 and not lowered(i, 0):
+            lo = 0
+        gap = 2  # gallop down from the witness
+        while witness[i] - gap > lo:
+            if lowered(i, witness[i] - gap):
+                gap *= 2
+            else:
+                lo = witness[i] - gap
+        while witness[i] > lo + 1:  # bisect the gap left
+            u = (lo + witness[i]) // 2
+            if not lowered(i, u):
+                lo = u
         lb[i] = ub[i] = float(witness[i])
     return witness
 
@@ -392,18 +415,19 @@ def _column_masks(v):
     return masks, index, {mask.bit_count() for mask in masks}
 
 
-def _exchange_down(w, i, masks, index, sizes):
+def _exchange_down(w, i, masks, index, sizes, splits):
     """Lower w[i] in place by exchanges that keep v @ w, sum(w) and w[:i]
     exactly: the slots of i move to a column above i with the same mask if
     there is one; otherwise q = min(w[i], w[j]) slots of i and of a support
     column j > i move to columns c, d > i with mask_c + mask_d = mask_i +
-    mask_j (``_split``), until w[i] = 0 or no move applies."""
+    mask_j (``_split``), until w[i] = 0 or no move applies. ``splits`` maps
+    j to its split, (c, d) or None; it fills as pairs are met and serves
+    every exchange at the same i."""
     same = index[masks[i]]
     if same > i:
         w[same] += w[i]
         w[i] = 0
         return
-    splits = {}  # j -> (c, d) or None, for this i
     moved = True
     while w[i] and moved:
         moved = False

@@ -2,13 +2,14 @@
 
 Solves   minimize c @ x   subject to   a @ x = b,   lower <= x <= upper,
 where upper bounds may be +inf (lower bounds must be finite). Inequality
-constraints are the caller's job (add slack/surplus columns). Pivoting uses
-Dantzig's rule, and a tie goes to the lowest index only when two prices or
-ratios are exactly equal (or within ``_TOL``). In practice rounding decides
-most ties between equally good columns, so the pivot path, though
-deterministic, moves with the order of floating-point operations. The method
-is not guaranteed finite: a phase that stalls stops at ``_ITERATION_LIMIT``
-pivots with a ``CapExceededError`` (exit 4).
+constraints are the caller's job (add slack/surplus columns). The primal
+loop prices by Dantzig's rule; its ties, and the dual loop's, go to the
+lowest index only when two prices or ratios are exactly equal (or within
+``_TOL``). In practice rounding decides most ties between equally good
+columns, so the pivot path, though deterministic, moves with the order of
+floating-point operations. The method is not guaranteed finite: a phase
+that stalls stops at ``_ITERATION_LIMIT`` pivots with a
+``CapExceededError`` (exit 4).
 
 A cold solve is the two-phase primal method: phase 1 drives one artificial
 column per row to zero, phase 2 optimizes ``c``. Every result but an
@@ -22,16 +23,26 @@ bounds can restart from it (Koberstein, *The dual simplex method*, 2005);
 another matrix is a ValueError. The artificials are fixed at zero, boxed
 nonbasic columns whose reduced cost points the other way move to their
 other bound, and a bounded dual simplex under the old cost pivots until
-every basic value is within its bounds. It picks the leaving row with the
-largest bound violation and the entering column with the smallest ratio of
-reduced cost to pivot-row entry, both with lowest-index ties. After a run
-of ``_PERTURB_AFTER`` zero-length dual steps it shifts the cost of every
-movable nonbasic column toward its bound by a distinct amount of about
-``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
+every basic value is within its bounds. Its leaving row is the violated
+row with the largest squared violation over the squared norm of its row
+of the basis inverse: dual steepest edge (Forrest & Goldfarb, *Math.
+Prog.* 57, 1992), with exact weights from the explicit inverse. The
+entering column has the smallest ratio of reduced cost to pivot-row entry,
+and the pivot element and the primal step are taken from that priced row,
+whose entry passed the ratio test's tolerance. After each update of the
+carried reduced costs, a movable nonbasic column whose reduced cost has
+drifted to the wrong sign has its cost shifted by exactly that amount,
+which sets the reduced cost to zero (Koberstein 2005), so the cost a
+restart point carries keeps its basis dual feasible. After a run of
+``_PERTURB_AFTER`` zero-length dual steps the loop shifts the cost of
+every movable nonbasic column toward its bound by a distinct amount of
+about ``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
 feasible. A violated row that no movable column can repair proves the LP
 infeasible, and the basis is still dual feasible, so the next LP of the
 chain can restart from it. Once the basis is primal feasible, the primal
-loop optimizes the new ``c``.
+loop optimizes the new ``c``. Under a zero ``c`` every primal feasible
+basis is optimal, so a zero-cost (feasibility) LP skips the primal loop
+and its warm solve is the dual loop alone.
 
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
@@ -41,7 +52,9 @@ the inverse with one rank-1 product-form step (the eta matrix of the pivot).
 Every ``_REFACTOR_INTERVAL`` basis changes, and before the final point of
 each phase is read, the inverse is recomputed from the basis columns so
 that rounding error from the updates cannot build up, and a dual loop that
-proves infeasibility inverts its final basis too. So every LP with a
+proves infeasibility inverts its final basis too; an inverse that is
+already a fresh inversion of the final basis (no basis change since) is
+kept, since inverting again gives the same bits. So every LP with a
 restart point ends on a fresh inversion of its final basis, and the restart
 point carries it. A warm solve starts from a copy of that inverse. The copy
 is bit for bit what inverting the same columns of the same matrix again
@@ -54,8 +67,9 @@ step moves ``x_B`` along the entering column and puts the entering value in
 the leaving row, and the dual loop subtracts a multiple of the pivot row
 from the reduced costs. Both are recomputed from scratch at the start of
 each loop and after every fresh inversion, and the reduced costs also after
-the dual loop's cost shift. The dual loop's first reduced costs are those
-the warm start's sign check computed from the same inverse.
+the dual loop's perturbation. The dual loop's first reduced costs are those
+the warm start's sign check computed from the same inverse (all zero under
+a zero cost).
 """
 from __future__ import annotations
 
@@ -113,7 +127,7 @@ class _Lp:
         self.upper = np.asarray(upper, dtype=float)
         self.m, self.n = self.a.shape
         self.pivots = 0
-        self.since_refactor = 0
+        self.since_refactor = 0  # basis changes since binv was inverted
         if not np.isfinite(self.lower).all():
             raise ValueError("lower bounds must be finite")
         if (self.upper < self.lower - _TOL).any():
@@ -162,7 +176,7 @@ class _Lp:
             return True
         # product-form update: B_new^-1 = E @ B^-1
         pivot_row = self.binv[leave_pos] / w[leave_pos]
-        self.binv -= np.outer(w, pivot_row)
+        self.binv -= w[:, None] * pivot_row
         self.binv[leave_pos] = pivot_row
         return False
 
@@ -225,31 +239,45 @@ class _Lp:
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
 
-    def _perturbed(self, cost, in_basis, at_upper, movable):
+    def _perturbed(self, cost, direction):
         """``cost`` with each movable nonbasic column's entry shifted toward
-        its bound by a distinct small amount, so that no reduced cost is
-        zero and the basis stays dual feasible."""
+        its bound (``direction``, see ``_dual_iterate``) by a distinct small
+        amount, so that no reduced cost is zero and the basis stays dual
+        feasible."""
         shift = _DUAL_PERTURBATION * max(1.0, float(np.abs(cost).max()))
         spread = 1.0 + np.arange(cost.size) * _GOLDEN % 1.0
-        return cost + np.where(at_upper, -shift, shift) * (
-            movable & ~in_basis) * spread
+        return cost + shift * direction * spread
 
-    def _dual_iterate(self, cost, reduced, basis, in_basis, at_upper):
-        """Run the bounded dual simplex loop under ``cost``, whose reduced
-        costs ``reduced`` (updated in place) must already have the right
-        sign at every nonbasic column.
+    def _absorb_drift(self, cost, reduced, direction):
+        """``cost`` with the entry of every movable nonbasic column whose
+        reduced cost has drifted to the wrong sign shifted by exactly that
+        reduced cost, which is set to zero in place, so the basis stays
+        dual feasible under the cost returned."""
+        wrong = direction * reduced < 0.0
+        if not wrong.any():
+            return cost
+        cost = np.where(wrong, cost - reduced, cost)
+        reduced[wrong] = 0.0
+        return cost
+
+    def _dual_iterate(self, cost, reduced, direction, basis, in_basis,
+                      at_upper):
+        """Run the bounded dual simplex loop under ``cost``. ``direction``
+        (updated in place) is +1 at each movable nonbasic column at its
+        lower bound, -1 at one at its upper bound, and 0 at basic and fixed
+        columns, which never enter; the reduced costs ``reduced`` (updated
+        in place) must not have the opposite sign anywhere.
         Pivots until every basic value lies within its bounds (OPTIMAL) or a
         violated row cannot be repaired (INFEASIBLE); returns the status and
-        the cost under which the final basis is dual feasible.
+        the cost under which the final basis is dual feasible: ``cost``
+        with the drift of the carried reduced costs absorbed.
 
-        Under the planner's zero or one-hot costs most reduced costs are
-        zero and the loop can stall on zero-length dual steps for thousands
-        of pivots. After ``_PERTURB_AFTER`` such steps in a row the cost is
-        perturbed, once (any cost under which the basis is dual feasible
-        serves)."""
+        Under the planner's zero costs every reduced cost is zero and the
+        loop can stall on zero-length dual steps. After ``_PERTURB_AFTER``
+        such steps in a row the cost is perturbed, once (any cost under
+        which the basis is dual feasible serves)."""
         tol = _TOL
         feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
-        movable = self.upper - self.lower > tol  # fixed columns never enter
         degenerate_run = 0
         perturbed = False
         _, xb = self._basic_values(in_basis, at_upper)
@@ -262,18 +290,20 @@ class _Lp:
             if rows.size == 0:
                 return OPTIMAL, cost
             if degenerate_run == _PERTURB_AFTER and not perturbed:
-                cost = self._perturbed(cost, in_basis, at_upper, movable)
+                cost = self._perturbed(cost, direction)
                 reduced = self._reduced_costs(cost, basis)
+                cost = self._absorb_drift(cost, reduced, direction)
                 perturbed = True
-            rows = rows[violation[rows] == violation[rows].max()]
-            leave_pos = int(rows[np.argmin(basis[rows])])  # lowest index
+            binv = self.binv
+            leave_pos = int(rows[0])
+            if rows.size > 1:  # dual steepest edge
+                norms = np.einsum("ij,ij->i", binv[rows], binv[rows])
+                leave_pos = int(rows[np.argmax(violation[rows] ** 2 / norms)])
             # The leaving column moves to the bound it violates; sigma
             # orients row leave_pos of B^-1 A so that the dual step is >= 0.
             sigma = 1.0 if above[leave_pos] > 0 else -1.0
-            alpha = sigma * (self.binv[leave_pos] @ self.a_ext)
-            eligible = np.flatnonzero(
-                ~in_basis & movable
-                & np.where(at_upper, alpha < -tol, alpha > tol))
+            alpha = sigma * (binv[leave_pos] @ self.a_ext)
+            eligible = np.flatnonzero(direction * alpha > tol)
             if eligible.size == 0:
                 return INFEASIBLE, cost
             ratios = np.maximum(reduced[eligible] / alpha[eligible], 0.0)
@@ -281,26 +311,38 @@ class _Lp:
             enter = int(eligible[np.flatnonzero(ratios <= step + tol)[0]])
             self.pivots += 1
             degenerate_run = degenerate_run + 1 if step <= tol else 0
-            w = self.binv @ self.a_ext[:, enter]
+            # The pivot element comes from the priced row, which passed the
+            # eligibility test, not from the entering column.
+            pivot = alpha[enter]
+            w = binv @ self.a_ext[:, enter]
+            w[leave_pos] = sigma * pivot
             # Primal step: the leaving value lands on the bound it violates
             # and the entering column takes row leave_pos.
-            theta = sigma * violation[leave_pos] / w[leave_pos]
+            theta = violation[leave_pos] / pivot
             xb -= theta * w
             xb[leave_pos] = (self.upper if at_upper[enter]
                              else self.lower)[enter] + theta
-            reduced -= (reduced[enter] / alpha[enter]) * alpha
+            leaving = basis[leave_pos]
+            direction[enter] = 0.0
+            if self.upper[leaving] - self.lower[leaving] > tol:
+                direction[leaving] = -sigma
+            if reduced[enter]:  # else a zero-length step changes nothing
+                reduced -= (reduced[enter] / pivot) * alpha
+                cost = self._absorb_drift(cost, reduced, direction)
             lower_b[leave_pos] = self.lower[enter]
             upper_b[leave_pos] = self.upper[enter]
             if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
                            sigma > 0, w):
                 _, xb = self._basic_values(in_basis, at_upper)
                 reduced = self._reduced_costs(cost, basis)
+                cost = self._absorb_drift(cost, reduced, direction)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
 
     def _final_values(self, basis, in_basis, at_upper):
-        self._refactor(basis)
+        if self.since_refactor:
+            self._refactor(basis)
         x, xb = self._basic_values(in_basis, at_upper)
         x[basis] = xb
         return x
@@ -315,8 +357,9 @@ class _Lp:
         """Primal phase from a primal-feasible basis with the artificials
         pinned at zero."""
         cost = np.concatenate([self.c, np.zeros(self.m)])
-        status = self._iterate(cost, basis, in_basis, at_upper)
-        if status == UNBOUNDED:
+        # under a zero cost every basis is optimal: nothing to price
+        if self.c.any() and self._iterate(cost, basis, in_basis,
+                                          at_upper) == UNBOUNDED:
             return self._result(UNBOUNDED)
         x = self._final_values(basis, in_basis, at_upper)
         xs = x[: self.n]
@@ -336,7 +379,7 @@ class _Lp:
         in_basis = np.zeros(cols, dtype=bool)
         in_basis[basis] = True
         at_upper = np.zeros(cols, dtype=bool)
-        self.binv = np.diag(signs)  # inverse of the artificial basis
+        self._refactor(basis)  # the artificial basis
 
         phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
         status = self._iterate(phase1_cost, basis, in_basis, at_upper)
@@ -365,18 +408,26 @@ class _Lp:
         in_basis[basis] = True
         at_upper = warm.at_upper.copy()
         self.binv = warm.binv.copy()
-        reduced = self._reduced_costs(warm.cost, basis)
-        wrong = ~in_basis & np.where(at_upper, reduced > _TOL,
-                                     reduced < -_TOL)
-        at_upper[wrong] = ~at_upper[wrong]
+        movable = self.upper - self.lower > _TOL
+        direction = np.where(at_upper, -1.0, 1.0) * (movable & ~in_basis)
+        cost = warm.cost
+        if cost.any():
+            reduced = self._reduced_costs(cost, basis)
+            wrong = direction * reduced < -_TOL
+            at_upper[wrong] = ~at_upper[wrong]
+            direction[wrong] = -direction[wrong]
+            cost = self._absorb_drift(cost, reduced, direction)
+        else:  # a zero cost leaves every basis dual feasible
+            reduced = np.zeros(self.n + self.m)
         if not np.isfinite(self.upper[at_upper]).all():
             raise SolverError(
                 "warm start is not dual feasible: a column without an upper "
                 "bound has a reduced cost of the wrong sign")
-        status, cost = self._dual_iterate(warm.cost, reduced, basis,
+        status, cost = self._dual_iterate(cost, reduced, direction, basis,
                                           in_basis, at_upper)
         if status == INFEASIBLE:
-            self._refactor(basis)  # so the restart point carries an inverse
+            if self.since_refactor:  # the restart point gets a fresh inverse
+                self._refactor(basis)
             return self._result(INFEASIBLE,
                                 warm=self._warm(basis, at_upper, cost))
         return self._optimize(basis, in_basis, at_upper)

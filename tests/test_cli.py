@@ -670,6 +670,92 @@ def test_tiny_demand_scale_plans_or_is_solver_error(tmp_path, capsys, scale):
         assert sum(psi.values()) == doc["system"]["N_slot"]
 
 
+def _reference_demands_times(factor, but_cluster_0=False):
+    """ref_71beam with every demand, or every demand outside cluster 0,
+    times ``factor``."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    kept = set(doc["clusters"][0]) if but_cluster_0 else set()
+    for beam in doc["beams"]:
+        if beam["id"] not in kept:
+            beam["demand_bps"] *= factor
+    return doc
+
+
+def _plan_json(tmp_path, doc):
+    out = tmp_path / "out"
+    assert _run(["plan", "--scenario", _write(tmp_path, doc),
+                 "--out", out]) == 0
+    return json.loads((out / "plan.json").read_text())
+
+
+def _highs_refutes_the_next_threshold(doc, psi):
+    """The exact objective of plan.json's ``psi``, after HiGHS finds no
+    count vector that reaches the next achievable objective value."""
+    opt = pytest.importorskip("scipy.optimize")
+    from fractions import Fraction
+
+    from clusterhop.snapshots import build_snapshot_set
+
+    scen = scenario.scenario_from_dict(doc)
+    caps = precoding.cluster_capacities(
+        scen, channel.build_all_cluster_channels(scen),
+        precoding.load_dvbs2_table())
+    snaps = build_snapshot_set(scen.adjacency, scen.system.n_p,
+                               caps.p_cluster_bits)
+    _, m = aggregate_and_scale_demands(scen)
+    inst = IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
+    counts = np.zeros(inst.n_snapshots, dtype=int)
+    for index, count in psi.items():
+        counts[int(index)] = count
+    spacing = [Fraction(p) / Fraction(mj)
+               for p, mj in zip(inst.step, inst.m[inst.demanded])]
+    t = min(int(k) * c for k, c in zip(inst.v @ counts, spacing))
+    g_next = min((t // c + 1) * c for c in spacing)
+    res = opt.milp(
+        np.zeros(inst.n_snapshots), integrality=np.ones(inst.n_snapshots),
+        bounds=opt.Bounds(0, inst.n_slot),
+        constraints=[
+            opt.LinearConstraint(inst.v, [math.ceil(g_next / c)
+                                          for c in spacing], np.inf),
+            opt.LinearConstraint(np.ones((1, inst.n_snapshots)), inst.n_slot,
+                                 inst.n_slot)],
+        options={"mip_rel_gap": 0})
+    assert res.status == 2  # infeasible
+    return float(t)
+
+
+@pytest.fixture(scope="module")
+def reference_plan_json(tmp_path_factory):
+    return _plan_json(tmp_path_factory.mktemp("ref"),
+                      _reference_demands_times(1.0))
+
+
+@pytest.mark.parametrize("factor, but_cluster_0", [
+    *(pytest.param(f, False, id=f"{f:g}")
+      for f in (1e-12, 1e-11, 1e-10, 1e5, 1e6, 1e7, 1e8)),
+    pytest.param(1e8, True, id="1e+08-but-cluster-0"),
+])
+def test_demand_scale_plans_the_same_window(tmp_path, reference_plan_json,
+                                            factor, but_cluster_0):
+    """Every demand times ``factor`` plans the factor-1 psi, with t divided
+    by ``factor``: the requirement LPs do not depend on the demands'
+    scale. (These scales ended in exit 6, or at 1e7 and 1e8 in a t = 0
+    plan labelled optimal.) With every demand but cluster 0's times 1e8,
+    the plan reaches the optimum that HiGHS confirms, not t = 0."""
+    plan = _plan_json(tmp_path, _reference_demands_times(factor,
+                                                         but_cluster_0))
+    assert plan["status"] == "optimal"
+    if but_cluster_0:
+        doc = _reference_demands_times(factor, but_cluster_0)
+        assert _highs_refutes_the_next_threshold(doc, plan["psi"]) == \
+            pytest.approx(plan["t"], rel=1e-12)
+        assert plan["t"] == pytest.approx(1.030257298147466e-08, rel=1e-12)
+    else:
+        assert plan["psi"] == reference_plan_json["psi"]
+        assert plan["t"] * factor == pytest.approx(reference_plan_json["t"],
+                                                   rel=1e-12)
+
+
 @pytest.mark.parametrize("field, value", [
     ("gain_peak_dBi", 4000.0),   # 10**(dB/10) overflows
     ("gain_peak_dBi", 3070.0),   # G_tx * G_rx overflows

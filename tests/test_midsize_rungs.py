@@ -3,7 +3,8 @@
 The 120-beam / 20-cluster / N_P=4 rung (654 snapshots) is re-solved with
 scipy's HiGHS MILP on the integer data: snapshot supplies are V * p with V
 0/1, so every threshold g is the integer requirement V psi >= k with
-k_j = ceil(g * m_j / p_j). The 150/25/3 and 150/25/4 answers are pinned.
+k_j = ceil(g * m_j / p_j). The 150/25/3, 150/25/4 and 200/34/4 answers
+are pinned.
 """
 import hashlib
 import math
@@ -91,3 +92,11 @@ def test_150_25_3_answer_is_pinned(dvbs2):
 
 def test_150_25_4_answer_is_pinned(dvbs2):
     assert _pinned(4, dvbs2) == (0.47141399903518083, "6c2dfb834986")
+
+
+def test_200_34_4_answer_is_pinned(dvbs2):
+    """15,466 snapshots; about 2 s of solve."""
+    _, _, instance = _rung(200, 34, 4, dvbs2)
+    plan = solve_illumination(instance)
+    digest = hashlib.sha256(plan.psi.astype(np.int64).tobytes()).hexdigest()
+    assert (plan.t, digest[:12]) == (0.3056609589732024, "9d8c49230860")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterhop import planner
-from clusterhop.errors import CapExceededError, InfeasibleError, ValidationError
+from clusterhop.errors import (CapExceededError, InfeasibleError, SolverError,
+                               ValidationError)
 from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
                                 greedy_plan, lp_relaxation_bound,
                                 solve_illumination)
@@ -103,9 +104,9 @@ def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
     lowered = {"same mask": 0, "split": 0}
     exchange = planner._exchange_down
 
-    def counted(w, i, masks, index, sizes):
+    def counted(w, i, masks, index, sizes, splits):
         before = int(w[i])
-        exchange(w, i, masks, index, sizes)
+        exchange(w, i, masks, index, sizes, splits)
         if w[i] < before:
             lowered["same mask" if index[masks[i]] > i else "split"] += 1
 
@@ -125,7 +126,7 @@ def test_each_exchange_keeps_supply_count_and_prefix():
     # column 1 move to columns 2 and 3
     v = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]])
     w = np.array([2, 3, 0, 0])
-    planner._exchange_down(w, 0, *planner._column_masks(v))
+    planner._exchange_down(w, 0, *planner._column_masks(v), {})
     assert w.tolist() == [0, 1, 2, 2]
 
     rng = np.random.default_rng(5)
@@ -137,7 +138,7 @@ def test_each_exchange_keeps_supply_count_and_prefix():
         w = rng.integers(0, 4, size=n_ss)
         for i in np.flatnonzero(w).tolist():
             before = w.copy()
-            planner._exchange_down(w, i, *masks)
+            planner._exchange_down(w, i, *masks, {})
             assert (v @ w == v @ before).all()
             assert w.sum() == before.sum() and (w >= 0).all()
             assert (w[:i] == before[:i]).all() and w[i] <= before[i]
@@ -166,6 +167,16 @@ def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
     plan = solve_illumination(inst)
     assert (14, None) in splits
     assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist() == [0, 0, 2, 2]
+
+
+@pytest.mark.parametrize("supply", [1e-309, 1e-312])
+def test_subnormal_supplies_are_solver_error(supply):
+    """Rows of subnormal supplies scale to normal LP rows without an
+    overflow warning; the requirement counts then overflow int64."""
+    v = np.array([[1.0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    inst = IlpInstance(l=supply * v, m=np.array([1.0, 2.0, 1.0]), n_slot=7)
+    with pytest.raises(SolverError, match="int64"):
+        solve_illumination(inst)
 
 
 def test_brute_force_respects_cap():

@@ -142,11 +142,12 @@ def test_singular_basis_is_solver_error(monkeypatch):
                          [0.0, 0.0], [2.0, 2.0])
 
 
-def _snapshot_rows(rng):
+def _snapshot_rows(rng, n_dem=None, n_ss=None):
     """Normalized supply rows shaped like the planner's: 0/1 snapshot
-    membership (each snapshot lights 3 clusters) scaled per row."""
-    n_dem = int(rng.integers(12, 16))
-    n_ss = int(rng.integers(65, 81))
+    membership (each snapshot lights 3 clusters) scaled per row, with
+    12 to 15 rows and 65 to 80 columns unless given."""
+    n_dem = int(rng.integers(12, 16)) if n_dem is None else n_dem
+    n_ss = int(rng.integers(65, 81)) if n_ss is None else n_ss
     v = np.zeros((n_dem, n_ss))
     for col in range(n_ss):
         v[rng.choice(n_dem, size=3, replace=False), col] = 1.0
@@ -169,6 +170,22 @@ def _assert_dual_feasible(a, lower, upper, warm):
     movable[warm.basis] = False
     assert (reduced[movable & ~warm.at_upper] >= -1e-7).all()
     assert (reduced[movable & warm.at_upper] <= 1e-7).all()
+
+
+def _over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
+    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot over
+    ``rows = planner._requirement_rows(a)``, solved through
+    ``planner.solve_bounded_lp``: ((objective, psi) or None, restart
+    point)."""
+    n_dem, n_ss = len(rhs_req), len(cost_psi)
+    rhs = np.append(rhs_req, float(n_slot))
+    cost = np.concatenate([cost_psi, np.zeros(n_dem)])
+    lower = np.concatenate([lb, np.zeros(n_dem)])
+    upper = np.concatenate([ub, np.full(n_dem, np.inf)])
+    res = planner.solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
+    if res.status != OPTIMAL:
+        return None, res.warm
+    return (float(res.objective), res.x[:n_ss]), res.warm
 
 
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
@@ -200,8 +217,7 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         rhs_req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
         cost = np.zeros(n_ss)
         cost[k] = 1.0
-        lp, warm = planner._lp_over_requirements(rows, rhs_req, n_slot, lb,
-                                                 ub, cost)
+        lp, warm = _over_requirements(rows, rhs_req, n_slot, lb, ub, cost)
         # branch on one free count, both children from the parent's basis
         j = int(rng.integers(k, n_ss))
         split = math.floor(lp[1][j]) if lp else int(rng.integers(0, 3))
@@ -209,20 +225,17 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         ub_down[j] = split
         lb_up = lb.copy()
         lb_up[j] = split + 1
-        planner._lp_over_requirements(rows, rhs_req, n_slot, lb, ub_down,
-                                      cost, warm)
-        planner._lp_over_requirements(rows, rhs_req, n_slot, lb_up, ub, cost,
-                                      warm)
+        _over_requirements(rows, rhs_req, n_slot, lb, ub_down, cost, warm)
+        _over_requirements(rows, rhs_req, n_slot, lb_up, ub, cost, warm)
         # fix position k and minimize the next count, then raise or lower
         # every requirement, each from the last basis
         fixed = float(lp[1][k].round()) if lp else 0.0
         lb[k] = ub[k] = fixed
         cost = np.roll(cost, 1)
-        _, warm = planner._lp_over_requirements(rows, rhs_req, n_slot, lb,
-                                                ub, cost, warm)
+        _, warm = _over_requirements(rows, rhs_req, n_slot, lb, ub, cost,
+                                     warm)
         rhs_req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
-        planner._lp_over_requirements(rows, rhs_req, n_slot, lb, ub, cost,
-                                      warm)
+        _over_requirements(rows, rhs_req, n_slot, lb, ub, cost, warm)
 
     assert len(captured) == 240
     cold = [lp for lp, warm in captured if not warm]
@@ -237,10 +250,11 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         _assert_dual_feasible(a, lower, upper, res.warm)
 
 
-def _requirement_lp(rng, n_slot=256):
-    """One LP in ``planner._lp_over_requirements`` form with a random
-    nonnegative cost on the counts: (c, a, b, lower, upper)."""
-    a_dem = _snapshot_rows(rng)
+def _requirement_lp(rng, n_slot=256, **shape):
+    """One requirement LP, in ``_over_requirements`` form, with a random
+    nonnegative cost on the counts, over ``_snapshot_rows(rng, **shape)``:
+    (c, a, b, lower, upper, number of counts)."""
+    a_dem = _snapshot_rows(rng, **shape)
     n_dem, n_ss = a_dem.shape
     t, _ = planner._root_lp(a_dem, n_slot)
     step = a_dem.max(axis=1)
@@ -413,9 +427,9 @@ def test_warm_start_with_another_matrix_is_value_error():
 
 def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     """Every LP of an exact solve on a 120-beam / 20-cluster / N_P = 4
-    scenario, whose one-hot refinement costs leave the dual loop on long runs
-    of zero-length steps: each warm re-solve agrees with HiGHS and costs at
-    most a few cold solves' pivots."""
+    scenario, whose zero-cost feasibility LPs leave the dual loop on long
+    runs of zero-length steps: each warm re-solve agrees with HiGHS and
+    costs at most a few cold solves' pivots."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -440,6 +454,36 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     assert max(lp[-1].pivots for lp, warm in captured if warm) <= 4 * cold
     for lp, _ in captured:
         _assert_matches_highs(*lp)
+
+
+def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
+    """Every LP of the exact solve on the reference scenario: reduced costs
+    carried from pivot to pivot drift, and the dual loop shifts the cost of
+    each nonbasic column whose reduced cost drifts to the wrong sign. The
+    shift fires, every restart point is dual feasible under its cost, and
+    every result agrees with HiGHS."""
+    captured = []
+
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        captured.append((c, a, b, lower, upper, res))
+        return res
+
+    shifts = []
+    absorb = simplex._Lp._absorb_drift
+
+    def counting(self, cost, reduced, direction):
+        shifted = absorb(self, cost, reduced, direction)
+        shifts.append(shifted is not cost)
+        return shifted
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", recording)
+    monkeypatch.setattr(simplex._Lp, "_absorb_drift", counting)
+    planner.solve_illumination(_exact_instance(hex_scenario_dict()))
+    assert any(shifts)
+    for c, a, b, lower, upper, res in captured:
+        _assert_matches_highs(c, a, b, lower, upper, res)
+        _assert_dual_feasible(a, lower, upper, res.warm)
 
 
 @pytest.mark.parametrize("interval", [1, 10**9])
@@ -495,4 +539,18 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
         statuses.add(check(one_hot, a, b_moved, lower, ub_down,
                            last.warm).status)
     assert statuses == {OPTIMAL, INFEASIBLE}
+
+    # zero-cost chains on 30 rows, as the planner's searches run them: each
+    # LP restarts from the last and caps at zero every count the last
+    # solution used, until one is infeasible; the dual steps all have
+    # length zero
+    for _ in range(3):
+        c, a, b, lower, upper, n_ss = _requirement_lp(rng, n_dem=30,
+                                                      n_ss=150)
+        c = np.zeros_like(c)
+        res = check(c, a, b, lower, upper)
+        upper = upper.copy()
+        while res.status == OPTIMAL:
+            upper[:n_ss][res.x[:n_ss] > 0.5] = 0.0
+            res = check(c, a, b, lower, upper, res.warm)
     assert stalls  # the cost shift, after which the state is recomputed
