@@ -8,18 +8,23 @@ leakage.json, run_config.json).
 """
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from clusterhop.cli import SOLVERS, RunManifest, run  # noqa: E402
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", default="scenarios/ref_71beam.json")
+    # The checkout's reference scenario from any working directory, named
+    # relative to it, since run_config.json records the path as given
+    parser.add_argument("--scenario", default=os.path.relpath(
+        ROOT / "scenarios" / "ref_71beam.json"))
     parser.add_argument("--out", default="out/reference")
     parser.add_argument("--solver", default="ilp", choices=SOLVERS)
     args = parser.parse_args()

@@ -18,8 +18,11 @@ undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
 cluster in outage), and a threshold g is the integer requirement
 V psi >= k with k_j = ceil(g * m_j / step_j). After the root LP, every LP
-is a feasibility LP (zero cost), run by one search: depth-first LP
-branch-and-bound that stops at the first integer point. The walk takes the
+is a feasibility LP (zero cost) over that requirement itself, rows V and
+right-hand side k, run by one search: depth-first LP branch-and-bound that
+stops at the first integer point. Those LPs read neither p nor m, so they
+are alike at every demand scale; only the root LP, which ``greedy_plan``
+rounds too, sees the normalized rows l_j / m_j. The walk takes the
 thresholds downward in exact rational order from the root LP's bound and
 decides each with the search; it stops above the trivial witness, every
 slot on the last snapshot. Then, at the optimum's requirement, it fixes
@@ -31,14 +34,10 @@ unchanged and needs no LP. Then searches with ub_i = u ask whether
 psi_i <= u is possible, in this order: u = w_i - 1, whose infeasibility
 proves w_i; u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then
 bisection of the gap left. Every point found is exchanged down again. The
-LPs are over the normalized rows l_j / m_j, each scaled by the power of
-two that brings its largest entry into [0.5, 1), an exact scaling that
-keeps the LPs' pivots alike at every demand scale (the root LP, which
-``greedy_plan`` rounds, is not scaled). They are solved by the in-repo
-bounded-variable simplex; after the first, every LP restarts from the
-basis of the LP before it. A point is accepted only by the integer test,
-and an LP point outside its node's bounds, or a requirement count beyond
-int64, is a SolverError.
+LPs are solved by the in-repo bounded-variable simplex; after the first,
+every LP restarts from the basis of the LP before it. A point is accepted
+only by the integer test, and an LP point outside its node's bounds, or a
+requirement count beyond int64, is a SolverError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
 ``greedy_plan`` rounds the root LP into a heuristic lower bound. Clusters
 with zero demand are excluded from the objective; they still receive
@@ -151,13 +150,14 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
 
 
 # ---------------------------------------------------------------------------
-# LP relaxations (normalized rows a = l / m, so coefficients are near 1)
+# LP relaxations
 
 def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     """The root LP, max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot,
-    0 <= psi <= n_slot: its optimum (t, psi). Its feasible set is never
-    empty, so a solve that reports no optimum is a SolverError. Its matrix
-    is ``_requirement_rows(a)`` with the t column after psi."""
+    0 <= psi <= n_slot, over the normalized rows a = l / m: its optimum
+    (t, psi). Its feasible set is never empty, so a solve that reports no
+    optimum is a SolverError. Its matrix is ``_requirement_rows(a)`` with
+    the t column after psi."""
     n_dem, n_ss = a.shape
     n_var = n_ss + 1 + n_dem  # psi, t, surplus per demanded row
     rows = np.insert(_requirement_rows(a), n_ss, -1.0, axis=1)
@@ -173,29 +173,30 @@ def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     return float(res.x[n_ss]), res.x[:n_ss]
 
 
-def _requirement_rows(a: np.ndarray) -> np.ndarray:
-    """The requirement LPs' equality rows [[a, -I], [1, 0]] over (psi,
-    surplus per demanded row), read-only: the exact solve builds it once, so
-    every LP of its chain shares one matrix. The root LP's matrix is built
-    from it too."""
-    n_dem, n_ss = a.shape
+def _requirement_rows(v: np.ndarray) -> np.ndarray:
+    """The equality rows [[v, -I], [1, 0]] over (psi, surplus per demanded
+    row), read-only. The exact solve builds them once over the integer rows
+    V, so every requirement LP of its chain shares one -1/0/1 matrix; the
+    root LP's matrix is built the same way over a = l / m."""
+    n_dem, n_ss = v.shape
     rows = np.zeros((n_dem + 1, n_ss + n_dem))
-    rows[:n_dem, :n_ss] = a
+    rows[:n_dem, :n_ss] = v
     rows[:n_dem, n_ss:] = -np.eye(n_dem)
     rows[n_dem, :n_ss] = 1.0
     rows.flags.writeable = False
     return rows
 
 
-def _lp_over_requirements(rows, rhs_req, n_slot, lb, ub, warm=None):
-    """A feasibility LP: is a @ psi >= rhs_req, sum(psi) = n_slot,
-    lb <= psi <= ub solvable, over ``rows = _requirement_rows(a)``?
+def _lp_over_requirements(rows, k, n_slot, lb, ub, warm=None):
+    """A feasibility LP, the relaxation of the integer requirement: is
+    v @ psi >= k, sum(psi) = n_slot, lb <= psi <= ub solvable, over
+    ``rows = _requirement_rows(v)``?
 
     Returns (a solution psi, or None when infeasible; restart point). The
     LP has zero cost and restarts from ``warm``, the restart point of an
     earlier LP over the same ``rows``, when one is given."""
-    n_dem, n_ss = len(rhs_req), len(lb)
-    rhs = np.append(rhs_req, float(n_slot))
+    n_dem, n_ss = len(k), len(lb)
+    rhs = np.append(k, n_slot).astype(float)
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
     res = solve_bounded_lp(np.zeros(n_ss + n_dem), rows, rhs, lower, upper,
@@ -230,31 +231,30 @@ def _thresholds(spacing, lo: Fraction, hi: Fraction):
     return (g for g, _ in itertools.groupby(heapq.merge(*rows, reverse=True)))
 
 
-def _requirement(spacing, step, m_dem, g):
+def _requirement(spacing, g):
     """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
-    V psi >= k, and its LP right-hand side step * k / m (normalized, and
-    scaled as the LP's rows when ``step`` is). A k_j beyond int64 is a
-    SolverError."""
+    V psi >= k; the requirement LPs take k as their right-hand side. A k_j
+    beyond int64 is a SolverError."""
     try:
         k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
     except OverflowError:
         raise SolverError(
             "demands and supplies are too far apart in scale for int64 "
             "requirement counts") from None
-    return k, step * k / m_dem
+    return k
 
 
 # ---------------------------------------------------------------------------
 # Exact integer search
 
-def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, warm):
+def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
     """The first count vector found with v @ psi >= k, sum(psi) = n_slot
     and lb <= psi <= ub, or None when there is none, and the restart point
     of the last LP solved.
 
     Depth-first LP branch-and-bound, down-branch first, over feasibility
-    LPs. The LPs relax the requirement as a @ psi >= rhs_req, its
-    normalized form, over ``rows = _requirement_rows(a)``; the root LP
+    LPs. Each LP is the same requirement relaxed to real psi, over
+    ``rows = _requirement_rows(v)`` with right-hand side k; the first LP
     restarts from ``warm`` and every child from its parent's basis. A point
     is accepted only by the integer test.
     """
@@ -263,8 +263,7 @@ def _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub, warm):
         nlb, nub, parent = stack.pop()
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        psi_lp, warm = _lp_over_requirements(rows, rhs_req, n_slot, nlb, nub,
-                                             parent)
+        psi_lp, warm = _lp_over_requirements(rows, k, n_slot, nlb, nub, parent)
         if psi_lp is None:
             continue
         branch = _fractional_index(psi_lp)
@@ -307,13 +306,7 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
 
     t_lp, _ = _root_lp(instance.a, n_slot)
-    # Each requirement row, and through step its right-hand side, is scaled
-    # by the power of two that brings its largest entry into [0.5, 1): exact
-    # in binary floating point, and the LPs then pivot alike at any demand
-    # scale, where unscaled rows end in singular bases or wrong plans.
-    exponent = np.frexp(instance.a.max(axis=1))[1]
-    rows = _requirement_rows(np.ldexp(instance.a, -exponent[:, None]))
-    step_lp = np.ldexp(step, -exponent)
+    rows = _requirement_rows(v)
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -329,18 +322,17 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
     for g in _thresholds(spacing, best_t, t_top):
-        k, rhs_req = _requirement(spacing, step_lp, m_dem, g)
-        psi_g, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb0, ub0,
-                                        warm)
+        psi_g, warm = _branch_and_bound(rows, v, _requirement(spacing, g),
+                                        n_slot, lb0, ub0, warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
 
-    k, rhs_req = _requirement(spacing, step_lp, m_dem, best_t)
-    return _lex_smallest_optimal(rows, rhs_req, v, k, best_psi, n_slot, warm)
+    k = _requirement(spacing, best_t)
+    return _lex_smallest_optimal(rows, v, k, best_psi, n_slot, warm)
 
 
-def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
+def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
     """Among count vectors meeting v @ psi >= k, the optimum's requirement,
     the lexicographically smallest.
 
@@ -368,8 +360,7 @@ def _lex_smallest_optimal(rows, rhs_req, v, k, witness, n_slot, warm):
         witness, exchanged down at i."""
         nonlocal warm
         ub[i] = u
-        psi, warm = _branch_and_bound(rows, rhs_req, v, k, n_slot, lb, ub,
-                                      warm)
+        psi, warm = _branch_and_bound(rows, v, k, n_slot, lb, ub, warm)
         if psi is None:
             return False
         witness[:] = psi

@@ -482,16 +482,19 @@ def test_leakage_text_matches_the_per_slot_document(schedule):
 
 def test_reference_pipeline_runs_from_a_checkout(tmp_path):
     """The experiment script imports the checkout's own package, with no
-    install and no PYTHONPATH."""
+    install and no PYTHONPATH. Without --scenario it plans the checkout's
+    reference scenario from any working directory."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, REPO / "scripts" / "run_reference_pipeline.py",
-         "--scenario", REPO / "scenarios" / "ref_71beam.json", "--out", out],
-        cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    digest = hashlib.sha256((out / "leakage.json").read_bytes()).hexdigest()
-    assert {"leakage.json": digest} == _PINNED["ref_71beam", "leakage"]
+    given = ["--scenario", REPO / "scenarios" / "ref_71beam.json"]
+    for name, scenario_args in (("given", given), ("default", [])):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, REPO / "scripts" / "run_reference_pipeline.py",
+             *scenario_args, "--out", out],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digest = hashlib.sha256((out / "leakage.json").read_bytes()).hexdigest()
+        assert {"leakage.json": digest} == _PINNED["ref_71beam", "leakage"]
 
 
 def test_beam_ids_follow_the_file_not_its_order(tmp_path):

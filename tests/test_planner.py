@@ -70,6 +70,47 @@ def test_plan_invariants(ref_instance, ref_plan):
     assert (counts == plan.psi).all()
 
 
+def _requirement_lps(monkeypatch, instance):
+    """Every LP that ``solve_illumination`` solves after the root LP, in
+    order: its matrix, right-hand side, lower and upper bounds, and
+    pivots."""
+    lps = []
+
+    def recorded(cost, rows, rhs, lower, upper, warm=None):
+        result = solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
+        lps.append((rows.copy(), rhs.copy(), lower.copy(), upper.copy(),
+                    result.pivots))
+        return result
+
+    solve_bounded_lp = planner.solve_bounded_lp
+    with monkeypatch.context() as patched:
+        patched.setattr(planner, "solve_bounded_lp", recorded)
+        solve_illumination(instance)
+    return lps[1:]  # the root LP is the first
+
+
+def test_requirement_lps_are_the_integer_requirement(monkeypatch,
+                                                     ref_instance):
+    """After the root LP, every LP of the reference solve has the integer
+    rows V (entries -1, 0 and 1) and an integral right-hand side, k and
+    n_slot, and scaling every demand changes not one of them, nor their
+    pivots."""
+    lps = _requirement_lps(monkeypatch, ref_instance)
+    assert lps
+    for rows, rhs, *_ in lps:
+        assert np.isin(rows, (-1.0, 0.0, 1.0)).all()
+        assert (rhs == np.round(rhs)).all()
+    for factor in (0.37, 0.1, 1e-12):
+        scaled = IlpInstance(l=ref_instance.l, m=ref_instance.m * factor,
+                             n_slot=ref_instance.n_slot)
+        lps_scaled = _requirement_lps(monkeypatch, scaled)
+        assert len(lps_scaled) == len(lps), factor
+        for lp, lp_scaled in zip(lps, lps_scaled):
+            assert lp[4] == lp_scaled[4], factor
+            for a, b in zip(lp[:4], lp_scaled[:4]):
+                assert a.tobytes() == b.tobytes(), factor
+
+
 def test_brute_force_matches_exact_fuzz():
     rng = np.random.default_rng(42)
     for _ in range(60):
@@ -171,8 +212,9 @@ def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
 
 @pytest.mark.parametrize("supply", [1e-309, 1e-312])
 def test_subnormal_supplies_are_solver_error(supply):
-    """Rows of subnormal supplies scale to normal LP rows without an
-    overflow warning; the requirement counts then overflow int64."""
+    """Subnormal supplies pass the root LP without an overflow warning;
+    the requirement counts k, the right-hand side of every LP after it,
+    then overflow int64."""
     v = np.array([[1.0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
     inst = IlpInstance(l=supply * v, m=np.array([1.0, 2.0, 1.0]), n_slot=7)
     with pytest.raises(SolverError, match="int64"):
