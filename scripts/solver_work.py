@@ -8,7 +8,10 @@ calls, and their pivots, made inside ``solve_illumination``, in total and
 per phase: the root LP, the threshold walk and the lexicographic
 refinement. It also splits the pivots between the dual and the primal
 simplex loop, counts the refinement's feasibility probes (one
-``_branch_and_bound`` search each) by outcome, and prints the psi digest:
+``_branch_and_bound`` search each) by outcome, counts the exchange's work
+(``_exchange_down`` calls, the positions a same-mask move or a split
+lowered and how many of those reached 0, and ``_split`` calls), and prints
+the psi digest:
 sha256 over each scenario's ``psi.astype(int64).tobytes()``, in list order,
 first 12 hex digits. The counts depend only on the code and the
 arithmetic, not on how fast the machine is; the digest depends only on the
@@ -35,17 +38,19 @@ PHASES = ("root LP", "threshold walk", "refinement")
 def solver_work(workload) -> dict:
     """Work of ``solve_illumination`` over the workload's seed-1
     scenarios: [LPs, pivots] per phase, pivots per simplex loop,
-    refinement probes by outcome, and the psi digest. The phase changes
-    when ``_root_lp`` returns and when ``_lex_smallest_optimal`` is
-    called."""
+    refinement probes by outcome, the exchange's work, and the psi
+    digest. The phase changes when ``_root_lp`` returns and when
+    ``_lex_smallest_optimal`` is called."""
     work = {phase: [0, 0] for phase in PHASES}
     loops = {"dual": 0, "primal": 0}
     probes = {"feasible": 0, "infeasible": 0}
+    exchange = dict.fromkeys(("calls", "same mask", "same mask to 0", "split",
+                              "split to 0", "_split calls"), 0)
     digest = hashlib.sha256()
     phase = PHASES[0]
     originals = {(planner, name): getattr(planner, name) for name in (
         "solve_bounded_lp", "_root_lp", "_lex_smallest_optimal",
-        "_branch_and_bound")}
+        "_branch_and_bound", "_exchange_down", "_split")}
     originals.update({(simplex._Lp, name): getattr(simplex._Lp, name)
                       for name in ("_dual_iterate", "_iterate")})
 
@@ -72,6 +77,19 @@ def solver_work(workload) -> dict:
             probes["infeasible" if result[0] is None else "feasible"] += 1
         return result
 
+    def exchanged(w, i, masks, index, *args):
+        before = int(w[i])
+        originals[planner, "_exchange_down"](w, i, masks, index, *args)
+        exchange["calls"] += 1
+        if w[i] < before:
+            move = "same mask" if index[masks[i]] > i else "split"
+            exchange[move] += 1
+            exchange[f"{move} to 0"] += int(w[i] == 0)
+
+    def split(*args):
+        exchange["_split calls"] += 1
+        return originals[planner, "_split"](*args)
+
     def loop(name, method):
         def run(lp, *args, **kwargs):
             before = lp.pivots
@@ -85,6 +103,8 @@ def solver_work(workload) -> dict:
                (planner, "_root_lp"): walk_after_root,
                (planner, "_lex_smallest_optimal"): refinement,
                (planner, "_branch_and_bound"): search,
+               (planner, "_exchange_down"): exchanged,
+               (planner, "_split"): split,
                (simplex._Lp, "_dual_iterate"): loop(
                    "dual", originals[simplex._Lp, "_dual_iterate"]),
                (simplex._Lp, "_iterate"): loop(
@@ -102,7 +122,7 @@ def solver_work(workload) -> dict:
                 setattr(owner, name, original)
         digest.update(plan.psi.astype(np.int64).tobytes())
     return {"phases": work, "loops": loops, "probes": probes,
-            "digest": digest.hexdigest()[:12]}
+            "exchange": exchange, "digest": digest.hexdigest()[:12]}
 
 
 def main() -> None:
@@ -114,11 +134,16 @@ def main() -> None:
         phases = ", ".join(f"{phase} {n} / {p}"
                            for phase, (n, p) in work.items())
         loops, probes = result["loops"], result["probes"]
+        ex = result["exchange"]
         print(f"{name} seed 1: {workload.scenarios} scenarios, {lps} LPs, "
               f"{pivots} pivots (LPs / pivots: {phases}); pivots: dual "
               f"{loops['dual']}, primal {loops['primal']}; refinement "
               f"probes: {probes['feasible']} feasible, "
-              f"{probes['infeasible']} infeasible; psi digest "
+              f"{probes['infeasible']} infeasible; exchange: {ex['calls']} "
+              f"calls, lowered {ex['same mask']} by same mask "
+              f"({ex['same mask to 0']} to 0), {ex['split']} by split "
+              f"({ex['split to 0']} to 0), {ex['_split calls']} _split "
+              f"calls; psi digest "
               f"{result['digest']}")
 
 

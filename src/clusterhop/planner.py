@@ -187,23 +187,6 @@ def _requirement_rows(v: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _lp_over_requirements(rows, k, n_slot, lb, ub, warm=None):
-    """A feasibility LP, the relaxation of the integer requirement: is
-    v @ psi >= k, sum(psi) = n_slot, lb <= psi <= ub solvable, over
-    ``rows = _requirement_rows(v)``?
-
-    Returns (a solution psi, or None when infeasible; restart point). The
-    LP has zero cost and restarts from ``warm``, the restart point of an
-    earlier LP over the same ``rows``, when one is given."""
-    n_dem, n_ss = len(k), len(lb)
-    rhs = np.append(k, n_slot).astype(float)
-    lower = np.concatenate([lb, np.zeros(n_dem)])
-    upper = np.concatenate([ub, np.full(n_dem, np.inf)])
-    res = solve_bounded_lp(np.zeros(n_ss + n_dem), rows, rhs, lower, upper,
-                           warm=warm)
-    return (res.x[:n_ss] if res.status == OPTIMAL else None), res.warm
-
-
 def _fractional_index(psi: np.ndarray):
     """Index of the entry farthest from an integer, or None if integral."""
     frac = psi - np.floor(psi)
@@ -253,19 +236,30 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
     of the last LP solved.
 
     Depth-first LP branch-and-bound, down-branch first, over feasibility
-    LPs. Each LP is the same requirement relaxed to real psi, over
-    ``rows = _requirement_rows(v)`` with right-hand side k; the first LP
-    restarts from ``warm`` and every child from its parent's basis. A point
-    is accepted only by the integer test.
+    LPs. Each LP is the same requirement relaxed to real psi: zero cost,
+    ``rows = _requirement_rows(v)``, right-hand side [k, n_slot], and the
+    surplus columns' bounds [0, inf), all built once per search; a node
+    adds only psi's box. The first LP restarts from ``warm`` and every
+    child from its parent's basis. A point is accepted only by the integer
+    test.
     """
+    n_ss, n_dem = len(lb), len(k)
+    cost = np.zeros(n_ss + n_dem)
+    rhs = np.append(k, n_slot).astype(float)
+    surplus_lower, surplus_upper = np.zeros(n_dem), np.full(n_dem, np.inf)
     stack = [(lb, ub, warm)]
     while stack:
         nlb, nub, parent = stack.pop()
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        psi_lp, warm = _lp_over_requirements(rows, k, n_slot, nlb, nub, parent)
-        if psi_lp is None:
+        res = solve_bounded_lp(cost, rows, rhs,
+                               np.concatenate([nlb, surplus_lower]),
+                               np.concatenate([nub, surplus_upper]),
+                               warm=parent)
+        warm = res.warm
+        if res.status != OPTIMAL:
             continue
+        psi_lp = res.x[:n_ss]
         branch = _fractional_index(psi_lp)
         if branch is None:
             psi_int = np.rint(psi_lp).astype(int)
@@ -353,7 +347,7 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
     n_ss = len(witness)
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
-    masks = _column_masks(v)
+    masks, index = _column_masks(v)
 
     def lowered(i, u):
         """Whether psi_i <= u is feasible; a point found becomes the
@@ -364,13 +358,13 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
         if psi is None:
             return False
         witness[:] = psi
-        _exchange_down(witness, i, *masks, splits)
+        _exchange_down(witness, i, masks, index, splits)
         return True
 
     for i in range(n_ss):
         splits = {}  # _split results of position i, shared by its exchanges
         if witness[i] > 0:
-            _exchange_down(witness, i, *masks, splits)
+            _exchange_down(witness, i, masks, index, splits)
         lo = -1  # the largest value proved out of psi_i's reach
         if witness[i] > 0 and not lowered(i, witness[i] - 1):
             lo = witness[i] - 1
@@ -395,25 +389,24 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
 
 def _column_masks(v):
     """For a 0/1 ``v``: each column's row set as a bitmask (bit r for row
-    r), the largest column index of each mask, and the mask sizes that
-    occur."""
+    r), and the largest column index of each mask."""
     packed = np.packbits(v.astype(bool), axis=0, bitorder="little")
     width = packed.shape[0]
     raw = np.ascontiguousarray(packed.T).tobytes()
     masks = [int.from_bytes(raw[o:o + width], "little")
              for o in range(0, len(raw), width)]
     index = {mask: col for col, mask in enumerate(masks)}  # largest index wins
-    return masks, index, {mask.bit_count() for mask in masks}
+    return masks, index
 
 
-def _exchange_down(w, i, masks, index, sizes, splits):
+def _exchange_down(w, i, masks, index, splits):
     """Lower w[i] in place by exchanges that keep v @ w, sum(w) and w[:i]
-    exactly: the slots of i move to a column above i with the same mask if
-    there is one; otherwise q = min(w[i], w[j]) slots of i and of a support
-    column j > i move to columns c, d > i with mask_c + mask_d = mask_i +
-    mask_j (``_split``), until w[i] = 0 or no move applies. ``splits`` maps
-    j to its split, (c, d) or None; it fills as pairs are met and serves
-    every exchange at the same i."""
+    exactly: the slots of i move to index[masks[i]], the last column with
+    the same mask, if it is above i; otherwise q = min(w[i], w[j]) slots of
+    i and of a support column j > i move to columns c, d > i with mask_c +
+    mask_d = mask_i + mask_j (``_split``), until w[i] = 0 or no move
+    applies. ``splits`` maps j to its split, (c, d) or None; it fills as
+    pairs are met and serves every exchange at the same i."""
     same = index[masks[i]]
     if same > i:
         w[same] += w[i]
@@ -424,7 +417,7 @@ def _exchange_down(w, i, masks, index, sizes, splits):
         moved = False
         for j in (np.flatnonzero(w[i + 1:]) + i + 1).tolist():
             if j not in splits:
-                splits[j] = _split(masks[i], masks[j], i, index, sizes)
+                splits[j] = _split(masks[i], masks[j], i, index)
             q = min(w[i], w[j])
             if splits[j] is None or q == 0:
                 continue
@@ -438,28 +431,24 @@ def _exchange_down(w, i, masks, index, sizes, splits):
                 break
 
 
-def _split(mask_i, mask_j, i, index, sizes):
+def _split(mask_i, mask_j, i, index):
     """Columns (c, d), both above i, with mask_c + mask_d = mask_i + mask_j
     as 0/1 vectors, or None. The shared rows go into both c and d; the
     differing rows D are split, c taking D's lowest row (c and d are
-    interchangeable). A split whose mask sizes never occur is not looked
-    up. Pairs that differ in more than ``_SPLIT_MAX_ROWS`` rows are left to
-    the search."""
+    interchangeable), and each split is looked up in ``index``. Pairs that
+    differ in more than ``_SPLIT_MAX_ROWS`` rows are left to the search."""
     shared, diff = mask_i & mask_j, mask_i ^ mask_j
-    n_shared, n_diff = shared.bit_count(), diff.bit_count()
-    if n_diff > _SPLIT_MAX_ROWS:
+    if diff.bit_count() > _SPLIT_MAX_ROWS:
         return None
     low = diff & -diff
     rest = diff ^ low
     sub = 0
     while True:
         part = low | sub
-        n_part = part.bit_count()
-        if n_shared + n_part in sizes and n_shared + n_diff - n_part in sizes:
-            c = index.get(shared | part, -1)
-            d = index.get(shared | (diff ^ part), -1)
-            if c > i and d > i:
-                return c, d
+        c = index.get(shared | part, -1)
+        d = index.get(shared | (diff ^ part), -1)
+        if c > i and d > i:
+            return c, d
         if sub == rest:
             return None
         sub = (sub - rest) & rest

@@ -47,8 +47,9 @@ and its warm solve is the dual loop alone.
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
 200-beam / 34-cluster / N_P=4 scenario). The solver keeps an explicit basis
-inverse and a boolean mask of the basic columns. Each basis change updates
-the inverse with one rank-1 product-form step (the eta matrix of the pivot).
+inverse and the basis, the basic column of each row. Each basis change
+updates the inverse with one rank-1 product-form step (the eta matrix of
+the pivot).
 Every ``_REFACTOR_INTERVAL`` basis changes, and before the final point of
 each phase is read, the inverse is recomputed from the basis columns so
 that rounding error from the updates cannot build up, and a dual loop that
@@ -150,24 +151,21 @@ class _Lp:
                 "ill-conditioned to solve") from exc
         self.since_refactor = 0
 
-    def _basic_values(self, in_basis, at_upper):
+    def _basic_values(self, basis, at_upper):
         """Nonbasic values at their bounds and the implied basic values."""
         x = np.where(at_upper, self.upper, self.lower)
-        x[in_basis] = 0.0
+        x[basis] = 0.0
         return x, self.binv @ (self.b - self.a_ext @ x)
 
     def _reduced_costs(self, cost, basis):
         return cost - (cost[basis] @ self.binv) @ self.a_ext
 
-    def _pivot(self, basis, in_basis, at_upper, leave_pos, enter,
-               leave_to_upper, w):
+    def _pivot(self, basis, at_upper, leave_pos, enter, leave_to_upper, w):
         """Swap column ``enter`` (with ``w = B^-1 a_enter``) into basis
         position ``leave_pos`` and update the basis inverse. Returns whether
         the inverse was recomputed from scratch."""
         leaving = basis[leave_pos]
         basis[leave_pos] = enter
-        in_basis[enter] = True
-        in_basis[leaving] = False
         at_upper[enter] = False
         at_upper[leaving] = leave_to_upper
         self.since_refactor += 1
@@ -180,13 +178,13 @@ class _Lp:
         self.binv[leave_pos] = pivot_row
         return False
 
-    def _iterate(self, cost, basis, in_basis, at_upper):
-        """Run the primal simplex loop; mutates basis/in_basis/at_upper and
-        the basis inverse, returns status."""
+    def _iterate(self, cost, basis, at_upper):
+        """Run the primal simplex loop; mutates basis/at_upper and the basis
+        inverse, returns status."""
         tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
-        _, xb = self._basic_values(in_basis, at_upper)
+        _, xb = self._basic_values(basis, at_upper)
         for _ in range(_ITERATION_LIMIT):
             reduced = self._reduced_costs(cost, basis)
             # gain = |reduced| on the columns that may improve the objective
@@ -232,9 +230,9 @@ class _Lp:
                 continue
             xb[leave_pos] = (upper[enter] - step if at_upper[enter]
                              else lower[enter] + step)
-            if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
-                           leave_to_upper, w):
-                _, xb = self._basic_values(in_basis, at_upper)
+            if self._pivot(basis, at_upper, leave_pos, enter, leave_to_upper,
+                           w):
+                _, xb = self._basic_values(basis, at_upper)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
@@ -260,8 +258,7 @@ class _Lp:
         reduced[wrong] = 0.0
         return cost
 
-    def _dual_iterate(self, cost, reduced, direction, basis, in_basis,
-                      at_upper):
+    def _dual_iterate(self, cost, reduced, direction, basis, at_upper):
         """Run the bounded dual simplex loop under ``cost``. ``direction``
         (updated in place) is +1 at each movable nonbasic column at its
         lower bound, -1 at one at its upper bound, and 0 at basic and fixed
@@ -280,7 +277,7 @@ class _Lp:
         feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
         degenerate_run = 0
         perturbed = False
-        _, xb = self._basic_values(in_basis, at_upper)
+        _, xb = self._basic_values(basis, at_upper)
         lower_b = self.lower[basis]  # the basic columns' bounds, by row
         upper_b = self.upper[basis]
         for _ in range(_ITERATION_LIMIT):
@@ -331,19 +328,18 @@ class _Lp:
                 cost = self._absorb_drift(cost, reduced, direction)
             lower_b[leave_pos] = self.lower[enter]
             upper_b[leave_pos] = self.upper[enter]
-            if self._pivot(basis, in_basis, at_upper, leave_pos, enter,
-                           sigma > 0, w):
-                _, xb = self._basic_values(in_basis, at_upper)
+            if self._pivot(basis, at_upper, leave_pos, enter, sigma > 0, w):
+                _, xb = self._basic_values(basis, at_upper)
                 reduced = self._reduced_costs(cost, basis)
                 cost = self._absorb_drift(cost, reduced, direction)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
 
-    def _final_values(self, basis, in_basis, at_upper):
+    def _final_values(self, basis, at_upper):
         if self.since_refactor:
             self._refactor(basis)
-        x, xb = self._basic_values(in_basis, at_upper)
+        x, xb = self._basic_values(basis, at_upper)
         x[basis] = xb
         return x
 
@@ -353,15 +349,14 @@ class _Lp:
     def _warm(self, basis, at_upper, cost):
         return WarmStart(self.a, self.a_ext, basis, at_upper, cost, self.binv)
 
-    def _optimize(self, basis, in_basis, at_upper):
+    def _optimize(self, basis, at_upper):
         """Primal phase from a primal-feasible basis with the artificials
         pinned at zero."""
         cost = np.concatenate([self.c, np.zeros(self.m)])
         # under a zero cost every basis is optimal: nothing to price
-        if self.c.any() and self._iterate(cost, basis, in_basis,
-                                          at_upper) == UNBOUNDED:
+        if self.c.any() and self._iterate(cost, basis, at_upper) == UNBOUNDED:
             return self._result(UNBOUNDED)
-        x = self._final_values(basis, in_basis, at_upper)
+        x = self._final_values(basis, at_upper)
         xs = x[: self.n]
         return self._result(OPTIMAL, xs, float(self.c @ xs),
                             self._warm(basis, at_upper, cost))
@@ -376,16 +371,14 @@ class _Lp:
         self._extend(a_ext, np.inf)
         cols = self.n + self.m
         basis = np.arange(self.n, cols)
-        in_basis = np.zeros(cols, dtype=bool)
-        in_basis[basis] = True
         at_upper = np.zeros(cols, dtype=bool)
         self._refactor(basis)  # the artificial basis
 
         phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
-        status = self._iterate(phase1_cost, basis, in_basis, at_upper)
+        status = self._iterate(phase1_cost, basis, at_upper)
         if status != OPTIMAL:
             return self._result(INFEASIBLE)
-        x = self._final_values(basis, in_basis, at_upper)
+        x = self._final_values(basis, at_upper)
         feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
         if x[self.n:].sum() > feas_tol:
             return self._result(INFEASIBLE, warm=self._warm(
@@ -393,7 +386,7 @@ class _Lp:
 
         # Phase 2: pin artificials at zero and optimize the real objective.
         self.upper[self.n:] = 0.0
-        return self._optimize(basis, in_basis, at_upper)
+        return self._optimize(basis, at_upper)
 
     def solve_warm(self, warm: WarmStart):
         """Restart from ``warm``: make its basis dual feasible by moving
@@ -404,12 +397,11 @@ class _Lp:
             raise ValueError("a warm start needs the LP's own matrix")
         self._extend(warm.a_ext, 0.0)
         basis = warm.basis.copy()
-        in_basis = np.zeros(self.n + self.m, dtype=bool)
-        in_basis[basis] = True
         at_upper = warm.at_upper.copy()
         self.binv = warm.binv.copy()
-        movable = self.upper - self.lower > _TOL
-        direction = np.where(at_upper, -1.0, 1.0) * (movable & ~in_basis)
+        direction = np.where(at_upper, -1.0, 1.0) * (
+            self.upper - self.lower > _TOL)
+        direction[basis] = 0.0
         cost = warm.cost
         if cost.any():
             reduced = self._reduced_costs(cost, basis)
@@ -424,13 +416,13 @@ class _Lp:
                 "warm start is not dual feasible: a column without an upper "
                 "bound has a reduced cost of the wrong sign")
         status, cost = self._dual_iterate(cost, reduced, direction, basis,
-                                          in_basis, at_upper)
+                                          at_upper)
         if status == INFEASIBLE:
             if self.since_refactor:  # the restart point gets a fresh inverse
                 self._refactor(basis)
             return self._result(INFEASIBLE,
                                 warm=self._warm(basis, at_upper, cost))
-        return self._optimize(basis, in_basis, at_upper)
+        return self._optimize(basis, at_upper)
 
 
 def solve_bounded_lp(c, a, b, lower, upper,

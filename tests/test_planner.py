@@ -145,9 +145,9 @@ def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
     lowered = {"same mask": 0, "split": 0}
     exchange = planner._exchange_down
 
-    def counted(w, i, masks, index, sizes, splits):
+    def counted(w, i, masks, index, splits):
         before = int(w[i])
-        exchange(w, i, masks, index, sizes, splits)
+        exchange(w, i, masks, index, splits)
         if w[i] < before:
             lowered["same mask" if index[masks[i]] > i else "split"] += 1
 
@@ -194,8 +194,8 @@ def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
     splits = []
     split = planner._split
 
-    def recording(mask_i, mask_j, i, index, sizes):
-        result = split(mask_i, mask_j, i, index, sizes)
+    def recording(mask_i, mask_j, i, index):
+        result = split(mask_i, mask_j, i, index)
         splits.append(((mask_i ^ mask_j).bit_count(), result))
         return result
 
@@ -208,6 +208,38 @@ def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
     plan = solve_illumination(inst)
     assert (14, None) in splits
     assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist() == [0, 0, 2, 2]
+
+
+def test_split_finds_a_pair_whenever_one_exists():
+    # Brute force: each column-pair sum V_c + V_d (c = d allowed) maps to
+    # its largest min(c, d), so pair (i, j) has a split above i exactly
+    # when its sum maps above i.
+    rng = np.random.default_rng(5)
+    n_pairs = n_split = 0
+    for _ in range(300):
+        n_rows, n_ss = int(rng.integers(2, 9)), int(rng.integers(3, 21))
+        v = np.zeros((n_rows, n_ss), dtype=np.int64)
+        for col in range(n_ss):
+            if col and rng.random() < 0.3:  # repeat an earlier column
+                v[:, col] = v[:, int(rng.integers(col))]
+            else:  # a new column of random size
+                v[:, col] = rng.random(n_rows) < rng.random()
+        sums = {}
+        for c, d in itertools.combinations_with_replacement(range(n_ss), 2):
+            key = tuple(v[:, c] + v[:, d])
+            sums[key] = max(sums.get(key, -1), c)
+        masks, index = planner._column_masks(v)
+        for i, j in itertools.combinations(range(n_ss), 2):
+            target = v[:, i] + v[:, j]
+            found = planner._split(masks[i], masks[j], i, index)
+            assert (found is None) == (sums[tuple(target)] <= i), (v, i, j)
+            if found is not None:
+                c, d = found
+                assert c > i and d > i
+                assert (v[:, c] + v[:, d] == target).all()
+                n_split += 1
+            n_pairs += 1
+    assert n_split > 0 and n_pairs > n_split
 
 
 @pytest.mark.parametrize("supply", [1e-309, 1e-312])
