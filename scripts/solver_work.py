@@ -7,12 +7,13 @@ check does (``perfbench/checks.py``) and counts the ``solve_bounded_lp``
 calls, and their pivots, made inside ``solve_illumination``, in total and
 per phase: the root LP, the threshold walk and the lexicographic
 refinement. It also splits the pivots between the dual and the primal
-simplex loop, counts the refinement's feasibility probes (one
-``_branch_and_bound`` search each) by outcome, counts the exchange's work
-(``_exchange_down`` calls, the positions a same-mask move or a split
-lowered and how many of those reached 0, and ``_split`` calls), and prints
-the psi digest:
-sha256 over each scenario's ``psi.astype(int64).tobytes()``, in list order,
+simplex loop, counts the dual loop's stall perturbations (``_perturbed``
+calls) and drift shifts (``_absorb_drift`` calls that shift the cost),
+counts the refinement's feasibility probes (one ``_branch_and_bound``
+search each) by outcome, counts the exchange's work (``_exchange_down``
+calls, the positions a same-mask move or a split lowered and how many of
+those reached 0, and ``_split`` calls), and prints the psi digest: sha256
+over each scenario's ``psi.astype(int64).tobytes()``, in list order,
 first 12 hex digits. The counts depend only on the code and the
 arithmetic, not on how fast the machine is; the digest depends only on the
 answers. Prints one line per workload:
@@ -37,12 +38,14 @@ PHASES = ("root LP", "threshold walk", "refinement")
 
 def solver_work(workload) -> dict:
     """Work of ``solve_illumination`` over the workload's seed-1
-    scenarios: [LPs, pivots] per phase, pivots per simplex loop,
-    refinement probes by outcome, the exchange's work, and the psi
-    digest. The phase changes when ``_root_lp`` returns and when
-    ``_lex_smallest_optimal`` is called."""
+    scenarios: [LPs, pivots] per phase, pivots per simplex loop, the dual
+    loop's stall perturbations and drift shifts, refinement probes by
+    outcome, the exchange's work, and the psi digest. The phase changes
+    when ``_root_lp`` returns and when ``_lex_smallest_optimal`` is
+    called."""
     work = {phase: [0, 0] for phase in PHASES}
     loops = {"dual": 0, "primal": 0}
+    shifts = {"perturbations": 0, "drift shifts": 0}
     probes = {"feasible": 0, "infeasible": 0}
     exchange = dict.fromkeys(("calls", "same mask", "same mask to 0", "split",
                               "split to 0", "_split calls"), 0)
@@ -52,7 +55,8 @@ def solver_work(workload) -> dict:
         "solve_bounded_lp", "_root_lp", "_lex_smallest_optimal",
         "_branch_and_bound", "_exchange_down", "_split")}
     originals.update({(simplex._Lp, name): getattr(simplex._Lp, name)
-                      for name in ("_dual_iterate", "_iterate")})
+                      for name in ("_dual_iterate", "_iterate",
+                                   "_perturbed", "_absorb_drift")})
 
     def counted(*args, **kwargs):
         result = originals[planner, "solve_bounded_lp"](*args, **kwargs)
@@ -99,6 +103,15 @@ def solver_work(workload) -> dict:
                 loops[name] += lp.pivots - before
         return run
 
+    def perturbed(lp, *args):
+        shifts["perturbations"] += 1
+        return originals[simplex._Lp, "_perturbed"](lp, *args)
+
+    def absorbed(lp, cost, *args):
+        shifted = originals[simplex._Lp, "_absorb_drift"](lp, cost, *args)
+        shifts["drift shifts"] += shifted is not cost
+        return shifted
+
     patches = {(planner, "solve_bounded_lp"): counted,
                (planner, "_root_lp"): walk_after_root,
                (planner, "_lex_smallest_optimal"): refinement,
@@ -108,7 +121,9 @@ def solver_work(workload) -> dict:
                (simplex._Lp, "_dual_iterate"): loop(
                    "dual", originals[simplex._Lp, "_dual_iterate"]),
                (simplex._Lp, "_iterate"): loop(
-                   "primal", originals[simplex._Lp, "_iterate"])}
+                   "primal", originals[simplex._Lp, "_iterate"]),
+               (simplex._Lp, "_perturbed"): perturbed,
+               (simplex._Lp, "_absorb_drift"): absorbed}
     for k in range(workload.scenarios):
         doc = workload.scenario(workload.scenario_seed(1, k))
         inst = reference(doc).instance
@@ -121,8 +136,9 @@ def solver_work(workload) -> dict:
             for (owner, name), original in originals.items():
                 setattr(owner, name, original)
         digest.update(plan.psi.astype(np.int64).tobytes())
-    return {"phases": work, "loops": loops, "probes": probes,
-            "exchange": exchange, "digest": digest.hexdigest()[:12]}
+    return {"phases": work, "loops": loops, "shifts": shifts,
+            "probes": probes, "exchange": exchange,
+            "digest": digest.hexdigest()[:12]}
 
 
 def main() -> None:
@@ -134,10 +150,13 @@ def main() -> None:
         phases = ", ".join(f"{phase} {n} / {p}"
                            for phase, (n, p) in work.items())
         loops, probes = result["loops"], result["probes"]
+        shifts = result["shifts"]
         ex = result["exchange"]
         print(f"{name} seed 1: {workload.scenarios} scenarios, {lps} LPs, "
               f"{pivots} pivots (LPs / pivots: {phases}); pivots: dual "
-              f"{loops['dual']}, primal {loops['primal']}; refinement "
+              f"{loops['dual']}, primal {loops['primal']}; dual loop: "
+              f"{shifts['perturbations']} stall perturbations, "
+              f"{shifts['drift shifts']} drift shifts; refinement "
               f"probes: {probes['feasible']} feasible, "
               f"{probes['infeasible']} infeasible; exchange: {ex['calls']} "
               f"calls, lowered {ex['same mask']} by same mask "

@@ -16,9 +16,9 @@ undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 
 ``solve_illumination`` solves it exactly, on integers. Every achievable
 objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
-cluster in outage), and a threshold g is the integer requirement
-V psi >= k with k_j = ceil(g * m_j / step_j). After the root LP, every LP
-is a feasibility LP (zero cost) over that requirement itself, rows V and
+cluster in outage), and a threshold g is the integer requirement V psi >= k
+with k_j = ceil(g * m_j / step_j). After the root LP, every LP is a
+feasibility LP (zero cost) over that requirement itself, rows V and
 right-hand side k, run by one search: depth-first LP branch-and-bound that
 stops at the first integer point. Those LPs read neither p nor m, so they
 are alike at every demand scale; only the root LP, which ``greedy_plan``
@@ -34,10 +34,11 @@ unchanged and needs no LP. Then searches with ub_i = u ask whether
 psi_i <= u is possible, in this order: u = w_i - 1, whose infeasibility
 proves w_i; u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then
 bisection of the gap left. Every point found is exchanged down again. The
-LPs are solved by the in-repo bounded-variable simplex; after the first,
-every LP restarts from the basis of the LP before it. A point is accepted
-only by the integer test, and an LP point outside its node's bounds, or a
-requirement count beyond int64, is a SolverError.
+LPs are solved by the in-repo bounded-variable simplex. Only the root LP is
+solved cold; the chain of requirement LPs starts at the trivial witness's
+basis, and every LP after restarts from the basis of the LP before it. A
+point is accepted only by the integer test, and an LP point outside its
+node's bounds, or a requirement count beyond int64, is a SolverError.
 ``brute_force_plan`` enumerates count vectors as an oracle and
 ``greedy_plan`` rounds the root LP into a heuristic lower bound. Clusters
 with zero demand are excluded from the objective; they still receive
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import (CapExceededError, InfeasibleError, SolverError,
                      ValidationError)
-from .simplex import OPTIMAL, solve_bounded_lp
+from .simplex import OPTIMAL, solve_bounded_lp, start
 
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
@@ -312,7 +313,10 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     # widened once for simplex round-off; the first threshold with an
     # integer solution is the exact optimum.
     t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
-    warm = None  # every LP after the first restarts from the last LP's basis
+    # The chain starts at the witness's basis: each demanded row's surplus
+    # column, and the last snapshot for the budget row ([[-I, V_last],
+    # [0, 1]] is nonsingular). Each LP restarts from the last LP's basis.
+    warm = start(rows, np.append(np.arange(n_ss, n_ss + len(v)), n_ss - 1))
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
     for g in _thresholds(spacing, best_t, t_top):

@@ -11,58 +11,56 @@ floating-point operations. The method is not guaranteed finite: a phase
 that stalls stops at ``_ITERATION_LIMIT`` pivots with a
 ``CapExceededError`` (exit 4).
 
-A cold solve is the two-phase primal method: phase 1 drives one artificial
-column per row to zero, phase 2 optimizes ``c``. Every result but an
-unbounded one carries a ``WarmStart``: the matrix extended by the
-sign-matched artificial columns, ``[A | diag(signs)]`` (built once by the
-chain's cold solve and shared, read-only, by every LP after it), the basis,
-the nonbasic columns at their upper bound, the cost under which that basis
-is dual feasible, and the basis inverse, freshly computed from its
-columns. An LP with the same matrix that differs in ``c``, ``b`` or the
-bounds can restart from it (Koberstein, *The dual simplex method*, 2005);
-another matrix is a ValueError. The artificials are fixed at zero, boxed
-nonbasic columns whose reduced cost points the other way move to their
-other bound, and a bounded dual simplex under the old cost pivots until
-every basic value is within its bounds. Its leaving row is the violated
-row with the largest squared violation over the squared norm of its row
-of the basis inverse: dual steepest edge (Forrest & Goldfarb, *Math.
-Prog.* 57, 1992), with exact weights from the explicit inverse. The
-entering column has the smallest ratio of reduced cost to pivot-row entry,
-and the pivot element and the primal step are taken from that priced row,
-whose entry passed the ratio test's tolerance. After each update of the
-carried reduced costs, a movable nonbasic column whose reduced cost has
-drifted to the wrong sign has its cost shifted by exactly that amount,
-which sets the reduced cost to zero (Koberstein 2005), so the cost a
-restart point carries keeps its basis dual feasible. After a run of
-``_PERTURB_AFTER`` zero-length dual steps the loop shifts the cost of
-every movable nonbasic column toward its bound by a distinct amount of
-about ``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
-feasible. A violated row that no movable column can repair proves the LP
-infeasible, and the basis is still dual feasible, so the next LP of the
-chain can restart from it. Once the basis is primal feasible, the primal
-loop optimizes the new ``c``. Under a zero ``c`` every primal feasible
-basis is optimal, so a zero-cost (feasibility) LP skips the primal loop
-and its warm solve is the dual loop alone.
+A cold solve is the two-phase primal method over the matrix extended by one
+sign-matched artificial column per row, ``[A | diag(signs)]``: phase 1
+drives the artificials to zero, phase 2 optimizes ``c``. Its result carries
+no restart point. A restart point (``WarmStart``) is a basis of the LP's
+own matrix, with its inverse and a cost under which it is dual feasible.
+Every warm solve but an unbounded one returns one, and ``start(a, basis)``
+names one: nonbasic columns at their lower bounds under the zero cost,
+under which every basis is dual feasible. An LP with the same matrix that
+differs in ``c``, ``b`` or the bounds can restart from it (Koberstein, *The
+dual simplex method*, 2005); another matrix is a ValueError. Boxed nonbasic
+columns whose reduced cost points the other way move to their other bound,
+and a bounded dual simplex under the restart cost pivots until every basic
+value is within its bounds. Its leaving row is the violated row with the
+largest squared violation over the squared norm of its row of the basis
+inverse: dual steepest edge (Forrest & Goldfarb, *Math. Prog.* 57, 1992),
+with exact weights from the explicit inverse. The entering column has the
+smallest ratio of reduced cost to pivot-row entry, and the pivot element
+and the primal step are taken from that priced row, whose entry passed the
+ratio test's tolerance. After each update of the carried reduced costs, a
+movable nonbasic column whose reduced cost has drifted to the wrong sign
+has its cost shifted by exactly that amount, which sets the reduced cost to
+zero (Koberstein 2005), so the cost a restart point carries keeps its basis
+dual feasible. After a run of ``_PERTURB_AFTER`` zero-length dual steps the
+loop shifts the cost of every movable nonbasic column toward its bound by a
+distinct amount of about ``_DUAL_PERTURBATION``, once per solve, which
+keeps the basis dual feasible. A violated row that no movable column can
+repair proves the LP infeasible, and the basis is still dual feasible, so
+the next LP of the chain can restart from it. Once the basis is primal
+feasible, the primal loop optimizes the new ``c``. Under a zero ``c`` every
+primal feasible basis is optimal, so a zero-cost (feasibility) LP skips the
+primal loop and its warm solve is the dual loop alone.
 
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
 200-beam / 34-cluster / N_P=4 scenario). The solver keeps an explicit basis
 inverse and the basis, the basic column of each row. Each basis change
 updates the inverse with one rank-1 product-form step (the eta matrix of
-the pivot).
-Every ``_REFACTOR_INTERVAL`` basis changes, and before the final point of
-each phase is read, the inverse is recomputed from the basis columns so
-that rounding error from the updates cannot build up, and a dual loop that
-proves infeasibility inverts its final basis too; an inverse that is
-already a fresh inversion of the final basis (no basis change since) is
-kept, since inverting again gives the same bits. So every LP with a
-restart point ends on a fresh inversion of its final basis, and the restart
-point carries it. A warm solve starts from a copy of that inverse. The copy
-is bit for bit what inverting the same columns of the same matrix again
-would give, so the restart takes exactly the pivots of one that inverts its
-basis itself. Pivot rows, the entering column and the
-primal loop's prices come from the inverse. The basic values ``x_B``, and
-the dual loop's reduced costs, are carried from pivot to pivot instead
+the pivot). Every ``_REFACTOR_INTERVAL`` basis changes, and before the
+final point of each phase is read, the inverse is recomputed from the basis
+columns so that rounding error from the updates cannot build up, and a dual
+loop that proves infeasibility inverts its final basis too; an inverse that
+is already a fresh inversion of the final basis (no basis change since) is
+kept, since inverting again gives the same bits. So every LP with a restart
+point ends on a fresh inversion of its final basis, and the restart point
+carries it (``start`` inverts its basis). A warm solve starts from a copy
+of that inverse. The copy is bit for bit what inverting the same columns of
+the same matrix again would give, so the restart takes exactly the pivots
+of one that inverts its basis itself. Pivot rows, the entering column and
+the primal loop's prices come from the inverse. The basic values ``x_B``,
+and the dual loop's reduced costs, are carried from pivot to pivot instead
 (Koberstein 2005, ch. 3; Chvatal, *Linear Programming*, 1983, ch. 8): each
 step moves ``x_B`` along the entering column and puts the entering value in
 the leaving row, and the dual loop subtracts a multiple of the pivot row
@@ -95,15 +93,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the shifts so none tie
 
 @dataclass(frozen=True)
 class WarmStart:
-    """A basis to restart from: the LP's matrix ``a`` and its extension
-    ``a_ext = [a | diag(signs)]`` by the sign-matched artificial columns,
-    basic columns, nonbasic columns at their upper bound, the extended cost
-    vector (real columns then artificials) under which the basis is dual
+    """A basis to restart from, returned by a warm solve or named by
+    ``start``: the LP's own matrix ``a``, the basic columns, the nonbasic
+    columns at their upper bound, the cost under which the basis is dual
     feasible, and the basis inverse, freshly computed from the basic
     columns. Nothing here is written to; a restart copies what it
     changes."""
     a: np.ndarray
-    a_ext: np.ndarray
     basis: np.ndarray
     at_upper: np.ndarray
     cost: np.ndarray
@@ -119,46 +115,44 @@ class LpResult:
     warm: WarmStart | None  # restart point for a related LP
 
 
+def start(a, basis) -> WarmStart:
+    """The restart point of the basis ``basis`` (the basic column of each
+    row) of the matrix ``a``: every nonbasic column at its lower bound,
+    under the zero cost, so dual feasible for any bounds. A singular basis
+    is a SolverError."""
+    a, basis = np.asarray(a, dtype=float), np.asarray(basis)
+    return WarmStart(a, basis, np.zeros(a.shape[1], dtype=bool),
+                     np.zeros(a.shape[1]), _inverse(a[:, basis]))
+
+
+def _inverse(columns):
+    try:
+        return np.linalg.inv(columns)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"simplex basis became singular ({exc}); the LP is too "
+            "ill-conditioned to solve") from exc
+
+
 class _Lp:
-    def __init__(self, c, a, b, lower, upper):
-        self.c = np.asarray(c, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        self.m, self.n = self.a.shape
+    def __init__(self, a, b, lower, upper):
+        self.a, self.b, self.lower, self.upper = a, b, lower, upper
+        self.m, self.n = a.shape
         self.pivots = 0
         self.since_refactor = 0  # basis changes since binv was inverted
-        if not np.isfinite(self.lower).all():
-            raise ValueError("lower bounds must be finite")
-        if (self.upper < self.lower - _TOL).any():
-            raise ValueError("upper bound below lower bound")
-
-    def _extend(self, a_ext, artificial_upper):
-        """Take ``a_ext``, the matrix with one artificial column per row
-        appended, and bound the artificials."""
-        self.a_ext = a_ext
-        self.lower = np.concatenate([self.lower, np.zeros(self.m)])
-        self.upper = np.concatenate(
-            [self.upper, np.full(self.m, artificial_upper)])
 
     def _refactor(self, basis):
-        try:
-            self.binv = np.linalg.inv(self.a_ext[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"simplex basis became singular ({exc}); the LP is too "
-                "ill-conditioned to solve") from exc
+        self.binv = _inverse(self.a[:, basis])
         self.since_refactor = 0
 
     def _basic_values(self, basis, at_upper):
         """Nonbasic values at their bounds and the implied basic values."""
         x = np.where(at_upper, self.upper, self.lower)
         x[basis] = 0.0
-        return x, self.binv @ (self.b - self.a_ext @ x)
+        return x, self.binv @ (self.b - self.a @ x)
 
     def _reduced_costs(self, cost, basis):
-        return cost - (cost[basis] @ self.binv) @ self.a_ext
+        return cost - (cost[basis] @ self.binv) @ self.a
 
     def _pivot(self, basis, at_upper, leave_pos, enter, leave_to_upper, w):
         """Swap column ``enter`` (with ``w = B^-1 a_enter``) into basis
@@ -195,7 +189,7 @@ class _Lp:
                 return OPTIMAL
             direction = -1.0 if at_upper[enter] else 1.0
 
-            w = self.binv @ self.a_ext[:, enter]
+            w = self.binv @ self.a[:, enter]
             step = upper[enter] - lower[enter]  # own-bound flip limit
             leave_pos = -1
             leave_to_upper = False
@@ -299,7 +293,7 @@ class _Lp:
             # The leaving column moves to the bound it violates; sigma
             # orients row leave_pos of B^-1 A so that the dual step is >= 0.
             sigma = 1.0 if above[leave_pos] > 0 else -1.0
-            alpha = sigma * (binv[leave_pos] @ self.a_ext)
+            alpha = sigma * (binv[leave_pos] @ self.a)
             eligible = np.flatnonzero(direction * alpha > tol)
             if eligible.size == 0:
                 return INFEASIBLE, cost
@@ -311,7 +305,7 @@ class _Lp:
             # The pivot element comes from the priced row, which passed the
             # eligibility test, not from the entering column.
             pivot = alpha[enter]
-            w = binv @ self.a_ext[:, enter]
+            w = binv @ self.a[:, enter]
             w[leave_pos] = sigma * pivot
             # Primal step: the leaving value lands on the bound it violates
             # and the entering column takes row leave_pos.
@@ -346,56 +340,41 @@ class _Lp:
     def _result(self, status, x=None, objective=None, warm=None):
         return LpResult(status, x, objective, self.pivots, warm)
 
-    def _warm(self, basis, at_upper, cost):
-        return WarmStart(self.a, self.a_ext, basis, at_upper, cost, self.binv)
-
-    def _optimize(self, basis, at_upper):
-        """Primal phase from a primal-feasible basis with the artificials
-        pinned at zero."""
-        cost = np.concatenate([self.c, np.zeros(self.m)])
+    def _optimize(self, c, basis, at_upper, restart):
+        """Primal phase under ``c``, zero on any artificial column, from a
+        primal-feasible basis; the result carries a restart point if
+        ``restart``."""
+        cost = np.concatenate([c, np.zeros(self.n - c.size)])
         # under a zero cost every basis is optimal: nothing to price
-        if self.c.any() and self._iterate(cost, basis, at_upper) == UNBOUNDED:
+        if c.any() and self._iterate(cost, basis, at_upper) == UNBOUNDED:
             return self._result(UNBOUNDED)
-        x = self._final_values(basis, at_upper)
-        xs = x[: self.n]
-        return self._result(OPTIMAL, xs, float(self.c @ xs),
-                            self._warm(basis, at_upper, cost))
+        x = self._final_values(basis, at_upper)[:c.size]
+        return self._result(OPTIMAL, x, float(c @ x), WarmStart(
+            self.a, basis, at_upper, cost, self.binv) if restart else None)
 
-    def solve(self):
-        # Phase 1: artificials sized to the residual at the all-lower point.
-        x0 = self.lower.copy()
-        resid = self.b - self.a @ x0
-        signs = np.where(resid >= 0, 1.0, -1.0)
-        a_ext = np.hstack([self.a, np.diag(signs)])
-        a_ext.flags.writeable = False  # shared by every warm LP of the chain
-        self._extend(a_ext, np.inf)
-        cols = self.n + self.m
-        basis = np.arange(self.n, cols)
-        at_upper = np.zeros(cols, dtype=bool)
+    def solve(self, c):
+        """The two-phase primal method; the columns after those of ``c``
+        are the artificials."""
+        n = c.size
+        basis = np.arange(n, self.n)
+        at_upper = np.zeros(self.n, dtype=bool)
         self._refactor(basis)  # the artificial basis
-
-        phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
-        status = self._iterate(phase1_cost, basis, at_upper)
-        if status != OPTIMAL:
-            return self._result(INFEASIBLE)
-        x = self._final_values(basis, at_upper)
+        # Phase 1: drive the artificials to zero.
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(self.m)])
         feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
-        if x[self.n:].sum() > feas_tol:
-            return self._result(INFEASIBLE, warm=self._warm(
-                basis, at_upper, phase1_cost))
+        if (self._iterate(phase1_cost, basis, at_upper) != OPTIMAL
+                or self._final_values(basis, at_upper)[n:].sum() > feas_tol):
+            return self._result(INFEASIBLE)
 
         # Phase 2: pin artificials at zero and optimize the real objective.
-        self.upper[self.n:] = 0.0
-        return self._optimize(basis, at_upper)
+        self.upper[n:] = 0.0
+        return self._optimize(c, basis, at_upper, False)
 
-    def solve_warm(self, warm: WarmStart):
+    def solve_warm(self, c, warm: WarmStart):
         """Restart from ``warm``: make its basis dual feasible by moving
         boxed columns to the other bound, run the dual simplex under the
         warm cost until the basis is primal feasible for this LP's bounds
-        and right-hand side, then the primal simplex under this LP's cost."""
-        if warm.a is not self.a and not np.array_equal(warm.a, self.a):
-            raise ValueError("a warm start needs the LP's own matrix")
-        self._extend(warm.a_ext, 0.0)
+        and right-hand side, then the primal simplex under ``c``."""
         basis = warm.basis.copy()
         at_upper = warm.at_upper.copy()
         self.binv = warm.binv.copy()
@@ -410,7 +389,7 @@ class _Lp:
             direction[wrong] = -direction[wrong]
             cost = self._absorb_drift(cost, reduced, direction)
         else:  # a zero cost leaves every basis dual feasible
-            reduced = np.zeros(self.n + self.m)
+            reduced = np.zeros(self.n)
         if not np.isfinite(self.upper[at_upper]).all():
             raise SolverError(
                 "warm start is not dual feasible: a column without an upper "
@@ -420,26 +399,41 @@ class _Lp:
         if status == INFEASIBLE:
             if self.since_refactor:  # the restart point gets a fresh inverse
                 self._refactor(basis)
-            return self._result(INFEASIBLE,
-                                warm=self._warm(basis, at_upper, cost))
-        return self._optimize(basis, at_upper)
+            return self._result(INFEASIBLE, warm=WarmStart(
+                self.a, basis, at_upper, cost, self.binv))
+        return self._optimize(c, basis, at_upper, True)
 
 
 def solve_bounded_lp(c, a, b, lower, upper,
                      warm: WarmStart | None = None) -> LpResult:
     """Minimize ``c @ x`` over ``a @ x = b``, ``lower <= x <= upper``.
 
-    Without ``warm`` the solve is the cold two-phase method. With it, the
-    solve restarts from that basis (``LpResult.warm`` of an LP with the same
-    matrix ``a``, which may differ in ``c``, ``b`` and the bounds). Every
-    nonbasic column whose reduced cost has the wrong sign must have a finite
-    upper bound. The result's ``warm`` is the restart point for the next LP
-    of a chain; it is None only for an unbounded LP.
+    Without ``warm`` the solve is the cold two-phase method, and its result
+    carries no restart point. With it, the solve restarts from that basis:
+    ``LpResult.warm`` of a warm solve, or ``start(a, basis)``, over the
+    same matrix ``a``; the LP may differ in ``c``, ``b`` and the bounds.
+    Every nonbasic column whose reduced cost has the wrong sign must have a
+    finite upper bound. The result of a warm solve carries the restart
+    point for the next LP of the chain, unless the LP is unbounded.
 
     Raises ``CapExceededError`` when a phase runs out of pivots,
     ``SolverError`` when the basis turns out singular or the warm basis
     cannot be made dual feasible, and ``ValueError`` when ``warm`` comes
     from an LP with another matrix.
     """
-    lp = _Lp(c, a, b, lower, upper)
-    return lp.solve() if warm is None else lp.solve_warm(warm)
+    c, a, b, lower, upper = (np.asarray(v, dtype=float)
+                             for v in (c, a, b, lower, upper))
+    if not np.isfinite(lower).all():
+        raise ValueError("lower bounds must be finite")
+    if (upper < lower - _TOL).any():
+        raise ValueError("upper bound below lower bound")
+    if warm is not None:
+        if warm.a is not a and not np.array_equal(warm.a, a):
+            raise ValueError("a warm start needs the LP's own matrix")
+        return _Lp(a, b, lower, upper).solve_warm(c, warm)
+    # artificials sized to the residual at the all-lower point
+    m = a.shape[0]
+    signs = np.where(b - a @ lower >= 0, 1.0, -1.0)
+    return _Lp(np.hstack([a, np.diag(signs)]), b,
+               np.concatenate([lower, np.zeros(m)]),
+               np.concatenate([upper, np.full(m, np.inf)])).solve(c)

@@ -9,7 +9,7 @@ from clusterhop.errors import CapExceededError, SolverError
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import heterogeneous_demands, hex_scenario_dict
 from clusterhop.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
-                                solve_bounded_lp)
+                                solve_bounded_lp, start)
 from clusterhop.snapshots import build_snapshot_set
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -107,6 +107,7 @@ def test_against_scipy_reference():
         c, a, b, lower, upper = _random_instance(rng)
         res = solve_bounded_lp(c, a, b, lower, upper)
         _assert_matches_highs(c, a, b, lower, upper, res)
+        assert res.warm is None  # a cold solve gives no restart point
 
 
 def test_pivots_counted_over_both_phases():
@@ -155,33 +156,41 @@ def _snapshot_rows(rng, n_dem=None, n_ss=None):
 
 
 def _assert_dual_feasible(a, lower, upper, warm):
-    """Every movable nonbasic column of the restart point rests at the bound
-    its reduced cost under the restart cost points to (artificials count as
-    fixed at zero, as in a warm solve)."""
-    m, n = np.shape(a)
-    a_ext = warm.a_ext
-    assert np.array_equal(a_ext[:, :n], a)
-    assert np.array_equal(np.abs(a_ext[:, n:]), np.eye(m))
-    lower = np.concatenate([lower, np.zeros(m)])
-    upper = np.concatenate([upper, np.zeros(m)])
-    y = np.linalg.solve(a_ext[:, warm.basis].T, warm.cost[warm.basis])
-    reduced = warm.cost - y @ a_ext
-    movable = upper - lower > 1e-9
+    """The restart point is over the LP's own matrix, without artificial
+    columns, and every movable nonbasic column rests at the bound its
+    reduced cost under the restart cost points to."""
+    assert np.array_equal(warm.a, a)
+    y = np.linalg.solve(warm.a[:, warm.basis].T, warm.cost[warm.basis])
+    reduced = warm.cost - y @ warm.a
+    movable = np.asarray(upper) - np.asarray(lower) > 1e-9
     movable[warm.basis] = False
     assert (reduced[movable & ~warm.at_upper] >= -1e-7).all()
     assert (reduced[movable & warm.at_upper] <= 1e-7).all()
 
 
-def _over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
-    """min cost_psi @ psi s.t. a @ psi >= rhs_req, sum(psi) = n_slot over
+def _witness_start(a):
+    """The restart point a requirement chain starts from, over the matrix
+    ``a = [[v, -I], [1, 0]]`` of ``planner._requirement_rows(v)``: the
+    basis of the trivial witness, each requirement row's surplus column
+    and, for the budget row, the last count column."""
+    n_rows, n_cols = np.shape(a)
+    n_ss = n_cols - n_rows + 1
+    return start(a, np.append(np.arange(n_ss, n_cols), n_ss - 1))
+
+
+def _over_requirements(rows, req, n_slot, lb, ub, cost_psi, warm=None):
+    """min cost_psi @ psi s.t. a @ psi >= req, sum(psi) = n_slot over
     ``rows = planner._requirement_rows(a)``, solved through
-    ``planner.solve_bounded_lp``: ((objective, psi) or None, restart
-    point)."""
-    n_dem, n_ss = len(rhs_req), len(cost_psi)
-    rhs = np.append(rhs_req, float(n_slot))
+    ``planner.solve_bounded_lp`` from ``warm``, or from the trivial
+    witness's basis as the planner's chain starts: ((objective, psi) or
+    None, restart point)."""
+    n_dem, n_ss = len(req), len(cost_psi)
+    rhs = np.append(req, float(n_slot))
     cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
+    if warm is None:
+        warm = _witness_start(rows)
     res = planner.solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
     if res.status != OPTIMAL:
         return None, res.warm
@@ -189,16 +198,17 @@ def _over_requirements(rows, rhs_req, n_slot, lb, ub, cost_psi, warm=None):
 
 
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
-    """Both LP forms the planner builds, the root LP and the requirement LP
-    with a prefix of counts fixed as the lexicographic refinement fixes
-    them, and LPs that restart from an earlier basis: branch-and-bound
-    children after a bound change, the next lexicographic position after a
-    cost change, and a changed right-hand side."""
+    """Both LP forms the planner builds: the root LP, solved cold, and the
+    requirement LP with a prefix of counts fixed as the lexicographic
+    refinement fixes them, started at the trivial witness's basis; and LPs
+    that restart from an earlier result: branch-and-bound children after a
+    bound change, the next lexicographic position after a cost change, and
+    a changed right-hand side."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
         res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
-        captured.append(((c, a, b, lower, upper, res), warm is not None))
+        captured.append(((c, a, b, lower, upper, res), warm))
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
@@ -214,10 +224,10 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
         step = a.max(axis=1)
-        rhs_req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
+        req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
         cost = np.zeros(n_ss)
         cost[k] = 1.0
-        lp, warm = _over_requirements(rows, rhs_req, n_slot, lb, ub, cost)
+        lp, warm = _over_requirements(rows, req, n_slot, lb, ub, cost)
         # branch on one free count, both children from the parent's basis
         j = int(rng.integers(k, n_ss))
         split = math.floor(lp[1][j]) if lp else int(rng.integers(0, 3))
@@ -225,29 +235,37 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         ub_down[j] = split
         lb_up = lb.copy()
         lb_up[j] = split + 1
-        _over_requirements(rows, rhs_req, n_slot, lb, ub_down, cost, warm)
-        _over_requirements(rows, rhs_req, n_slot, lb_up, ub, cost, warm)
+        _over_requirements(rows, req, n_slot, lb, ub_down, cost, warm)
+        _over_requirements(rows, req, n_slot, lb_up, ub, cost, warm)
         # fix position k and minimize the next count, then raise or lower
         # every requirement, each from the last basis
         fixed = float(lp[1][k].round()) if lp else 0.0
         lb[k] = ub[k] = fixed
         cost = np.roll(cost, 1)
-        _, warm = _over_requirements(rows, rhs_req, n_slot, lb, ub, cost,
+        _, warm = _over_requirements(rows, req, n_slot, lb, ub, cost,
                                      warm)
-        rhs_req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
-        _over_requirements(rows, rhs_req, n_slot, lb, ub, cost, warm)
+        req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
+        _over_requirements(rows, req, n_slot, lb, ub, cost, warm)
 
     assert len(captured) == 240
-    cold = [lp for lp, warm in captured if not warm]
-    warm = [lp for lp, warm in captured if warm]
-    assert len(warm) == 160
+    results = {id(lp[-1].warm) for lp, _ in captured
+               if lp[-1].warm is not None}
+    cold = [lp for lp, warm in captured if warm is None]
+    started = [lp for lp, warm in captured
+               if warm is not None and id(warm) not in results]
+    warm = [lp for lp, warm in captured if id(warm) in results]
+    assert (len(cold), len(started), len(warm)) == (40, 40, 160)
     assert max(lp[-1].pivots for lp in cold) > 100
-    for group in (cold, warm):
+    assert {lp[-1].status for lp in cold} == {OPTIMAL}
+    for group in (started, warm):
         assert {lp[-1].status for lp in group} == {OPTIMAL, INFEASIBLE}
-    for lp, _ in captured:
+    for lp, restart in captured:
         _assert_matches_highs(*lp)
         c, a, b, lower, upper, res = lp
-        _assert_dual_feasible(a, lower, upper, res.warm)
+        if restart is None:
+            assert res.warm is None
+        else:
+            _assert_dual_feasible(a, lower, upper, res.warm)
 
 
 def _requirement_lp(rng, n_slot=256, **shape):
@@ -258,12 +276,12 @@ def _requirement_lp(rng, n_slot=256, **shape):
     n_dem, n_ss = a_dem.shape
     t, _ = planner._root_lp(a_dem, n_slot)
     step = a_dem.max(axis=1)
-    rhs_req = step * np.ceil(rng.uniform(0.8, 1.0) * t / step)
+    req = step * np.ceil(rng.uniform(0.8, 1.0) * t / step)
     a = np.zeros((n_dem + 1, n_ss + n_dem))
     a[:n_dem, :n_ss] = a_dem
     a[:n_dem, n_ss:] = -np.eye(n_dem)
     a[n_dem, :n_ss] = 1.0
-    b = np.append(rhs_req, n_slot)
+    b = np.append(req, n_slot)
     c = np.concatenate([rng.uniform(0, 1, size=n_ss), np.zeros(n_dem)])
     lower = np.zeros(n_ss + n_dem)
     upper = np.concatenate([np.full(n_ss, float(n_slot)),
@@ -277,7 +295,8 @@ def test_warm_resolve_after_bound_change_matches_cold():
     warm_pivots = cold_pivots = 0
     for _ in range(30):
         c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = solve_bounded_lp(c, a, b, lower, upper)
+        parent = solve_bounded_lp(c, a, b, lower, upper,
+                                  warm=_witness_start(a))
         assert parent.status == OPTIMAL
         j = int(rng.integers(0, n_ss))
         lower, upper = lower.copy(), upper.copy()
@@ -303,10 +322,12 @@ def test_warm_resolve_after_bound_change_matches_cold():
 
 
 def test_warm_start_from_infeasible_result():
-    # phase 1 proves x + y = 10 infeasible in the box; the next LP of the
-    # chain widens the box and restarts from that basis
+    # the dual loop, started with x basic, proves x + y = 10 infeasible in
+    # the box; the next LP of the chain widens the box and restarts from
+    # that basis
     c, a, b = [-1.0, -2.0], [[1.0, 1.0]], [10.0]
-    res = solve_bounded_lp(c, a, b, [0.0, 0.0], [2.0, 2.0])
+    res = solve_bounded_lp(c, a, b, [0.0, 0.0], [2.0, 2.0],
+                           warm=start(a, [0]))
     assert res.status == INFEASIBLE and res.warm is not None
     again = solve_bounded_lp(c, a, b, [0.0, 0.0], [4.0, 2.0], warm=res.warm)
     assert again.status == INFEASIBLE
@@ -317,7 +338,8 @@ def test_warm_start_from_infeasible_result():
 
 def test_warm_start_without_dual_feasible_basis_is_solver_error():
     res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                           [0.0, 0.0], [2.0, 2.0])
+                           [0.0, 0.0], [2.0, 2.0],
+                           warm=start([[1.0, 1.0]], [0]))
     assert res.x == pytest.approx([1.0, 2.0])  # y rests at its upper bound
     with pytest.raises(SolverError, match="dual feasible"):
         solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
@@ -370,7 +392,7 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
                        if res.status == INFEASIBLE}
     assert any(id(warm) in dual_infeasible for _, warm, _ in warm_lps)
     for args, warm, res in warm_lps:
-        binv = np.linalg.inv(warm.a_ext[:, warm.basis])
+        binv = np.linalg.inv(warm.a[:, warm.basis])
         assert binv.tobytes() == warm.binv.tobytes()
         again = solve_bounded_lp(*args,
                                  warm=dataclasses.replace(warm, binv=binv))
@@ -378,6 +400,36 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
         assert (again.x is None) == (res.x is None)
         if res.x is not None:
             assert again.x.tobytes() == res.x.tobytes()
+
+
+@pytest.mark.parametrize("doc", [hex_scenario_dict(), _solver_mid_seed_1()],
+                         ids=["ref_71beam", "solver_mid_seed_1"])
+def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
+    """An exact solve has one cold LP, the root LP, and a cold result
+    carries no restart point. The requirement chain starts at the trivial
+    witness's basis, under the zero cost, and every restart point after it
+    is over the chain's own matrix, without artificial columns."""
+    captured = []
+
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        captured.append((a, warm, res))
+        return res
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", recording)
+    instance = _exact_instance(doc)
+    planner.solve_illumination(instance)
+    n_dem, n_ss = instance.v.shape
+    assert [warm is None for _, warm, _ in captured] == (
+        [True] + [False] * (len(captured) - 1))
+    root_matrix, _, root = captured[0]
+    assert root_matrix.shape == (n_dem + 1, n_ss + 1 + n_dem)  # the t column
+    assert root.warm is None
+    rows, first, _ = captured[1]
+    assert first.basis.tolist() == list(range(n_ss, n_ss + n_dem)) + [n_ss - 1]
+    assert not first.at_upper.any() and not first.cost.any()
+    for a, warm, res in captured[1:]:
+        assert a is rows and warm.a is rows and res.warm.a is rows
 
 
 def test_both_children_share_one_restart_point():
@@ -388,7 +440,8 @@ def test_both_children_share_one_restart_point():
     statuses = set()
     for _ in range(20):
         c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = solve_bounded_lp(c, a, b, lower, upper)
+        parent = solve_bounded_lp(c, a, b, lower, upper,
+                                  warm=_witness_start(a))
         assert parent.status == OPTIMAL and parent.warm.binv is not None
         before = [f.tobytes() for f in dataclasses.astuple(parent.warm)]
         j = int(np.argmax(np.abs(parent.x[:n_ss] - parent.x[:n_ss].round())))
@@ -413,7 +466,8 @@ def test_both_children_share_one_restart_point():
 
 def test_warm_start_with_another_matrix_is_value_error():
     res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                           [0.0, 0.0], [2.0, 2.0])
+                           [0.0, 0.0], [2.0, 2.0],
+                           warm=start([[1.0, 1.0]], [0]))
     for c, a in (([-1.0, -2.0], [[1.0, 2.0]]),
                  ([-1.0, -2.0, 0.0], [[1.0, 1.0, 0.0]])):
         n = len(c)
@@ -457,11 +511,11 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
 
 
 def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
-    """Every LP of the exact solve on the reference scenario: reduced costs
-    carried from pivot to pivot drift, and the dual loop shifts the cost of
-    each nonbasic column whose reduced cost drifts to the wrong sign. The
-    shift fires, every restart point is dual feasible under its cost, and
-    every result agrees with HiGHS."""
+    """Every LP of the exact solve on a 120-beam / 20-cluster / N_P = 4
+    scenario: reduced costs carried from pivot to pivot drift, and the dual
+    loop shifts the cost of each nonbasic column whose reduced cost drifts
+    to the wrong sign. The shift fires, every restart point is dual
+    feasible under its cost, and every result agrees with HiGHS."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -479,11 +533,13 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_absorb_drift", counting)
-    planner.solve_illumination(_exact_instance(hex_scenario_dict()))
+    planner.solve_illumination(
+        _exact_instance(hex_scenario_dict(120, 20, system={"N_P": 4})))
     assert any(shifts)
-    for c, a, b, lower, upper, res in captured:
+    for i, (c, a, b, lower, upper, res) in enumerate(captured):
         _assert_matches_highs(c, a, b, lower, upper, res)
-        _assert_dual_feasible(a, lower, upper, res.warm)
+        if i:  # the root LP's cold solve carries no restart point
+            _assert_dual_feasible(a, lower, upper, res.warm)
 
 
 @pytest.mark.parametrize("interval", [1, 10**9])
@@ -520,7 +576,7 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
     statuses = set()
     for _ in range(20):
         c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = check(c, a, b, lower, upper)
+        parent = check(c, a, b, lower, upper, _witness_start(a))
         if parent.status != OPTIMAL:
             continue
         j = int(rng.integers(0, n_ss))
@@ -548,7 +604,7 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
         c, a, b, lower, upper, n_ss = _requirement_lp(rng, n_dem=30,
                                                       n_ss=150)
         c = np.zeros_like(c)
-        res = check(c, a, b, lower, upper)
+        res = check(c, a, b, lower, upper, _witness_start(a))
         upper = upper.copy()
         while res.status == OPTIMAL:
             upper[:n_ss][res.x[:n_ss] > 0.5] = 0.0
