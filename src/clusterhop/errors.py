@@ -38,7 +38,7 @@ class CapExceededError(ClusterHopError):
 
 class SolverError(ClusterHopError):
     """The LP solver failed: its basis matrix became singular, or an LP
-    that always has an optimum reported none."""
+    that always has an optimum reported none or an unbounded ray."""
 
     exit_code = 6
     error_class = "solver"

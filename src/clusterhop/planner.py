@@ -18,7 +18,7 @@ undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
 cluster in outage), and a threshold g is the integer requirement V psi >= k
 with k_j = ceil(g * m_j / step_j). After the root LP, every LP is a
-feasibility LP (zero cost) over that requirement itself, rows V and
+feasibility LP (no objective) over that requirement itself, rows V and
 right-hand side k, run by one search: depth-first LP branch-and-bound that
 stops at the first integer point. Those LPs read neither p nor m, so they
 are alike at every demand scale; only the root LP, which ``greedy_plan``
@@ -237,15 +237,14 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
     of the last LP solved.
 
     Depth-first LP branch-and-bound, down-branch first, over feasibility
-    LPs. Each LP is the same requirement relaxed to real psi: zero cost,
-    ``rows = _requirement_rows(v)``, right-hand side [k, n_slot], and the
-    surplus columns' bounds [0, inf), all built once per search; a node
-    adds only psi's box. The first LP restarts from ``warm`` and every
-    child from its parent's basis. A point is accepted only by the integer
-    test.
+    LPs. Each LP is the same requirement relaxed to real psi, with no
+    objective: ``rows = _requirement_rows(v)``, right-hand side
+    [k, n_slot], and the surplus columns' bounds [0, inf), all built once
+    per search; a node adds only psi's box. The first LP restarts from
+    ``warm`` and every child from its parent's basis. A point is accepted
+    only by the integer test.
     """
     n_ss, n_dem = len(lb), len(k)
-    cost = np.zeros(n_ss + n_dem)
     rhs = np.append(k, n_slot).astype(float)
     surplus_lower, surplus_upper = np.zeros(n_dem), np.full(n_dem, np.inf)
     stack = [(lb, ub, warm)]
@@ -253,7 +252,7 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
         nlb, nub, parent = stack.pop()
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        res = solve_bounded_lp(cost, rows, rhs,
+        res = solve_bounded_lp(None, rows, rhs,
                                np.concatenate([nlb, surplus_lower]),
                                np.concatenate([nub, surplus_upper]),
                                warm=parent)

@@ -1,47 +1,48 @@
-"""Dense bounded-variable simplex with warm starts for chains of related LPs.
+"""Dense bounded-variable simplex for the planner's two kinds of LP.
 
-Solves   minimize c @ x   subject to   a @ x = b,   lower <= x <= upper,
+Both have equality rows and bounds, ``a @ x = b``, ``lower <= x <= upper``,
 where upper bounds may be +inf (lower bounds must be finite). Inequality
-constraints are the caller's job (add slack/surplus columns). The primal
-loop prices by Dantzig's rule; its ties, and the dual loop's, go to the
-lowest index only when two prices or ratios are exactly equal (or within
-``_TOL``). In practice rounding decides most ties between equally good
-columns, so the pivot path, though deterministic, moves with the order of
-floating-point operations. The method is not guaranteed finite: a phase
-that stalls stops at ``_ITERATION_LIMIT`` pivots with a
-``CapExceededError`` (exit 4).
+constraints are the caller's job (add slack/surplus columns).
 
-A cold solve is the two-phase primal method over the matrix extended by one
+A cold solve minimizes ``c @ x``; the planner's root LP is the only one. It
+is the two-phase primal method over the matrix extended by one
 sign-matched artificial column per row, ``[A | diag(signs)]``: phase 1
-drives the artificials to zero, phase 2 optimizes ``c``. Its result carries
-no restart point. A restart point (``WarmStart``) is a basis of the LP's
-own matrix, with its inverse and a cost under which it is dual feasible.
-Every warm solve but an unbounded one returns one, and ``start(a, basis)``
-names one: nonbasic columns at their lower bounds under the zero cost,
-under which every basis is dual feasible. An LP with the same matrix that
-differs in ``c``, ``b`` or the bounds can restart from it (Koberstein, *The
-dual simplex method*, 2005); another matrix is a ValueError. Boxed nonbasic
-columns whose reduced cost points the other way move to their other bound,
-and a bounded dual simplex under the restart cost pivots until every basic
-value is within its bounds. Its leaving row is the violated row with the
-largest squared violation over the squared norm of its row of the basis
-inverse: dual steepest edge (Forrest & Goldfarb, *Math. Prog.* 57, 1992),
-with exact weights from the explicit inverse. The entering column has the
-smallest ratio of reduced cost to pivot-row entry, and the pivot element
-and the primal step are taken from that priced row, whose entry passed the
-ratio test's tolerance. After each update of the carried reduced costs, a
-movable nonbasic column whose reduced cost has drifted to the wrong sign
-has its cost shifted by exactly that amount, which sets the reduced cost to
-zero (Koberstein 2005), so the cost a restart point carries keeps its basis
-dual feasible. After a run of ``_PERTURB_AFTER`` zero-length dual steps the
-loop shifts the cost of every movable nonbasic column toward its bound by a
-distinct amount of about ``_DUAL_PERTURBATION``, once per solve, which
-keeps the basis dual feasible. A violated row that no movable column can
-repair proves the LP infeasible, and the basis is still dual feasible, so
-the next LP of the chain can restart from it. Once the basis is primal
-feasible, the primal loop optimizes the new ``c``. Under a zero ``c`` every
-primal feasible basis is optimal, so a zero-cost (feasibility) LP skips the
-primal loop and its warm solve is the dual loop alone.
+drives the artificials to zero (else the LP is INFEASIBLE), phase 2
+optimizes ``c``. Its result carries no restart point. An unbounded ray is
+a SolverError, since the root LP is bounded. The primal loop prices by
+Dantzig's rule; its ties go to the lowest index only when two prices or
+ratios are exactly equal (or within ``_TOL``). In practice rounding
+decides most ties between equally good columns, so the pivot path, though
+deterministic, moves with the order of floating-point operations.
+
+A warm solve is a feasibility LP, with no objective: every LP after the
+root LP. It restarts from a ``WarmStart``: a basis of the LP's own matrix,
+with its inverse and a cost under which it is dual feasible. ``start(a,
+basis)`` names one under the zero cost, under which every basis is dual
+feasible. An LP with the same matrix that differs in ``b`` or the bounds
+can restart from it (Koberstein, *The dual simplex method*, 2005); another
+matrix is a ValueError. Boxed nonbasic columns whose reduced cost points
+the other way move to their other bound, and a bounded dual simplex under
+the restart cost pivots until every basic value is within its bounds
+(OPTIMAL, with that point) or a violated row that no movable column can
+repair proves the LP INFEASIBLE. Either way the result carries the restart
+point for the next LP. Its cost is zero after a feasible LP, and after an
+infeasible one the cost the dual loop ended on, under which the final
+basis is still dual feasible. The dual loop's leaving row is the violated
+row with the largest squared violation over the squared norm of its row of
+the basis inverse: dual steepest edge (Forrest & Goldfarb, *Math. Prog.*
+57, 1992), with exact weights from the explicit inverse. The entering
+column has the smallest ratio of reduced cost to pivot-row entry, and the
+pivot element and the primal step are taken from that priced row, whose
+entry passed the ratio test's tolerance. After each update of the carried
+reduced costs, a movable nonbasic column whose reduced cost has drifted to
+the wrong sign has its cost shifted by exactly that amount, which sets the
+reduced cost to zero (Koberstein 2005). After a run of ``_PERTURB_AFTER``
+zero-length dual steps the loop shifts the cost of every movable nonbasic
+column toward its bound by a distinct amount of about
+``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
+feasible. Neither loop is guaranteed finite: a loop that stalls stops at
+``_ITERATION_LIMIT`` pivots with a ``CapExceededError`` (exit 4).
 
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
@@ -53,14 +54,14 @@ final point of each phase is read, the inverse is recomputed from the basis
 columns so that rounding error from the updates cannot build up, and a dual
 loop that proves infeasibility inverts its final basis too; an inverse that
 is already a fresh inversion of the final basis (no basis change since) is
-kept, since inverting again gives the same bits. So every LP with a restart
-point ends on a fresh inversion of its final basis, and the restart point
-carries it (``start`` inverts its basis). A warm solve starts from a copy
-of that inverse. The copy is bit for bit what inverting the same columns of
-the same matrix again would give, so the restart takes exactly the pivots
-of one that inverts its basis itself. Pivot rows, the entering column and
-the primal loop's prices come from the inverse. The basic values ``x_B``,
-and the dual loop's reduced costs, are carried from pivot to pivot instead
+kept, since inverting again gives the same bits. So every warm LP ends on a
+fresh inversion of its final basis, and the restart point carries it
+(``start`` inverts its basis). A warm solve starts from a copy of that
+inverse, bit for bit what inverting the same columns of the same matrix
+again would give, so the restart takes exactly the pivots of one that
+inverts its basis itself. Pivot rows, the entering column and the primal
+loop's prices come from the inverse. The basic values ``x_B``, and the
+dual loop's reduced costs, are carried from pivot to pivot instead
 (Koberstein 2005, ch. 3; Chvatal, *Linear Programming*, 1983, ch. 8): each
 step moves ``x_B`` along the entering column and puts the entering value in
 the leaving row, and the dual loop subtracts a multiple of the pivot row
@@ -81,7 +82,6 @@ from .errors import CapExceededError, SolverError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _TOL = 1e-9  # pivot, ratio-test and reduced-cost tolerance
 _PERTURB_AFTER = 50  # zero-length dual steps in a row before the cost shift
@@ -109,10 +109,9 @@ class WarmStart:
 @dataclass
 class LpResult:
     status: str
-    x: np.ndarray | None
-    objective: float | None
+    x: np.ndarray | None  # the point of an OPTIMAL result
     pivots: int  # basis changes and bound flips, summed over all phases
-    warm: WarmStart | None  # restart point for a related LP
+    warm: WarmStart | None  # a warm solve's restart point for the next LP
 
 
 def start(a, basis) -> WarmStart:
@@ -173,8 +172,9 @@ class _Lp:
         return False
 
     def _iterate(self, cost, basis, at_upper):
-        """Run the primal simplex loop; mutates basis/at_upper and the basis
-        inverse, returns status."""
+        """Run the primal simplex loop to an optimum under ``cost``; mutates
+        basis/at_upper and the basis inverse. An unbounded ray is a
+        SolverError."""
         tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
@@ -186,7 +186,7 @@ class _Lp:
             gain[basis] = 0.0
             enter = int(np.argmax(gain))  # the first largest gain
             if not gain[enter] > tol:
-                return OPTIMAL
+                return
             direction = -1.0 if at_upper[enter] else 1.0
 
             w = self.binv @ self.a[:, enter]
@@ -216,7 +216,8 @@ class _Lp:
                     leave_pos = i
                     leave_to_upper = coeffs[i] > 0
             if not math.isfinite(step):
-                return UNBOUNDED
+                raise SolverError(
+                    "the LP is unbounded, which no planner LP can be")
             self.pivots += 1
             xb -= (direction * step) * w
             if leave_pos < 0:
@@ -263,7 +264,7 @@ class _Lp:
         the cost under which the final basis is dual feasible: ``cost``
         with the drift of the carried reduced costs absorbed.
 
-        Under the planner's zero costs every reduced cost is zero and the
+        Under a zero restart cost every reduced cost is zero and the
         loop can stall on zero-length dual steps. After ``_PERTURB_AFTER``
         such steps in a row the cost is perturbed, once (any cost under
         which the basis is dual feasible serves)."""
@@ -337,21 +338,6 @@ class _Lp:
         x[basis] = xb
         return x
 
-    def _result(self, status, x=None, objective=None, warm=None):
-        return LpResult(status, x, objective, self.pivots, warm)
-
-    def _optimize(self, c, basis, at_upper, restart):
-        """Primal phase under ``c``, zero on any artificial column, from a
-        primal-feasible basis; the result carries a restart point if
-        ``restart``."""
-        cost = np.concatenate([c, np.zeros(self.n - c.size)])
-        # under a zero cost every basis is optimal: nothing to price
-        if c.any() and self._iterate(cost, basis, at_upper) == UNBOUNDED:
-            return self._result(UNBOUNDED)
-        x = self._final_values(basis, at_upper)[:c.size]
-        return self._result(OPTIMAL, x, float(c @ x), WarmStart(
-            self.a, basis, at_upper, cost, self.binv) if restart else None)
-
     def solve(self, c):
         """The two-phase primal method; the columns after those of ``c``
         are the artificials."""
@@ -360,21 +346,22 @@ class _Lp:
         at_upper = np.zeros(self.n, dtype=bool)
         self._refactor(basis)  # the artificial basis
         # Phase 1: drive the artificials to zero.
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(self.m)])
+        self._iterate(np.concatenate([np.zeros(n), np.ones(self.m)]), basis,
+                      at_upper)
         feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
-        if (self._iterate(phase1_cost, basis, at_upper) != OPTIMAL
-                or self._final_values(basis, at_upper)[n:].sum() > feas_tol):
-            return self._result(INFEASIBLE)
-
+        if self._final_values(basis, at_upper)[n:].sum() > feas_tol:
+            return LpResult(INFEASIBLE, None, self.pivots, None)
         # Phase 2: pin artificials at zero and optimize the real objective.
         self.upper[n:] = 0.0
-        return self._optimize(c, basis, at_upper, False)
+        self._iterate(np.concatenate([c, np.zeros(self.m)]), basis, at_upper)
+        x = self._final_values(basis, at_upper)[:n]
+        return LpResult(OPTIMAL, x, self.pivots, None)
 
-    def solve_warm(self, c, warm: WarmStart):
+    def solve_warm(self, warm: WarmStart):
         """Restart from ``warm``: make its basis dual feasible by moving
-        boxed columns to the other bound, run the dual simplex under the
-        warm cost until the basis is primal feasible for this LP's bounds
-        and right-hand side, then the primal simplex under ``c``."""
+        boxed columns to the other bound, then run the dual simplex under
+        the warm cost until the basis is primal feasible for this LP's
+        bounds and right-hand side, or proves it infeasible."""
         basis = warm.basis.copy()
         at_upper = warm.at_upper.copy()
         self.binv = warm.binv.copy()
@@ -396,43 +383,49 @@ class _Lp:
                 "bound has a reduced cost of the wrong sign")
         status, cost = self._dual_iterate(cost, reduced, direction, basis,
                                           at_upper)
-        if status == INFEASIBLE:
-            if self.since_refactor:  # the restart point gets a fresh inverse
-                self._refactor(basis)
-            return self._result(INFEASIBLE, warm=WarmStart(
-                self.a, basis, at_upper, cost, self.binv))
-        return self._optimize(c, basis, at_upper, True)
+        x = None
+        if status == OPTIMAL:  # every basis is dual feasible at zero cost
+            x, cost = self._final_values(basis, at_upper), np.zeros(self.n)
+        elif self.since_refactor:  # the restart point gets a fresh inverse
+            self._refactor(basis)
+        return LpResult(status, x, self.pivots,
+                        WarmStart(self.a, basis, at_upper, cost, self.binv))
 
 
 def solve_bounded_lp(c, a, b, lower, upper,
                      warm: WarmStart | None = None) -> LpResult:
-    """Minimize ``c @ x`` over ``a @ x = b``, ``lower <= x <= upper``.
+    """Solve ``a @ x = b``, ``lower <= x <= upper`` cold or from ``warm``.
 
-    Without ``warm`` the solve is the cold two-phase method, and its result
-    carries no restart point. With it, the solve restarts from that basis:
-    ``LpResult.warm`` of a warm solve, or ``start(a, basis)``, over the
-    same matrix ``a``; the LP may differ in ``c``, ``b`` and the bounds.
-    Every nonbasic column whose reduced cost has the wrong sign must have a
-    finite upper bound. The result of a warm solve carries the restart
-    point for the next LP of the chain, unless the LP is unbounded.
+    Cold (no ``warm``): minimize ``c @ x`` by the two-phase method; the
+    result is OPTIMAL or INFEASIBLE and carries no restart point. Warm: a
+    feasibility LP, ``c`` None, restarted from ``warm`` (``LpResult.warm``
+    of a warm solve, or ``start(a, basis)``) over the same matrix ``a``,
+    with any ``b`` and bounds; every nonbasic column whose reduced cost has
+    the wrong sign needs a finite upper bound. The result is OPTIMAL with a
+    feasible ``x``, or INFEASIBLE, and carries the next restart point: under
+    the zero cost after a feasible LP, the dual loop's last cost after an
+    infeasible one.
 
-    Raises ``CapExceededError`` when a phase runs out of pivots,
-    ``SolverError`` when the basis turns out singular or the warm basis
-    cannot be made dual feasible, and ``ValueError`` when ``warm`` comes
-    from an LP with another matrix.
+    Raises ``CapExceededError`` when a loop runs out of pivots,
+    ``SolverError`` when the basis turns out singular, the cold LP is
+    unbounded or the warm basis cannot be made dual feasible, and
+    ``ValueError`` when ``c`` is given with ``warm`` or missing without it,
+    or when ``warm`` comes from an LP with another matrix.
     """
-    c, a, b, lower, upper = (np.asarray(v, dtype=float)
-                             for v in (c, a, b, lower, upper))
+    a, b, lower, upper = (np.asarray(v, dtype=float)
+                          for v in (a, b, lower, upper))
     if not np.isfinite(lower).all():
         raise ValueError("lower bounds must be finite")
     if (upper < lower - _TOL).any():
         raise ValueError("upper bound below lower bound")
+    if (c is None) != (warm is not None):
+        raise ValueError("a cold solve needs c; a warm solve takes none")
     if warm is not None:
         if warm.a is not a and not np.array_equal(warm.a, a):
             raise ValueError("a warm start needs the LP's own matrix")
-        return _Lp(a, b, lower, upper).solve_warm(c, warm)
+        return _Lp(a, b, lower, upper).solve_warm(warm)
     # artificials sized to the residual at the all-lower point
-    m = a.shape[0]
+    m, c = a.shape[0], np.asarray(c, dtype=float)
     signs = np.where(b - a @ lower >= 0, 1.0, -1.0)
     return _Lp(np.hstack([a, np.diag(signs)]), b,
                np.concatenate([lower, np.zeros(m)]),

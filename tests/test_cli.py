@@ -783,7 +783,7 @@ def test_root_lp_failure_is_solver_error(tmp_path, toy_file, capsys,
                                          monkeypatch, solver):
     def cold_fails(c, a, b, lower, upper, warm=None):
         if warm is None:
-            return simplex.LpResult(simplex.INFEASIBLE, None, None, 0, None)
+            return simplex.LpResult(simplex.INFEASIBLE, None, 0, None)
         return simplex.solve_bounded_lp(c, a, b, lower, upper, warm=warm)
 
     monkeypatch.setattr(planner, "solve_bounded_lp", cold_fails)

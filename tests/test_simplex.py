@@ -8,8 +8,7 @@ from clusterhop import channel, planner, precoding, simplex
 from clusterhop.errors import CapExceededError, SolverError
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import heterogeneous_demands, hex_scenario_dict
-from clusterhop.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
-                                solve_bounded_lp, start)
+from clusterhop.simplex import INFEASIBLE, OPTIMAL, solve_bounded_lp, start
 from clusterhop.snapshots import build_snapshot_set
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -26,7 +25,7 @@ def test_simple_equality_box():
     )
     assert res.status == OPTIMAL
     assert res.x == pytest.approx([1.0, 2.0])
-    assert res.objective == pytest.approx(-5.0)
+    assert np.dot([-1.0, -2.0], res.x) == pytest.approx(-5.0)
 
 
 def test_infeasible_bounds():
@@ -41,29 +40,31 @@ def test_infeasible_bounds():
 
 
 def test_unbounded_direction():
-    # min -x with x - y = 0 and both unbounded above
-    res = solve_bounded_lp(
-        c=[-1.0, 0.0],
-        a=[[1.0, -1.0]],
-        b=[0.0],
-        lower=[0.0, 0.0],
-        upper=[np.inf, np.inf],
-    )
-    assert res.status == UNBOUNDED
+    # min -x with x - y = 0 and both unbounded above: no planner LP is
+    # unbounded, so the ray is a solver failure
+    with pytest.raises(SolverError, match="unbounded"):
+        solve_bounded_lp(
+            c=[-1.0, 0.0],
+            a=[[1.0, -1.0]],
+            b=[0.0],
+            lower=[0.0, 0.0],
+            upper=[np.inf, np.inf],
+        )
 
 
 def test_degenerate_ties_terminate():
     # many identical columns force degenerate pivots
     a = np.ones((1, 6))
+    c = np.array([1, 1, 1, 1, 1, 0.5])
     res = solve_bounded_lp(
-        c=[1, 1, 1, 1, 1, 0.5],
+        c=c,
         a=a,
         b=[4.0],
         lower=np.zeros(6),
         upper=np.full(6, 1.0),
     )
     assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(3.5)
+    assert c @ res.x == pytest.approx(3.5)
 
 
 def _random_instance(rng):
@@ -84,30 +85,50 @@ def _random_instance(rng):
     return c, a, b, lower, upper
 
 
-def _assert_matches_highs(c, a, b, lower, upper, res):
-    ref = scipy_linprog(
-        c, A_eq=a, b_eq=b,
+def _highs(c, a, b, lower, upper):
+    """HiGHS on the LP; ``c`` None is a feasibility LP."""
+    return scipy_linprog(
+        np.zeros(len(lower)) if c is None else c, A_eq=a, b_eq=b,
         bounds=[(lo, None if not np.isfinite(up) else up)
                 for lo, up in zip(lower, upper)],
         method="highs",
     )
-    ref_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-        ref.status, "other")
-    assert res.status == ref_status
+
+
+def _assert_matches_highs(c, a, b, lower, upper, res, ref=None):
+    """``res`` has HiGHS's status, and an optimum is a point within the
+    rows and bounds with HiGHS's objective value (if ``c`` is given)."""
+    ref = _highs(c, a, b, lower, upper) if ref is None else ref
+    assert res.status == {0: OPTIMAL, 2: INFEASIBLE}.get(ref.status, "other")
     if res.status == OPTIMAL:
-        assert res.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-7)
+        if c is not None:
+            assert np.dot(c, res.x) == pytest.approx(ref.fun, rel=1e-6,
+                                                     abs=1e-7)
         assert np.abs(a @ res.x - b).max() < 1e-6
         assert (res.x >= lower - 1e-7).all()
         assert (res.x <= upper + 1e-7).all()
 
 
+def _cold_against_highs(c, a, b, lower, upper):
+    """The cold solve of the LP, checked against HiGHS; an LP that HiGHS
+    finds unbounded must be a SolverError, and gives None."""
+    ref = _highs(c, a, b, lower, upper)
+    if ref.status == 3:
+        with pytest.raises(SolverError, match="unbounded"):
+            solve_bounded_lp(c, a, b, lower, upper)
+        return None
+    res = solve_bounded_lp(c, a, b, lower, upper)
+    _assert_matches_highs(c, a, b, lower, upper, res, ref)
+    assert res.warm is None  # a cold solve gives no restart point
+    return res
+
+
 def test_against_scipy_reference():
     rng = np.random.default_rng(1234)
-    for _ in range(200):
-        c, a, b, lower, upper = _random_instance(rng)
-        res = solve_bounded_lp(c, a, b, lower, upper)
-        _assert_matches_highs(c, a, b, lower, upper, res)
-        assert res.warm is None  # a cold solve gives no restart point
+    results = [_cold_against_highs(*_random_instance(rng))
+               for _ in range(200)]
+    assert {None if res is None else res.status for res in results} == {
+        OPTIMAL, INFEASIBLE, None}
 
 
 def test_pivots_counted_over_both_phases():
@@ -178,23 +199,20 @@ def _witness_start(a):
     return start(a, np.append(np.arange(n_ss, n_cols), n_ss - 1))
 
 
-def _over_requirements(rows, req, n_slot, lb, ub, cost_psi, warm=None):
-    """min cost_psi @ psi s.t. a @ psi >= req, sum(psi) = n_slot over
-    ``rows = planner._requirement_rows(a)``, solved through
-    ``planner.solve_bounded_lp`` from ``warm``, or from the trivial
-    witness's basis as the planner's chain starts: ((objective, psi) or
-    None, restart point)."""
-    n_dem, n_ss = len(req), len(cost_psi)
+def _over_requirements(rows, req, n_slot, lb, ub, warm=None):
+    """The feasibility LP a @ psi >= req, sum(psi) = n_slot,
+    lb <= psi <= ub over ``rows = planner._requirement_rows(a)``, solved
+    through ``planner.solve_bounded_lp`` from ``warm``, or from the trivial
+    witness's basis as the planner's chain starts: (psi or None, restart
+    point)."""
+    n_dem, n_ss = len(req), len(lb)
     rhs = np.append(req, float(n_slot))
-    cost = np.concatenate([cost_psi, np.zeros(n_dem)])
     lower = np.concatenate([lb, np.zeros(n_dem)])
     upper = np.concatenate([ub, np.full(n_dem, np.inf)])
     if warm is None:
         warm = _witness_start(rows)
-    res = planner.solve_bounded_lp(cost, rows, rhs, lower, upper, warm=warm)
-    if res.status != OPTIMAL:
-        return None, res.warm
-    return (float(res.objective), res.x[:n_ss]), res.warm
+    res = planner.solve_bounded_lp(None, rows, rhs, lower, upper, warm=warm)
+    return (None if res.x is None else res.x[:n_ss]), res.warm
 
 
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
@@ -202,8 +220,8 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
     requirement LP with a prefix of counts fixed as the lexicographic
     refinement fixes them, started at the trivial witness's basis; and LPs
     that restart from an earlier result: branch-and-bound children after a
-    bound change, the next lexicographic position after a cost change, and
-    a changed right-hand side."""
+    bound change, the next lexicographic position after one more count is
+    fixed, and a changed right-hand side."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -225,27 +243,23 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
         step = a.max(axis=1)
         req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
-        cost = np.zeros(n_ss)
-        cost[k] = 1.0
-        lp, warm = _over_requirements(rows, req, n_slot, lb, ub, cost)
+        psi, warm = _over_requirements(rows, req, n_slot, lb, ub)
         # branch on one free count, both children from the parent's basis
         j = int(rng.integers(k, n_ss))
-        split = math.floor(lp[1][j]) if lp else int(rng.integers(0, 3))
+        split = (math.floor(psi[j]) if psi is not None
+                 else int(rng.integers(0, 3)))
         ub_down = ub.copy()
         ub_down[j] = split
         lb_up = lb.copy()
         lb_up[j] = split + 1
-        _over_requirements(rows, req, n_slot, lb, ub_down, cost, warm)
-        _over_requirements(rows, req, n_slot, lb_up, ub, cost, warm)
-        # fix position k and minimize the next count, then raise or lower
-        # every requirement, each from the last basis
-        fixed = float(lp[1][k].round()) if lp else 0.0
-        lb[k] = ub[k] = fixed
-        cost = np.roll(cost, 1)
-        _, warm = _over_requirements(rows, req, n_slot, lb, ub, cost,
-                                     warm)
+        _over_requirements(rows, req, n_slot, lb, ub_down, warm)
+        _over_requirements(rows, req, n_slot, lb_up, ub, warm)
+        # fix position k, then raise or lower every requirement, each from
+        # the last basis
+        lb[k] = ub[k] = float(psi[k].round()) if psi is not None else 0.0
+        _, warm = _over_requirements(rows, req, n_slot, lb, ub, warm)
         req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
-        _over_requirements(rows, req, n_slot, lb, ub, cost, warm)
+        _over_requirements(rows, req, n_slot, lb, ub, warm)
 
     assert len(captured) == 240
     results = {id(lp[-1].warm) for lp, _ in captured
@@ -269,9 +283,9 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
 
 
 def _requirement_lp(rng, n_slot=256, **shape):
-    """One requirement LP, in ``_over_requirements`` form, with a random
-    nonnegative cost on the counts, over ``_snapshot_rows(rng, **shape)``:
-    (c, a, b, lower, upper, number of counts)."""
+    """One requirement LP, in ``_over_requirements`` form, over
+    ``_snapshot_rows(rng, **shape)``: (a, b, lower, upper, number of
+    counts)."""
     a_dem = _snapshot_rows(rng, **shape)
     n_dem, n_ss = a_dem.shape
     t, _ = planner._root_lp(a_dem, n_slot)
@@ -282,20 +296,22 @@ def _requirement_lp(rng, n_slot=256, **shape):
     a[:n_dem, n_ss:] = -np.eye(n_dem)
     a[n_dem, :n_ss] = 1.0
     b = np.append(req, n_slot)
-    c = np.concatenate([rng.uniform(0, 1, size=n_ss), np.zeros(n_dem)])
     lower = np.zeros(n_ss + n_dem)
     upper = np.concatenate([np.full(n_ss, float(n_slot)),
                             np.full(n_dem, np.inf)])
-    return c, a, b, lower, upper, n_ss
+    return a, b, lower, upper, n_ss
 
 
 def test_warm_resolve_after_bound_change_matches_cold():
+    """A feasibility LP restarted from its parent's basis after a bound
+    change has the status of the same LP solved cold and of HiGHS, and a
+    feasible point, in under a third of the cold solves' pivots."""
     rng = np.random.default_rng(77)
     statuses = set()
     warm_pivots = cold_pivots = 0
     for _ in range(30):
-        c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = solve_bounded_lp(c, a, b, lower, upper,
+        a, b, lower, upper, n_ss = _requirement_lp(rng)
+        parent = solve_bounded_lp(None, a, b, lower, upper,
                                   warm=_witness_start(a))
         assert parent.status == OPTIMAL
         j = int(rng.integers(0, n_ss))
@@ -304,17 +320,12 @@ def test_warm_resolve_after_bound_change_matches_cold():
             upper[j] = math.floor(parent.x[j] - 1.0) if parent.x[j] >= 1 else 0
         else:
             lower[j] = math.floor(parent.x[j]) + float(rng.choice([1, 60]))
-        cold = solve_bounded_lp(c, a, b, lower, upper)
-        warm = solve_bounded_lp(c, a, b, lower, upper, warm=parent.warm)
+        cold = solve_bounded_lp(np.zeros(len(lower)), a, b, lower, upper)
+        warm = solve_bounded_lp(None, a, b, lower, upper, warm=parent.warm)
         assert warm.status == cold.status
+        _assert_matches_highs(None, a, b, lower, upper, warm)
         _assert_dual_feasible(a, lower, upper, warm.warm)
         statuses.add(cold.status)
-        if cold.status == OPTIMAL:
-            assert warm.objective == pytest.approx(cold.objective,
-                                                   rel=1e-6, abs=1e-7)
-            assert np.abs(a @ warm.x - b).max() < 1e-6
-            assert (warm.x >= lower - 1e-7).all()
-            assert (warm.x <= upper + 1e-7).all()
         warm_pivots += warm.pivots
         cold_pivots += cold.pivots
     assert statuses == {OPTIMAL, INFEASIBLE}
@@ -325,25 +336,29 @@ def test_warm_start_from_infeasible_result():
     # the dual loop, started with x basic, proves x + y = 10 infeasible in
     # the box; the next LP of the chain widens the box and restarts from
     # that basis
-    c, a, b = [-1.0, -2.0], [[1.0, 1.0]], [10.0]
-    res = solve_bounded_lp(c, a, b, [0.0, 0.0], [2.0, 2.0],
+    a, b = [[1.0, 1.0]], [10.0]
+    res = solve_bounded_lp(None, a, b, [0.0, 0.0], [2.0, 2.0],
                            warm=start(a, [0]))
     assert res.status == INFEASIBLE and res.warm is not None
-    again = solve_bounded_lp(c, a, b, [0.0, 0.0], [4.0, 2.0], warm=res.warm)
+    again = solve_bounded_lp(None, a, b, [0.0, 0.0], [4.0, 2.0],
+                             warm=res.warm)
     assert again.status == INFEASIBLE
-    wide = solve_bounded_lp(c, a, b, [0.0, 0.0], [9.0, 9.0], warm=again.warm)
+    wide = solve_bounded_lp(None, a, b, [0.0, 0.0], [9.0, 9.0],
+                            warm=again.warm)
     assert wide.status == OPTIMAL
-    assert wide.x == pytest.approx([1.0, 9.0])
+    assert wide.x == pytest.approx([9.0, 1.0])
 
 
 def test_warm_start_without_dual_feasible_basis_is_solver_error():
-    res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                           [0.0, 0.0], [2.0, 2.0],
-                           warm=start([[1.0, 1.0]], [0]))
+    # x basic and y at its upper bound, where its reduced cost (-1) under
+    # the restart cost holds it; y then loses its upper bound
+    a = [[1.0, 1.0]]
+    warm = dataclasses.replace(start(a, [0]), at_upper=np.array([False, True]),
+                               cost=np.array([-1.0, -2.0]))
+    res = solve_bounded_lp(None, a, [3.0], [0.0, 0.0], [2.0, 2.0], warm=warm)
     assert res.x == pytest.approx([1.0, 2.0])  # y rests at its upper bound
     with pytest.raises(SolverError, match="dual feasible"):
-        solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                         [0.0, 0.0], [2.0, np.inf], warm=res.warm)
+        solve_bounded_lp(None, a, [3.0], [0.0, 0.0], [2.0, np.inf], warm=warm)
 
 
 def _exact_instance(doc):
@@ -439,8 +454,8 @@ def test_both_children_share_one_restart_point():
     rng = np.random.default_rng(31)
     statuses = set()
     for _ in range(20):
-        c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = solve_bounded_lp(c, a, b, lower, upper,
+        a, b, lower, upper, n_ss = _requirement_lp(rng)
+        parent = solve_bounded_lp(None, a, b, lower, upper,
                                   warm=_witness_start(a))
         assert parent.status == OPTIMAL and parent.warm.binv is not None
         before = [f.tobytes() for f in dataclasses.astuple(parent.warm)]
@@ -450,7 +465,7 @@ def test_both_children_share_one_restart_point():
         ub_down[j] = split
         lb_up = lower.copy()
         lb_up[j] = min(split + float(rng.choice([1, 60])), upper[j])
-        children = [(c, a, b, lower, ub_down), (c, a, b, lb_up, upper)]
+        children = [(None, a, b, lower, ub_down), (None, a, b, lb_up, upper)]
         runs = []
         for order in (children, children[::-1]):
             results = [solve_bounded_lp(*lp, warm=parent.warm) for lp in order]
@@ -465,23 +480,32 @@ def test_both_children_share_one_restart_point():
 
 
 def test_warm_start_with_another_matrix_is_value_error():
-    res = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                           [0.0, 0.0], [2.0, 2.0],
+    res = solve_bounded_lp(None, [[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 2.0],
                            warm=start([[1.0, 1.0]], [0]))
-    for c, a in (([-1.0, -2.0], [[1.0, 2.0]]),
-                 ([-1.0, -2.0, 0.0], [[1.0, 1.0, 0.0]])):
-        n = len(c)
+    for a in ([[1.0, 2.0]], [[1.0, 1.0, 0.0]]):
+        n = len(a[0])
         with pytest.raises(ValueError, match="own matrix"):
-            solve_bounded_lp(c, a, [3.0], [0.0] * n, [2.0] * n, warm=res.warm)
+            solve_bounded_lp(None, a, [3.0], [0.0] * n, [2.0] * n,
+                             warm=res.warm)
     # an equal matrix in a new array is the same matrix
-    again = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                             [0.0, 0.0], [2.0, 2.0], warm=res.warm)
+    again = solve_bounded_lp(None, [[1.0, 1.0]], [3.0], [0.0, 0.0],
+                             [2.0, 2.0], warm=res.warm)
     assert again.status == OPTIMAL and again.pivots == 0
+
+
+def test_c_is_given_for_a_cold_solve_only():
+    """A warm solve is a feasibility LP, and a cold one has an objective:
+    a cost with a restart point, or none without one, is a ValueError."""
+    lp = ([[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 2.0])
+    with pytest.raises(ValueError, match="warm solve takes none"):
+        solve_bounded_lp([-1.0, -2.0], *lp, warm=start(lp[0], [0]))
+    with pytest.raises(ValueError, match="cold solve needs c"):
+        solve_bounded_lp(None, *lp)
 
 
 def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     """Every LP of an exact solve on a 120-beam / 20-cluster / N_P = 4
-    scenario, whose zero-cost feasibility LPs leave the dual loop on long
+    scenario, whose feasibility LPs leave the dual loop on long
     runs of zero-length steps: each warm re-solve agrees with HiGHS and
     costs at most a few cold solves' pivots."""
     captured = []
@@ -515,7 +539,9 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
     scenario: reduced costs carried from pivot to pivot drift, and the dual
     loop shifts the cost of each nonbasic column whose reduced cost drifts
     to the wrong sign. The shift fires, every restart point is dual
-    feasible under its cost, and every result agrees with HiGHS."""
+    feasible under its cost, and every result agrees with HiGHS. A
+    feasible LP's restart point has the zero cost, and an infeasible one's
+    the cost its dual loop ended on, nonzero on some."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -523,23 +549,37 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
         captured.append((c, a, b, lower, upper, res))
         return res
 
-    shifts = []
+    shifts, ended = [], []
     absorb = simplex._Lp._absorb_drift
+    dual_iterate = simplex._Lp._dual_iterate
 
     def counting(self, cost, reduced, direction):
         shifted = absorb(self, cost, reduced, direction)
         shifts.append(shifted is not cost)
         return shifted
 
+    def ending(self, *args):
+        status, cost = dual_iterate(self, *args)
+        ended.append(cost)
+        return status, cost
+
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_absorb_drift", counting)
+    monkeypatch.setattr(simplex._Lp, "_dual_iterate", ending)
     planner.solve_illumination(
         _exact_instance(hex_scenario_dict(120, 20, system={"N_P": 4})))
     assert any(shifts)
+    assert len(ended) == len(captured) - 1  # one dual loop per warm LP
     for i, (c, a, b, lower, upper, res) in enumerate(captured):
         _assert_matches_highs(c, a, b, lower, upper, res)
         if i:  # the root LP's cold solve carries no restart point
             _assert_dual_feasible(a, lower, upper, res.warm)
+            if res.status == OPTIMAL:
+                assert not res.warm.cost.any()
+            else:
+                assert res.warm.cost is ended[i - 1]
+    assert any(res.status == INFEASIBLE and res.warm.cost.any()
+               for *_, res in captured)
 
 
 @pytest.mark.parametrize("interval", [1, 10**9])
@@ -547,10 +587,10 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
                                                         interval):
     """The basic values and reduced costs carried from pivot to pivot give
     the same answers whether the basis inverse is recomputed after every
-    basis change or never within a phase: seeded random LPs, and chains of
-    planner-shaped LPs that restart from the previous basis after a bound,
-    cost or right-hand-side change. Every result agrees with HiGHS and
-    every restart point is dual feasible."""
+    basis change or never within a phase: seeded random LPs solved cold,
+    and chains of planner-shaped feasibility LPs that restart from the
+    previous basis after a bound or right-hand-side change. Every result
+    agrees with HiGHS and every restart point is dual feasible."""
     monkeypatch.setattr(simplex, "_REFACTOR_INTERVAL", interval)
     stalls = []
     perturbed = simplex._Lp._perturbed
@@ -561,22 +601,21 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
 
     monkeypatch.setattr(simplex._Lp, "_perturbed", counting)
 
-    def check(c, a, b, lower, upper, warm=None):
-        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
-        _assert_matches_highs(c, a, b, lower, upper, res)
-        if res.warm is not None:
-            _assert_dual_feasible(a, lower, upper, res.warm)
+    def check(a, b, lower, upper, warm):
+        res = solve_bounded_lp(None, a, b, lower, upper, warm=warm)
+        _assert_matches_highs(None, a, b, lower, upper, res)
+        _assert_dual_feasible(a, lower, upper, res.warm)
         return res
 
     rng = np.random.default_rng(1234)
     for _ in range(200):
-        check(*_random_instance(rng))
+        _cold_against_highs(*_random_instance(rng))
 
     rng = np.random.default_rng(5)
     statuses = set()
     for _ in range(20):
-        c, a, b, lower, upper, n_ss = _requirement_lp(rng)
-        parent = check(c, a, b, lower, upper, _witness_start(a))
+        a, b, lower, upper, n_ss = _requirement_lp(rng)
+        parent = check(a, b, lower, upper, _witness_start(a))
         if parent.status != OPTIMAL:
             continue
         j = int(rng.integers(0, n_ss))
@@ -584,29 +623,23 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
         ub_down[j] = math.floor(parent.x[j]) if parent.x[j] >= 1 else 0.0
         lb_up = lower.copy()
         lb_up[j] = math.floor(parent.x[j]) + 1.0
-        check(c, a, b, lower, ub_down, parent.warm)
-        check(c, a, b, lb_up, upper, parent.warm)
-        # a one-hot cost on the counts, then every requirement moved
-        one_hot = np.zeros_like(c)
-        one_hot[int(rng.integers(0, n_ss))] = 1.0
-        last = check(one_hot, a, b, lower, ub_down, parent.warm)
+        last = check(a, b, lower, ub_down, parent.warm)
+        check(a, b, lb_up, upper, parent.warm)
+        # then every requirement moved, from the down child's basis
         b_moved = b.copy()
         b_moved[:-1] *= rng.uniform(0.9, 1.2, size=b.size - 1)
-        statuses.add(check(one_hot, a, b_moved, lower, ub_down,
-                           last.warm).status)
+        statuses.add(check(a, b_moved, lower, ub_down, last.warm).status)
     assert statuses == {OPTIMAL, INFEASIBLE}
 
-    # zero-cost chains on 30 rows, as the planner's searches run them: each
+    # feasibility chains on 30 rows, as the planner's searches run them: each
     # LP restarts from the last and caps at zero every count the last
     # solution used, until one is infeasible; the dual steps all have
     # length zero
     for _ in range(3):
-        c, a, b, lower, upper, n_ss = _requirement_lp(rng, n_dem=30,
-                                                      n_ss=150)
-        c = np.zeros_like(c)
-        res = check(c, a, b, lower, upper, _witness_start(a))
+        a, b, lower, upper, n_ss = _requirement_lp(rng, n_dem=30, n_ss=150)
+        res = check(a, b, lower, upper, _witness_start(a))
         upper = upper.copy()
         while res.status == OPTIMAL:
             upper[:n_ss][res.x[:n_ss] > 0.5] = 0.0
-            res = check(c, a, b, lower, upper, res.warm)
+            res = check(a, b, lower, upper, res.warm)
     assert stalls  # the cost shift, after which the state is recomputed
