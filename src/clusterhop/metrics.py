@@ -64,8 +64,8 @@ def score(per_beam_offered_bps: np.ndarray, scenario: Scenario,
         raise ValidationError("offered vector length does not match the beam count")
     demand = scenario.demands
     gap = offered - demand
-    unmet = float(math.fsum(float(-g) for g in gap if g < 0))
-    unused = float(math.fsum(float(g) for g in gap if g > 0))
+    unmet = math.fsum((-gap[gap < 0]).tolist())
+    unused = math.fsum(gap[gap > 0].tolist())
 
     cluster_offered = cluster_sums(offered, scenario.clusters)
     cluster_demand, _ = aggregate_and_scale_demands(scenario)
@@ -135,11 +135,11 @@ def cross_cluster_leakage(scenario: Scenario, gains: np.ndarray,
 def beam_csv_lines(report: CapacityReport) -> list[str]:
     """Beam-level CSV rows sorted by rising demand."""
     lines = ["beam_id,demand_bps,offered_bps,scheme"]
-    for idx in report.beams_by_demand:
-        lines.append(
-            f"{idx + 1},{float(report.beam_demand_bps[idx])!r},"
-            f"{float(report.beam_offered_bps[idx])!r},{report.scheme}"
-        )
+    demand = report.beam_demand_bps.tolist()
+    offered = report.beam_offered_bps.tolist()
+    for idx in report.beams_by_demand.tolist():
+        lines.append(f"{idx + 1},{demand[idx]!r},{offered[idx]!r},"
+                     f"{report.scheme}")
     return lines
 
 

@@ -192,7 +192,7 @@ def _fractional_index(psi: np.ndarray):
     """Index of the entry farthest from an integer, or None if integral."""
     frac = psi - np.floor(psi)
     dist = np.minimum(frac, 1.0 - frac)
-    i = int(np.argmax(dist))
+    i = int(dist.argmax())
     if dist[i] <= _INT_TOL:
         return None
     return i
@@ -217,10 +217,12 @@ def _thresholds(spacing, lo: Fraction, hi: Fraction):
 
 def _requirement(spacing, g):
     """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
-    V psi >= k; the requirement LPs take k as their right-hand side. A k_j
-    beyond int64 is a SolverError."""
+    V psi >= k, the requirement LPs' right-hand side: -(-a d // (b c)) for
+    g = a / b and spacing_j = c / d. A k_j beyond int64 is a SolverError."""
+    a, b = g.numerator, g.denominator
     try:
-        k = np.array([-(-g // c) for c in spacing], dtype=np.int64)
+        k = np.array([-(-a * c.denominator // (b * c.numerator))
+                      for c in spacing], dtype=np.int64)
     except OverflowError:
         raise SolverError(
             "demands and supplies are too far apart in scale for int64 "
@@ -239,23 +241,21 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
     Depth-first LP branch-and-bound, down-branch first, over feasibility
     LPs. Each LP is the same requirement relaxed to real psi, with no
     objective: ``rows = _requirement_rows(v)``, right-hand side
-    [k, n_slot], and the surplus columns' bounds [0, inf), all built once
-    per search; a node adds only psi's box. The first LP restarts from
-    ``warm`` and every child from its parent's basis. A point is accepted
-    only by the integer test.
+    [k, n_slot], and bounds psi's box and the surplus columns' [0, inf),
+    all built once per search; a child copies its parent's bounds and
+    changes one. The first LP restarts from ``warm`` and every child from
+    its parent's basis. A point is accepted only by the integer test.
     """
     n_ss, n_dem = len(lb), len(k)
     rhs = np.append(k, n_slot).astype(float)
-    surplus_lower, surplus_upper = np.zeros(n_dem), np.full(n_dem, np.inf)
-    stack = [(lb, ub, warm)]
+    stack = [(np.concatenate([lb, np.zeros(n_dem)]),
+              np.concatenate([ub, np.full(n_dem, np.inf)]), warm)]
     while stack:
-        nlb, nub, parent = stack.pop()
+        lower, upper, parent = stack.pop()
+        nlb, nub = lower[:n_ss], upper[:n_ss]
         if nlb.sum() > n_slot or nub.sum() < n_slot:
             continue
-        res = solve_bounded_lp(None, rows, rhs,
-                               np.concatenate([nlb, surplus_lower]),
-                               np.concatenate([nub, surplus_upper]),
-                               warm=parent)
+        res = solve_bounded_lp(None, rows, rhs, lower, upper, warm=parent)
         warm = res.warm
         if res.status != OPTIMAL:
             continue
@@ -274,12 +274,12 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
                               "its node's box; the LP is too ill-conditioned "
                               "to solve")
         floor_val = math.floor(psi_lp[branch])
-        ub_down = nub.copy()
+        ub_down = upper.copy()
         ub_down[branch] = floor_val
-        lb_up = nlb.copy()
+        lb_up = lower.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb_up, nub, warm))    # explored second
-        stack.append((nlb, ub_down, warm))  # explored first
+        stack.append((lb_up, upper, warm))    # explored second
+        stack.append((lower, ub_down, warm))  # explored first
     return None, warm
 
 

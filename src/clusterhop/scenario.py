@@ -318,15 +318,18 @@ def beam_adjacency(dist: np.ndarray,
 def derive_adjacency(badj: np.ndarray, clusters) -> np.ndarray:
     """Cluster adjacency from a 0/1 beam adjacency (see ``beam_adjacency``).
 
-    Clusters j != l are adjacent iff some beam of j touches some beam of l.
+    Clusters j < l are adjacent, both ways, iff ``badj[r, c]`` is nonzero
+    for some beam r of j and c of l.
     """
     n_c = len(clusters)
+    owner = np.full(len(badj), -1)  # each beam's cluster
+    for j, members in enumerate(clusters):
+        owner[list(members)] = j
+    j, l = (owner[beams] for beams in np.nonzero(badj))
+    upper = (j >= 0) & (j < l)
     a = np.zeros((n_c, n_c), dtype=np.uint8)
-    idx = [np.array(m, dtype=int) for m in clusters]
-    for j in range(n_c):
-        for l in range(j + 1, n_c):
-            if badj[np.ix_(idx[j], idx[l])].any():
-                a[j, l] = a[l, j] = 1
+    a[j[upper], l[upper]] = 1
+    a |= a.T
     a.flags.writeable = False
     return a
 

@@ -34,15 +34,19 @@ the basis inverse: dual steepest edge (Forrest & Goldfarb, *Math. Prog.*
 57, 1992), with exact weights from the explicit inverse. The entering
 column has the smallest ratio of reduced cost to pivot-row entry, and the
 pivot element and the primal step are taken from that priced row, whose
-entry passed the ratio test's tolerance. After each update of the carried
-reduced costs, a movable nonbasic column whose reduced cost has drifted to
-the wrong sign has its cost shifted by exactly that amount, which sets the
-reduced cost to zero (Koberstein 2005). After a run of ``_PERTURB_AFTER``
-zero-length dual steps the loop shifts the cost of every movable nonbasic
-column toward its bound by a distinct amount of about
-``_DUAL_PERTURBATION``, once per solve, which keeps the basis dual
-feasible. Neither loop is guaranteed finite: a loop that stalls stops at
-``_ITERATION_LIMIT`` pivots with a ``CapExceededError`` (exit 4).
+entry passed the ratio test's tolerance. Under the zero cost every ratio is
+0, so the first eligible column enters and the row is priced in
+``_PRICE_CHUNK``-column chunks, in index order, up to the first chunk with
+one (in full when none has one: the INFEASIBLE proof), with the bits of the
+whole row's product. After each update of the carried reduced costs, a
+movable nonbasic column whose reduced cost has drifted to the wrong sign
+has its cost shifted by exactly that amount, which sets the reduced cost to
+zero (Koberstein 2005). After a run of ``_PERTURB_AFTER`` zero-length dual
+steps the loop shifts the cost of every movable nonbasic column toward its
+bound by a distinct amount of about ``_DUAL_PERTURBATION``, once per solve,
+which keeps the basis dual feasible. Neither loop is guaranteed finite: a
+loop that stalls stops at ``_ITERATION_LIMIT`` pivots with a
+``CapExceededError`` (exit 4).
 
 The matrix is dense and the basis small: the planner's LPs have tens of
 rows and up to tens of thousands of columns (15,466 snapshot columns on the
@@ -89,6 +93,9 @@ _ITERATION_LIMIT = 20000  # pivots per phase before the solve gives up
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _DUAL_PERTURBATION = 1e-6  # smallest cost shift of a stalled dual loop
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the shifts so none tie
+# Columns per chunk of a zero-cost priced row: a multiple of 4, and no chunk
+# of 1, as OpenBLAS sums those of a product's columns in another order.
+_PRICE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -272,61 +279,72 @@ class _Lp:
         feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
         degenerate_run = 0
         perturbed = False
+        zero = not np.count_nonzero(cost)  # every reduced cost and ratio is 0
+        a, n, lower, upper = self.a, self.n, self.lower, self.upper
         _, xb = self._basic_values(basis, at_upper)
-        lower_b = self.lower[basis]  # the basic columns' bounds, by row
-        upper_b = self.upper[basis]
+        lower_b, upper_b = lower[basis], upper[basis]  # basic columns', by row
         for _ in range(_ITERATION_LIMIT):
             above = xb - upper_b
             violation = np.maximum(lower_b - xb, above)
-            rows = np.flatnonzero(violation > feas_tol)
+            rows = (violation > feas_tol).nonzero()[0]
             if rows.size == 0:
                 return OPTIMAL, cost
             if degenerate_run == _PERTURB_AFTER and not perturbed:
                 cost = self._perturbed(cost, direction)
                 reduced = self._reduced_costs(cost, basis)
                 cost = self._absorb_drift(cost, reduced, direction)
-                perturbed = True
+                perturbed, zero = True, False
             binv = self.binv
-            leave_pos = int(rows[0])
+            leave_pos = rows.item(0)
             if rows.size > 1:  # dual steepest edge
-                norms = np.einsum("ij,ij->i", binv[rows], binv[rows])
-                leave_pos = int(rows[np.argmax(violation[rows] ** 2 / norms)])
+                b_rows = binv[rows]
+                norms = np.einsum("ij,ij->i", b_rows, b_rows)
+                leave_pos = rows.item((violation[rows] ** 2 / norms).argmax())
             # The leaving column moves to the bound it violates; sigma
             # orients row leave_pos of B^-1 A so that the dual step is >= 0.
-            sigma = 1.0 if above[leave_pos] > 0 else -1.0
-            alpha = sigma * (binv[leave_pos] @ self.a)
-            eligible = np.flatnonzero(direction * alpha > tol)
+            sigma = 1.0 if above.item(leave_pos) > 0 else -1.0
+            # Zero cost: the first eligible column enters; price only to it.
+            width = _PRICE_CHUNK if zero else n
+            for lo in range(0, n, width):
+                hi = n if lo + width >= n - 1 else lo + width
+                alpha = sigma * (binv[leave_pos] @ a[:, lo:hi])
+                eligible = (direction[lo:hi] * alpha > tol).nonzero()[0]
+                if eligible.size or hi == n:
+                    break
             if eligible.size == 0:
                 return INFEASIBLE, cost
-            ratios = np.maximum(reduced[eligible] / alpha[eligible], 0.0)
-            step = ratios.min()
-            enter = int(eligible[np.flatnonzero(ratios <= step + tol)[0]])
+            step, enter = 0.0, lo + eligible.item(0)
+            if not zero:
+                ratios = np.maximum(reduced[eligible] / alpha[eligible], 0.0)
+                step = ratios.min()
+                enter = eligible.item((ratios <= step + tol).argmax())
+            pivot = alpha.item(enter - lo)
             self.pivots += 1
             degenerate_run = degenerate_run + 1 if step <= tol else 0
             # The pivot element comes from the priced row, which passed the
             # eligibility test, not from the entering column.
-            pivot = alpha[enter]
-            w = binv @ self.a[:, enter]
+            w = binv @ a[:, enter]
             w[leave_pos] = sigma * pivot
             # Primal step: the leaving value lands on the bound it violates
             # and the entering column takes row leave_pos.
-            theta = violation[leave_pos] / pivot
+            theta = violation.item(leave_pos) / pivot
             xb -= theta * w
-            xb[leave_pos] = (self.upper if at_upper[enter]
-                             else self.lower)[enter] + theta
-            leaving = basis[leave_pos]
+            xb[leave_pos] = (upper if at_upper[enter]
+                             else lower)[enter] + theta
+            leaving = basis.item(leave_pos)
             direction[enter] = 0.0
-            if self.upper[leaving] - self.lower[leaving] > tol:
+            if upper.item(leaving) - lower.item(leaving) > tol:
                 direction[leaving] = -sigma
             if reduced[enter]:  # else a zero-length step changes nothing
                 reduced -= (reduced[enter] / pivot) * alpha
                 cost = self._absorb_drift(cost, reduced, direction)
-            lower_b[leave_pos] = self.lower[enter]
-            upper_b[leave_pos] = self.upper[enter]
+            lower_b[leave_pos] = lower[enter]
+            upper_b[leave_pos] = upper[enter]
             if self._pivot(basis, at_upper, leave_pos, enter, sigma > 0, w):
                 _, xb = self._basic_values(basis, at_upper)
-                reduced = self._reduced_costs(cost, basis)
-                cost = self._absorb_drift(cost, reduced, direction)
+                if not zero:
+                    reduced = self._reduced_costs(cost, basis)
+                    cost = self._absorb_drift(cost, reduced, direction)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one phase)")
@@ -369,7 +387,7 @@ class _Lp:
             self.upper - self.lower > _TOL)
         direction[basis] = 0.0
         cost = warm.cost
-        if cost.any():
+        if np.count_nonzero(cost):
             reduced = self._reduced_costs(cost, basis)
             wrong = direction * reduced < -_TOL
             at_upper[wrong] = ~at_upper[wrong]

@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterhop import planner
@@ -251,6 +252,27 @@ def test_subnormal_supplies_are_solver_error(supply):
     inst = IlpInstance(l=supply * v, m=np.array([1.0, 2.0, 1.0]), n_slot=7)
     with pytest.raises(SolverError, match="int64"):
         solve_illumination(inst)
+
+
+_positive_fractions = st.fractions(min_value=Fraction(1, 10**30),
+                                   max_value=10**30, max_denominator=10**30)
+
+
+@given(st.lists(_positive_fractions, min_size=1, max_size=5),
+       st.one_of(st.just(Fraction(0)), _positive_fractions))
+@example([Fraction(3, 7), Fraction(1, 10**30)], Fraction(10**30, 3))
+@example([Fraction(3, 7), Fraction(5, 2)], Fraction(15, 14))
+@settings(max_examples=300, deadline=None)
+def test_integer_requirement_is_the_fraction_ceiling(spacing, g):
+    """k_j = ceil(g / spacing_j), as Fractions compute it; a count beyond
+    int64 is a SolverError."""
+    expected = [math.ceil(g / c) for c in spacing]
+    if max(expected) > np.iinfo(np.int64).max:
+        with pytest.raises(SolverError, match="int64"):
+            planner._requirement(spacing, g)
+    else:
+        k = planner._requirement(spacing, g)
+        assert k.dtype == np.int64 and k.tolist() == expected
 
 
 def test_brute_force_respects_cap():

@@ -275,6 +275,39 @@ def test_derived_adjacency_symmetric_zero_diagonal(n, seed):
     assert not np.diag(adj).any()
 
 
+def _pairwise_adjacency(badj, clusters):
+    """The cluster-pair definition: j < l adjacent iff the block of badj
+    with rows in j and columns in l has a nonzero entry, mirrored."""
+    n_c = len(clusters)
+    a = np.zeros((n_c, n_c), dtype=np.uint8)
+    for j in range(n_c):
+        for l in range(j + 1, n_c):
+            if badj[np.ix_(clusters[j], clusters[l])].any():
+                a[j, l] = a[l, j] = 1
+    return a
+
+
+@given(st.integers(min_value=1, max_value=14),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_derived_adjacency_matches_the_pairwise_blocks(n, seed):
+    """On random partitions of some or all beams, and random 0/1 beam
+    matrices, asymmetric ones included, the derived adjacency is the
+    pairwise-block definition, read-only uint8."""
+    rng = np.random.default_rng(seed)
+    badj = (rng.random((n, n)) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+    if rng.random() < 0.5:
+        badj = badj | badj.T
+    beams = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    labels = rng.integers(0, int(rng.integers(1, len(beams) + 1)),
+                          size=len(beams))
+    clusters = tuple(tuple(beams[labels == j].tolist())
+                     for j in np.unique(labels))
+    adj = derive_adjacency(badj, clusters)
+    assert adj.dtype == np.uint8 and not adj.flags.writeable
+    assert adj.tobytes() == _pairwise_adjacency(badj, clusters).tobytes()
+
+
 def test_beam_adjacency_default_threshold(ref_scenario):
     badj = beam_adjacency(center_distances(ref_scenario.centers))
     assert (badj == badj.T).all()

@@ -643,3 +643,132 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
             upper[:n_ss][res.x[:n_ss] > 0.5] = 0.0
             res = check(a, b, lower, upper, res.warm)
     assert stalls  # the cost shift, after which the state is recomputed
+
+
+def _result_bytes(res):
+    """An LP result as bytes: status, pivots, the point and the restart
+    point."""
+    restart = () if res.warm is None else tuple(
+        f.tobytes() for f in (res.warm.basis, res.warm.at_upper,
+                              res.warm.cost, res.warm.binv))
+    return (res.status, res.pivots,
+            None if res.x is None else res.x.tobytes(), restart)
+
+
+def _with_steps(monkeypatch, solve):
+    """What ``solve()`` returns, and each basis change it makes: the
+    leaving row, the entering column, and as bytes the basis inverse
+    before the change and B^-1 a_enter, whose leaving-row entry is the
+    priced pivot element."""
+    steps = []
+    pivot = simplex._Lp._pivot
+
+    def recording(self, basis, at_upper, leave_pos, enter, to_upper, w):
+        steps.append((leave_pos, enter, self.binv.tobytes(), w.tobytes()))
+        return pivot(self, basis, at_upper, leave_pos, enter, to_upper, w)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex._Lp, "_pivot", recording)
+        return solve(), steps
+
+
+def _lp_results(monkeypatch, instance):
+    """Every LP result of an exact solve, in order, as bytes."""
+    results = []
+
+    def recording(c, a, b, lower, upper, warm=None):
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        results.append(_result_bytes(res))
+        return res
+
+    with monkeypatch.context() as patched:
+        patched.setattr(planner, "solve_bounded_lp", recording)
+        planner.solve_illumination(instance)
+    return results
+
+
+@pytest.mark.parametrize("doc", [hex_scenario_dict(),
+                                 hex_scenario_dict(120, 20,
+                                                   system={"N_P": 4})],
+                         ids=["ref_71beam", "120_20_4"])
+def test_zero_cost_step_and_price_chunks_change_nothing(monkeypatch, doc):
+    """Under the zero cost every ratio is 0, so the dual step enters the
+    first eligible column and prices its row only up to the chunk holding
+    it. On every zero-cost dual pivot of an exact solve, that column is
+    the full ratio test's choice over the whole priced row, and the pivot
+    element has the full row's bits. Pricing in 8-column chunks gives
+    every LP result and every basis change byte for byte as the default
+    chunks do."""
+    instance = _exact_instance(doc)
+    checked = []
+    zero = [False]
+    dual_iterate, pivot = simplex._Lp._dual_iterate, simplex._Lp._pivot
+    perturbed = simplex._Lp._perturbed
+
+    def dual(self, cost, *args):
+        zero[0] = not cost.any()
+        try:
+            return dual_iterate(self, cost, *args)
+        finally:
+            zero[0] = False
+
+    def shifted(self, *args):
+        zero[0] = False
+        return perturbed(self, *args)
+
+    def pivoting(self, basis, at_upper, leave_pos, enter, to_upper, w):
+        if zero[0]:  # the whole row and the full ratio test, as before
+            sigma = 1.0 if to_upper else -1.0
+            alpha = sigma * (self.binv[leave_pos] @ self.a)
+            direction = np.where(at_upper, -1.0, 1.0) * (
+                self.upper - self.lower > simplex._TOL)
+            direction[basis] = 0.0
+            eligible = np.flatnonzero(direction * alpha > simplex._TOL)
+            ratios = np.maximum(np.zeros(eligible.size) / alpha[eligible],
+                                0.0)
+            choice = eligible[np.flatnonzero(
+                ratios <= ratios.min() + simplex._TOL)[0]]
+            assert enter == choice
+            assert w[leave_pos] == sigma * alpha[enter]
+            checked.append(self.n)
+        return pivot(self, basis, at_upper, leave_pos, enter, to_upper, w)
+
+    def solve():
+        return _lp_results(monkeypatch, instance)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex._Lp, "_dual_iterate", dual)
+        patched.setattr(simplex._Lp, "_perturbed", shifted)
+        patched.setattr(simplex._Lp, "_pivot", pivoting)
+        default = _with_steps(monkeypatch, solve)
+    assert checked and min(checked) > 8
+    monkeypatch.setattr(simplex, "_PRICE_CHUNK", 8)
+    assert _with_steps(monkeypatch, solve) == default
+
+
+def test_price_chunks_leave_no_remainder_out(monkeypatch):
+    """Zero-cost dual steps over 24 to 32 dense columns, every remainder
+    modulo an 8-column chunk, one column included, where only the last
+    column may enter first: 8-column chunks give every result and every
+    basis change byte for byte as the default chunks do."""
+    def results():
+        rng = np.random.default_rng(8)
+        out = []
+        for n in range(24, 33):
+            for _ in range(5):
+                a = rng.normal(size=(20, n))
+                # the basis 0..19 is infeasible at x_last = 0 and feasible
+                # once the last column, the only movable one, enters
+                b = a[:, :20] @ rng.uniform(0.1, 1.0, 20) + a[:, -1]
+                upper = np.zeros(n)
+                upper[:20] = upper[-1] = np.inf
+                res = solve_bounded_lp(None, a, b, np.zeros(n), upper,
+                                       warm=start(a, np.arange(20)))
+                out.append(_result_bytes(res))
+        return out
+
+    default = _with_steps(monkeypatch, results)
+    assert {status for status, *_ in default[0]} == {OPTIMAL}
+    assert {enter for _, enter, *_ in default[1]} >= set(range(23, 32))
+    monkeypatch.setattr(simplex, "_PRICE_CHUNK", 8)
+    assert _with_steps(monkeypatch, results) == default
