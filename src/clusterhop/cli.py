@@ -5,8 +5,9 @@ Every subcommand is a pure function of (scenario file, flags, seed); output
 files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
 3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
-6 solver failure (singular simplex basis, an unbounded LP, or no root LP
-optimum).
+6 solver failure (singular simplex basis, an unbounded LP, a start basis
+that is not primal feasible, an LP point outside its node's box, or
+requirement counts beyond int64).
 
 Subcommands read their inputs from a ``Pipeline`` of lazily built stages.
 ``run`` keeps one, the most recent, keyed by the scenario file's bytes, the

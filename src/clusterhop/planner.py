@@ -21,9 +21,9 @@ with k_j = ceil(g * m_j / step_j). After the root LP, every LP is a
 feasibility LP (no objective) over that requirement itself, rows V and
 right-hand side k, run by one search: depth-first LP branch-and-bound that
 stops at the first integer point. Those LPs read neither p nor m, so they
-are alike at every demand scale; only the root LP, which ``greedy_plan``
-rounds too, sees the normalized rows l_j / m_j. The walk takes the
-thresholds downward in exact rational order from the root LP's bound and
+are alike at every demand scale; only the root LP sees the normalized rows
+l_j / m_j. The walk (``_walk``) takes the thresholds downward in exact
+rational order from the root LP's bound, widened for round-off, and
 decides each with the search; it stops above the trivial witness, every
 slot on the last snapshot. Then, at the optimum's requirement, it fixes
 psi_0, psi_1, ... in turn to their smallest values, which gives the
@@ -34,13 +34,15 @@ unchanged and needs no LP. Then searches with ub_i = u ask whether
 psi_i <= u is possible, in this order: u = w_i - 1, whose infeasibility
 proves w_i; u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then
 bisection of the gap left. Every point found is exchanged down again. The
-LPs are solved by the in-repo bounded-variable simplex. Only the root LP is
-solved cold; the chain of requirement LPs starts at the trivial witness's
-basis, and every LP after restarts from the basis of the LP before it. A
-point is accepted only by the integer test, and an LP point outside its
-node's bounds, or a requirement count beyond int64, is a SolverError.
-``brute_force_plan`` enumerates count vectors as an oracle and
-``greedy_plan`` rounds the root LP into a heuristic lower bound. Clusters
+LPs are solved by the in-repo bounded-variable simplex. The root LP, the
+only one with an objective, and the chain of requirement LPs both start at
+the trivial witness's basis, and every LP of the chain after the first
+restarts from the basis of the LP before it. A point is accepted only by
+the integer test, and an LP point outside its node's bounds, or a
+requirement count beyond int64, is a SolverError. ``brute_force_plan``
+enumerates count vectors as an oracle. ``greedy_plan`` is a heuristic lower
+bound: the same walk from the root LP's bound itself, not widened, whose
+first integer point is its plan, with no refinement. Clusters
 with zero demand are excluded from the objective; they still receive
 whatever supply the chosen snapshots give them.
 """
@@ -156,9 +158,10 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
 def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     """The root LP, max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot,
     0 <= psi <= n_slot, over the normalized rows a = l / m: its optimum
-    (t, psi). Its feasible set is never empty, so a solve that reports no
-    optimum is a SolverError. Its matrix is ``_requirement_rows(a)`` with
-    the t column after psi."""
+    (t, psi). Its matrix is ``_requirement_rows(a)`` with the t column
+    after psi, and the primal loop starts at the trivial witness's basis
+    (each surplus column, and the last snapshot for the budget row), which
+    is feasible: t = 0 and every slot on the last snapshot."""
     n_dem, n_ss = a.shape
     n_var = n_ss + 1 + n_dem  # psi, t, surplus per demanded row
     rows = np.insert(_requirement_rows(a), n_ss, -1.0, axis=1)
@@ -168,9 +171,9 @@ def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     cost[n_ss] = -1.0
     upper = np.full(n_var, np.inf)
     upper[:n_ss] = n_slot
-    res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper)
-    if res.status != OPTIMAL:
-        raise SolverError(f"root LP ended {res.status}, not optimal")
+    witness = start(rows, np.append(np.arange(n_ss + 1, n_var), n_ss - 1))
+    res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper,
+                           warm=witness)
     return float(res.x[n_ss]), res.x[:n_ss]
 
 
@@ -294,6 +297,18 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
 
 
 def _exact_counts(instance: IlpInstance) -> np.ndarray:
+    rows, spacing, psi, t, warm = _walk(instance, _INT_TOL)
+    k = _requirement(spacing, t)
+    return _lex_smallest_optimal(rows, instance.v, k, psi, instance.n_slot,
+                                 warm)
+
+
+def _walk(instance: IlpInstance, widen: float):
+    """Walk the thresholds above the trivial witness downward from the root
+    LP's bound t_lp, widened by ``widen`` * max(1, |t_lp|) for simplex
+    round-off, and stop at the first with an integer point: (requirement
+    rows, spacing, that point or the witness, its exact t, the last
+    restart point). With the widening the point's t is the optimum."""
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
     v, step = instance.v, instance.step
     m_dem = instance.m[instance.demanded]
@@ -308,10 +323,7 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
     best_psi[-1] = n_slot
     best_t = _exact_t(v, spacing, best_psi)
 
-    # Walk the thresholds above the witness downward from the LP bound,
-    # widened once for simplex round-off; the first threshold with an
-    # integer solution is the exact optimum.
-    t_top = Fraction(t_lp + _INT_TOL * max(1.0, abs(t_lp)))
+    t_top = Fraction(t_lp + widen * max(1.0, abs(t_lp)))
     # The chain starts at the witness's basis: each demanded row's surplus
     # column, and the last snapshot for the budget row ([[-I, V_last],
     # [0, 1]] is nonsingular). Each LP restarts from the last LP's basis.
@@ -324,9 +336,7 @@ def _exact_counts(instance: IlpInstance) -> np.ndarray:
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
-
-    k = _requirement(spacing, best_t)
-    return _lex_smallest_optimal(rows, v, k, best_psi, n_slot, warm)
+    return rows, spacing, best_psi, best_t, warm
 
 
 def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
@@ -506,43 +516,12 @@ def _enumerated_counts(instance: IlpInstance, cap: int) -> np.ndarray:
 
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
-    """LP-rounding heuristic, a lower bound on the optimum: floor the root
-    LP's counts, hand out the remaining slots one by one, each to the
-    snapshot that lifts the worst offered/demand ratio the most (ties to the
-    lowest snapshot index), then hill-climb with single-slot moves."""
-    return _framed(instance, _greedy_counts, STATUS_HEURISTIC)
-
-
-def _greedy_counts(instance: IlpInstance) -> np.ndarray:
-    n_slot = instance.n_slot
-    l_dem = instance.l[instance.demanded]
-    m_dem = instance.m[instance.demanded]
-    m_col = m_dem[:, None]
-    _, psi_lp = _root_lp(instance.a, n_slot)
-    psi = np.maximum(np.floor(psi_lp + _INT_TOL).astype(int), 0)
-    s = l_dem @ psi
-    for _ in range(n_slot - int(psi.sum())):
-        pick = int(np.argmax(((s[:, None] + l_dem) / m_col).min(axis=0)))
-        psi[pick] += 1
-        s += l_dem[:, pick]
-    for _ in range(200):  # single-slot exchange passes
-        best_gain = float((s / m_dem).min())
-        move = None
-        for src in np.flatnonzero(psi):
-            base = s[:, None] - l_dem[:, [src]] + l_dem
-            cand = (base / m_col).min(axis=0)
-            cand[src] = -1.0
-            dst = int(np.argmax(cand))
-            if cand[dst] > best_gain * (1 + 1e-12):
-                best_gain = float(cand[dst])
-                move = (int(src), dst)
-        if move is None:
-            break
-        src, dst = move
-        psi[src] -= 1
-        psi[dst] += 1
-        s = s - l_dem[:, src] + l_dem[:, dst]
-    return psi
+    """Heuristic, a lower bound on the optimum: the first integer point of
+    the threshold walk started at the root LP's bound itself, not widened,
+    with no refinement. Its t is not proven optimal, and its counts need
+    not be the lexicographically smallest."""
+    return _framed(instance, lambda inst: _walk(inst, 0.0)[2],
+                   STATUS_HEURISTIC)
 
 
 def lp_relaxation_bound(instance: IlpInstance) -> float:

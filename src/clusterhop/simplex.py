@@ -2,28 +2,28 @@
 
 Both have equality rows and bounds, ``a @ x = b``, ``lower <= x <= upper``,
 where upper bounds may be +inf (lower bounds must be finite). Inequality
-constraints are the caller's job (add slack/surplus columns).
+constraints are the caller's job (add slack/surplus columns). Every solve
+starts from a restart point, a ``WarmStart``: a basis of the LP's own
+matrix, with its inverse and a cost under which it is dual feasible.
+``start(a, basis)`` names one under the zero cost, under which every basis
+is dual feasible. An LP with the same matrix that differs in ``b`` or the
+bounds can restart from it (Koberstein, *The dual simplex method*, 2005);
+another matrix is a ValueError.
 
-A cold solve minimizes ``c @ x``; the planner's root LP is the only one. It
-is the two-phase primal method over the matrix extended by one
-sign-matched artificial column per row, ``[A | diag(signs)]``: phase 1
-drives the artificials to zero (else the LP is INFEASIBLE), phase 2
-optimizes ``c``. Its result carries no restart point. An unbounded ray is
-a SolverError, since the root LP is bounded. The primal loop prices by
-Dantzig's rule; its ties go to the lowest index only when two prices or
-ratios are exactly equal (or within ``_TOL``). In practice rounding
-decides most ties between equally good columns, so the pivot path, though
-deterministic, moves with the order of floating-point operations.
+An LP with a cost ``c`` minimizes ``c @ x``; the planner's root LP is the
+only one. The primal loop runs from the restart point's basis, which must
+be primal feasible (else a SolverError), so there is no phase 1. Its result
+carries no restart point. An unbounded ray is a SolverError, since the root
+LP is bounded. The primal loop prices by Dantzig's rule; its ties go to the
+lowest index only when two prices or ratios are exactly equal (or within
+``_TOL``). In practice rounding decides most ties between equally good
+columns, so the pivot path, though deterministic, moves with the order of
+floating-point operations.
 
-A warm solve is a feasibility LP, with no objective: every LP after the
-root LP. It restarts from a ``WarmStart``: a basis of the LP's own matrix,
-with its inverse and a cost under which it is dual feasible. ``start(a,
-basis)`` names one under the zero cost, under which every basis is dual
-feasible. An LP with the same matrix that differs in ``b`` or the bounds
-can restart from it (Koberstein, *The dual simplex method*, 2005); another
-matrix is a ValueError. Boxed nonbasic columns whose reduced cost points
-the other way move to their other bound, and a bounded dual simplex under
-the restart cost pivots until every basic value is within its bounds
+An LP without a cost is a feasibility LP: every LP after the root LP.
+Boxed nonbasic columns whose reduced cost points the other way move to
+their other bound, and a bounded dual simplex under the restart cost
+pivots until every basic value is within its bounds
 (OPTIMAL, with that point) or a violated row that no movable column can
 repair proves the LP INFEASIBLE. Either way the result carries the restart
 point for the next LP. Its cost is zero after a feasible LP, and after an
@@ -54,13 +54,13 @@ rows and up to tens of thousands of columns (15,466 snapshot columns on the
 inverse and the basis, the basic column of each row. Each basis change
 updates the inverse with one rank-1 product-form step (the eta matrix of
 the pivot). Every ``_REFACTOR_INTERVAL`` basis changes, and before the
-final point of each phase is read, the inverse is recomputed from the basis
+final point of each loop is read, the inverse is recomputed from the basis
 columns so that rounding error from the updates cannot build up, and a dual
 loop that proves infeasibility inverts its final basis too; an inverse that
 is already a fresh inversion of the final basis (no basis change since) is
-kept, since inverting again gives the same bits. So every warm LP ends on a
-fresh inversion of its final basis, and the restart point carries it
-(``start`` inverts its basis). A warm solve starts from a copy of that
+kept, since inverting again gives the same bits. So every feasibility LP
+ends on a fresh inversion of its final basis, and the restart point carries
+it (``start`` inverts its basis). A solve starts from a copy of that
 inverse, bit for bit what inverting the same columns of the same matrix
 again would give, so the restart takes exactly the pivots of one that
 inverts its basis itself. Pivot rows, the entering column and the primal
@@ -72,7 +72,7 @@ the leaving row, and the dual loop subtracts a multiple of the pivot row
 from the reduced costs. Both are recomputed from scratch at the start of
 each loop and after every fresh inversion, and the reduced costs also after
 the dual loop's perturbation. The dual loop's first reduced costs are those
-the warm start's sign check computed from the same inverse (all zero under
+the restart's sign check computed from the same inverse (all zero under
 a zero cost).
 """
 from __future__ import annotations
@@ -89,7 +89,7 @@ INFEASIBLE = "infeasible"
 
 _TOL = 1e-9  # pivot, ratio-test and reduced-cost tolerance
 _PERTURB_AFTER = 50  # zero-length dual steps in a row before the cost shift
-_ITERATION_LIMIT = 20000  # pivots per phase before the solve gives up
+_ITERATION_LIMIT = 20000  # pivots per loop before the solve gives up
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _DUAL_PERTURBATION = 1e-6  # smallest cost shift of a stalled dual loop
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the shifts so none tie
@@ -100,7 +100,7 @@ _PRICE_CHUNK = 2048
 
 @dataclass(frozen=True)
 class WarmStart:
-    """A basis to restart from, returned by a warm solve or named by
+    """A basis to restart from, returned by a feasibility LP or named by
     ``start``: the LP's own matrix ``a``, the basic columns, the nonbasic
     columns at their upper bound, the cost under which the basis is dual
     feasible, and the basis inverse, freshly computed from the basic
@@ -117,8 +117,8 @@ class WarmStart:
 class LpResult:
     status: str
     x: np.ndarray | None  # the point of an OPTIMAL result
-    pivots: int  # basis changes and bound flips, summed over all phases
-    warm: WarmStart | None  # a warm solve's restart point for the next LP
+    pivots: int  # basis changes and bound flips
+    warm: WarmStart | None  # a feasibility LP's restart point for the next
 
 
 def start(a, basis) -> WarmStart:
@@ -180,12 +180,16 @@ class _Lp:
 
     def _iterate(self, cost, basis, at_upper):
         """Run the primal simplex loop to an optimum under ``cost``; mutates
-        basis/at_upper and the basis inverse. An unbounded ray is a
-        SolverError."""
+        basis/at_upper and the basis inverse. A start that is not primal
+        feasible and an unbounded ray are SolverErrors."""
         tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
         _, xb = self._basic_values(basis, at_upper)
+        feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
+        if ((xb < self.lower[basis] - feas_tol)
+                | (xb > self.upper[basis] + feas_tol)).any():
+            raise SolverError("the start basis is not primal feasible")
         for _ in range(_ITERATION_LIMIT):
             reduced = self._reduced_costs(cost, basis)
             # gain = |reduced| on the columns that may improve the objective
@@ -237,7 +241,7 @@ class _Lp:
                 _, xb = self._basic_values(basis, at_upper)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
-            "one phase)")
+            "one loop)")
 
     def _perturbed(self, cost, direction):
         """``cost`` with each movable nonbasic column's entry shifted toward
@@ -347,7 +351,7 @@ class _Lp:
                     cost = self._absorb_drift(cost, reduced, direction)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
-            "one phase)")
+            "one loop)")
 
     def _final_values(self, basis, at_upper):
         if self.since_refactor:
@@ -356,33 +360,20 @@ class _Lp:
         x[basis] = xb
         return x
 
-    def solve(self, c):
-        """The two-phase primal method; the columns after those of ``c``
-        are the artificials."""
-        n = c.size
-        basis = np.arange(n, self.n)
-        at_upper = np.zeros(self.n, dtype=bool)
-        self._refactor(basis)  # the artificial basis
-        # Phase 1: drive the artificials to zero.
-        self._iterate(np.concatenate([np.zeros(n), np.ones(self.m)]), basis,
-                      at_upper)
-        feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max()))
-        if self._final_values(basis, at_upper)[n:].sum() > feas_tol:
-            return LpResult(INFEASIBLE, None, self.pivots, None)
-        # Phase 2: pin artificials at zero and optimize the real objective.
-        self.upper[n:] = 0.0
-        self._iterate(np.concatenate([c, np.zeros(self.m)]), basis, at_upper)
-        x = self._final_values(basis, at_upper)[:n]
-        return LpResult(OPTIMAL, x, self.pivots, None)
-
-    def solve_warm(self, warm: WarmStart):
-        """Restart from ``warm``: make its basis dual feasible by moving
-        boxed columns to the other bound, then run the dual simplex under
-        the warm cost until the basis is primal feasible for this LP's
-        bounds and right-hand side, or proves it infeasible."""
+    def solve(self, warm: WarmStart, c):
+        """Restart from ``warm``. With a cost ``c``, run the primal loop
+        under it from the basis, which must be primal feasible. Without
+        one, make the basis dual feasible by moving boxed columns to the
+        other bound, then run the dual simplex under the warm cost until
+        the basis is primal feasible for this LP's bounds and right-hand
+        side, or proves it infeasible."""
         basis = warm.basis.copy()
         at_upper = warm.at_upper.copy()
         self.binv = warm.binv.copy()
+        if c is not None:
+            self._iterate(c, basis, at_upper)
+            return LpResult(OPTIMAL, self._final_values(basis, at_upper),
+                            self.pivots, None)
         direction = np.where(at_upper, -1.0, 1.0) * (
             self.upper - self.lower > _TOL)
         direction[basis] = 0.0
@@ -410,25 +401,25 @@ class _Lp:
                         WarmStart(self.a, basis, at_upper, cost, self.binv))
 
 
-def solve_bounded_lp(c, a, b, lower, upper,
-                     warm: WarmStart | None = None) -> LpResult:
-    """Solve ``a @ x = b``, ``lower <= x <= upper`` cold or from ``warm``.
+def solve_bounded_lp(c, a, b, lower, upper, warm: WarmStart) -> LpResult:
+    """Solve ``a @ x = b``, ``lower <= x <= upper`` from the restart point
+    ``warm`` (``LpResult.warm`` of a feasibility LP, or ``start(a,
+    basis)``) over the same matrix ``a``.
 
-    Cold (no ``warm``): minimize ``c @ x`` by the two-phase method; the
-    result is OPTIMAL or INFEASIBLE and carries no restart point. Warm: a
-    feasibility LP, ``c`` None, restarted from ``warm`` (``LpResult.warm``
-    of a warm solve, or ``start(a, basis)``) over the same matrix ``a``,
-    with any ``b`` and bounds; every nonbasic column whose reduced cost has
-    the wrong sign needs a finite upper bound. The result is OPTIMAL with a
-    feasible ``x``, or INFEASIBLE, and carries the next restart point: under
-    the zero cost after a feasible LP, the dual loop's last cost after an
-    infeasible one.
+    With ``c``: minimize ``c @ x`` by the primal loop from the basis of
+    ``warm``, which must be primal feasible for ``b`` and the bounds; the
+    result is OPTIMAL and carries no restart point. Without (``c`` None): a
+    feasibility LP, with any ``b`` and bounds; every nonbasic column whose
+    reduced cost under the warm cost has the wrong sign needs a finite
+    upper bound. The result is OPTIMAL with a feasible ``x``, or
+    INFEASIBLE, and carries the next restart point: under the zero cost
+    after a feasible LP, the dual loop's last cost after an infeasible one.
 
     Raises ``CapExceededError`` when a loop runs out of pivots,
-    ``SolverError`` when the basis turns out singular, the cold LP is
-    unbounded or the warm basis cannot be made dual feasible, and
-    ``ValueError`` when ``c`` is given with ``warm`` or missing without it,
-    or when ``warm`` comes from an LP with another matrix.
+    ``SolverError`` when the basis turns out singular, the start of a
+    solve with ``c`` is not primal feasible or its LP is unbounded, or the
+    basis of a feasibility LP cannot be made dual feasible, and
+    ``ValueError`` when ``warm`` comes from an LP with another matrix.
     """
     a, b, lower, upper = (np.asarray(v, dtype=float)
                           for v in (a, b, lower, upper))
@@ -436,15 +427,7 @@ def solve_bounded_lp(c, a, b, lower, upper,
         raise ValueError("lower bounds must be finite")
     if (upper < lower - _TOL).any():
         raise ValueError("upper bound below lower bound")
-    if (c is None) != (warm is not None):
-        raise ValueError("a cold solve needs c; a warm solve takes none")
-    if warm is not None:
-        if warm.a is not a and not np.array_equal(warm.a, a):
-            raise ValueError("a warm start needs the LP's own matrix")
-        return _Lp(a, b, lower, upper).solve_warm(warm)
-    # artificials sized to the residual at the all-lower point
-    m, c = a.shape[0], np.asarray(c, dtype=float)
-    signs = np.where(b - a @ lower >= 0, 1.0, -1.0)
-    return _Lp(np.hstack([a, np.diag(signs)]), b,
-               np.concatenate([lower, np.zeros(m)]),
-               np.concatenate([upper, np.full(m, np.inf)])).solve(c)
+    if warm.a is not a and not np.array_equal(warm.a, a):
+        raise ValueError("a warm start needs the LP's own matrix")
+    return _Lp(a, b, lower, upper).solve(
+        warm, None if c is None else np.asarray(c, dtype=float))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -427,7 +428,7 @@ def test_plan_json_is_pinned(tmp_path, scenario, command):
 
 _PINNED_GREEDY = {  # sha256 of plan.json from plan --solver greedy
     "ref_71beam":
-        "5b5793f9eaad25402dd833c6670cca3cf299b194ef7e2273a6c3d4eb5193ea4d",
+        "bf2b4876bdd262bd5f788f84afc5d815dcd4c6a9041782aa14e1eca224ecb5b5",
     "toy": "51d5ed144e9d2d3b31e2c7044d24ac8370803cb2996068b6f6e05dd84cecc787",
 }
 
@@ -781,19 +782,65 @@ def test_link_budget_overflow_is_validate_error(tmp_path, capsys, field,
 @pytest.mark.parametrize("solver", ["ilp", "greedy"])
 def test_root_lp_failure_is_solver_error(tmp_path, toy_file, capsys,
                                          monkeypatch, solver):
-    def cold_fails(c, a, b, lower, upper, warm=None):
-        if warm is None:
-            return simplex.LpResult(simplex.INFEASIBLE, None, 0, None)
+    """Both solvers start with the root LP. With its right-hand side
+    negated, its start (every slot on the last snapshot) has -N_slot
+    there, which the simplex refuses: exit 6 with one solver line."""
+    def root_fails(c, a, b, lower, upper, warm=None):
+        if c is not None:  # the root LP, the one LP with an objective
+            b = -np.asarray(b)
         return simplex.solve_bounded_lp(c, a, b, lower, upper, warm=warm)
 
-    monkeypatch.setattr(planner, "solve_bounded_lp", cold_fails)
+    monkeypatch.setattr(planner, "solve_bounded_lp", root_fails)
     out = tmp_path / "out"
     rc = _run(["plan", "--scenario", toy_file, "--out", out,
                "--solver", solver])
     err = capsys.readouterr().err
     assert rc == 6
-    assert err.startswith("error: solver: root LP") and "Traceback" not in err
+    assert err == "error: solver: the start basis is not primal feasible\n"
     assert not out.exists()
+
+
+def _extreme_reference(case):
+    """ref_71beam with one extreme change: nine beams' demands times
+    10**18.1, every demand times 1e9, B_W_Hz = 1e-30 or N_slot = 7."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    if case == "nine_beams":
+        for beam in doc["beams"]:
+            if beam["id"] in (2, 9, 17, 31, 48, 61, 67, 69, 70):
+                beam["demand_bps"] *= 10 ** 18.1
+    elif case == "demands_1e9":
+        for beam in doc["beams"]:
+            beam["demand_bps"] *= 1e9
+    elif case == "bandwidth_1e-30":
+        doc["system"]["B_W_Hz"] = 1e-30
+    else:
+        doc["system"]["N_slot"] = 7
+    return doc
+
+
+@pytest.mark.parametrize("case", ["nine_beams", "demands_1e9",
+                                  "bandwidth_1e-30", "n_slot_7"])
+def test_greedy_plans_extreme_inputs(tmp_path, reference_plan_json, case):
+    """The heuristic plans each extreme input within seconds, where the
+    exact walk does not end (nine beams) or its requirement counts pass
+    int64 (bandwidth). Where the exact solver ends, its t bounds the
+    heuristic's: at N_slot = 7 by a solve, and with every demand times 1e9
+    as the factor-1 t / 1e9, the plan CI's "Top of the demand-scale range"
+    checks."""
+    path = _write(tmp_path, _extreme_reference(case))
+    out = tmp_path / "out"
+    began = time.perf_counter()
+    assert _run(["plan", "--scenario", path, "--out", out,
+                 "--solver", "greedy"]) == 0
+    assert time.perf_counter() - began < 20
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["status"] == "heuristic"
+    if case == "n_slot_7":
+        assert _run(["plan", "--scenario", path, "--out", out]) == 0
+        exact = json.loads((out / "plan.json").read_text())
+        assert plan["t"] <= exact["t"]
+    elif case == "demands_1e9":
+        assert plan["t"] <= reference_plan_json["t"] / 1e9 * (1 + 1e-12)
 
 
 def test_greedy_plan_is_near_the_lp_bound(tmp_path):

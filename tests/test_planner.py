@@ -7,14 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterhop import planner
+from clusterhop import channel, planner, precoding
 from clusterhop.errors import (CapExceededError, InfeasibleError, SolverError,
                                ValidationError)
 from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
                                 greedy_plan, lp_relaxation_bound,
                                 solve_illumination)
+from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
+from clusterhop.scenariogen import hex_scenario_dict
+from clusterhop.snapshots import build_snapshot_set
 
-from conftest import random_snapshot_supply
+from conftest import random_snapshot_supply, toy_doc
 
 
 def exact_min_ratio(instance, psi):
@@ -325,6 +328,35 @@ def test_sandwich_lp_ilp_greedy():
         t_greedy = greedy_plan(inst).t
         assert t_greedy <= t_ilp + 1e-9
         assert t_ilp <= t_lp + 1e-9
+
+
+def _instance_of(doc):
+    """The planner's instance for a scenario document, as the CLI builds
+    it."""
+    scen = scenario_from_dict(doc)
+    caps = precoding.cluster_capacities(
+        scen, channel.build_all_cluster_channels(scen),
+        precoding.load_dvbs2_table())
+    snaps = build_snapshot_set(scen.adjacency, scen.system.n_p,
+                               caps.p_cluster_bits)
+    _, m = aggregate_and_scale_demands(scen)
+    return IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
+
+
+@pytest.mark.parametrize("doc", [
+    toy_doc(), hex_scenario_dict(),
+    hex_scenario_dict(120, 20, system={"N_P": 4})],
+    ids=["toy", "ref_71beam", "120_20_4"])
+def test_greedy_reaches_the_exact_t(doc):
+    """The walk's first integer point below the root LP's own bound has the
+    exact optimum's t here, compared as exact rationals."""
+    inst = _instance_of(doc)
+    spacing = [Fraction(s) / Fraction(m)
+               for s, m in zip(inst.step, inst.m[inst.demanded])]
+    heuristic, exact = greedy_plan(inst), solve_illumination(inst)
+    assert heuristic.solver_status == "heuristic"
+    assert (planner._exact_t(inst.v, spacing, heuristic.psi)
+            == planner._exact_t(inst.v, spacing, exact.psi))
 
 
 def test_demand_scaling_inverts_objective():

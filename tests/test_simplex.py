@@ -14,75 +14,64 @@ from clusterhop.snapshots import build_snapshot_set
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
 
+_BOX = ([[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 2.0])  # x + y = 3 in [0, 2]^2
+
+
+def _box_start():
+    """A primal feasible start of ``_BOX``: y basic, x at its upper bound,
+    the point (2, 1)."""
+    return dataclasses.replace(start(_BOX[0], [1]),
+                               at_upper=np.array([True, False]))
+
+
 def test_simple_equality_box():
     # min -x - 2y over x + y = 3, 0 <= x <= 2, 0 <= y <= 2 -> (1, 2)
-    res = solve_bounded_lp(
-        c=[-1.0, -2.0],
-        a=[[1.0, 1.0]],
-        b=[3.0],
-        lower=[0.0, 0.0],
-        upper=[2.0, 2.0],
-    )
+    res = solve_bounded_lp([-1.0, -2.0], *_BOX, warm=_box_start())
     assert res.status == OPTIMAL
     assert res.x == pytest.approx([1.0, 2.0])
     assert np.dot([-1.0, -2.0], res.x) == pytest.approx(-5.0)
-
-
-def test_infeasible_bounds():
-    res = solve_bounded_lp(
-        c=[1.0, 1.0],
-        a=[[1.0, 1.0]],
-        b=[10.0],
-        lower=[0.0, 0.0],
-        upper=[2.0, 2.0],
-    )
-    assert res.status == INFEASIBLE
+    assert res.pivots == 1  # x leaves its upper bound, y reaches its own
 
 
 def test_unbounded_direction():
     # min -x with x - y = 0 and both unbounded above: no planner LP is
     # unbounded, so the ray is a solver failure
+    a = [[1.0, -1.0]]
     with pytest.raises(SolverError, match="unbounded"):
-        solve_bounded_lp(
-            c=[-1.0, 0.0],
-            a=[[1.0, -1.0]],
-            b=[0.0],
-            lower=[0.0, 0.0],
-            upper=[np.inf, np.inf],
-        )
+        solve_bounded_lp([-1.0, 0.0], a, [0.0], [0.0, 0.0],
+                         [np.inf, np.inf], warm=start(a, [0]))
 
 
 def test_degenerate_ties_terminate():
-    # many identical columns force degenerate pivots
+    # many identical columns force degenerate pivots; the start has the
+    # first column basic at 1 and the next three at their upper bound 1
     a = np.ones((1, 6))
     c = np.array([1, 1, 1, 1, 1, 0.5])
-    res = solve_bounded_lp(
-        c=c,
-        a=a,
-        b=[4.0],
-        lower=np.zeros(6),
-        upper=np.full(6, 1.0),
-    )
+    warm = dataclasses.replace(start(a, [0]), at_upper=np.array(
+        [False, True, True, True, False, False]))
+    res = solve_bounded_lp(c, a, [4.0], np.zeros(6), np.full(6, 1.0),
+                           warm=warm)
     assert res.status == OPTIMAL
     assert c @ res.x == pytest.approx(3.5)
 
 
 def _random_instance(rng):
+    """A random LP with an objective, ``(c, a, b, lower, upper, warm)``:
+    ``a = [A | I]``, and ``warm`` the slack basis, primal feasible with
+    every column of ``A`` at its lower bound and each slack within its
+    bounds. Some columns have no upper bound, so some LPs are unbounded."""
     m = int(rng.integers(1, 6))
-    n = int(rng.integers(m, 9))
-    a = rng.normal(size=(m, n)).round(2)
+    n = int(rng.integers(m, 9)) + m
+    a = np.hstack([rng.normal(size=(m, n - m)).round(2), np.eye(m)])
     lower = rng.uniform(-3, 0, size=n).round(2)
     span = rng.uniform(0, 6, size=n).round(2)
     upper = lower + span
     upper[rng.random(n) < 0.25] = np.inf
-    if rng.random() < 0.8:
-        x_feas = lower + rng.uniform(0, 1, size=n) * np.where(
-            np.isfinite(upper), span, 1.0)
-        b = a @ x_feas
-    else:
-        b = rng.normal(size=m) * 10
+    slack = lower[-m:] + rng.uniform(0, 1, size=m) * np.where(
+        np.isfinite(upper[-m:]), span[-m:], 1.0)
+    b = a[:, :-m] @ lower[:-m] + slack
     c = rng.normal(size=n).round(2)
-    return c, a, b, lower, upper
+    return c, a, b, lower, upper, start(a, np.arange(n - m, n))
 
 
 def _highs(c, a, b, lower, upper):
@@ -109,49 +98,33 @@ def _assert_matches_highs(c, a, b, lower, upper, res, ref=None):
         assert (res.x <= upper + 1e-7).all()
 
 
-def _cold_against_highs(c, a, b, lower, upper):
-    """The cold solve of the LP, checked against HiGHS; an LP that HiGHS
-    finds unbounded must be a SolverError, and gives None."""
+def _optimized_against_highs(c, a, b, lower, upper, warm):
+    """The LP with objective ``c`` solved from ``warm``, checked against
+    HiGHS; an LP that HiGHS finds unbounded must be a SolverError, and
+    gives None."""
     ref = _highs(c, a, b, lower, upper)
     if ref.status == 3:
         with pytest.raises(SolverError, match="unbounded"):
-            solve_bounded_lp(c, a, b, lower, upper)
+            solve_bounded_lp(c, a, b, lower, upper, warm=warm)
         return None
-    res = solve_bounded_lp(c, a, b, lower, upper)
+    res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
     _assert_matches_highs(c, a, b, lower, upper, res, ref)
-    assert res.warm is None  # a cold solve gives no restart point
+    assert res.warm is None  # a solve with an objective gives no restart
     return res
 
 
 def test_against_scipy_reference():
     rng = np.random.default_rng(1234)
-    results = [_cold_against_highs(*_random_instance(rng))
+    results = [_optimized_against_highs(*_random_instance(rng))
                for _ in range(200)]
     assert {None if res is None else res.status for res in results} == {
-        OPTIMAL, INFEASIBLE, None}
-
-
-def test_pivots_counted_over_both_phases():
-    res = solve_bounded_lp(
-        c=[-1.0, -2.0],
-        a=[[1.0, 1.0]],
-        b=[3.0],
-        lower=[0.0, 0.0],
-        upper=[2.0, 2.0],
-    )
-    # phase 1 flips x to its upper bound and brings y into the basis;
-    # phase 2 brings x back into the basis and sends y to its upper bound
-    assert res.pivots == 3
-    again = solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                             [0.0, 0.0], [2.0, 2.0])
-    assert again.pivots == res.pivots
+        OPTIMAL, None}
 
 
 def test_iteration_limit_is_cap_exceeded(monkeypatch):
     monkeypatch.setattr(simplex, "_ITERATION_LIMIT", 1)
     with pytest.raises(CapExceededError, match="iteration limit"):
-        solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                         [0.0, 0.0], [2.0, 2.0])
+        solve_bounded_lp([-1.0, -2.0], *_BOX, warm=_box_start())
 
 
 def test_singular_basis_is_solver_error(monkeypatch):
@@ -160,8 +133,7 @@ def test_singular_basis_is_solver_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(SolverError, match="singular"):
-        solve_bounded_lp([-1.0, -2.0], [[1.0, 1.0]], [3.0],
-                         [0.0, 0.0], [2.0, 2.0])
+        solve_bounded_lp([-1.0, -2.0], *_BOX, warm=start(_BOX[0], [1]))
 
 
 def _snapshot_rows(rng, n_dem=None, n_ss=None):
@@ -216,8 +188,8 @@ def _over_requirements(rows, req, n_slot, lb, ub, warm=None):
 
 
 def test_against_scipy_on_planner_shaped_lps(monkeypatch):
-    """Both LP forms the planner builds: the root LP, solved cold, and the
-    requirement LP with a prefix of counts fixed as the lexicographic
+    """Both LP forms the planner builds: the root LP, with its objective,
+    and the requirement LP with a prefix of counts fixed as the lexicographic
     refinement fixes them, started at the trivial witness's basis; and LPs
     that restart from an earlier result: branch-and-bound children after a
     bound change, the next lexicographic position after one more count is
@@ -264,19 +236,20 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
     assert len(captured) == 240
     results = {id(lp[-1].warm) for lp, _ in captured
                if lp[-1].warm is not None}
-    cold = [lp for lp, warm in captured if warm is None]
+    root = [lp for lp, _ in captured if lp[0] is not None]
     started = [lp for lp, warm in captured
-               if warm is not None and id(warm) not in results]
+               if lp[0] is None and id(warm) not in results]
     warm = [lp for lp, warm in captured if id(warm) in results]
-    assert (len(cold), len(started), len(warm)) == (40, 40, 160)
-    assert max(lp[-1].pivots for lp in cold) > 100
-    assert {lp[-1].status for lp in cold} == {OPTIMAL}
+    assert (len(root), len(started), len(warm)) == (40, 40, 160)
+    # over 12 to 16 rows: every basis position changes about twice
+    assert max(lp[-1].pivots for lp in root) > 30
+    assert {lp[-1].status for lp in root} == {OPTIMAL}
     for group in (started, warm):
         assert {lp[-1].status for lp in group} == {OPTIMAL, INFEASIBLE}
-    for lp, restart in captured:
+    for lp, _ in captured:
         _assert_matches_highs(*lp)
         c, a, b, lower, upper, res = lp
-        if restart is None:
+        if c is not None:
             assert res.warm is None
         else:
             _assert_dual_feasible(a, lower, upper, res.warm)
@@ -304,11 +277,12 @@ def _requirement_lp(rng, n_slot=256, **shape):
 
 def test_warm_resolve_after_bound_change_matches_cold():
     """A feasibility LP restarted from its parent's basis after a bound
-    change has the status of the same LP solved cold and of HiGHS, and a
-    feasible point, in under a third of the cold solves' pivots."""
+    change has the status of the same LP started over at the trivial
+    witness's basis and of HiGHS, and a feasible point, in under a third
+    of the started-over solves' pivots."""
     rng = np.random.default_rng(77)
     statuses = set()
-    warm_pivots = cold_pivots = 0
+    warm_pivots = anew_pivots = 0
     for _ in range(30):
         a, b, lower, upper, n_ss = _requirement_lp(rng)
         parent = solve_bounded_lp(None, a, b, lower, upper,
@@ -320,16 +294,17 @@ def test_warm_resolve_after_bound_change_matches_cold():
             upper[j] = math.floor(parent.x[j] - 1.0) if parent.x[j] >= 1 else 0
         else:
             lower[j] = math.floor(parent.x[j]) + float(rng.choice([1, 60]))
-        cold = solve_bounded_lp(np.zeros(len(lower)), a, b, lower, upper)
+        anew = solve_bounded_lp(None, a, b, lower, upper,
+                                warm=_witness_start(a))
         warm = solve_bounded_lp(None, a, b, lower, upper, warm=parent.warm)
-        assert warm.status == cold.status
+        assert warm.status == anew.status
         _assert_matches_highs(None, a, b, lower, upper, warm)
         _assert_dual_feasible(a, lower, upper, warm.warm)
-        statuses.add(cold.status)
+        statuses.add(anew.status)
         warm_pivots += warm.pivots
-        cold_pivots += cold.pivots
+        anew_pivots += anew.pivots
     assert statuses == {OPTIMAL, INFEASIBLE}
-    assert warm_pivots < cold_pivots / 3
+    assert warm_pivots < anew_pivots / 3
 
 
 def test_warm_start_from_infeasible_result():
@@ -420,26 +395,30 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
 @pytest.mark.parametrize("doc", [hex_scenario_dict(), _solver_mid_seed_1()],
                          ids=["ref_71beam", "solver_mid_seed_1"])
 def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
-    """An exact solve has one cold LP, the root LP, and a cold result
-    carries no restart point. The requirement chain starts at the trivial
-    witness's basis, under the zero cost, and every restart point after it
-    is over the chain's own matrix, without artificial columns."""
+    """An exact solve has one LP with an objective, the root LP, and its
+    result carries no restart point. Both the root LP and the requirement
+    chain start at the trivial witness's basis, under the zero cost, and
+    every restart point after it is over the chain's own matrix."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
         res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
-        captured.append((a, warm, res))
+        captured.append((c, a, warm, res))
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     instance = _exact_instance(doc)
     planner.solve_illumination(instance)
     n_dem, n_ss = instance.v.shape
-    assert [warm is None for _, warm, _ in captured] == (
+    assert [c is not None for c, *_ in captured] == (
         [True] + [False] * (len(captured) - 1))
-    root_matrix, _, root = captured[0]
+    _, root_matrix, root_start, root = captured[0]
     assert root_matrix.shape == (n_dem + 1, n_ss + 1 + n_dem)  # the t column
+    assert root_start.basis.tolist() == (
+        list(range(n_ss + 1, n_ss + 1 + n_dem)) + [n_ss - 1])
+    assert not root_start.at_upper.any()
     assert root.warm is None
+    captured = [lp[1:] for lp in captured]
     rows, first, _ = captured[1]
     assert first.basis.tolist() == list(range(n_ss, n_ss + n_dem)) + [n_ss - 1]
     assert not first.at_upper.any() and not first.cost.any()
@@ -493,26 +472,27 @@ def test_warm_start_with_another_matrix_is_value_error():
     assert again.status == OPTIMAL and again.pivots == 0
 
 
-def test_c_is_given_for_a_cold_solve_only():
-    """A warm solve is a feasibility LP, and a cold one has an objective:
-    a cost with a restart point, or none without one, is a ValueError."""
-    lp = ([[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 2.0])
-    with pytest.raises(ValueError, match="warm solve takes none"):
-        solve_bounded_lp([-1.0, -2.0], *lp, warm=start(lp[0], [0]))
-    with pytest.raises(ValueError, match="cold solve needs c"):
-        solve_bounded_lp(None, *lp)
+def test_a_cost_needs_a_primal_feasible_start():
+    """With a cost the primal loop runs from the start's basis, which must
+    be primal feasible: x basic at 3, above its bound 2, is a SolverError.
+    Without one, the dual feasibility LP repairs the same start."""
+    with pytest.raises(SolverError, match="not primal feasible"):
+        solve_bounded_lp([-1.0, -2.0], *_BOX, warm=start(_BOX[0], [0]))
+    res = solve_bounded_lp(None, *_BOX, warm=start(_BOX[0], [0]))
+    assert res.status == OPTIMAL and res.pivots == 1
+    assert res.x == pytest.approx([2.0, 1.0])
 
 
 def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     """Every LP of an exact solve on a 120-beam / 20-cluster / N_P = 4
     scenario, whose feasibility LPs leave the dual loop on long
     runs of zero-length steps: each warm re-solve agrees with HiGHS and
-    costs at most a few cold solves' pivots."""
+    costs at most a few root LPs' pivots."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
         res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
-        captured.append(((c, a, b, lower, upper, res), warm is not None))
+        captured.append(((c, a, b, lower, upper, res), c is None))
         return res
 
     stalls = []
@@ -528,8 +508,8 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
     planner.solve_illumination(instance)
 
     assert stalls
-    cold = max(lp[-1].pivots for lp, warm in captured if not warm)
-    assert max(lp[-1].pivots for lp, warm in captured if warm) <= 4 * cold
+    root = max(lp[-1].pivots for lp, warm in captured if not warm)
+    assert max(lp[-1].pivots for lp, warm in captured if warm) <= 4 * root
     for lp, _ in captured:
         _assert_matches_highs(*lp)
 
@@ -572,7 +552,7 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
     assert len(ended) == len(captured) - 1  # one dual loop per warm LP
     for i, (c, a, b, lower, upper, res) in enumerate(captured):
         _assert_matches_highs(c, a, b, lower, upper, res)
-        if i:  # the root LP's cold solve carries no restart point
+        if i:  # the root LP, with its objective, gives no restart point
             _assert_dual_feasible(a, lower, upper, res.warm)
             if res.status == OPTIMAL:
                 assert not res.warm.cost.any()
@@ -587,8 +567,8 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
                                                         interval):
     """The basic values and reduced costs carried from pivot to pivot give
     the same answers whether the basis inverse is recomputed after every
-    basis change or never within a phase: seeded random LPs solved cold,
-    and chains of planner-shaped feasibility LPs that restart from the
+    basis change or never within a loop: seeded random LPs with an
+    objective, solved from their slack basis, and chains of planner-shaped feasibility LPs that restart from the
     previous basis after a bound or right-hand-side change. Every result
     agrees with HiGHS and every restart point is dual feasible."""
     monkeypatch.setattr(simplex, "_REFACTOR_INTERVAL", interval)
@@ -609,7 +589,7 @@ def test_answers_do_not_depend_on_the_refactor_interval(monkeypatch,
 
     rng = np.random.default_rng(1234)
     for _ in range(200):
-        _cold_against_highs(*_random_instance(rng))
+        _optimized_against_highs(*_random_instance(rng))
 
     rng = np.random.default_rng(5)
     statuses = set()
