@@ -29,7 +29,7 @@ def main() -> None:
     parser.add_argument("--solver", default="ilp", choices=SOLVERS)
     args = parser.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     for command in ("plan", "compare", "leakage"):
         files = run(RunManifest(
             scenario_path=args.scenario,
@@ -38,7 +38,7 @@ def main() -> None:
             solver=args.solver,
         ))
         print(f"{command}: wrote {len(files)} files")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     out = Path(args.out)
     plan = json.loads((out / "plan.json").read_text())

@@ -95,9 +95,8 @@ def build_snapshot_set(
     return SnapshotSet(v=v, l=supply_matrix(v, p))
 
 
-def dump_v_csv(v: np.ndarray, path) -> None:
-    """Write V as CSV: one row per cluster, one 0/1 column per snapshot."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"s{n}" for n in range(v.shape[1])) + "\n")
-        for row in v:
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
+def v_csv_lines(v: np.ndarray) -> list[str]:
+    """V as CSV rows: one row per cluster, one 0/1 column per snapshot."""
+    lines = [",".join(f"s{n}" for n in range(v.shape[1]))]
+    lines.extend(",".join(str(int(x)) for x in row) for row in v)
+    return lines

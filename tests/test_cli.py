@@ -1,7 +1,10 @@
+import builtins
 import hashlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -983,6 +986,131 @@ def test_shared_stages_write_the_same_bytes_as_fresh_runs(tmp_path,
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+def _record_opens(monkeypatch, out):
+    """Wrap ``os.open`` and ``open`` (``io.open`` too, which ``pathlib``
+    calls) to record the flags or mode of every open of a path in ``out``
+    for writing."""
+    opens = []
+    os_open, open_ = os.open, builtins.open
+
+    def inside(file):
+        return (isinstance(file, (str, os.PathLike))
+                and Path(file).parent == out)
+
+    def recording_os_open(path, flags, *args, **kwargs):
+        if inside(path) and flags & (os.O_WRONLY | os.O_RDWR):
+            opens.append((Path(path).name, "os.open", flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if inside(file) and set(mode) & set("wax+"):
+            opens.append((Path(file).name, "open", mode))
+        return open_(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    return opens
+
+
+def test_artifacts_are_rewritten_in_place(tmp_path, toy_file, monkeypatch):
+    """Every artifact is opened by the one writer, without O_TRUNC, and a
+    text written over a longer one leaves exactly the new bytes."""
+    out = tmp_path / "out"
+    opens = _record_opens(monkeypatch, out)
+    config = out / "run_config.json"
+    sizes = {}
+    for command in ("snapshots", "capacity", "plan", "compare", "leakage",
+                    "plan", "snapshots", "capacity"):
+        assert _run([command, "--scenario", toy_file, "--out", out]) == 0
+        sizes.setdefault(command, config.stat().st_size)
+        text = config.read_text(encoding="utf-8")
+        assert text == cli._json_text(json.loads(text)) + "\n"
+        assert json.loads(text)["command"] == command
+    assert sizes["leakage"] < sizes["compare"]
+    assert opens
+    assert {name for name, _, _ in opens} == {p.name for p in out.iterdir()}
+    for name, how, flags in opens:
+        assert how == "os.open", (name, how, flags)
+        assert not flags & os.O_TRUNC, name
+
+
+def test_write_text_cuts_a_longer_file_to_the_new_text(tmp_path):
+    path = tmp_path / "artifact.json"
+    cli._write_text(path, "x" * 1000 + "\u00e9\n")
+    inode = path.stat().st_ino
+    cli._write_text(path, "\u00e9\n")
+    assert path.read_bytes() == "\u00e9\n".encode("utf-8")
+    assert path.stat().st_ino == inode
+
+
+def test_read_only_artifact_is_io_error_or_written_through(tmp_path, toy_file,
+                                                           capsys):
+    """A read-only artifact fails with exit 5 and stays as it was. A process
+    that may write read-only files (root) writes through it: same inode,
+    same mode, the fresh bytes."""
+    assert _run(["plan", "--scenario", toy_file, "--out", tmp_path / "a"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    old = b"x" * 100000
+    path = out / "plan.json"
+    path.write_bytes(old)
+    path.chmod(0o444)
+    inode = path.stat().st_ino
+    rc = _run(["plan", "--scenario", toy_file, "--out", out])
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+    if os.access(path, os.W_OK):
+        assert rc == 0
+        assert path.read_bytes() == (tmp_path / "a" / "plan.json").read_bytes()
+    else:
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error: io:")
+        assert path.read_bytes() == old
+
+
+def test_directory_in_place_of_an_artifact_is_io_error(tmp_path, toy_file,
+                                                       capsys):
+    (tmp_path / "out" / "plan.json").mkdir(parents=True)
+    rc = _run(["plan", "--scenario", toy_file, "--out", tmp_path / "out"])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("error: io:")
+
+
+def test_symlinked_artifact_is_written_through(tmp_path, toy_file):
+    assert _run(["plan", "--scenario", toy_file, "--out", tmp_path / "a"]) == 0
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 100000)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plan.json").symlink_to(target)
+    assert _run(["plan", "--scenario", toy_file, "--out", out]) == 0
+    assert (out / "plan.json").is_symlink()
+    assert target.read_bytes() == (tmp_path / "a" / "plan.json").read_bytes()
+
+
+@pytest.mark.parametrize("solver", cli.SOLVERS)
+def test_rerun_into_one_out_writes_a_fresh_runs_bytes(tmp_path, toy_file,
+                                                      solver):
+    """The pipeline twice into one directory leaves every file, the
+    shrinking run_config.json included, as one run into a fresh one; its
+    run_config.json is the one leakage alone writes."""
+    runs = {"a": ("plan", "compare", "leakage") * 2,
+            "b": ("plan", "compare", "leakage"), "c": ("leakage",)}
+    for out, commands in runs.items():
+        for command in commands:
+            assert _run([command, "--scenario", toy_file, "--solver", solver,
+                         "--out", tmp_path / out]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    assert ((tmp_path / "a" / "run_config.json").read_bytes()
+            == (tmp_path / "c" / "run_config.json").read_bytes())
 
 
 def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
