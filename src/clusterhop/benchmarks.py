@@ -19,23 +19,37 @@ from .scenario import Scenario
 FOUR_COLOR = "4c_fr"
 ONE_COLOR_BH = "1c_ffr_bh"
 
+# Beams whose distances to every later beam are computed at once in
+# `_spread_grouping`: bounds its temporaries to this many rows of N_B.
+_GROUPING_BLOCK = 64
+
 
 def _greedy_coloring(adj: np.ndarray, n_colors: int) -> np.ndarray:
     """Color beams so adjacent ones differ, lowest available color first.
 
     Falls back to the least-conflicting color (with a warning) if a beam has
-    all colors in its neighborhood.
+    all colors in its neighborhood. The colors of a beam's earlier
+    neighbours are read as a bitmask, bit c for color c.
     """
-    earlier: list[list[int]] = [[] for _ in range(adj.shape[0])]
-    for i, k in zip(*(ix.tolist() for ix in np.nonzero(np.tril(adj, -1)))):
-        earlier[i].append(k)
+    n = adj.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(adj != 0), n)
+    lower = cols < rows
+    cols = cols[lower].tolist()  # earlier neighbours, grouped by beam
+    ends = np.searchsorted(rows[lower], np.arange(n), side="right").tolist()
+    every = (1 << n_colors) - 1
     colors: list[int] = []
-    for i, neighbours in enumerate(earlier):
-        neigh = [colors[k] for k in neighbours]
-        free = [c for c in range(n_colors) if c not in neigh]
+    start = 0
+    for i, end in enumerate(ends):
+        neighbours = cols[start:end]
+        start = end
+        used = 0
+        for k in neighbours:
+            used |= 1 << colors[k]
+        free = every & ~used
         if free:
-            colors.append(free[0])
+            colors.append((free & -free).bit_length() - 1)
         else:
+            neigh = [colors[k] for k in neighbours]
             conflicts, pick = min((neigh.count(c), c) for c in range(n_colors))
             warnings.warn(
                 f"beam {i + 1}: no conflict-free color, using color {pick} "
@@ -81,38 +95,41 @@ def _spread_grouping(centers: np.ndarray, adj: np.ndarray, n_groups: int):
 
     Greedy: each beam joins the adjacency-free group whose nearest member is
     farthest away (spreading co-active beams), the earliest such group on a
-    tie; grows the group count when a beam fits nowhere. The distance to a
-    group's nearest member and the adjacency to its members are kept for
-    every beam and updated as members join.
+    tie; grows the group count when a beam fits nowhere. ``score[g, k]`` is
+    the distance from later beam k to group g's nearest member, ``-inf``
+    once a member is adjacent to k, so joining a group is one
+    ``np.minimum`` over its row. The distances (``-inf`` where adjacent) are
+    computed for ``_GROUPING_BLOCK`` beams at a time, against every later
+    beam.
     """
     n = adj.shape[0]
+    u, v = centers[:, 0], centers[:, 1]
     groups: list[list[int]] = [[] for _ in range(n_groups)]
-    touches = np.ascontiguousarray(adj.T != 0)  # row i: beams adjacent to i
-    nearest = np.full((n, n_groups), np.inf)
-    blocked = np.zeros((n, n_groups), dtype=bool)
-    for i in range(n):
-        diff = centers[i + 1:] - centers[i]  # only later beams still choose
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        best_g = -1
-        best_d = -1.0
-        for g, (d, adjacent) in enumerate(zip(nearest[i].tolist(),
-                                              blocked[i].tolist())):
-            if not adjacent and d > best_d:
-                best_d = d
-                best_g = g
-        if best_g < 0:
-            warnings.warn(
-                f"beam {i + 1} is adjacent to all {len(groups)} groups; "
-                "adding one more group and rescaling the dwell"
-            )
-            groups.append([])
-            nearest = np.column_stack([nearest, np.full(n, np.inf)])
-            blocked = np.column_stack([blocked, np.zeros(n, dtype=bool)])
-            best_g = len(groups) - 1
-        groups[best_g].append(i)
-        later = nearest[i + 1:, best_g]
-        np.minimum(later, dist, out=later)
-        blocked[:, best_g] |= touches[i]
+    score = np.full((n_groups, n), np.inf)
+    for i0 in range(0, n, _GROUPING_BLOCK):
+        i1 = min(i0 + _GROUPING_BLOCK, n)
+        # each distance from the same operands as a per-pair ``np.hypot``, so
+        # equal distances tie as in the per-beam definition
+        dist = np.hypot(u[i0:] - u[i0:i1, None], v[i0:] - v[i0:i1, None])
+        dist[adj[i0:, i0:i1].T != 0] = -np.inf
+        for i in range(i0, i1):
+            best_g = -1
+            best_d = -1.0  # an adjacent group's -inf never beats it
+            for g, d in enumerate(score[:, i].tolist()):
+                if d > best_d:
+                    best_d = d
+                    best_g = g
+            if best_g < 0:
+                warnings.warn(
+                    f"beam {i + 1} is adjacent to all {len(groups)} groups; "
+                    "adding one more group and rescaling the dwell"
+                )
+                groups.append([])
+                score = np.vstack([score, np.full(n, np.inf)])
+                best_g = len(groups) - 1
+            groups[best_g].append(i)
+            later = score[best_g, i + 1:]
+            np.minimum(later, dist[i - i0, i + 1 - i0:], out=later)
     return groups
 
 

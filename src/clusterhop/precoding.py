@@ -9,6 +9,7 @@ CSV, and beam capacity is SE * B_W / (1 + rolloff) per polarization.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -58,20 +59,28 @@ class CapacityVector:
 
 def load_dvbs2_table(source: bytes | None = None) -> Dvbs2Table:
     """Load a MODCOD CSV (header ``threshold_db,se_bits_per_symbol``) from
-    the file's bytes.
+    the file's bytes, as a table with read-only arrays.
 
-    With no source, the table bundled with the package is used.
+    With no source, the table bundled with the package is used: it is parsed
+    once per process, and every such call returns that one table.
     """
     if source is None:
-        ref = resources.files("clusterhop").joinpath("data/dvbs2_modcods.csv")
-        source = ref.read_bytes()
+        return _bundled_dvbs2_table()
     try:  # UnicodeDecodeError is a ValueError
         rows = list(csv.DictReader(source.decode("utf-8").splitlines()))
         thr = np.array([float(r["threshold_db"]) for r in rows])
         se = np.array([float(r["se_bits_per_symbol"]) for r in rows])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad MODCOD table: {exc}") from exc
+    for a in (thr, se):
+        a.flags.writeable = False
     return Dvbs2Table(thresholds_db=thr, se_bits_per_symbol=se)
+
+
+@functools.cache
+def _bundled_dvbs2_table() -> Dvbs2Table:
+    ref = resources.files("clusterhop").joinpath("data/dvbs2_modcods.csv")
+    return load_dvbs2_table(ref.read_bytes())
 
 
 def mmse_precoder(h: np.ndarray, tau: float, config: SystemConfig,

@@ -12,7 +12,8 @@ import pytest
 from clusterhop import benchmarks, channel, metrics, precoding
 from clusterhop.planner import IlpInstance, solve_illumination
 from clusterhop.precoding import _THRESHOLD_GUARD_DB
-from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
+from clusterhop.scenario import (aggregate_and_scale_demands, beam_adjacency,
+                                 center_distances, scenario_from_dict)
 from clusterhop.scenariogen import hex_lattice, hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set
 
@@ -229,6 +230,62 @@ def test_bh_matches_per_beam_loop(stages, dvbs2, lookups):
     gammas, offered = _loop_bh(scenario, field, dvbs2)
     assert np.array_equal(np.concatenate(lookups), gammas)
     assert np.array_equal(got, offered)
+
+
+def _two_stars():
+    """The star layout, then a second star far off: the first star's center
+    fits no group and adds a fifth, which later beams read. One of them
+    joins it, and the second center is adjacent to its member."""
+    d = 0.5
+    star = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d), (0.0, 0.0)]
+    return np.array(star + [(10.0 + u, v) for u, v in star])
+
+
+def _permuted_hex(seed):
+    """A hex patch in a seeded order: exact distance ties everywhere, and
+    up to 199 beams, four row blocks of the grouping's distances."""
+    rng = np.random.default_rng(seed)
+    centers = hex_lattice(int(rng.integers(2, 200)), 0.6)
+    return centers[rng.permutation(len(centers))]
+
+
+def _fallback_warnings(adj, groups, colors):
+    """The warnings of both fallbacks, from the per-beam loops' results."""
+    want = [f"beam {members[0] + 1} is adjacent to all {g} groups; adding "
+            "one more group and rescaling the dwell"
+            for g, members in enumerate(groups[4:], start=4)]
+    for i in range(adj.shape[0]):
+        neigh = colors[np.flatnonzero(adj[i, :i])]
+        if set(neigh.tolist()) >= set(range(4)):
+            want.append(f"beam {i + 1}: no conflict-free color, using color "
+                        f"{colors[i]} with {(neigh == colors[i]).sum()} "
+                        "conflicts")
+    return sorted(want)
+
+
+@pytest.mark.parametrize("centers", [
+    pytest.param(_two_stars(), id="two_stars"),
+    *(pytest.param(_permuted_hex(seed), id=f"hex{seed}") for seed in range(24)),
+])
+def test_grouping_and_coloring_match_per_beam_loops(centers):
+    adj = beam_adjacency(center_distances(centers))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        groups = benchmarks._spread_grouping(centers, adj, 4)
+        colors = benchmarks._greedy_coloring(adj, 4)
+    want_colors = _loop_coloring(adj, 4)
+    assert groups == _loop_grouping(centers, adj, 4)
+    assert np.array_equal(colors, want_colors)
+    assert sorted(str(w.message) for w in caught) == _fallback_warnings(
+        adj, groups, want_colors)
+
+
+def test_grown_group_is_read_by_later_beams():
+    centers = _two_stars()
+    with pytest.warns(UserWarning, match="beam 5 is adjacent to all 4"):
+        groups = benchmarks._spread_grouping(
+            centers, beam_adjacency(center_distances(centers)), 4)
+    assert groups == [[0, 9], [1, 5], [2, 6], [3, 7], [4, 8]]
 
 
 def test_beam_links_match_per_beam_loop(stages, dvbs2):

@@ -1131,6 +1131,8 @@ def test_memoized_stage_outputs_are_read_only(tmp_path, toy_file):
         "centers": pipe.scenario.centers, "demands": pipe.scenario.demands,
         "distances": pipe.scenario.distances,
         "beam_adjacency": pipe.scenario.beam_adjacency,
+        "table.thresholds": pipe.table.thresholds_db,
+        "table.se": pipe.table.se_bits_per_symbol,
     }
     for j, h in enumerate(pipe.channels):
         arrays[f"channel{j}"] = h

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,23 @@ def test_table_rejects_unsorted():
     with pytest.raises(ValidationError):
         precoding.Dvbs2Table(thresholds_db=np.array([1.0, 0.5]),
                              se_bits_per_symbol=np.array([1.0, 2.0]))
+
+
+def test_bundled_table_is_parsed_once_and_bytes_every_call():
+    table = precoding.load_dvbs2_table()
+    assert precoding.load_dvbs2_table() is table
+    csv = resources.files("clusterhop").joinpath(
+        "data/dvbs2_modcods.csv").read_bytes()
+    first, second = (precoding.load_dvbs2_table(csv) for _ in range(2))
+    assert first is not second and first is not table
+    for loaded in (first, second):
+        assert np.array_equal(loaded.thresholds_db, table.thresholds_db)
+        assert np.array_equal(loaded.se_bits_per_symbol,
+                              table.se_bits_per_symbol)
+    for _ in range(2):  # the bad bytes are checked again on every call
+        with pytest.raises(ValidationError, match="increasing"):
+            precoding.load_dvbs2_table(
+                b"threshold_db,se_bits_per_symbol\n1.0,1.0\n0.5,2.0\n")
 
 
 def test_efficiency_below_floor_is_outage(dvbs2):
