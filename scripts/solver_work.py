@@ -11,8 +11,8 @@ simplex loop, counts the dual loop's stall perturbations (``_perturbed``
 calls) and drift shifts (``_absorb_drift`` calls that shift the cost),
 counts the refinement's feasibility probes (one ``_branch_and_bound``
 search each) by outcome, counts the exchange's work (``_exchange_down``
-calls, the positions a same-mask move or a split lowered and how many of
-those reached 0, and ``_split`` calls), and prints the psi digest: sha256
+calls, the positions a split lowered and how many of those reached 0, and
+``_split`` calls), and prints the psi digest: sha256
 over each scenario's ``psi.astype(int64).tobytes()``, in list order,
 first 12 hex digits. The counts depend only on the code and the
 arithmetic, not on how fast the machine is; the digest depends only on the
@@ -47,8 +47,8 @@ def solver_work(workload) -> dict:
     loops = {"dual": 0, "primal": 0}
     shifts = {"perturbations": 0, "drift shifts": 0}
     probes = {"feasible": 0, "infeasible": 0}
-    exchange = dict.fromkeys(("calls", "same mask", "same mask to 0", "split",
-                              "split to 0", "_split calls"), 0)
+    exchange = dict.fromkeys(("calls", "split", "split to 0", "_split calls"),
+                             0)
     digest = hashlib.sha256()
     phase = PHASES[0]
     originals = {(planner, name): getattr(planner, name) for name in (
@@ -81,14 +81,13 @@ def solver_work(workload) -> dict:
             probes["infeasible" if result[0] is None else "feasible"] += 1
         return result
 
-    def exchanged(w, i, masks, index, *args):
+    def exchanged(w, i, *args):
         before = int(w[i])
-        originals[planner, "_exchange_down"](w, i, masks, index, *args)
+        originals[planner, "_exchange_down"](w, i, *args)
         exchange["calls"] += 1
         if w[i] < before:
-            move = "same mask" if index[masks[i]] > i else "split"
-            exchange[move] += 1
-            exchange[f"{move} to 0"] += int(w[i] == 0)
+            exchange["split"] += 1
+            exchange["split to 0"] += int(w[i] == 0)
 
     def split(*args):
         exchange["_split calls"] += 1
@@ -159,11 +158,9 @@ def main() -> None:
               f"{shifts['drift shifts']} drift shifts; refinement "
               f"probes: {probes['feasible']} feasible, "
               f"{probes['infeasible']} infeasible; exchange: {ex['calls']} "
-              f"calls, lowered {ex['same mask']} by same mask "
-              f"({ex['same mask to 0']} to 0), {ex['split']} by split "
+              f"calls, lowered {ex['split']} by split "
               f"({ex['split to 0']} to 0), {ex['_split calls']} _split "
-              f"calls; psi digest "
-              f"{result['digest']}")
+              f"calls; psi digest {result['digest']}")
 
 
 if __name__ == "__main__":

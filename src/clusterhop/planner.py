@@ -9,42 +9,42 @@ The supply is the paper's snapshot supply, which ``IlpInstance`` checks: row
 j of l is p_j times a 0/1 row V_j (a snapshot's slot gives p_j to each
 cluster it lights). Any other row is a ValidationError, and an n_slot above
 ``N_SLOT_CAP`` is a CapExceededError, whichever solver runs. The instance
-carries the demanded rows' factors V and p and their normalized form
-a_j = l_j / m_j. Every solver runs in one frame (``_framed``): no snapshot
-is an InfeasibleError, and without a demanded cluster, where the ratio is
-undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
+carries the demanded rows' V and exact spacings s_j = p_j / m_j (p_j = 1
+in outage); an n_slot * s_j beyond float range is a ValidationError. Every
+solver runs in one frame (``_framed``): no snapshot is an InfeasibleError,
+and without a demanded cluster, where the ratio is undefined, the plan
+spreads the slots uniformly (t = inf, 'heuristic').
 
 ``solve_illumination`` solves it exactly, on integers. Every achievable
-objective is a multiple of some step_j / m_j, with step_j = p_j (1 for a
-cluster in outage), and a threshold g is the integer requirement V psi >= k
-with k_j = ceil(g * m_j / step_j). After the root LP, every LP is a
-feasibility LP (no objective) over that requirement itself, rows V and
-right-hand side k, run by one search: depth-first LP branch-and-bound that
-stops at the first integer point. Those LPs read neither p nor m, so they
-are alike at every demand scale; only the root LP sees the normalized rows
-l_j / m_j. The walk (``_walk``) takes the thresholds downward in exact
-rational order from the root LP's bound, widened for round-off, and
-decides each with the search; it stops above the trivial witness, every
-slot on the last snapshot. Then, at the optimum's requirement, it fixes
-psi_0, psi_1, ... in turn to their smallest values, which gives the
-lexicographically smallest optimal count vector. At each position i, exact
-exchange moves lower the witness first: slots of two columns move to two
-later columns with the same column sum, which keeps V psi and sum(psi)
-unchanged and needs no LP. Then searches with ub_i = u ask whether
-psi_i <= u is possible, in this order: u = w_i - 1, whose infeasibility
-proves w_i; u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then
-bisection of the gap left. Every point found is exchanged down again. The
-LPs are solved by the in-repo bounded-variable simplex. The root LP, the
-only one with an objective, and the chain of requirement LPs both start at
-the trivial witness's basis, and every LP of the chain after the first
-restarts from the basis of the LP before it. A point is accepted only by
-the integer test, and an LP point outside its node's bounds, or a
-requirement count beyond int64, is a SolverError. ``brute_force_plan``
-enumerates count vectors as an oracle. ``greedy_plan`` is a heuristic lower
-bound: the same walk from the root LP's bound itself, not widened, whose
-first integer point is its plan, with no refinement. Clusters
-with zero demand are excluded from the objective; they still receive
-whatever supply the chosen snapshots give them.
+objective is a multiple of some s_j, and a threshold g is the integer
+requirement V psi >= k with k_j = ceil(g / s_j). Every LP reads the rows V,
+never the demands' scale. The root LP, the only one with an objective,
+bounds t = tau * s_min (s_min the smallest s_j, so 0 <= tau <= n_slot).
+Every LP after it is a feasibility LP (no objective) over the requirement
+itself, rows V and right-hand side k, run by one search: depth-first LP
+branch-and-bound that stops at the first integer point. The walk
+(``_walk``) takes the thresholds downward in exact rational order from the
+root LP's bound t_lp, widened relatively for round-off, and decides each
+with the search; it stops above the trivial witness, every slot on the last
+snapshot. Then, at the optimum's requirement, it fixes psi_0, psi_1, ... in
+turn to their smallest values, which gives the lexicographically smallest
+optimal count vector. At each position i, exact exchange moves lower the
+witness first: slots of two columns move to two later columns with the same
+column sum, which keeps V psi and sum(psi) unchanged and needs no LP. Then
+searches with ub_i = u ask whether psi_i <= u is possible, in this order:
+u = w_i - 1, whose infeasibility proves w_i; u = 0; u = w_i - 2, w_i - 4,
+... down from the witness; then bisection of the gap left. Every point found
+is exchanged down again. The LPs are solved by the in-repo bounded-variable
+simplex. The root LP and the chain of requirement LPs both start at the
+trivial witness's basis, and every LP of the chain after the first restarts
+from the basis of the LP before it. A point is accepted only by the integer
+test, and an LP point outside its node's bounds, or a requirement count
+beyond int64, is a SolverError. ``brute_force_plan`` enumerates count
+vectors as an oracle. ``greedy_plan`` is a heuristic lower bound: the same
+walk from the root LP's bound itself, not widened, whose first integer
+point is its plan, with no refinement. Clusters with zero demand are
+excluded from the objective; they still receive whatever supply the chosen
+snapshots give them.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
 
 DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
-N_SLOT_CAP = 10 ** 6  # largest n_slot: the grid and slot loops are O(n_slot)
+N_SLOT_CAP = 10 ** 6  # largest n_slot: the schedule and its loop are O(n_slot)
 _INT_TOL = 1e-7
 _SPLIT_MAX_ROWS = 12  # at most 2**11 candidate splits per exchange pair
 
@@ -74,11 +74,10 @@ class IlpInstance:
     l: np.ndarray  # (N_C, N_ss) supply per slot, bits: p_j times a 0/1 row
     m: np.ndarray  # (N_C,) demand per window, bits
     n_slot: int
-    # Set once by the check below; v, step and a hold the demanded rows only
+    # Set once by the check below; v and spacing hold the demanded rows only
     demanded: np.ndarray = field(init=False, repr=False)  # (N_C,) m > 0
-    v: np.ndarray = field(init=False, repr=False)     # V_j, int64 0/1 rows
-    step: np.ndarray = field(init=False, repr=False)  # p_j, 1 in outage
-    a: np.ndarray = field(init=False, repr=False)     # l_j / m_j
+    v: np.ndarray = field(init=False, repr=False)  # V_j, int64 0/1 rows
+    spacing: tuple = field(init=False, repr=False)  # Fraction p_j / m_j
 
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
@@ -100,12 +99,19 @@ class IlpInstance:
             raise CapExceededError(
                 f"N_slot={self.n_slot} is above the cap {N_SLOT_CAP}")
         demanded = m > 0
-        l_dem, m_dem = l[demanded], m[demanded]
-        step = row_max[demanded, 0]
-        step[step == 0] = 1.0  # a cluster in outage
+        p, m_dem = row_max[demanded, 0], m[demanded]
+        p[p == 0] = 1.0  # a cluster in outage
+        with np.errstate(over="ignore"):
+            beyond = ~np.isfinite(p / m_dem * self.n_slot)
+        if beyond.any():
+            j = int(np.flatnonzero(demanded)[beyond.argmax()])
+            raise ValidationError(f"cluster {j}: N_slot times its supply per "
+                                  "slot over its demand is beyond float range")
+        spacing = tuple(Fraction(pj) / Fraction(mj)
+                        for pj, mj in zip(p.tolist(), m_dem.tolist()))
         for name, value in (("l", l), ("m", m), ("demanded", demanded),
-                            ("v", (l_dem > 0).astype(np.int64)),
-                            ("step", step), ("a", l_dem / m_dem[:, None])):
+                            ("v", (l[demanded] > 0).astype(np.int64)),
+                            ("spacing", spacing)):
             object.__setattr__(self, name, value)
 
     @property
@@ -155,17 +161,20 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
 # ---------------------------------------------------------------------------
 # LP relaxations
 
-def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
-    """The root LP, max t s.t. a @ psi - t >= 0 rowwise, sum(psi) = n_slot,
-    0 <= psi <= n_slot, over the normalized rows a = l / m: its optimum
-    (t, psi). Its matrix is ``_requirement_rows(a)`` with the t column
-    after psi, and the primal loop starts at the trivial witness's basis
-    (each surplus column, and the last snapshot for the budget row), which
-    is feasible: t = 0 and every slot on the last snapshot."""
-    n_dem, n_ss = a.shape
-    n_var = n_ss + 1 + n_dem  # psi, t, surplus per demanded row
-    rows = np.insert(_requirement_rows(a), n_ss, -1.0, axis=1)
-    rows[n_dem, n_ss] = 0.0
+def _root_lp(v: np.ndarray, spacing, n_slot: int) -> Fraction:
+    """The root LP's optimum t_lp = tau * s_min, an upper bound on the
+    integer optimum: max tau s.t. V_j psi >= (s_min / s_j) tau for each
+    demanded row j, sum(psi) = n_slot, 0 <= psi <= n_slot, where s_j =
+    ``spacing[j]`` and s_min the smallest, so 0 <= tau <= n_slot at any
+    demand scale. Its matrix is ``_requirement_rows(v)`` with the tau column
+    after psi; the primal loop starts at the trivial witness's basis (each
+    surplus column, and the last snapshot for the budget row): tau = 0 and
+    every slot on the last snapshot."""
+    n_dem, n_ss = v.shape
+    n_var = n_ss + 1 + n_dem  # psi, tau, surplus per demanded row
+    s_min = min(spacing)
+    rows = np.insert(_requirement_rows(v), n_ss, 0.0, axis=1)
+    rows[:n_dem, n_ss] = [-float(s_min / s) for s in spacing]
     rhs = np.append(np.zeros(n_dem), float(n_slot))
     cost = np.zeros(n_var)
     cost[n_ss] = -1.0
@@ -174,14 +183,14 @@ def _root_lp(a: np.ndarray, n_slot: int) -> tuple[float, np.ndarray]:
     witness = start(rows, np.append(np.arange(n_ss + 1, n_var), n_ss - 1))
     res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper,
                            warm=witness)
-    return float(res.x[n_ss]), res.x[:n_ss]
+    return Fraction(res.x[n_ss]) * s_min
 
 
 def _requirement_rows(v: np.ndarray) -> np.ndarray:
     """The equality rows [[v, -I], [1, 0]] over (psi, surplus per demanded
-    row), read-only. The exact solve builds them once over the integer rows
-    V, so every requirement LP of its chain shares one -1/0/1 matrix; the
-    root LP's matrix is built the same way over a = l / m."""
+    row), read-only, built over the integer rows V: every requirement LP of
+    the exact solve's chain shares this one -1/0/1 matrix, and the root
+    LP's is the same with its tau column inserted."""
     n_dem, n_ss = v.shape
     rows = np.zeros((n_dem + 1, n_ss + n_dem))
     rows[:n_dem, :n_ss] = v
@@ -297,24 +306,21 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
 
 
 def _exact_counts(instance: IlpInstance) -> np.ndarray:
-    rows, spacing, psi, t, warm = _walk(instance, _INT_TOL)
-    k = _requirement(spacing, t)
+    rows, psi, t, warm = _walk(instance, _INT_TOL)
+    k = _requirement(instance.spacing, t)
     return _lex_smallest_optimal(rows, instance.v, k, psi, instance.n_slot,
                                  warm)
 
 
 def _walk(instance: IlpInstance, widen: float):
     """Walk the thresholds above the trivial witness downward from the root
-    LP's bound t_lp, widened by ``widen`` * max(1, |t_lp|) for simplex
+    LP's bound t_lp, widened to t_lp * (1 + ``widen``) for simplex
     round-off, and stop at the first with an integer point: (requirement
-    rows, spacing, that point or the witness, its exact t, the last
-    restart point). With the widening the point's t is the optimum."""
+    rows, that point or the witness, its exact t, the last restart point).
+    With the widening the point's t is the optimum."""
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
-    v, step = instance.v, instance.step
-    m_dem = instance.m[instance.demanded]
-    spacing = [Fraction(s) / Fraction(m) for s, m in zip(step, m_dem)]
-
-    t_lp, _ = _root_lp(instance.a, n_slot)
+    v, spacing = instance.v, instance.spacing
+    t_lp = _root_lp(v, spacing, n_slot)
     rows = _requirement_rows(v)
 
     # The trivial witness puts every slot on the last snapshot: the
@@ -323,20 +329,19 @@ def _walk(instance: IlpInstance, widen: float):
     best_psi[-1] = n_slot
     best_t = _exact_t(v, spacing, best_psi)
 
-    t_top = Fraction(t_lp + widen * max(1.0, abs(t_lp)))
     # The chain starts at the witness's basis: each demanded row's surplus
     # column, and the last snapshot for the budget row ([[-I, V_last],
     # [0, 1]] is nonsingular). Each LP restarts from the last LP's basis.
     warm = start(rows, np.append(np.arange(n_ss, n_ss + len(v)), n_ss - 1))
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
-    for g in _thresholds(spacing, best_t, t_top):
+    for g in _thresholds(spacing, best_t, t_lp * Fraction(1 + widen)):
         psi_g, warm = _branch_and_bound(rows, v, _requirement(spacing, g),
                                         n_slot, lb0, ub0, warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
-    return rows, spacing, best_psi, best_t, warm
+    return rows, best_psi, best_t, warm
 
 
 def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
@@ -414,17 +419,11 @@ def _column_masks(v):
 
 def _exchange_down(w, i, masks, index, splits):
     """Lower w[i] in place by exchanges that keep v @ w, sum(w) and w[:i]
-    exactly: the slots of i move to index[masks[i]], the last column with
-    the same mask, if it is above i; otherwise q = min(w[i], w[j]) slots of
-    i and of a support column j > i move to columns c, d > i with mask_c +
-    mask_d = mask_i + mask_j (``_split``), until w[i] = 0 or no move
-    applies. ``splits`` maps j to its split, (c, d) or None; it fills as
-    pairs are met and serves every exchange at the same i."""
-    same = index[masks[i]]
-    if same > i:
-        w[same] += w[i]
-        w[i] = 0
-        return
+    exactly: q = min(w[i], w[j]) slots of i and of a support column j > i
+    move to columns c, d > i with mask_c + mask_d = mask_i + mask_j
+    (``_split``), until w[i] = 0 or no move applies. ``splits`` maps j to
+    its split, (c, d) or None; it fills as pairs are met and serves every
+    exchange at the same i."""
     moved = True
     while w[i] and moved:
         moved = False
@@ -520,7 +519,7 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     the threshold walk started at the root LP's bound itself, not widened,
     with no refinement. Its t is not proven optimal, and its counts need
     not be the lexicographically smallest."""
-    return _framed(instance, lambda inst: _walk(inst, 0.0)[2],
+    return _framed(instance, lambda inst: _walk(inst, 0.0)[1],
                    STATUS_HEURISTIC)
 
 
@@ -529,7 +528,7 @@ def lp_relaxation_bound(instance: IlpInstance) -> float:
     optimum; inf, like the plan's t, when no cluster is demanded."""
     if not _prologue(instance):
         return math.inf
-    return _root_lp(instance.a, instance.n_slot)[0]
+    return float(_root_lp(instance.v, instance.spacing, instance.n_slot))
 
 
 # ---------------------------------------------------------------------------

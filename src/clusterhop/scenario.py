@@ -325,7 +325,7 @@ def derive_adjacency(badj: np.ndarray, clusters) -> np.ndarray:
     owner = np.full(len(badj), -1)  # each beam's cluster
     for j, members in enumerate(clusters):
         owner[list(members)] = j
-    j, l = (owner[beams] for beams in np.nonzero(badj))
+    j, l = (owner[b] for b in np.divmod(np.flatnonzero(badj != 0), len(badj)))
     upper = (j >= 0) & (j < l)
     a = np.zeros((n_c, n_c), dtype=np.uint8)
     a[j[upper], l[upper]] = 1

@@ -642,18 +642,24 @@ def test_n_slot_above_the_cap_is_refused_by_every_solver(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bandwidth", [1e-30, 1e-200])
-def test_requirement_counts_beyond_int64_are_solver_error(tmp_path, capsys,
-                                                          bandwidth):
-    """A bandwidth this small puts the demands so far above the supplies
-    that the integer requirement counts k_j overflow int64."""
-    path = _reference_with(tmp_path, B_W_Hz=bandwidth)
+@pytest.mark.parametrize("demand_bps", [1e-300, 1e-310, 1e-318])
+@pytest.mark.parametrize("solver", ["ilp", "greedy"])
+def test_ratio_beyond_float_range_is_validate_error(tmp_path, capsys, solver,
+                                                    demand_bps):
+    """Demands this small put N_slot * p_j / m_j, the largest ratio a
+    window can offer, beyond float range: exit 2 naming the cluster, from
+    both solvers, without a RuntimeWarning (which the test configuration
+    turns into an error). These ended in a traceback or a t = 0.0 plan."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    for beam in doc["beams"]:
+        beam["demand_bps"] = demand_bps
     out = tmp_path / "out"
-    rc = _run(["plan", "--scenario", path, "--out", out])
+    rc = _run(["plan", "--scenario", _write(tmp_path, doc), "--out", out,
+               "--solver", solver])
     err = capsys.readouterr().err
-    assert rc == 6, err
-    assert err == ("error: solver: demands and supplies are too far apart in "
-                   "scale for int64 requirement counts\n")
+    assert rc == 2, err
+    assert err == ("error: validate: cluster 0: N_slot times its supply per "
+                   "slot over its demand is beyond float range\n")
     assert not out.exists()
 
 
@@ -695,13 +701,12 @@ def _plan_json(tmp_path, doc):
     return json.loads((out / "plan.json").read_text())
 
 
-def _highs_refutes_the_next_threshold(doc, psi):
-    """The exact objective of plan.json's ``psi``, after HiGHS finds no
-    count vector that reaches the next achievable objective value."""
-    opt = pytest.importorskip("scipy.optimize")
-    from fractions import Fraction
-
+def _confirmed_t(doc, psi):
+    """The exact objective of plan.json's ``psi``, after HiGHS LPs confirm
+    it as the lexicographically smallest optimal window
+    (``test_midsize_rungs.check_answer``)."""
     from clusterhop.snapshots import build_snapshot_set
+    from test_midsize_rungs import check_answer
 
     scen = scenario.scenario_from_dict(doc)
     caps = precoding.cluster_capacities(
@@ -711,23 +716,10 @@ def _highs_refutes_the_next_threshold(doc, psi):
                                caps.p_cluster_bits)
     _, m = aggregate_and_scale_demands(scen)
     inst = IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
-    counts = np.zeros(inst.n_snapshots, dtype=int)
+    counts = np.zeros(inst.n_snapshots, dtype=np.int64)
     for index, count in psi.items():
         counts[int(index)] = count
-    spacing = [Fraction(p) / Fraction(mj)
-               for p, mj in zip(inst.step, inst.m[inst.demanded])]
-    t = min(int(k) * c for k, c in zip(inst.v @ counts, spacing))
-    g_next = min((t // c + 1) * c for c in spacing)
-    res = opt.milp(
-        np.zeros(inst.n_snapshots), integrality=np.ones(inst.n_snapshots),
-        bounds=opt.Bounds(0, inst.n_slot),
-        constraints=[
-            opt.LinearConstraint(inst.v, [math.ceil(g_next / c)
-                                          for c in spacing], np.inf),
-            opt.LinearConstraint(np.ones((1, inst.n_snapshots)), inst.n_slot,
-                                 inst.n_slot)],
-        options={"mip_rel_gap": 0})
-    assert res.status == 2  # infeasible
+    t, _ = check_answer(inst, counts)
     return float(t)
 
 
@@ -739,23 +731,26 @@ def reference_plan_json(tmp_path_factory):
 
 @pytest.mark.parametrize("factor, but_cluster_0", [
     *(pytest.param(f, False, id=f"{f:g}")
-      for f in (1e-12, 1e-11, 1e-10, 1e5, 1e6, 1e7, 1e8)),
+      for f in (1e-12, 1e-11, 1e-10, 1e5, 1e6, 1e7, 1e8, 1e9, 1e12)),
     pytest.param(1e8, True, id="1e+08-but-cluster-0"),
 ])
 def test_demand_scale_plans_the_same_window(tmp_path, reference_plan_json,
                                             factor, but_cluster_0):
     """Every demand times ``factor`` plans the factor-1 psi, with t divided
-    by ``factor``: the requirement LPs do not depend on the demands'
-    scale. (These scales ended in exit 6, or at 1e7 and 1e8 in a t = 0
-    plan labelled optimal.) With every demand but cluster 0's times 1e8,
-    the plan reaches the optimum that HiGHS confirms, not t = 0."""
+    by ``factor``: no LP reads the demands' scale. (These scales ended in
+    exit 6, or at 1e7 and 1e8 in a t = 0 plan labelled optimal; 1e9 took
+    seconds and 1e12 did not end.) With every demand but cluster 0's times
+    1e8, the plan reaches the optimum that HiGHS confirms, not t = 0. Each
+    plans within seconds."""
+    began = time.perf_counter()
     plan = _plan_json(tmp_path, _reference_demands_times(factor,
                                                          but_cluster_0))
+    assert time.perf_counter() - began < 10
     assert plan["status"] == "optimal"
     if but_cluster_0:
         doc = _reference_demands_times(factor, but_cluster_0)
-        assert _highs_refutes_the_next_threshold(doc, plan["psi"]) == \
-            pytest.approx(plan["t"], rel=1e-12)
+        assert _confirmed_t(doc, plan["psi"]) == pytest.approx(plan["t"],
+                                                               rel=1e-12)
         assert plan["t"] == pytest.approx(1.030257298147466e-08, rel=1e-12)
     else:
         assert plan["psi"] == reference_plan_json["psi"]
@@ -805,31 +800,47 @@ def test_root_lp_failure_is_solver_error(tmp_path, toy_file, capsys,
 
 def _extreme_reference(case):
     """ref_71beam with one extreme change: nine beams' demands times
-    10**18.1, every demand times 1e9, B_W_Hz = 1e-30 or N_slot = 7."""
+    10**18.1, every demand times 1e9, B_W_Hz = 1e-30 or 1e-200, or
+    N_slot = 7."""
     doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
     if case == "nine_beams":
         for beam in doc["beams"]:
             if beam["id"] in (2, 9, 17, 31, 48, 61, 67, 69, 70):
                 beam["demand_bps"] *= 10 ** 18.1
     elif case == "demands_1e9":
-        for beam in doc["beams"]:
-            beam["demand_bps"] *= 1e9
-    elif case == "bandwidth_1e-30":
-        doc["system"]["B_W_Hz"] = 1e-30
+        return _reference_demands_times(1e9)
+    elif case.startswith("bandwidth_"):
+        doc["system"]["B_W_Hz"] = float(case.removeprefix("bandwidth_"))
     else:
         doc["system"]["N_slot"] = 7
     return doc
 
 
+@pytest.mark.parametrize("case", ["nine_beams", "bandwidth_1e-30",
+                                  "bandwidth_1e-200"])
+def test_extreme_inputs_plan_the_confirmed_optimum(tmp_path, case):
+    """The exact solver plans each extreme input within seconds, and HiGHS
+    LPs confirm the plan (every demand outside cluster 0 times 1e8 is a
+    case of ``test_demand_scale_plans_the_same_window``). Its walk did not
+    end on the nine beams, and its requirement counts passed int64 at both
+    bandwidths while it widened the LP's bound by 1e-7 absolutely."""
+    doc = _extreme_reference(case)
+    began = time.perf_counter()
+    plan = _plan_json(tmp_path, doc)
+    assert time.perf_counter() - began < 10
+    assert plan["status"] == "optimal"
+    assert _confirmed_t(doc, plan["psi"]) == pytest.approx(plan["t"],
+                                                           rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["nine_beams", "demands_1e9",
                                   "bandwidth_1e-30", "n_slot_7"])
 def test_greedy_plans_extreme_inputs(tmp_path, reference_plan_json, case):
-    """The heuristic plans each extreme input within seconds, where the
-    exact walk does not end (nine beams) or its requirement counts pass
-    int64 (bandwidth). Where the exact solver ends, its t bounds the
-    heuristic's: at N_slot = 7 by a solve, and with every demand times 1e9
-    as the factor-1 t / 1e9, the plan CI's "Top of the demand-scale range"
-    checks."""
+    """The heuristic plans each extreme input within seconds. At N_slot = 7
+    the exact solver's t bounds the heuristic's, and with every demand
+    times 1e9, where the root LP's bound was 0.0 while it read l / m, the
+    heuristic reaches the exact t, the factor-1 t / 1e9 that CI's "Top of
+    the demand-scale range" checks."""
     path = _write(tmp_path, _extreme_reference(case))
     out = tmp_path / "out"
     began = time.perf_counter()
@@ -838,12 +849,14 @@ def test_greedy_plans_extreme_inputs(tmp_path, reference_plan_json, case):
     assert time.perf_counter() - began < 20
     plan = json.loads((out / "plan.json").read_text())
     assert plan["status"] == "heuristic"
-    if case == "n_slot_7":
+    if case in ("n_slot_7", "demands_1e9"):
         assert _run(["plan", "--scenario", path, "--out", out]) == 0
         exact = json.loads((out / "plan.json").read_text())
         assert plan["t"] <= exact["t"]
-    elif case == "demands_1e9":
-        assert plan["t"] <= reference_plan_json["t"] / 1e9 * (1 + 1e-12)
+    if case == "demands_1e9":
+        assert plan["t"] == pytest.approx(exact["t"], rel=1e-12)
+        assert plan["t"] * 1e9 == pytest.approx(reference_plan_json["t"],
+                                                rel=1e-12)
 
 
 def test_greedy_plan_is_near_the_lp_bound(tmp_path):

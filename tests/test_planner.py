@@ -146,14 +146,14 @@ def snapshot_shaped_instance(rng, max_cols=7, max_slots=9):
 
 
 def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
-    lowered = {"same mask": 0, "split": 0}
+    lowered = []  # the positions an exchange lowered
     exchange = planner._exchange_down
 
-    def counted(w, i, masks, index, splits):
+    def counted(w, i, *args):
         before = int(w[i])
-        exchange(w, i, masks, index, splits)
+        exchange(w, i, *args)
         if w[i] < before:
-            lowered["same mask" if index[masks[i]] > i else "split"] += 1
+            lowered.append(i)
 
     monkeypatch.setattr(planner, "_exchange_down", counted)
     rng = np.random.default_rng(11)
@@ -163,7 +163,7 @@ def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
         b = brute_force_plan(inst)
         assert exact_min_ratio(inst, a.psi) == exact_min_ratio(inst, b.psi)
         assert a.psi.tolist() == b.psi.tolist()
-    assert lowered["same mask"] > 0 and lowered["split"] > 0, lowered
+    assert lowered
 
 
 def test_each_exchange_keeps_supply_count_and_prefix():
@@ -247,14 +247,15 @@ def test_split_finds_a_pair_whenever_one_exists():
 
 
 @pytest.mark.parametrize("supply", [1e-309, 1e-312])
-def test_subnormal_supplies_are_solver_error(supply):
-    """Subnormal supplies pass the root LP without an overflow warning;
-    the requirement counts k, the right-hand side of every LP after it,
-    then overflow int64."""
+def test_subnormal_supplies_plan_the_brute_force_window(supply):
+    """Subnormal supplies plan as any other scale does: every LP reads the
+    0/1 rows and the exact spacings, and the requirement counts are
+    small."""
     v = np.array([[1.0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
     inst = IlpInstance(l=supply * v, m=np.array([1.0, 2.0, 1.0]), n_slot=7)
-    with pytest.raises(SolverError, match="int64"):
-        solve_illumination(inst)
+    plan = solve_illumination(inst)
+    assert plan.psi.tolist() == brute_force_plan(inst).psi.tolist() == [
+        0, 0, 4, 3]
 
 
 _positive_fractions = st.fractions(min_value=Fraction(1, 10**30),
@@ -351,12 +352,23 @@ def test_greedy_reaches_the_exact_t(doc):
     """The walk's first integer point below the root LP's own bound has the
     exact optimum's t here, compared as exact rationals."""
     inst = _instance_of(doc)
-    spacing = [Fraction(s) / Fraction(m)
-               for s, m in zip(inst.step, inst.m[inst.demanded])]
     heuristic, exact = greedy_plan(inst), solve_illumination(inst)
     assert heuristic.solver_status == "heuristic"
-    assert (planner._exact_t(inst.v, spacing, heuristic.psi)
-            == planner._exact_t(inst.v, spacing, exact.psi))
+    assert (planner._exact_t(inst.v, inst.spacing, heuristic.psi)
+            == planner._exact_t(inst.v, inst.spacing, exact.psi))
+
+
+def test_lp_bound_scales_with_the_demands():
+    """The root LP reads the 0/1 rows and the spacings' ratios, not their
+    scale: every demand times f divides the bound by f, for f from 1e-12
+    to 1e12 (the LP's bound was 0.0 from f = 1e9 while it read l / m)."""
+    inst = _instance_of(hex_scenario_dict())
+    bound = lp_relaxation_bound(inst)
+    assert bound > 0
+    for f in 10.0 ** np.arange(-12, 13):
+        scaled = IlpInstance(l=inst.l, m=f * inst.m, n_slot=inst.n_slot)
+        assert lp_relaxation_bound(scaled) * f == pytest.approx(bound,
+                                                                rel=1e-12)
 
 
 def test_demand_scaling_inverts_objective():

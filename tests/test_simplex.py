@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,15 +138,21 @@ def test_singular_basis_is_solver_error(monkeypatch):
 
 
 def _snapshot_rows(rng, n_dem=None, n_ss=None):
-    """Normalized supply rows shaped like the planner's: 0/1 snapshot
-    membership (each snapshot lights 3 clusters) scaled per row, with
-    12 to 15 rows and 65 to 80 columns unless given."""
+    """Supply rows shaped like the planner's: 0/1 snapshot membership V
+    (each snapshot lights 3 clusters) and each row's spacing, from 0.05 to
+    20, with 12 to 15 rows and 65 to 80 columns unless given."""
     n_dem = int(rng.integers(12, 16)) if n_dem is None else n_dem
     n_ss = int(rng.integers(65, 81)) if n_ss is None else n_ss
     v = np.zeros((n_dem, n_ss))
     for col in range(n_ss):
         v[rng.choice(n_dem, size=3, replace=False), col] = 1.0
-    return v * np.exp(rng.uniform(np.log(0.05), np.log(20), size=(n_dem, 1)))
+    scale = np.exp(rng.uniform(np.log(0.05), np.log(20), size=n_dem))
+    return v, [Fraction(c) for c in scale.tolist()]
+
+
+def _requirement(spacing, g):
+    """The integer requirement k_j = ceil(g / spacing_j) of threshold g."""
+    return np.array([math.ceil(g / c) for c in spacing], dtype=float)
 
 
 def _assert_dual_feasible(a, lower, upper, warm):
@@ -205,16 +212,15 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
     rng = np.random.default_rng(2024)
     n_slot = 256
     for _ in range(40):
-        a = _snapshot_rows(rng)
-        n_ss = a.shape[1]
+        v, spacing = _snapshot_rows(rng)
+        n_ss = v.shape[1]
         lb = np.zeros(n_ss)
         ub = np.full(n_ss, float(n_slot))
-        t, _ = planner._root_lp(a, n_slot)
-        rows = planner._requirement_rows(a)
+        t = planner._root_lp(v, spacing, n_slot)
+        rows = planner._requirement_rows(v)
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
-        step = a.max(axis=1)
-        req = step * np.ceil(rng.uniform(0.85, 1.0) * t / step)
+        req = _requirement(spacing, rng.uniform(0.85, 1.0) * t)
         psi, warm = _over_requirements(rows, req, n_slot, lb, ub)
         # branch on one free count, both children from the parent's basis
         j = int(rng.integers(k, n_ss))
@@ -230,7 +236,7 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         # the last basis
         lb[k] = ub[k] = float(psi[k].round()) if psi is not None else 0.0
         _, warm = _over_requirements(rows, req, n_slot, lb, ub, warm)
-        req = step * np.ceil(rng.uniform(0.8, 1.05) * t / step)
+        req = _requirement(spacing, rng.uniform(0.8, 1.05) * t)
         _over_requirements(rows, req, n_slot, lb, ub, warm)
 
     assert len(captured) == 240
@@ -259,13 +265,12 @@ def _requirement_lp(rng, n_slot=256, **shape):
     """One requirement LP, in ``_over_requirements`` form, over
     ``_snapshot_rows(rng, **shape)``: (a, b, lower, upper, number of
     counts)."""
-    a_dem = _snapshot_rows(rng, **shape)
-    n_dem, n_ss = a_dem.shape
-    t, _ = planner._root_lp(a_dem, n_slot)
-    step = a_dem.max(axis=1)
-    req = step * np.ceil(rng.uniform(0.8, 1.0) * t / step)
+    v, spacing = _snapshot_rows(rng, **shape)
+    n_dem, n_ss = v.shape
+    t = planner._root_lp(v, spacing, n_slot)
+    req = _requirement(spacing, rng.uniform(0.8, 1.0) * t)
     a = np.zeros((n_dem + 1, n_ss + n_dem))
-    a[:n_dem, :n_ss] = a_dem
+    a[:n_dem, :n_ss] = v
     a[:n_dem, n_ss:] = -np.eye(n_dem)
     a[n_dem, :n_ss] = 1.0
     b = np.append(req, n_slot)
