@@ -13,10 +13,10 @@ Runs ``clusterhop plan`` on each in its own process, with RuntimeWarnings
 as errors and a ``--timeout`` in seconds, writing only to a temporary
 directory. Prints one line per case (the perturbation, the exit code, and
 ``t`` and the status of a written plan, or the last stderr line) and then
-a tally by exit code. The contract is that every case exits with a
-documented code; a timeout is a search without a budget. With the default
-timeout it takes a few minutes, mostly in the timeouts, so it is not part
-of CI:
+a tally by exit code. The contract is that every case plans (exit 0) or
+is refused as invalid (exit 2) or infeasible (exit 3); any other exit code,
+or a timeout (a search without a budget), breaks it, and the script then
+exits 1 after the tally. CI runs it as a gate; it takes about two minutes:
 
     python3 scripts/contract_fuzz.py [--timeout 20]
 """
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 N_SLOTS = (1, 2, 3, 7, 255, 4097, 65537)
 N_PS = (1, 2, 4, 5, 6, 12)
+CONTRACT = ("0", "2", "3")  # the exit codes a case may end with
 
 
 def perturbed(doc: dict, rng: random.Random) -> tuple[dict, str]:
@@ -75,7 +76,7 @@ def run_plan(scenario: Path, out: Path, timeout: float) -> tuple[str, str]:
     return str(proc.returncode), lines[-1] if lines else ""
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--timeout", type=float, default=20.0,
@@ -97,7 +98,13 @@ def main() -> None:
                   flush=True)
     print("tally: " + ", ".join(f"exit {code} {n}"
                                 for code, n in sorted(tally.items())))
+    broken = sum(n for code, n in tally.items() if code not in CONTRACT)
+    if broken:
+        print(f"error: {broken} cases ended outside exit codes "
+              f"{', '.join(CONTRACT)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -365,7 +365,7 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
     n_ss = len(witness)
     lb = np.zeros(n_ss)
     ub = np.full(n_ss, float(n_slot))
-    masks, index = _column_masks(v)
+    masks, index, sizes = _column_masks(v)
 
     def lowered(i, u):
         """Whether psi_i <= u is feasible; a point found becomes the
@@ -376,13 +376,13 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
         if psi is None:
             return False
         witness[:] = psi
-        _exchange_down(witness, i, masks, index, splits)
+        _exchange_down(witness, i, masks, index, sizes, splits)
         return True
 
     for i in range(n_ss):
         splits = {}  # _split results of position i, shared by its exchanges
         if witness[i] > 0:
-            _exchange_down(witness, i, masks, index, splits)
+            _exchange_down(witness, i, masks, index, sizes, splits)
         lo = -1  # the largest value proved out of psi_i's reach
         if witness[i] > 0 and not lowered(i, witness[i] - 1):
             lo = witness[i] - 1
@@ -407,63 +407,81 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
 
 def _column_masks(v):
     """For a 0/1 ``v``: each column's row set as a bitmask (bit r for row
-    r), and the largest column index of each mask."""
+    r), the largest column index of each mask, and bit n set per size n."""
     packed = np.packbits(v.astype(bool), axis=0, bitorder="little")
     width = packed.shape[0]
     raw = np.ascontiguousarray(packed.T).tobytes()
     masks = [int.from_bytes(raw[o:o + width], "little")
              for o in range(0, len(raw), width)]
     index = {mask: col for col, mask in enumerate(masks)}  # largest index wins
-    return masks, index
+    return masks, index, sum(1 << n for n in {m.bit_count() for m in index})
 
 
-def _exchange_down(w, i, masks, index, splits):
+def _exchange_down(w, i, masks, index, sizes, splits):
     """Lower w[i] in place by exchanges that keep v @ w, sum(w) and w[:i]
     exactly: q = min(w[i], w[j]) slots of i and of a support column j > i
     move to columns c, d > i with mask_c + mask_d = mask_i + mask_j
     (``_split``), until w[i] = 0 or no move applies. ``splits`` maps j to
-    its split, (c, d) or None; it fills as pairs are met and serves every
-    exchange at the same i."""
-    moved = True
-    while w[i] and moved:
-        moved = False
-        for j in (np.flatnonzero(w[i + 1:]) + i + 1).tolist():
+    its split, (c, d) or None, shared by every exchange at the same i."""
+    w_i = int(w[i])
+    support = (np.flatnonzero(w[i + 1:]) + i + 1).tolist()
+    above = None  # the counts above i as ints, read at the first split
+    while w_i:
+        before = w_i
+        for j in support:
             if j not in splits:
-                splits[j] = _split(masks[i], masks[j], i, index)
-            q = min(w[i], w[j])
-            if splits[j] is None or q == 0:
+                splits[j] = _split(masks[i], masks[j], i, index, sizes)
+            if splits[j] is None:
                 continue
+            if above is None:
+                above = dict(zip(support, w[support].tolist()))
             c, d = splits[j]
-            w[i] -= q
-            w[j] -= q
-            w[c] += q
-            w[d] += q
-            moved = True
-            if w[i] == 0:
+            q = min(w_i, above[j])  # > 0: only a move's own j loses slots
+            w_i -= q
+            above[j] -= q
+            above[c] = above.get(c, 0) + q
+            above[d] = above.get(d, 0) + q
+            if w_i == 0:
                 break
+        if w_i == before:
+            break
+        support = sorted(col for col, count in above.items() if count)
+    if above:
+        w[i] = w_i
+        w[list(above)] = list(above.values())
 
 
-def _split(mask_i, mask_j, i, index):
+def _split(mask_i, mask_j, i, index, sizes):
     """Columns (c, d), both above i, with mask_c + mask_d = mask_i + mask_j
-    as 0/1 vectors, or None. The shared rows go into both c and d; the
-    differing rows D are split, c taking D's lowest row (c and d are
-    interchangeable), and each split is looked up in ``index``. Pairs that
-    differ in more than ``_SPLIT_MAX_ROWS`` rows are left to the search."""
+    as 0/1 vectors, or None: the shared rows go into both, and c takes the
+    differing rows D's lowest and as many more as give c and d sizes in
+    ``sizes``; the smallest mask_c wins, as in a walk over D's subsets.
+    Pairs that differ in more than ``_SPLIT_MAX_ROWS`` rows are left to the
+    search."""
     shared, diff = mask_i & mask_j, mask_i ^ mask_j
-    if diff.bit_count() > _SPLIT_MAX_ROWS:
+    n_diff = diff.bit_count()
+    if n_diff > _SPLIT_MAX_ROWS:
         return None
-    low = diff & -diff
-    rest = diff ^ low
-    sub = 0
-    while True:
-        part = low | sub
-        c = index.get(shared | part, -1)
-        d = index.get(shared | (diff ^ part), -1)
-        if c > i and d > i:
-            return c, d
-        if sub == rest:
-            return None
-        sub = (sub - rest) & rest
+    rest, bits = [], diff & (diff - 1)  # D's rows but the lowest, one each
+    while bits:
+        rest.append(bits & -bits)
+        bits &= bits - 1
+    first = shared | (diff & -diff)  # c's rows before the part it takes
+    fits = sizes >> shared.bit_count()  # bit n: a column has n rows more
+    sizes_c = fits & ((2 << n_diff) - 2 if diff else 1)  # c's rows of D
+    found = None  # (mask_c, c, d) with the smallest mask_c so far
+    while sizes_c:
+        n = (sizes_c & -sizes_c).bit_length() - 1
+        sizes_c &= sizes_c - 1
+        if fits >> (n_diff - n) & 1:
+            for part in itertools.combinations(rest, n - n_diff + len(rest)):
+                mask_c = first + sum(part)
+                c = index.get(mask_c, -1)
+                if c > i and (found is None or mask_c < found[0]):
+                    d = index.get(mask_c ^ diff, -1)
+                    if d > i:
+                        found = mask_c, c, d
+    return found and found[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,11 @@ def _bundled_dvbs2_table() -> Dvbs2Table:
 
 
 def mmse_precoder(h: np.ndarray, tau: float, config: SystemConfig,
-                  n_beams: int, cluster_id: int) -> np.ndarray:
+                  n_beams: int, cluster_id) -> np.ndarray:
     """MMSE precoder W for the channel ``h`` of cluster ``cluster_id`` (named
     in errors), with noise power ``tau`` (W) at every user, under the
-    per-feed power constraint.
+    per-feed power constraint; or the stacked W of a stack of such channels
+    over a leading axis, whose clusters ``cluster_id`` lists.
 
     ``n_beams`` is the system-wide beam count fixing P = P_T / N_B.
     """
@@ -98,32 +99,28 @@ def mmse_precoder(h: np.ndarray, tau: float, config: SystemConfig,
     p = config.p_t_w / n_beams
     if p <= 0:
         raise ValidationError("per-beam power must be positive")
-    gram = h @ h.conj().T + np.diag(np.full(h.shape[0], tau)) / p
-    w_hat = h.conj().T @ np.linalg.inv(gram)
-    row_power = np.real(np.einsum("ij,ij->i", w_hat, w_hat.conj()))
-    peak = row_power.max()
-    if not peak > 0:  # underflow: beta would be inf and every SNIR NaN
+    h_herm = np.swapaxes(h.conj(), -1, -2)
+    gram = h @ h_herm + np.diag(np.full(h.shape[-2], tau)) / p
+    w_hat = h_herm @ np.linalg.inv(gram)
+    row_power = np.real(np.einsum("...ij,...ij->...i", w_hat, w_hat.conj()))
+    peak = row_power.max(axis=-1)
+    if not (peak > 0).all():  # underflow: beta would be inf and every SNIR NaN
+        k = int(np.argmin(peak > 0))
         raise ValidationError(
-            f"cluster {cluster_id}: MMSE feed powers underflow to "
-            f"{float(peak)!r}; P_T_W, B_W_Hz and T_sys_K (the noise power "
-            "k_B * T_sys_K * B_W_Hz) put the link budget out of "
+            f"cluster {np.ravel(cluster_id)[k]}: MMSE feed powers underflow "
+            f"to {float(np.ravel(peak)[k])!r}; P_T_W, B_W_Hz and T_sys_K (the "
+            "noise power k_B * T_sys_K * B_W_Hz) put the link budget out of "
             "floating-point range"
         )
-    return math.sqrt(p / peak) * w_hat
-
-
-def identity_precoder(h: np.ndarray, config: SystemConfig, n_beams: int) -> np.ndarray:
-    """No-precoding baseline: sqrt(P) * I, every feed at exactly P."""
-    p = config.p_t_w / n_beams
-    return math.sqrt(p) * np.eye(h.shape[0], dtype=complex)
+    return np.sqrt(p / peak)[..., None, None] * w_hat
 
 
 def snir(h: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """Per-beam linear SNIR at the beam-center users of one cluster with
-    channel ``h``, precoder ``w`` and noise power ``tau`` (W)."""
+    """Per-beam linear SNIR at the beam-center users of one cluster, or a
+    stack, with channel ``h``, precoder ``w`` and noise power ``tau`` (W)."""
     power = np.abs(h @ w) ** 2
-    signal = np.diag(power).copy()
-    interference = power.sum(axis=1) - signal
+    signal = np.diagonal(power, axis1=-2, axis2=-1)
+    interference = power.sum(axis=-1) - signal
     return signal / (interference + tau)
 
 
@@ -166,14 +163,22 @@ def beam_links(
     table: Dvbs2Table,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-beam (linear SNIR, spectral efficiency, capacity bps) under MMSE,
-    from each cluster's channel in cluster order."""
+    from each cluster's channel in cluster order, stacked by channel size."""
     cfg = scenario.system
     n_b = scenario.n_beams
     tau = noise_power_w(cfg)
     snir_lin = np.zeros(n_b)
-    for j, h in enumerate(channels):
-        members = list(scenario.clusters[j])
-        snir_lin[members] = snir(h, mmse_precoder(h, tau, cfg, n_b, j), tau)
+    try:
+        for shape in dict.fromkeys(h.shape for h in channels):
+            ids = [j for j, h in enumerate(channels) if h.shape == shape]
+            h = np.stack([channels[j] for j in ids])
+            w = mmse_precoder(h, tau, cfg, n_b, ids)
+            snir_lin[[b for j in ids for b in scenario.clusters[j]]] = snir(
+                h, w, tau).ravel()
+    except ValidationError:  # raise what the first failing cluster raises
+        for j, h in enumerate(channels):
+            mmse_precoder(h, tau, cfg, n_b, j)
+        raise
     se = dvbs2_efficiency(snir_lin, table)
     return snir_lin, se, beam_capacity_bps(se, cfg)
 

@@ -3,7 +3,8 @@
 A valid snapshot activates exactly ``n_p`` pairwise non-adjacent clusters.
 Enumeration walks size-``n_p`` index combinations in lexicographic order and
 rejects a prefix as soon as it contains an adjacent pair, which produces the
-same set as filtering all combinations but without materializing them.
+same set as filtering all combinations but without materializing them, on
+one integer bitmask of neighbours per cluster.
 """
 from __future__ import annotations
 
@@ -51,25 +52,26 @@ def enumerate_valid_snapshots(
             f"C({n_c},{n_p}) = {candidates} candidate snapshots exceed the "
             f"cap of {CANDIDATE_CAP}"
         )
-    columns: list[list[int]] = []
-    prefix: list[int] = []
+    # bit c of neighbours[p] is adjacency[c, p], the entry the walk tests
+    packed = np.packbits(adjacency.T != 0, axis=1, bitorder="little")
+    neighbours = [int.from_bytes(row, "little") for row in packed.tolist()]
+    members: list[int] = []  # each valid set's n_p indices, in column order
 
-    def extend(start: int) -> None:
-        if len(prefix) == n_p:
-            columns.append(prefix.copy())
-            return
-        remaining = n_p - len(prefix)
-        for c in range(start, n_c - remaining + 1):
-            if any(adjacency[c, p] for p in prefix):
-                continue
-            prefix.append(c)
-            extend(c + 1)
-            prefix.pop()
+    def extend(prefix: list[int], blocked: int, start: int) -> None:
+        last = n_c - n_p + len(prefix)  # leaves room for the members to come
+        free = ~blocked & ((2 << last) - (1 << start))
+        while free:
+            c = (free & -free).bit_length() - 1
+            free &= free - 1
+            if len(prefix) + 1 == n_p:
+                members.extend(prefix + [c])
+            else:
+                extend(prefix + [c], blocked | neighbours[c], c + 1)
 
-    extend(0)
-    v = np.zeros((n_c, len(columns)), dtype=np.uint8)
-    for n, col in enumerate(columns):
-        v[col, n] = 1
+    extend([], 0, 0)
+    rows = np.array(members, dtype=np.intp).reshape(-1, n_p)
+    v = np.zeros((n_c, len(rows)), dtype=np.uint8)
+    v[rows, np.arange(len(rows))[:, None]] = 1
     v.flags.writeable = False
     return v
 

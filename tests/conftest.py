@@ -134,3 +134,9 @@ def brute_force_valid_snapshots(adjacency: np.ndarray, n_p: int) -> list[tuple]:
                for i, j in itertools.combinations(combo, 2)):
             out.append(combo)
     return out
+
+
+def identity_precoder(h: np.ndarray, config, n_beams: int) -> np.ndarray:
+    """No-precoding baseline: sqrt(P) * I, every feed at exactly P."""
+    p = config.p_t_w / n_beams
+    return np.sqrt(p) * np.eye(h.shape[0], dtype=complex)

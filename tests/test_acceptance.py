@@ -14,7 +14,8 @@ from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set, enumerate_valid_snapshots
 
-from conftest import brute_force_valid_snapshots, random_snapshot_supply
+from conftest import (brute_force_valid_snapshots, identity_precoder,
+                      random_snapshot_supply)
 
 
 def _report(criterion, message):
@@ -117,7 +118,7 @@ def test_criterion_05_snir_sanity(ref_scenario, ref_channels):
     tau = channel.noise_power_w(cfg)
     for j, h in enumerate(ref_channels):
         mmse = precoding.mmse_precoder(h, tau, cfg, n_b, j)
-        ident = precoding.identity_precoder(h, cfg, n_b)
+        ident = identity_precoder(h, cfg, n_b)
         assert (precoding.snir(h, mmse, tau).min()
                 >= precoding.snir(h, ident, tau).min())
     _report(5, "diagonal-channel identity within 1e-12 and MMSE >= scaled "

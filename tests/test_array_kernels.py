@@ -3,6 +3,7 @@
 Each ``_loop_*`` function below is the per-beam form the array code replaced,
 kept here as the reference. Results must be equal bit for bit, not close.
 """
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from clusterhop import benchmarks, channel, metrics, precoding
+from clusterhop.errors import ValidationError
 from clusterhop.planner import IlpInstance, solve_illumination
 from clusterhop.precoding import _THRESHOLD_GUARD_DB
 from clusterhop.scenario import (aggregate_and_scale_demands, beam_adjacency,
@@ -103,14 +105,42 @@ def _loop_bh(scenario, field, table):
     return gammas, offered
 
 
+def _loop_mmse_precoder(h, tau, config, n_beams, cluster_id):
+    if not np.isfinite(h).all():
+        raise ValidationError("channel matrix has non-finite entries")
+    if not tau > 0:
+        raise ValidationError("noise power must be strictly positive")
+    p = config.p_t_w / n_beams
+    if p <= 0:
+        raise ValidationError("per-beam power must be positive")
+    gram = h @ h.conj().T + np.diag(np.full(h.shape[0], tau)) / p
+    w_hat = h.conj().T @ np.linalg.inv(gram)
+    row_power = np.real(np.einsum("ij,ij->i", w_hat, w_hat.conj()))
+    peak = row_power.max()
+    if not peak > 0:
+        raise ValidationError(
+            f"cluster {cluster_id}: MMSE feed powers underflow to "
+            f"{float(peak)!r}; P_T_W, B_W_Hz and T_sys_K (the noise power "
+            "k_B * T_sys_K * B_W_Hz) put the link budget out of "
+            "floating-point range"
+        )
+    return math.sqrt(p / peak) * w_hat
+
+
+def _loop_snir(h, w, tau):
+    power = np.abs(h @ w) ** 2
+    signal = np.diag(power).copy()
+    interference = power.sum(axis=1) - signal
+    return signal / (interference + tau)
+
+
 def _loop_beam_links(scenario, channels, table):
     cfg = scenario.system
     n_b = scenario.n_beams
     snir_lin, se, r = np.zeros(n_b), np.zeros(n_b), np.zeros(n_b)
     tau = channel.noise_power_w(cfg)
     for j, h in enumerate(channels):
-        gammas = precoding.snir(h, precoding.mmse_precoder(h, tau, cfg, n_b, j),
-                                tau)
+        gammas = _loop_snir(h, _loop_mmse_precoder(h, tau, cfg, n_b, j), tau)
         for local, beam in enumerate(scenario.clusters[j]):
             snir_lin[beam] = gammas[local]
             se[beam] = _loop_dvbs2(float(gammas[local]), table)
@@ -152,6 +182,13 @@ def _color_conflict_doc():
     return _layout_doc(coords, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
 
 
+def _mixed_sizes_doc():
+    # clusters of 1, 2, 3, 1 and 2 beams on a line: each size's clusters
+    # are stacked together, out of cluster order
+    coords = [(0.6 * k, 0.0) for k in range(9)]
+    return _layout_doc(coords, [[1], [2, 3], [4, 5, 6], [7], [8, 9]])
+
+
 def _layout_doc(coords, clusters):
     doc = toy_doc()
     doc["beams"] = [{"id": i + 1, "u": u, "v": v, "demand_bps": 1e8 * (i + 1)}
@@ -170,6 +207,7 @@ LAYOUTS = {
         300, 12, system={"T_sys_K": 1e-9}),
     "star": _star_doc,
     "color_conflict": _color_conflict_doc,
+    "mixed_sizes": _mixed_sizes_doc,
 }
 
 
@@ -293,6 +331,64 @@ def test_beam_links_match_per_beam_loop(stages, dvbs2):
     got = precoding.beam_links(scenario, channels, dvbs2)
     for a, b in zip(got, _loop_beam_links(scenario, channels, dvbs2)):
         assert np.array_equal(a, b)
+
+
+def _failing_channels(channels, nan=(), tiny=()):
+    """Copies of ``channels`` with a NaN entry in the clusters ``nan`` and
+    scaled by 1e-300 (MMSE feed powers that underflow) in ``tiny``."""
+    out = [h.copy() for h in channels]
+    for j in nan:
+        out[j][0, 0] = np.nan
+    for j in tiny:
+        out[j] *= 1e-300
+    return out
+
+
+@pytest.mark.parametrize("p_t_w, nan, tiny", [
+    # The size-1 stack (clusters 0, 3) runs before the size-2 stack (1, 4)
+    # and the size-3 stack (2). In the first four cases the loop's first
+    # failure lies in a later stack than the first failing stack's.
+    (None, (1,), (3,)),
+    (None, (), (2, 4)),
+    (None, (2,), (3, 4)),
+    (5e-324, (3,), ()),  # a per-beam power of 0 is refused at cluster 0
+    (None, (4,), (0, 3)),
+    (None, (3,), ()),
+    (5e-324, (0,), (3,)),
+])
+def test_link_budget_failure_matches_per_cluster_loop(dvbs2, p_t_w, nan,
+                                                      tiny):
+    scenario = scenario_from_dict(_mixed_sizes_doc())
+    if p_t_w is not None:
+        scenario = dataclasses.replace(scenario, system=dataclasses.replace(
+            scenario.system, p_t_w=p_t_w))
+    channels = _failing_channels(channel.build_all_cluster_channels(scenario),
+                                 nan, tiny)
+    with pytest.raises(ValidationError) as want:
+        _loop_beam_links(scenario, channels, dvbs2)
+    with pytest.raises(ValidationError) as got:
+        precoding.beam_links(scenario, channels, dvbs2)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_precoder_matches_each_cluster(dvbs2):
+    """One stacked call gives each matrix's precoder and SNIR bit for bit,
+    and an underflow names the first underflowing cluster of the stack."""
+    scenario = scenario_from_dict(hex_scenario_dict())
+    cfg, n_b = scenario.system, scenario.n_beams
+    tau = channel.noise_power_w(cfg)
+    channels = channel.build_all_cluster_channels(scenario)
+    ids = [j for j, h in enumerate(channels) if len(h) == len(channels[0])]
+    h = np.stack([channels[j] for j in ids])
+    w = precoding.mmse_precoder(h, tau, cfg, n_b, ids)
+    gammas = precoding.snir(h, w, tau)
+    for k, j in enumerate(ids):
+        want = _loop_mmse_precoder(channels[j], tau, cfg, n_b, j)
+        assert np.array_equal(w[k], want)
+        assert np.array_equal(gammas[k], _loop_snir(channels[j], want, tau))
+    h[2:] *= 1e-300
+    with pytest.raises(ValidationError, match=rf"^cluster {ids[2]}: MMSE"):
+        precoding.mmse_precoder(h, tau, cfg, n_b, ids)
 
 
 def test_leakage_matches_per_slot_loop(stages):

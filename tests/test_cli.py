@@ -833,6 +833,33 @@ def test_extreme_inputs_plan_the_confirmed_optimum(tmp_path, case):
                                                            rel=1e-12)
 
 
+def test_outage_plan_is_confirmed(tmp_path):
+    """P_T_W times 1e-6 puts every cluster in outage: t = 0, and the
+    smallest window puts every slot on the last snapshot. HiGHS LPs confirm
+    it and refuse the same slots on the first snapshot."""
+    doc = json.loads((REPO / "scenarios" / "ref_71beam.json").read_text())
+    doc["system"]["P_T_W"] *= 1e-6
+    plan = _plan_json(tmp_path, doc)
+    assert (plan["t"], plan["psi"], plan["status"]) == (0.0, {"54": 256},
+                                                        "optimal")
+    assert _confirmed_t(doc, plan["psi"]) == 0.0
+    with pytest.raises(AssertionError, match="lexicographically smaller"):
+        _confirmed_t(doc, {"0": 256})
+
+
+def test_plan_without_demand_is_confirmed(tmp_path):
+    """With no demanded cluster the plan is the uniform spread (t = inf,
+    written as null), which the check confirms; one slot moved is refused."""
+    doc = _reference_demands_times(0.0)
+    plan = _plan_json(tmp_path, doc)
+    assert plan["t"] is None and plan["status"] == "heuristic"
+    assert _confirmed_t(doc, plan["psi"]) == math.inf
+    moved = {**plan["psi"], "0": plan["psi"]["0"] - 1,
+             "54": plan["psi"]["54"] + 1}
+    with pytest.raises(AssertionError, match="uniform spread"):
+        _confirmed_t(doc, moved)
+
+
 @pytest.mark.parametrize("case", ["nine_beams", "demands_1e9",
                                   "bandwidth_1e-30", "n_slot_7"])
 def test_greedy_plans_extreme_inputs(tmp_path, reference_plan_json, case):
@@ -922,11 +949,22 @@ def test_one_distance_matrix_per_scenario(tmp_path, toy_file, monkeypatch):
 
 
 def test_capacity_builds_one_precoder_per_cluster(tmp_path, monkeypatch):
-    precoders = _count_calls(monkeypatch, precoding, "mmse_precoder")
+    """One run precodes each of the 12 clusters exactly once, in stacks of
+    equal-size clusters: the stacked matrices are counted, not the calls."""
+    precoded = []
+    original = precoding.mmse_precoder
+
+    def counted(h, tau, config, n_beams, cluster_id):
+        ids = np.ravel(cluster_id).tolist()
+        assert len(ids) == h.reshape(-1, *h.shape[-2:]).shape[0]
+        precoded.extend(ids)
+        return original(h, tau, config, n_beams, cluster_id)
+
+    monkeypatch.setattr(precoding, "mmse_precoder", counted)
     scenario = REPO / "scenarios" / "ref_71beam.json"
     assert _run(["capacity", "--scenario", scenario, "--out", tmp_path]) == 0
     assert cli._memo.scenario.n_clusters == 12
-    assert len(precoders) == 12
+    assert sorted(precoded) == list(range(12))
 
 
 def test_run_recomputes_when_an_input_changes(tmp_path, monkeypatch):

@@ -58,19 +58,32 @@ def check_answer(instance, psi, milp_seconds=60.0):
       lexicographically smaller. An LP-feasible position is decided by
       ``milp`` within ``milp_seconds``.
 
-    Returns t (a Fraction) and the positions ``milp`` decided. Raises
-    AssertionError when psi fails a check or ``milp`` cannot decide.
+    A demanded cluster in outage (a zero row) takes p_j = 1, as in the
+    planner: nothing offers it a slot, so t = 0, and the smallest window
+    puts every slot on the last snapshot. Without a demanded cluster the
+    window must be the planner's uniform spread, and t is inf.
+
+    Returns t (a Fraction, or inf) and the positions ``milp`` decided.
+    Raises AssertionError when psi fails a check or ``milp`` cannot decide.
     """
     opt = pytest.importorskip("scipy.optimize")
+    n_ss, n_slot = instance.l.shape[1], instance.n_slot
+    psi = np.asarray(psi)
+    assert psi.shape == (n_ss,) and psi.dtype.kind in "iu"
+    assert (psi >= 0).all() and psi.sum() == n_slot
     demanded = instance.m > 0
+    if not demanded.any():
+        base, extra = divmod(n_slot, n_ss)
+        assert psi.tolist() == [base + (i < extra) for i in range(n_ss)], (
+            "with no demanded cluster psi is not the uniform spread")
+        return math.inf, []
     l = np.asarray(instance.l, dtype=float)[demanded]
-    p = l.max(axis=1)
-    assert (p > 0).all(), "a demanded cluster is in no snapshot"
     v = (l != 0).astype(float)
+    p = l.max(axis=1)
+    p[p == 0] = 1.0  # a cluster in outage
     assert (l == v * p[:, None]).all()
     spacing = [Fraction(pj) / Fraction(mj)
                for pj, mj in zip(p, instance.m[demanded])]
-    n_ss, n_slot = v.shape[1], instance.n_slot
 
     def requirement(g):
         return np.array([math.ceil(g / c) for c in spacing], dtype=float)
@@ -82,9 +95,6 @@ def check_answer(instance, psi, milp_seconds=60.0):
         assert res.status in (0, 2), res.message
         return res.status == 0
 
-    psi = np.asarray(psi)
-    assert psi.shape == (n_ss,) and psi.dtype.kind in "iu"
-    assert (psi >= 0).all() and psi.sum() == n_slot
     counts = v.astype(np.int64) @ psi
     t = min(int(count) * c for count, c in zip(counts, spacing))
     assert (counts >= requirement(t)).all()

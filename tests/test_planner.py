@@ -198,8 +198,8 @@ def test_pairs_beyond_the_split_limit_are_left_to_the_search(monkeypatch):
     splits = []
     split = planner._split
 
-    def recording(mask_i, mask_j, i, index):
-        result = split(mask_i, mask_j, i, index)
+    def recording(mask_i, mask_j, i, index, sizes):
+        result = split(mask_i, mask_j, i, index, sizes)
         splits.append(((mask_i ^ mask_j).bit_count(), result))
         return result
 
@@ -232,10 +232,10 @@ def test_split_finds_a_pair_whenever_one_exists():
         for c, d in itertools.combinations_with_replacement(range(n_ss), 2):
             key = tuple(v[:, c] + v[:, d])
             sums[key] = max(sums.get(key, -1), c)
-        masks, index = planner._column_masks(v)
+        masks, index, sizes = planner._column_masks(v)
         for i, j in itertools.combinations(range(n_ss), 2):
             target = v[:, i] + v[:, j]
-            found = planner._split(masks[i], masks[j], i, index)
+            found = planner._split(masks[i], masks[j], i, index, sizes)
             assert (found is None) == (sums[tuple(target)] <= i), (v, i, j)
             if found is not None:
                 c, d = found
@@ -244,6 +244,101 @@ def test_split_finds_a_pair_whenever_one_exists():
                 n_split += 1
             n_pairs += 1
     assert n_split > 0 and n_pairs > n_split
+
+
+def _subset_walk_split(mask_i, mask_j, i, index):
+    """The per-subset form ``_split`` replaced, kept as the reference: it
+    looks up every split of the differing rows, c taking the lowest, in
+    increasing order of c's mask, and returns the first with c, d > i."""
+    shared, diff = mask_i & mask_j, mask_i ^ mask_j
+    if diff.bit_count() > planner._SPLIT_MAX_ROWS:
+        return None
+    low = diff & -diff
+    rest = diff ^ low
+    sub = 0
+    while True:
+        part = low | sub
+        c = index.get(shared | part, -1)
+        d = index.get(shared | (diff ^ part), -1)
+        if c > i and d > i:
+            return c, d
+        if sub == rest:
+            return None
+        sub = (sub - rest) & rest
+
+
+def _numpy_scalar_exchange(w, i, masks, index, splits):
+    """The exchange ``_exchange_down`` replaced, kept as the reference: the
+    same moves, read and written as numpy scalars of ``w``."""
+    moved = True
+    while w[i] and moved:
+        moved = False
+        for j in (np.flatnonzero(w[i + 1:]) + i + 1).tolist():
+            if j not in splits:
+                splits[j] = _subset_walk_split(masks[i], masks[j], i, index)
+            q = min(w[i], w[j])
+            if splits[j] is None or q == 0:
+                continue
+            c, d = splits[j]
+            w[i] -= q
+            w[j] -= q
+            w[c] += q
+            w[d] += q
+            moved = True
+            if w[i] == 0:
+                break
+
+
+def _random_columns(rng, max_rows, max_cols):
+    """A 0/1 V with repeated columns: half the time every column has the
+    same number of rows, half the time random sizes."""
+    n_rows = int(rng.integers(2, max_rows + 1))
+    n_ss = int(rng.integers(3, max_cols + 1))
+    size = int(rng.integers(1, n_rows + 1)) if rng.random() < 0.5 else None
+    v = np.zeros((n_rows, n_ss), dtype=np.int64)
+    for col in range(n_ss):
+        if col and rng.random() < 0.3:  # repeat an earlier column
+            v[:, col] = v[:, int(rng.integers(col))]
+        elif size is not None:
+            v[rng.choice(n_rows, size, replace=False), col] = 1
+        else:
+            v[:, col] = rng.random(n_rows) < rng.random()
+    return v
+
+
+def test_split_matches_the_subset_walk():
+    rng = np.random.default_rng(17)
+    n_found = n_calls = n_mixed = 0
+    for _ in range(150):
+        v = _random_columns(rng, 14, 24)
+        masks, index, sizes = planner._column_masks(v)
+        assert sizes == sum(1 << int(n) for n in set(v.sum(axis=0).tolist()))
+        n_mixed += sizes.bit_count() > 1
+        for i, j in itertools.combinations(range(v.shape[1]), 2):
+            want = _subset_walk_split(masks[i], masks[j], i, index)
+            assert planner._split(masks[i], masks[j], i, index, sizes) == want
+            n_found += want is not None
+            n_calls += 1
+    assert 0 < n_found < n_calls and 0 < n_mixed < 150
+
+
+def test_exchange_matches_the_numpy_scalar_moves():
+    rng = np.random.default_rng(23)
+    moves = 0
+    for _ in range(200):
+        v = _random_columns(rng, 8, 20)
+        masks, index, sizes = planner._column_masks(v)
+        w = rng.integers(0, 4, size=v.shape[1])
+        for i in np.flatnonzero(w).tolist():
+            before = int(w[i])
+            want, want_splits = w.copy(), {}
+            _numpy_scalar_exchange(want, i, masks, index, want_splits)
+            got_splits = {}
+            planner._exchange_down(w, i, masks, index, sizes, got_splits)
+            assert w.tolist() == want.tolist()
+            assert got_splits == want_splits
+            moves += int(w[i] < before)
+    assert moves > 0
 
 
 @pytest.mark.parametrize("supply", [1e-309, 1e-312])

@@ -10,7 +10,7 @@ from clusterhop.channel import noise_power_w
 from clusterhop.errors import ValidationError
 from clusterhop.scenario import scenario_from_dict
 
-from conftest import toy_doc
+from conftest import identity_precoder, toy_doc
 
 
 def _config(p_t_w, n_beams=1, dual=True):
@@ -74,7 +74,7 @@ def test_mmse_beats_scaled_identity(ref_scenario, ref_channels):
     tau = noise_power_w(cfg)
     for j, h in enumerate(ref_channels):
         mmse = precoding.mmse_precoder(h, tau, cfg, n_b, j)
-        ident = precoding.identity_precoder(h, cfg, n_b)
+        ident = identity_precoder(h, cfg, n_b)
         assert (precoding.snir(h, mmse, tau).min()
                 >= precoding.snir(h, ident, tau).min())
 

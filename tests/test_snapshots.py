@@ -76,6 +76,60 @@ def test_enumeration_equals_brute_force(n_c, n_p, seed):
     assert got == brute_force_valid_snapshots(a, n_p)
 
 
+def _prefix_recursion(adjacency, n_p):
+    """The per-element enumeration the bitmask walk replaced, kept as the
+    reference: the lexicographic prefix recursion that reads one adjacency
+    entry per prefix member, and V filled one column at a time."""
+    n_c = adjacency.shape[0]
+    columns, prefix = [], []
+
+    def extend(start):
+        if len(prefix) == n_p:
+            columns.append(prefix.copy())
+            return
+        remaining = n_p - len(prefix)
+        for c in range(start, n_c - remaining + 1):
+            if any(adjacency[c, p] for p in prefix):
+                continue
+            prefix.append(c)
+            extend(c + 1)
+            prefix.pop()
+
+    extend(0)
+    v = np.zeros((n_c, len(columns)), dtype=np.uint8)
+    for n, col in enumerate(columns):
+        v[col, n] = 1
+    return v
+
+
+def test_bitmask_walk_matches_prefix_recursion():
+    rng = np.random.default_rng(7)
+    n_empty = 0
+    for _ in range(200):
+        n_c = int(rng.integers(1, 16))
+        a = np.triu((rng.random((n_c, n_c)) < rng.random()).astype(np.uint8),
+                    1)
+        a = a + a.T
+        for n_p in range(1, n_c + 1):
+            got = enumerate_valid_snapshots(a, n_p)
+            want = _prefix_recursion(a, n_p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (a, n_p)
+            assert not got.flags.writeable
+            n_empty += got.shape[1] == 0
+    assert n_empty > 0
+
+
+def test_bitmask_walk_reads_the_adjacency_as_the_recursion_does():
+    """Bit c of cluster p's mask is adjacency[c, p], the entry the prefix
+    recursion tests, so a one-sided entry rejects the same sets."""
+    a = np.zeros((5, 5), dtype=np.uint8)
+    a[3, 1] = a[4, 0] = 1
+    for n_p in (2, 3):
+        assert np.array_equal(enumerate_valid_snapshots(a, n_p),
+                              _prefix_recursion(a, n_p))
+
+
 def test_supply_matrix_identity_weights():
     v = enumerate_valid_snapshots(path4(), 2)
     l = supply_matrix(v, np.ones(4))
@@ -101,6 +155,18 @@ def test_candidate_cap():
     a = _adjacency(np.zeros((40, 40), dtype=int))
     with pytest.raises(CapExceededError):
         enumerate_valid_snapshots(a, 20)
+
+
+def test_candidate_cap_counts_candidates_not_valid_sets():
+    """The cap reads C(N_C, N_P), so a graph with no valid set is refused
+    too, with the same message; C(27, 7) = 888,030 is just under it."""
+    full = _adjacency(1 - np.eye(30, dtype=int))
+    with pytest.raises(CapExceededError,
+                       match=r"^C\(30,8\) = 5852925 candidate snapshots "
+                             r"exceed the cap of 1000000$"):
+        enumerate_valid_snapshots(full, 8)
+    v = enumerate_valid_snapshots(_adjacency(1 - np.eye(27, dtype=int)), 7)
+    assert v.shape == (27, 0)
 
 
 def test_bad_n_p():
