@@ -9,28 +9,30 @@ The supply is the paper's snapshot supply, which ``IlpInstance`` checks: row
 j of l is p_j times a 0/1 row V_j (a snapshot's slot gives p_j to each
 cluster it lights). Any other row is a ValidationError, and an n_slot above
 ``N_SLOT_CAP`` is a CapExceededError, whichever solver runs. The instance
-carries the demanded rows' V and exact spacings s_j = p_j / m_j (p_j = 1
-in outage); an n_slot * s_j beyond float range is a ValidationError. Every
-solver runs in one frame (``_framed``): no snapshot is an InfeasibleError,
-and without a demanded cluster, where the ratio is undefined, the plan
-spreads the slots uniformly (t = inf, 'heuristic').
+carries the demanded rows' V, as a bool mask, and exact spacings s_j =
+p_j / m_j (p_j = 1 in outage); an n_slot * s_j beyond float range is a
+ValidationError. Every solver runs in one frame (``_framed``): no snapshot
+is an InfeasibleError, and without a demanded cluster, where the ratio is
+undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
 
 ``solve_illumination`` solves it exactly, on integers. Every achievable
 objective is a multiple of some s_j, and a threshold g is the integer
 requirement V psi >= k with k_j = ceil(g / s_j). Every LP reads the rows V,
 never the demands' scale. The root LP, the only one with an objective,
-bounds t = tau * s_min (s_min the smallest s_j, so 0 <= tau <= n_slot).
-Every LP after it is a feasibility LP (no objective) over the requirement
-itself, rows V and right-hand side k, run by one search: depth-first LP
-branch-and-bound that stops at the first integer point. The walk
-(``_walk``) takes the thresholds downward in exact rational order from the
-root LP's bound t_lp, widened relatively for round-off, and decides each
-with the search; it stops above the trivial witness, every slot on the last
-snapshot. Then, at the optimum's requirement, it fixes psi_0, psi_1, ... in
-turn to their smallest values, which gives the lexicographically smallest
-optimal count vector. At each position i, exact exchange moves lower the
-witness first: slots of two columns move to two later columns with the same
-column sum, which keeps V psi and sum(psi) unchanged and needs no LP. Then
+bounds t = tau * s_min (s_min the smallest s_j, so 0 <= tau <= n_slot);
+tau is the last column of the one LP matrix a solve builds. Every LP after
+it is a feasibility LP (no objective) over the requirement itself, rows V
+and right-hand side k, read from that matrix without its tau column, and
+run by one search: depth-first LP branch-and-bound that stops at the
+first integer point. The walk (``_walk``) takes the thresholds downward in
+exact rational order from the root LP's bound t_lp, widened relatively for
+round-off, and decides each with the search; it stops above the trivial
+witness, every slot on the last snapshot. Then, at the optimum's
+requirement, it fixes psi_0, psi_1, ... in turn to their smallest values,
+which gives the lexicographically smallest optimal count vector. At each
+position i, exact exchange moves lower the witness first: slots of two
+columns move to two later columns with the same column sum, which keeps
+V psi and sum(psi) unchanged and needs no LP. Then
 searches with ub_i = u ask whether psi_i <= u is possible, in this order:
 u = w_i - 1, whose infeasibility proves w_i; u = 0; u = w_i - 2, w_i - 4,
 ... down from the witness; then bisection of the gap left. Every point found
@@ -39,12 +41,11 @@ simplex. The root LP and the chain of requirement LPs both start at the
 trivial witness's basis, and every LP of the chain after the first restarts
 from the basis of the LP before it. A point is accepted only by the integer
 test, and an LP point outside its node's bounds, or a requirement count
-beyond int64, is a SolverError. ``brute_force_plan`` enumerates count
-vectors as an oracle. ``greedy_plan`` is a heuristic lower bound: the same
-walk from the root LP's bound itself, not widened, whose first integer
-point is its plan, with no refinement. Clusters with zero demand are
-excluded from the objective; they still receive whatever supply the chosen
-snapshots give them.
+beyond int64, is a SolverError. ``greedy_plan`` is a heuristic lower
+bound: the same walk from the root LP's bound itself, not widened, whose
+first integer point is its plan, with no refinement. Clusters with zero
+demand are excluded from the objective; they still receive whatever supply
+the chosen snapshots give them.
 """
 from __future__ import annotations
 
@@ -63,7 +64,6 @@ from .simplex import OPTIMAL, solve_bounded_lp, start
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
 
-DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
 N_SLOT_CAP = 10 ** 6  # largest n_slot: the schedule and its loop are O(n_slot)
 _INT_TOL = 1e-7
 _SPLIT_MAX_ROWS = 12  # at most 2**11 candidate splits per exchange pair
@@ -76,7 +76,7 @@ class IlpInstance:
     n_slot: int
     # Set once by the check below; v and spacing hold the demanded rows only
     demanded: np.ndarray = field(init=False, repr=False)  # (N_C,) m > 0
-    v: np.ndarray = field(init=False, repr=False)  # V_j, int64 0/1 rows
+    v: np.ndarray = field(init=False, repr=False)  # V_j, bool rows
     spacing: tuple = field(init=False, repr=False)  # Fraction p_j / m_j
 
     def __post_init__(self):
@@ -89,7 +89,8 @@ class IlpInstance:
         if not (np.isfinite(l).all() and np.isfinite(m).all()):
             raise ValidationError("supplies and demands must be finite")
         row_max = l.max(axis=1, initial=0.0)[:, None]
-        bad = ((l != 0) & (l != row_max)).any(axis=1)
+        nonzero = l != 0
+        bad = (nonzero & (l != row_max)).any(axis=1)
         if bad.any():
             raise ValidationError(f"supply row of cluster {int(bad.argmax())} "
                                   "is not one value times a 0/1 row")
@@ -110,7 +111,7 @@ class IlpInstance:
         spacing = tuple(Fraction(pj) / Fraction(mj)
                         for pj, mj in zip(p.tolist(), m_dem.tolist()))
         for name, value in (("l", l), ("m", m), ("demanded", demanded),
-                            ("v", (l[demanded] > 0).astype(np.int64)),
+                            ("v", nonzero[demanded]),
                             ("spacing", spacing)):
             object.__setattr__(self, name, value)
 
@@ -161,43 +162,43 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
 # ---------------------------------------------------------------------------
 # LP relaxations
 
-def _root_lp(v: np.ndarray, spacing, n_slot: int) -> Fraction:
-    """The root LP's optimum t_lp = tau * s_min, an upper bound on the
-    integer optimum: max tau s.t. V_j psi >= (s_min / s_j) tau for each
-    demanded row j, sum(psi) = n_slot, 0 <= psi <= n_slot, where s_j =
-    ``spacing[j]`` and s_min the smallest, so 0 <= tau <= n_slot at any
-    demand scale. Its matrix is ``_requirement_rows(v)`` with the tau column
-    after psi; the primal loop starts at the trivial witness's basis (each
-    surplus column, and the last snapshot for the budget row): tau = 0 and
-    every slot on the last snapshot."""
+def _requirement_rows(v: np.ndarray, spacing) -> np.ndarray:
+    """The one LP matrix of a solve, read-only: the equality rows
+    [[V, -I, -s_min / s], [1, 0, 0]] over (psi, surplus per demanded row,
+    tau), where s_j = ``spacing[j]`` and s_min the smallest. The root LP
+    reads all of it; every requirement LP of the exact solve's chain reads
+    the view without the tau column, the -1/0/1 matrix over the integer
+    rows V."""
     n_dem, n_ss = v.shape
-    n_var = n_ss + 1 + n_dem  # psi, tau, surplus per demanded row
     s_min = min(spacing)
-    rows = np.insert(_requirement_rows(v), n_ss, 0.0, axis=1)
-    rows[:n_dem, n_ss] = [-float(s_min / s) for s in spacing]
-    rhs = np.append(np.zeros(n_dem), float(n_slot))
-    cost = np.zeros(n_var)
-    cost[n_ss] = -1.0
-    upper = np.full(n_var, np.inf)
-    upper[:n_ss] = n_slot
-    witness = start(rows, np.append(np.arange(n_ss + 1, n_var), n_ss - 1))
-    res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper,
-                           warm=witness)
-    return Fraction(res.x[n_ss]) * s_min
-
-
-def _requirement_rows(v: np.ndarray) -> np.ndarray:
-    """The equality rows [[v, -I], [1, 0]] over (psi, surplus per demanded
-    row), read-only, built over the integer rows V: every requirement LP of
-    the exact solve's chain shares this one -1/0/1 matrix, and the root
-    LP's is the same with its tau column inserted."""
-    n_dem, n_ss = v.shape
-    rows = np.zeros((n_dem + 1, n_ss + n_dem))
+    rows = np.zeros((n_dem + 1, n_ss + n_dem + 1))
     rows[:n_dem, :n_ss] = v
-    rows[:n_dem, n_ss:] = -np.eye(n_dem)
+    rows[:n_dem, n_ss:-1] = -np.eye(n_dem)
+    rows[:n_dem, -1] = [-float(s_min / s) for s in spacing]
     rows[n_dem, :n_ss] = 1.0
     rows.flags.writeable = False
     return rows
+
+
+def _root_lp(rows: np.ndarray, spacing, n_slot: int) -> Fraction:
+    """The root LP's optimum t_lp = tau * s_min, an upper bound on the
+    integer optimum: max tau s.t. V_j psi >= (s_min / s_j) tau for each
+    demanded row j, sum(psi) = n_slot, 0 <= psi <= n_slot, over ``rows =
+    _requirement_rows(v, spacing)``, so 0 <= tau <= n_slot at any demand
+    scale. The primal loop starts at the trivial witness's basis (each
+    surplus column, and the last snapshot for the budget row): tau = 0 and
+    every slot on the last snapshot."""
+    n_dem, n_var = rows.shape[0] - 1, rows.shape[1]
+    n_ss = n_var - n_dem - 1
+    rhs = np.append(np.zeros(n_dem), float(n_slot))
+    cost = np.zeros(n_var)
+    cost[-1] = -1.0
+    upper = np.full(n_var, np.inf)
+    upper[:n_ss] = n_slot
+    witness = start(rows, np.append(np.arange(n_ss, n_var - 1), n_ss - 1))
+    res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper,
+                           warm=witness)
+    return Fraction(res.x[-1]) * min(spacing)
 
 
 def _fractional_index(psi: np.ndarray):
@@ -213,10 +214,16 @@ def _fractional_index(psi: np.ndarray):
 # ---------------------------------------------------------------------------
 # Integer thresholds
 
+def _covered(v, psi) -> np.ndarray:
+    """V psi over psi's support: ``v @ psi`` would copy all of V to int64."""
+    support = np.flatnonzero(psi)
+    return v[:, support] @ psi[support]
+
+
 def _exact_t(v, spacing, psi) -> Fraction:
     """Exact objective of an integer count vector: cluster j is offered
     (V_j psi) * spacing_j times its demand."""
-    return min(int(k) * c for k, c in zip(v @ psi, spacing))
+    return min(int(k) * c for k, c in zip(_covered(v, psi), spacing))
 
 
 def _thresholds(spacing, lo: Fraction, hi: Fraction):
@@ -252,11 +259,12 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
 
     Depth-first LP branch-and-bound, down-branch first, over feasibility
     LPs. Each LP is the same requirement relaxed to real psi, with no
-    objective: ``rows = _requirement_rows(v)``, right-hand side
-    [k, n_slot], and bounds psi's box and the surplus columns' [0, inf),
-    all built once per search; a child copies its parent's bounds and
-    changes one. The first LP restarts from ``warm`` and every child from
-    its parent's basis. A point is accepted only by the integer test.
+    objective: ``rows`` (``_requirement_rows`` without the tau column),
+    right-hand side [k, n_slot], and bounds psi's box and the surplus
+    columns' [0, inf), all built once per search; a child copies its
+    parent's bounds and changes one. The first LP restarts from ``warm``
+    and every child from its parent's basis. A point is accepted only by
+    the integer test.
     """
     n_ss, n_dem = len(lb), len(k)
     rhs = np.append(k, n_slot).astype(float)
@@ -278,7 +286,7 @@ def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
             if ((psi_int < nlb) | (psi_int > nub)).any():
                 raise SolverError("a rounded LP point lies outside its node's "
                                   "box; the LP is too ill-conditioned to solve")
-            if psi_int.sum() == n_slot and (v @ psi_int >= k).all():
+            if psi_int.sum() == n_slot and (_covered(v, psi_int) >= k).all():
                 return psi_int, warm
             continue
         if not nlb[branch] < psi_lp[branch] < nub[branch]:
@@ -320,8 +328,9 @@ def _walk(instance: IlpInstance, widen: float):
     With the widening the point's t is the optimum."""
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
     v, spacing = instance.v, instance.spacing
-    t_lp = _root_lp(v, spacing, n_slot)
-    rows = _requirement_rows(v)
+    root = _requirement_rows(v, spacing)
+    t_lp = _root_lp(root, spacing, n_slot)
+    rows = root[:, :-1]  # the chain's view: no tau column
 
     # The trivial witness puts every slot on the last snapshot: the
     # lexicographically smallest count vector, so canonical if optimal.
@@ -408,7 +417,7 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
 def _column_masks(v):
     """For a 0/1 ``v``: each column's row set as a bitmask (bit r for row
     r), the largest column index of each mask, and bit n set per size n."""
-    packed = np.packbits(v.astype(bool), axis=0, bitorder="little")
+    packed = np.packbits(v, axis=0, bitorder="little")
     width = packed.shape[0]
     raw = np.ascontiguousarray(packed.T).tobytes()
     masks = [int.from_bytes(raw[o:o + width], "little")
@@ -485,52 +494,7 @@ def _split(mask_i, mask_j, i, index, sizes):
 
 
 # ---------------------------------------------------------------------------
-# Oracle and heuristic
-
-def brute_force_plan(instance: IlpInstance,
-                     cap: int = DEFAULT_BRUTE_FORCE_CAP) -> HoppingPlan:
-    """Globally optimal plan by exhaustive enumeration of count vectors.
-
-    Count vectors are visited in lexicographic order and only strict
-    improvements are kept, so the returned optimizer is the lexicographically
-    smallest one. Raises CapExceededError when the composition count
-    C(n_slot + N_ss - 1, N_ss - 1) exceeds ``cap``.
-    """
-    return _framed(instance, lambda inst: _enumerated_counts(inst, cap),
-                   STATUS_OPTIMAL)
-
-
-def _enumerated_counts(instance: IlpInstance, cap: int) -> np.ndarray:
-    n_ss, n_slot = instance.n_snapshots, instance.n_slot
-    n_compositions = math.comb(n_slot + n_ss - 1, n_ss - 1)
-    if n_compositions > cap:
-        raise CapExceededError(
-            f"{n_compositions} count vectors exceed the brute-force cap {cap}"
-        )
-    m_dem = instance.m[instance.demanded]
-    l_dem = instance.l[instance.demanded]
-
-    best_t, best_psi = -1.0, None  # every t is >= 0
-    psi = np.zeros(n_ss, dtype=int)
-
-    def recurse(pos: int, remaining: int, s_dem: np.ndarray) -> None:
-        nonlocal best_t, best_psi
-        if pos == n_ss - 1:
-            psi[pos] = remaining
-            t = float(((s_dem + remaining * l_dem[:, pos]) / m_dem).min())
-            if t > best_t:
-                best_t = t
-                best_psi = psi.copy()
-            psi[pos] = 0
-            return
-        for count in range(remaining + 1):
-            psi[pos] = count
-            recurse(pos + 1, remaining - count, s_dem + count * l_dem[:, pos])
-        psi[pos] = 0
-
-    recurse(0, n_slot, np.zeros(len(m_dem)))
-    return best_psi
-
+# Heuristic and bound
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     """Heuristic, a lower bound on the optimum: the first integer point of
@@ -546,7 +510,8 @@ def lp_relaxation_bound(instance: IlpInstance) -> float:
     optimum; inf, like the plan's t, when no cluster is demanded."""
     if not _prologue(instance):
         return math.inf
-    return float(_root_lp(instance.v, instance.spacing, instance.n_slot))
+    return float(_root_lp(_requirement_rows(instance.v, instance.spacing),
+                          instance.spacing, instance.n_slot))
 
 
 # ---------------------------------------------------------------------------

@@ -296,21 +296,13 @@ def nominal_pitch(dist: np.ndarray) -> float:
     return float(nz.min())
 
 
-def beam_adjacency(dist: np.ndarray,
-                   threshold: float | None = None) -> np.ndarray:
+def beam_adjacency(dist: np.ndarray) -> np.ndarray:
     """0/1 beam adjacency from the ``center_distances`` matrix: centers
-    within ``threshold`` of each other.
-
-    Default threshold is 1.1x the nominal pitch.
-    """
+    within 1.1x the nominal pitch of each other."""
     n = dist.shape[0]
-    if threshold is None and n < 2:
+    if n < 2:
         return np.zeros((n, n), dtype=np.uint8)
-    if threshold is None:
-        threshold = 1.1 * nominal_pitch(dist)
-    if threshold <= 0:
-        raise ValidationError("beam spacing threshold must be > 0")
-    adj = (dist <= threshold).astype(np.uint8)
+    adj = (dist <= 1.1 * nominal_pitch(dist)).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     return adj
 

@@ -1,4 +1,4 @@
-"""Enumeration of valid snapshots and the per-slot supply matrix.
+"""Enumeration of valid snapshots.
 
 A valid snapshot activates exactly ``n_p`` pairwise non-adjacent clusters.
 Enumeration walks size-``n_p`` index combinations in lexicographic order and
@@ -76,25 +76,21 @@ def enumerate_valid_snapshots(
     return v
 
 
-def supply_matrix(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """L[j, n] = V[j, n] * p[j]: supply per slot under each snapshot."""
-    p = np.asarray(p, dtype=float)
-    if v.shape[0] != p.shape[0]:
-        raise ValidationError(
-            f"supply vector length {p.shape[0]} does not match {v.shape[0]} clusters"
-        )
-    l = v.astype(float) * p[:, None]
-    l.flags.writeable = False
-    return l
-
-
 def build_snapshot_set(
     adjacency: np.ndarray,
     n_p: int,
     p: np.ndarray,
 ) -> SnapshotSet:
+    """The valid snapshots V and the supply per slot l[j, n] = V[j, n] *
+    p[j], cluster j's supply ``p[j]`` under each snapshot that lights it."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != adjacency.shape[:1]:
+        raise ValidationError(f"supply vector length {p.size} does not "
+                              f"match {adjacency.shape[0]} clusters")
     v = enumerate_valid_snapshots(adjacency, n_p)
-    return SnapshotSet(v=v, l=supply_matrix(v, p))
+    l = v * p[:, None]
+    l.flags.writeable = False
+    return SnapshotSet(v=v, l=l)
 
 
 def v_csv_lines(v: np.ndarray) -> list[str]:

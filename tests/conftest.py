@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from clusterhop import channel, precoding
-from clusterhop.planner import IlpInstance, solve_illumination
+from clusterhop.errors import CapExceededError
+from clusterhop.planner import (STATUS_OPTIMAL, HoppingPlan, IlpInstance,
+                                _framed, solve_illumination)
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set
@@ -134,6 +137,54 @@ def brute_force_valid_snapshots(adjacency: np.ndarray, n_p: int) -> list[tuple]:
                for i, j in itertools.combinations(combo, 2)):
             out.append(combo)
     return out
+
+
+DEFAULT_BRUTE_FORCE_CAP = 10 ** 7
+
+
+def brute_force_plan(instance: IlpInstance,
+                     cap: int = DEFAULT_BRUTE_FORCE_CAP) -> HoppingPlan:
+    """Globally optimal plan by exhaustive enumeration of count vectors.
+
+    Count vectors are visited in lexicographic order and only strict
+    improvements are kept, so the returned optimizer is the lexicographically
+    smallest one. Raises CapExceededError when the composition count
+    C(n_slot + N_ss - 1, N_ss - 1) exceeds ``cap``.
+    """
+    return _framed(instance, lambda inst: _enumerated_counts(inst, cap),
+                   STATUS_OPTIMAL)
+
+
+def _enumerated_counts(instance: IlpInstance, cap: int) -> np.ndarray:
+    n_ss, n_slot = instance.n_snapshots, instance.n_slot
+    n_compositions = math.comb(n_slot + n_ss - 1, n_ss - 1)
+    if n_compositions > cap:
+        raise CapExceededError(
+            f"{n_compositions} count vectors exceed the brute-force cap {cap}"
+        )
+    m_dem = instance.m[instance.demanded]
+    l_dem = instance.l[instance.demanded]
+
+    best_t, best_psi = -1.0, None  # every t is >= 0
+    psi = np.zeros(n_ss, dtype=int)
+
+    def recurse(pos: int, remaining: int, s_dem: np.ndarray) -> None:
+        nonlocal best_t, best_psi
+        if pos == n_ss - 1:
+            psi[pos] = remaining
+            t = float(((s_dem + remaining * l_dem[:, pos]) / m_dem).min())
+            if t > best_t:
+                best_t = t
+                best_psi = psi.copy()
+            psi[pos] = 0
+            return
+        for count in range(remaining + 1):
+            psi[pos] = count
+            recurse(pos + 1, remaining - count, s_dem + count * l_dem[:, pos])
+        psi[pos] = 0
+
+    recurse(0, n_slot, np.zeros(len(m_dem)))
+    return best_psi
 
 
 def identity_precoder(h: np.ndarray, config, n_beams: int) -> np.ndarray:

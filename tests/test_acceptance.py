@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from clusterhop import benchmarks, channel, metrics, precoding
-from clusterhop.planner import (IlpInstance, brute_force_plan,
-                                solve_illumination)
+from clusterhop.planner import IlpInstance, solve_illumination
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set, enumerate_valid_snapshots
 
-from conftest import (brute_force_valid_snapshots, identity_precoder,
-                      random_snapshot_supply)
+from conftest import (brute_force_plan, brute_force_valid_snapshots,
+                      identity_precoder, random_snapshot_supply)
 
 
 def _report(criterion, message):

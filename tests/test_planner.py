@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from clusterhop import channel, planner, precoding
 from clusterhop.errors import (CapExceededError, InfeasibleError, SolverError,
                                ValidationError)
-from clusterhop.planner import (IlpInstance, brute_force_plan, expand_schedule,
-                                greedy_plan, lp_relaxation_bound,
-                                solve_illumination)
+from clusterhop.planner import (IlpInstance, expand_schedule, greedy_plan,
+                                lp_relaxation_bound, solve_illumination)
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set
 
-from conftest import random_snapshot_supply, toy_doc
+from conftest import brute_force_plan, random_snapshot_supply, toy_doc
 
 
 def exact_min_ratio(instance, psi):
@@ -72,6 +71,30 @@ def test_plan_invariants(ref_instance, ref_plan):
     assert (plan.s[demanded] >= plan.t * ref_instance.m[demanded] * (1 - 1e-12)).all()
     counts = np.bincount(plan.schedule, minlength=ref_instance.n_snapshots)
     assert (counts == plan.psi).all()
+
+
+def test_instance_holds_v_as_its_bool_mask(ref_instance):
+    """V is the demanded rows' 0/1 mask of l, as bool, not a wider copy."""
+    inst = ref_instance
+    assert inst.v.dtype == bool
+    assert np.array_equal(inst.v, inst.l[inst.demanded] != 0)
+
+
+def test_support_product_is_the_int64_product():
+    """V psi over psi's support equals the int64 product over all of V,
+    for random count vectors, one-entry ones among them."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n_rows, n_ss = int(rng.integers(1, 8)), int(rng.integers(1, 30))
+        v = rng.random((n_rows, n_ss)) < 0.4
+        if rng.random() < 0.3:
+            psi = np.zeros(n_ss, dtype=int)
+            psi[rng.integers(n_ss)] = rng.integers(1, 300)
+        else:
+            psi = rng.integers(0, 4, size=n_ss) * (rng.random(n_ss) < 0.5)
+        got = planner._covered(v, psi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, v.astype(np.int64) @ psi)
 
 
 def _requirement_lps(monkeypatch, instance):

@@ -203,9 +203,9 @@ def test_touching_and_isolated_clusters():
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     cmap = ((0, 1), (2, 3))
     dist = center_distances(centers)
-    touching = derive_adjacency(beam_adjacency(dist, 1.1), cmap)
+    touching = derive_adjacency((dist <= 1.1).astype(np.uint8), cmap)
     assert touching[0, 1] == 1 and touching[1, 0] == 1
-    apart = derive_adjacency(beam_adjacency(dist, 0.5), cmap)
+    apart = derive_adjacency((dist <= 0.5).astype(np.uint8), cmap)
     assert not apart.any()
 
 
@@ -269,7 +269,7 @@ def test_derived_adjacency_symmetric_zero_diagonal(n, seed):
     centers = rng.uniform(-3, 3, size=(n, 2))
     half = max(1, n // 2)
     cmap = (tuple(range(half)), tuple(range(half, n)))
-    adj = derive_adjacency(beam_adjacency(center_distances(centers), 1.0),
+    adj = derive_adjacency((center_distances(centers) <= 1.0).astype(np.uint8),
                            cmap)
     assert (adj == adj.T).all()
     assert not np.diag(adj).any()

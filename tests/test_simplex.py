@@ -170,9 +170,10 @@ def _assert_dual_feasible(a, lower, upper, warm):
 
 def _witness_start(a):
     """The restart point a requirement chain starts from, over the matrix
-    ``a = [[v, -I], [1, 0]]`` of ``planner._requirement_rows(v)``: the
-    basis of the trivial witness, each requirement row's surplus column
-    and, for the budget row, the last count column."""
+    ``a = [[v, -I], [1, 0]]``, ``planner._requirement_rows(v, spacing)``
+    without its tau column: the basis of the trivial witness, each
+    requirement row's surplus column and, for the budget row, the last
+    count column."""
     n_rows, n_cols = np.shape(a)
     n_ss = n_cols - n_rows + 1
     return start(a, np.append(np.arange(n_ss, n_cols), n_ss - 1))
@@ -180,7 +181,8 @@ def _witness_start(a):
 
 def _over_requirements(rows, req, n_slot, lb, ub, warm=None):
     """The feasibility LP a @ psi >= req, sum(psi) = n_slot,
-    lb <= psi <= ub over ``rows = planner._requirement_rows(a)``, solved
+    lb <= psi <= ub over ``rows``, the chain's view of
+    ``planner._requirement_rows(a, spacing)`` without its tau column, solved
     through ``planner.solve_bounded_lp`` from ``warm``, or from the trivial
     witness's basis as the planner's chain starts: (psi or None, restart
     point)."""
@@ -216,8 +218,9 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         n_ss = v.shape[1]
         lb = np.zeros(n_ss)
         ub = np.full(n_ss, float(n_slot))
-        t = planner._root_lp(v, spacing, n_slot)
-        rows = planner._requirement_rows(v)
+        root = planner._requirement_rows(v, spacing)
+        t = planner._root_lp(root, spacing, n_slot)
+        rows = root[:, :-1]
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
         req = _requirement(spacing, rng.uniform(0.85, 1.0) * t)
@@ -267,7 +270,8 @@ def _requirement_lp(rng, n_slot=256, **shape):
     counts)."""
     v, spacing = _snapshot_rows(rng, **shape)
     n_dem, n_ss = v.shape
-    t = planner._root_lp(v, spacing, n_slot)
+    t = planner._root_lp(planner._requirement_rows(v, spacing), spacing,
+                         n_slot)
     req = _requirement(spacing, rng.uniform(0.8, 1.0) * t)
     a = np.zeros((n_dem + 1, n_ss + n_dem))
     a[:n_dem, :n_ss] = v
@@ -403,7 +407,8 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
     """An exact solve has one LP with an objective, the root LP, and its
     result carries no restart point. Both the root LP and the requirement
     chain start at the trivial witness's basis, under the zero cost, and
-    every restart point after it is over the chain's own matrix."""
+    every restart point after it is over the chain's own matrix: the root
+    LP's matrix without its last column, tau, and no copy of it."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -418,13 +423,15 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
     assert [c is not None for c, *_ in captured] == (
         [True] + [False] * (len(captured) - 1))
     _, root_matrix, root_start, root = captured[0]
-    assert root_matrix.shape == (n_dem + 1, n_ss + 1 + n_dem)  # the t column
+    assert root_matrix.shape == (n_dem + 1, n_ss + n_dem + 1)  # tau last
     assert root_start.basis.tolist() == (
-        list(range(n_ss + 1, n_ss + 1 + n_dem)) + [n_ss - 1])
+        list(range(n_ss, n_ss + n_dem)) + [n_ss - 1])
     assert not root_start.at_upper.any()
     assert root.warm is None
     captured = [lp[1:] for lp in captured]
     rows, first, _ = captured[1]
+    assert np.shares_memory(rows, root_matrix)
+    assert np.array_equal(rows, root_matrix[:, :-1])
     assert first.basis.tolist() == list(range(n_ss, n_ss + n_dem)) + [n_ss - 1]
     assert not first.at_upper.any() and not first.cost.any()
     for a, warm, res in captured[1:]:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhop import channel, precoding
 from clusterhop.errors import CapExceededError, ValidationError
-from clusterhop.snapshots import (build_snapshot_set,
-                                  enumerate_valid_snapshots, supply_matrix)
+from clusterhop.scenario import scenario_from_dict
+from clusterhop.scenariogen import hex_scenario_dict
+from clusterhop.snapshots import build_snapshot_set, enumerate_valid_snapshots
 
 from conftest import brute_force_valid_snapshots
 
@@ -131,16 +133,33 @@ def test_bitmask_walk_reads_the_adjacency_as_the_recursion_does():
 
 
 def test_supply_matrix_identity_weights():
-    v = enumerate_valid_snapshots(path4(), 2)
-    l = supply_matrix(v, np.ones(4))
-    assert (l == v).all()
+    snaps = build_snapshot_set(path4(), 2, np.ones(4))
+    assert (snaps.l == snaps.v).all()
+    assert snaps.l.dtype == float and not snaps.l.flags.writeable
 
 
 def test_supply_matrix_single_cluster():
-    v = np.zeros((4, 1), dtype=np.uint8)
-    v[2, 0] = 1
-    l = supply_matrix(v, np.array([1.0, 2.0, 7.0, 3.0]))
-    assert l[:, 0] == pytest.approx([0, 0, 7.0, 0])
+    # N_P = 1: snapshot n lights cluster n alone
+    snaps = build_snapshot_set(path4(), 1, np.array([1.0, 2.0, 7.0, 3.0]))
+    assert snaps.l[:, 2] == pytest.approx([0, 0, 7.0, 0])
+
+
+def test_supply_matrix_bits_on_reference(ref_caps, ref_snapshots):
+    p = ref_caps.p_cluster_bits
+    want = ref_snapshots.v.astype(float) * p[:, None]
+    assert ref_snapshots.l.tobytes() == want.tobytes()
+
+
+def test_supply_matrix_bits_on_120_beams(dvbs2):
+    scenario = scenario_from_dict(
+        hex_scenario_dict(120, 20, system={"N_P": 4}))
+    p = precoding.cluster_capacities(
+        scenario, channel.build_all_cluster_channels(scenario),
+        dvbs2).p_cluster_bits
+    snaps = build_snapshot_set(scenario.adjacency, 4, p)
+    assert snaps.n_snapshots == 654
+    want = snaps.v.astype(float) * p[:, None]
+    assert snaps.l.tobytes() == want.tobytes()
 
 
 def test_supply_column_sums_on_reference(ref_caps, ref_snapshots):
@@ -177,9 +196,8 @@ def test_bad_n_p():
 
 
 def test_supply_shape_mismatch():
-    v = enumerate_valid_snapshots(path4(), 2)
     with pytest.raises(ValidationError):
-        supply_matrix(v, np.ones(3))
+        build_snapshot_set(path4(), 2, np.ones(3))
 
 
 def test_build_snapshot_set(ref_scenario, ref_caps):
