@@ -14,7 +14,8 @@ search each) by outcome, counts the exchange's work (``_exchange_down``
 calls, the positions a split lowered and how many of those reached 0, and
 ``_split`` calls), and prints the psi digest: sha256
 over each scenario's ``psi.astype(int64).tobytes()``, in list order,
-first 12 hex digits. The counts depend only on the code and the
+first 12 hex digits. It also prints the same digest over ``greedy_plan``'s
+psi, run outside the counts. The counts depend only on the code and the
 arithmetic, not on how fast the machine is; the digest depends only on the
 answers. Prints one line per workload:
 
@@ -40,7 +41,8 @@ def solver_work(workload) -> dict:
     """Work of ``solve_illumination`` over the workload's seed-1
     scenarios: [LPs, pivots] per phase, pivots per simplex loop, the dual
     loop's stall perturbations and drift shifts, refinement probes by
-    outcome, the exchange's work, and the psi digest. The phase changes
+    outcome, the exchange's work, and the psi digests of the exact and
+    the greedy plans. The phase changes
     when ``_root_lp`` returns and when ``_lex_smallest_optimal`` is
     called."""
     work = {phase: [0, 0] for phase in PHASES}
@@ -49,7 +51,7 @@ def solver_work(workload) -> dict:
     probes = {"feasible": 0, "infeasible": 0}
     exchange = dict.fromkeys(("calls", "split", "split to 0", "_split calls"),
                              0)
-    digest = hashlib.sha256()
+    digest, greedy_digest = hashlib.sha256(), hashlib.sha256()
     phase = PHASES[0]
     originals = {(planner, name): getattr(planner, name) for name in (
         "solve_bounded_lp", "_root_lp", "_lex_smallest_optimal",
@@ -135,9 +137,12 @@ def solver_work(workload) -> dict:
             for (owner, name), original in originals.items():
                 setattr(owner, name, original)
         digest.update(plan.psi.astype(np.int64).tobytes())
+        greedy = planner.greedy_plan(inst)
+        greedy_digest.update(greedy.psi.astype(np.int64).tobytes())
     return {"phases": work, "loops": loops, "shifts": shifts,
             "probes": probes, "exchange": exchange,
-            "digest": digest.hexdigest()[:12]}
+            "digest": digest.hexdigest()[:12],
+            "greedy digest": greedy_digest.hexdigest()[:12]}
 
 
 def main() -> None:
@@ -160,7 +165,8 @@ def main() -> None:
               f"{probes['infeasible']} infeasible; exchange: {ex['calls']} "
               f"calls, lowered {ex['split']} by split "
               f"({ex['split to 0']} to 0), {ex['_split calls']} _split "
-              f"calls; psi digest {result['digest']}")
+              f"calls; greedy psi digest {result['greedy digest']}; "
+              f"psi digest {result['digest']}")
 
 
 if __name__ == "__main__":

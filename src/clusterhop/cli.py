@@ -6,8 +6,7 @@ files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
 3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
 6 solver failure (singular simplex basis, an unbounded LP, a start basis
-that is not primal feasible, an LP point outside its node's box, or
-requirement counts beyond int64).
+that is not primal feasible, or an LP point outside its node's box).
 
 Subcommands read their inputs from a ``Pipeline`` of lazily built stages.
 ``run`` keeps one, the most recent, keyed by the scenario file's bytes, the
@@ -329,7 +328,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--scenario", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--solver", choices=SOLVERS, default="ilp")
+        cmd.add_argument("--solver", choices=SOLVERS, default="ilp",
+                         help="ilp: the exact plan; greedy: the same t, "
+                              "without the lexicographic refinement")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the scenario RNG seed")
         cmd.add_argument("--dvbs2-table", default=None,

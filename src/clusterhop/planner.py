@@ -25,27 +25,28 @@ it is a feasibility LP (no objective) over the requirement itself, rows V
 and right-hand side k, read from that matrix without its tau column, and
 run by one search: depth-first LP branch-and-bound that stops at the
 first integer point. The walk (``_walk``) takes the thresholds downward in
-exact rational order from the root LP's bound t_lp, widened relatively for
-round-off, and decides each with the search; it stops above the trivial
-witness, every slot on the last snapshot. Then, at the optimum's
-requirement, it fixes psi_0, psi_1, ... in turn to their smallest values,
-which gives the lexicographically smallest optimal count vector. At each
-position i, exact exchange moves lower the witness first: slots of two
-columns move to two later columns with the same column sum, which keeps
-V psi and sum(psi) unchanged and needs no LP. Then
-searches with ub_i = u ask whether psi_i <= u is possible, in this order:
-u = w_i - 1, whose infeasibility proves w_i; u = 0; u = w_i - 2, w_i - 4,
-... down from the witness; then bisection of the gap left. Every point found
-is exchanged down again. The LPs are solved by the in-repo bounded-variable
-simplex. The root LP and the chain of requirement LPs both start at the
-trivial witness's basis, and every LP of the chain after the first restarts
-from the basis of the LP before it. A point is accepted only by the integer
-test, and an LP point outside its node's bounds, or a requirement count
-beyond int64, is a SolverError. ``greedy_plan`` is a heuristic lower
-bound: the same walk from the root LP's bound itself, not widened, whose
-first integer point is its plan, with no refinement. Clusters with zero
-demand are excluded from the objective; they still receive whatever supply
-the chosen snapshots give them.
+exact rational order from min(t_lp * (1 + 1e-7), n_slot * s_min), the root
+LP's bound t_lp widened for round-off and a bound on every plan (a cluster
+is lit in at most n_slot slots), so every k_j is at most n_slot. It stops
+at the first with an integer point, above the trivial witness (every slot
+on the last snapshot). Then, at the optimum's requirement, it fixes psi_0,
+psi_1, ... in turn to their smallest values, which gives the
+lexicographically smallest optimal count vector. At each position i, exact
+exchange moves lower the witness first: slots of two columns move to two
+later columns with the same column sum, which keeps V psi and sum(psi)
+unchanged and needs no LP. Then searches with ub_i = u ask whether psi_i <=
+u is possible, in this order: u = w_i - 1, whose infeasibility proves w_i;
+u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then bisection of
+the gap left. Every point found is exchanged down again. The LPs are solved
+by the in-repo bounded-variable simplex. The root LP and the chain of
+requirement LPs both start at the trivial witness's basis, and every LP of
+the chain after the first restarts from the basis of the LP before it. A
+point is accepted only by the integer test, and an LP point outside its
+node's bounds is a SolverError. ``greedy_plan`` is the exact solve stopped
+before the refinement: the walk's point, with the optimal t but counts that
+need not be the lexicographically smallest. Clusters with zero demand are
+excluded from the objective; they still receive whatever supply the chosen
+snapshots give them.
 """
 from __future__ import annotations
 
@@ -237,16 +238,11 @@ def _thresholds(spacing, lo: Fraction, hi: Fraction):
 def _requirement(spacing, g):
     """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
     V psi >= k, the requirement LPs' right-hand side: -(-a d // (b c)) for
-    g = a / b and spacing_j = c / d. A k_j beyond int64 is a SolverError."""
+    g = a / b and spacing_j = c / d. The walk's thresholds lie in [0,
+    n_slot * min(spacing)], where every k_j is at most n_slot."""
     a, b = g.numerator, g.denominator
-    try:
-        k = np.array([-(-a * c.denominator // (b * c.numerator))
-                      for c in spacing], dtype=np.int64)
-    except OverflowError:
-        raise SolverError(
-            "demands and supplies are too far apart in scale for int64 "
-            "requirement counts") from None
-    return k
+    return np.array([-(-a * c.denominator // (b * c.numerator))
+                     for c in spacing], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +310,18 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
 
 
 def _exact_counts(instance: IlpInstance) -> np.ndarray:
-    rows, psi, t, warm = _walk(instance, _INT_TOL)
+    rows, psi, t, warm = _walk(instance)
     k = _requirement(instance.spacing, t)
     return _lex_smallest_optimal(rows, instance.v, k, psi, instance.n_slot,
                                  warm)
 
 
-def _walk(instance: IlpInstance, widen: float):
-    """Walk the thresholds above the trivial witness downward from the root
-    LP's bound t_lp, widened to t_lp * (1 + ``widen``) for simplex
-    round-off, and stop at the first with an integer point: (requirement
-    rows, that point or the witness, its exact t, the last restart point).
-    With the widening the point's t is the optimum."""
+def _walk(instance: IlpInstance):
+    """Walk the thresholds above the trivial witness downward from
+    min(t_lp * (1 + _INT_TOL), n_slot * s_min) and stop at the first with
+    an integer point: (requirement rows, that point or the witness, its
+    exact t, the last restart point). Both bounds hold for every plan, the
+    first up to simplex round-off, so the point's t is the optimum."""
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
     v, spacing = instance.v, instance.spacing
     root = _requirement_rows(v, spacing)
@@ -344,7 +340,8 @@ def _walk(instance: IlpInstance, widen: float):
     warm = start(rows, np.append(np.arange(n_ss, n_ss + len(v)), n_ss - 1))
     lb0 = np.zeros(n_ss)
     ub0 = np.full(n_ss, float(n_slot))
-    for g in _thresholds(spacing, best_t, t_lp * Fraction(1 + widen)):
+    top = min(t_lp * Fraction(1 + _INT_TOL), n_slot * min(spacing))
+    for g in _thresholds(spacing, best_t, top):
         psi_g, warm = _branch_and_bound(rows, v, _requirement(spacing, g),
                                         n_slot, lb0, ub0, warm)
         if psi_g is not None:
@@ -497,12 +494,11 @@ def _split(mask_i, mask_j, i, index, sizes):
 # Heuristic and bound
 
 def greedy_plan(instance: IlpInstance) -> HoppingPlan:
-    """Heuristic, a lower bound on the optimum: the first integer point of
-    the threshold walk started at the root LP's bound itself, not widened,
-    with no refinement. Its t is not proven optimal, and its counts need
-    not be the lexicographically smallest."""
-    return _framed(instance, lambda inst: _walk(inst, 0.0)[1],
-                   STATUS_HEURISTIC)
+    """The exact solve stopped before the refinement: the point of the
+    threshold walk that ``solve_illumination`` refines. Its t is the exact
+    t, by the walk's own argument, but its counts need not be the
+    lexicographically smallest, so its status is 'heuristic'."""
+    return _framed(instance, lambda inst: _walk(inst)[1], STATUS_HEURISTIC)
 
 
 def lp_relaxation_bound(instance: IlpInstance) -> float:

@@ -27,6 +27,9 @@ DEFAULT_SYSTEM = {
     "seed": 1,
 }
 
+_PITCH_DEG = 0.6  # hex_scenario_dict's beam pitch on the lattice
+_ASPECT = 3.0  # and its coverage strip's aspect (see hex_lattice)
+
 # Demand draw for the reference scenario; independent of the channel seed.
 _DEMAND_SEED = 20240
 _DEMAND_LOW_BPS = 0.3e9
@@ -99,8 +102,6 @@ def heterogeneous_demands(n_beams: int, rng: np.random.Generator) -> np.ndarray:
 def hex_scenario_dict(
     n_beams: int = 71,
     n_clusters: int = 12,
-    pitch_deg: float = 0.6,
-    aspect: float = 3.0,
     system: dict | None = None,
     demands: np.ndarray | None = None,
 ) -> dict:
@@ -111,7 +112,7 @@ def hex_scenario_dict(
     admits a rich set of non-adjacent cluster combinations. Adjacency is left
     out so loading derives it from geometry.
     """
-    centers = hex_lattice(n_beams, pitch_deg, aspect)
+    centers = hex_lattice(n_beams, _PITCH_DEG, _ASPECT)
     members = balanced_clusters(centers, n_clusters)
     if demands is None:
         demands = heterogeneous_demands(n_beams, np.random.default_rng(_DEMAND_SEED))

@@ -1,6 +1,10 @@
+import functools
+import importlib.util
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterhop import channel, planner, precoding
-from clusterhop.errors import (CapExceededError, InfeasibleError, SolverError,
+from clusterhop.errors import (CapExceededError, InfeasibleError,
                                ValidationError)
 from clusterhop.planner import (IlpInstance, expand_schedule, greedy_plan,
                                 lp_relaxation_bound, solve_illumination)
@@ -381,20 +385,21 @@ _positive_fractions = st.fractions(min_value=Fraction(1, 10**30),
 
 
 @given(st.lists(_positive_fractions, min_size=1, max_size=5),
-       st.one_of(st.just(Fraction(0)), _positive_fractions))
-@example([Fraction(3, 7), Fraction(1, 10**30)], Fraction(10**30, 3))
-@example([Fraction(3, 7), Fraction(5, 2)], Fraction(15, 14))
+       st.integers(1, planner.N_SLOT_CAP),
+       st.fractions(min_value=0, max_value=1, max_denominator=10**30))
+@example([Fraction(3, 7), Fraction(1, 10**30)], planner.N_SLOT_CAP,
+         Fraction(1))
+@example([Fraction(3, 7), Fraction(5, 2)], 7, Fraction(5, 14))
 @settings(max_examples=300, deadline=None)
-def test_integer_requirement_is_the_fraction_ceiling(spacing, g):
-    """k_j = ceil(g / spacing_j), as Fractions compute it; a count beyond
-    int64 is a SolverError."""
+def test_integer_requirement_is_the_fraction_ceiling(spacing, n_slot, share):
+    """k_j = ceil(g / spacing_j), as Fractions compute it, on the walk's
+    thresholds 0 <= g <= n_slot * min(spacing), where every k_j is at most
+    n_slot."""
+    g = share * n_slot * min(spacing)
     expected = [math.ceil(g / c) for c in spacing]
-    if max(expected) > np.iinfo(np.int64).max:
-        with pytest.raises(SolverError, match="int64"):
-            planner._requirement(spacing, g)
-    else:
-        k = planner._requirement(spacing, g)
-        assert k.dtype == np.int64 and k.tolist() == expected
+    k = planner._requirement(spacing, g)
+    assert k.dtype == np.int64 and k.tolist() == expected
+    assert max(expected) <= n_slot
 
 
 def test_brute_force_respects_cap():
@@ -462,18 +467,66 @@ def _instance_of(doc):
     return IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
 
 
-@pytest.mark.parametrize("doc", [
-    toy_doc(), hex_scenario_dict(),
-    hex_scenario_dict(120, 20, system={"N_P": 4})],
-    ids=["toy", "ref_71beam", "120_20_4"])
-def test_greedy_reaches_the_exact_t(doc):
-    """The walk's first integer point below the root LP's own bound has the
-    exact optimum's t here, compared as exact rationals."""
-    inst = _instance_of(doc)
-    heuristic, exact = greedy_plan(inst), solve_illumination(inst)
-    assert heuristic.solver_status == "heuristic"
-    assert (planner._exact_t(inst.v, inst.spacing, heuristic.psi)
-            == planner._exact_t(inst.v, inst.spacing, exact.psi))
+def _workloads():
+    """The benchmark's workloads (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+_WORKLOADS = _workloads()
+
+
+def _seed_1_docs(name):
+    """The scenario documents of a workload's seed-1 list, as the
+    benchmark generates them."""
+    workload = _WORKLOADS[name]
+    return [workload.scenario(workload.scenario_seed(1, k))
+            for k in range(workload.scenarios)]
+
+
+@pytest.mark.parametrize("docs", [
+    lambda: [toy_doc()], lambda: [hex_scenario_dict()],
+    lambda: [hex_scenario_dict(120, 20, system={"N_P": 4})],
+    *(functools.partial(_seed_1_docs, name) for name in _WORKLOADS)],
+    ids=["toy", "ref_71beam", "120_20_4", *_WORKLOADS])
+def test_greedy_reaches_the_exact_t(docs):
+    """Greedy is the exact walk without the refinement: on every scenario
+    its t is the exact optimum's, compared as exact rationals."""
+    for doc in docs():
+        inst = _instance_of(doc)
+        heuristic, exact = greedy_plan(inst), solve_illumination(inst)
+        assert heuristic.solver_status == "heuristic"
+        assert (planner._exact_t(inst.v, inst.spacing, heuristic.psi)
+                == planner._exact_t(inst.v, inst.spacing, exact.psi))
+
+
+def test_greedy_reaches_the_exact_t_below_a_low_root_bound(monkeypatch,
+                                                           ref_instance):
+    """A root LP bound that round-off left just below the optimum t* does
+    not stop greedy below t*: its walk starts at the widened bound, as the
+    exact one does, whose plan does not change."""
+    inst, exact = ref_instance, solve_illumination(ref_instance)
+    t_star = planner._exact_t(inst.v, inst.spacing, exact.psi)
+    monkeypatch.setattr(planner, "_root_lp",
+                        lambda *args: t_star * (1 - Fraction(1, 10**9)))
+    heuristic = greedy_plan(inst)
+    assert planner._exact_t(inst.v, inst.spacing, heuristic.psi) == t_star
+    assert solve_illumination(inst).psi.tolist() == exact.psi.tolist()
+
+
+def test_walk_is_capped_at_n_slot_times_the_smallest_spacing(monkeypatch):
+    """A root LP bound far above every plan changes no plan: the walk
+    starts at n_slot * s_min, where every requirement count is at most
+    n_slot, and the exact plan is still the brute-force one."""
+    monkeypatch.setattr(planner, "_root_lp", lambda *args: Fraction(10**30))
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        inst = random_integer_instance(rng)
+        assert (solve_illumination(inst).psi.tolist()
+                == brute_force_plan(inst).psi.tolist())
 
 
 def test_lp_bound_scales_with_the_demands():
