@@ -6,8 +6,10 @@ For every scenario in a workload's fixed seed-1 list (see
 check does (``perfbench/checks.py``) and counts the ``solve_bounded_lp``
 calls, and their pivots, made inside ``solve_illumination``, in total and
 per phase: the root LP, the threshold walk and the lexicographic
-refinement. It also splits the pivots between the dual and the primal
-simplex loop, counts the dual loop's stall perturbations (``_perturbed``
+refinement. It also counts the chain's LPs (every LP after the root LP)
+that end without a pivot, decided by their restart basis alone, and how
+many of those are infeasible, splits the pivots between the dual and the
+primal simplex loop, counts the dual loop's stall perturbations (``_perturbed``
 calls) and drift shifts (``_absorb_drift`` calls that shift the cost),
 counts the refinement's feasibility probes (one ``_branch_and_bound``
 search each) by outcome, counts the exchange's work (``_exchange_down``
@@ -39,13 +41,15 @@ PHASES = ("root LP", "threshold walk", "refinement")
 
 def solver_work(workload) -> dict:
     """Work of ``solve_illumination`` over the workload's seed-1
-    scenarios: [LPs, pivots] per phase, pivots per simplex loop, the dual
+    scenarios: [LPs, pivots] per phase, the chain LPs without a pivot
+    (all, and infeasible ones), pivots per simplex loop, the dual
     loop's stall perturbations and drift shifts, refinement probes by
     outcome, the exchange's work, and the psi digests of the exact and
     the greedy plans. The phase changes
     when ``_root_lp`` returns and when ``_lex_smallest_optimal`` is
     called."""
     work = {phase: [0, 0] for phase in PHASES}
+    unpivoted = {"all": 0, "infeasible": 0}  # chain LPs without a pivot
     loops = {"dual": 0, "primal": 0}
     shifts = {"perturbations": 0, "drift shifts": 0}
     probes = {"feasible": 0, "infeasible": 0}
@@ -64,6 +68,9 @@ def solver_work(workload) -> dict:
         result = originals[planner, "solve_bounded_lp"](*args, **kwargs)
         work[phase][0] += 1
         work[phase][1] += result.pivots
+        if phase != PHASES[0] and result.pivots == 0:
+            unpivoted["all"] += 1
+            unpivoted["infeasible"] += result.status == simplex.INFEASIBLE
         return result
 
     def walk_after_root(*args, **kwargs):
@@ -139,7 +146,8 @@ def solver_work(workload) -> dict:
         digest.update(plan.psi.astype(np.int64).tobytes())
         greedy = planner.greedy_plan(inst)
         greedy_digest.update(greedy.psi.astype(np.int64).tobytes())
-    return {"phases": work, "loops": loops, "shifts": shifts,
+    return {"phases": work, "unpivoted": unpivoted, "loops": loops,
+            "shifts": shifts,
             "probes": probes, "exchange": exchange,
             "digest": digest.hexdigest()[:12],
             "greedy digest": greedy_digest.hexdigest()[:12]}
@@ -154,10 +162,12 @@ def main() -> None:
         phases = ", ".join(f"{phase} {n} / {p}"
                            for phase, (n, p) in work.items())
         loops, probes = result["loops"], result["probes"]
-        shifts = result["shifts"]
+        shifts, unpivoted = result["shifts"], result["unpivoted"]
         ex = result["exchange"]
         print(f"{name} seed 1: {workload.scenarios} scenarios, {lps} LPs, "
-              f"{pivots} pivots (LPs / pivots: {phases}); pivots: dual "
+              f"{pivots} pivots (LPs / pivots: {phases}); chain LPs without "
+              f"a pivot: {unpivoted['all']} ({unpivoted['infeasible']} "
+              f"infeasible); pivots: dual "
               f"{loops['dual']}, primal {loops['primal']}; dual loop: "
               f"{shifts['perturbations']} stall perturbations, "
               f"{shifts['drift shifts']} drift shifts; refinement "

@@ -6,7 +6,8 @@ files are written with sorted keys and repr'd floats so identical invocations
 produce byte-identical artifacts. Exit codes: 0 ok, 2 parse/validate,
 3 infeasible, 4 resource cap (including the simplex iteration limit), 5 I/O,
 6 solver failure (singular simplex basis, an unbounded LP, a start basis
-that is not primal feasible, or an LP point outside its node's box).
+that is not primal feasible, or an LP point outside its node's box by
+more than the simplex's feasibility tolerance).
 
 Subcommands read their inputs from a ``Pipeline`` of lazily built stages.
 ``run`` keeps one, the most recent, keyed by the scenario file's bytes, the

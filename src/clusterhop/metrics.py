@@ -67,7 +67,7 @@ def score(per_beam_offered_bps: np.ndarray, scenario: Scenario,
     unmet = math.fsum((-gap[gap < 0]).tolist())
     unused = math.fsum(gap[gap > 0].tolist())
 
-    cluster_offered = cluster_sums(offered, scenario.clusters)
+    cluster_offered = cluster_sums(offered, scenario.cluster_blocks)
     cluster_demand, _ = aggregate_and_scale_demands(scenario)
     with np.errstate(divide="ignore"):
         ratios = np.where(cluster_demand > 0,

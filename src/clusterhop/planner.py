@@ -9,23 +9,27 @@ The supply is the paper's snapshot supply, which ``IlpInstance`` checks: row
 j of l is p_j times a 0/1 row V_j (a snapshot's slot gives p_j to each
 cluster it lights). Any other row is a ValidationError, and an n_slot above
 ``N_SLOT_CAP`` is a CapExceededError, whichever solver runs. The instance
-carries the demanded rows' V, as a bool mask, and exact spacings s_j =
-p_j / m_j (p_j = 1 in outage); an n_slot * s_j beyond float range is a
-ValidationError. Every solver runs in one frame (``_framed``): no snapshot
-is an InfeasibleError, and without a demanded cluster, where the ratio is
-undefined, the plan spreads the slots uniformly (t = inf, 'heuristic').
+carries the demanded rows' V, as a bool mask, and the exact spacings s_j
+= p_j / m_j (p_j = 1 in outage) as integers in one unit: s_j = W_j / L,
+with L the lcm of their reduced denominators; an n_slot * s_j beyond
+float range is a ValidationError. Every solver runs in one frame
+(``_framed``): no snapshot is an InfeasibleError, and without a demanded
+cluster, where the ratio is undefined, the plan spreads the slots
+uniformly (t = inf, 'heuristic').
 
 ``solve_illumination`` solves it exactly, on integers. Every achievable
-objective is a multiple of some s_j, and a threshold g is the integer
-requirement V psi >= k with k_j = ceil(g / s_j). Every LP reads the rows V,
-never the demands' scale. The root LP, the only one with an objective,
+objective is a multiple of some s_j, and a threshold g, held as the
+integer G = g * L = K * W_j, is the integer requirement V psi >= k with
+k_j = ceil(g / s_j) = ceil(G / W_j), one floor division; only the root
+LP's bound is a Fraction. Every LP reads the rows V, never the demands'
+scale. The root LP, the only one with an objective,
 bounds t = tau * s_min (s_min the smallest s_j, so 0 <= tau <= n_slot);
 tau is the last column of the one LP matrix a solve builds. Every LP after
 it is a feasibility LP (no objective) over the requirement itself, rows V
 and right-hand side k, read from that matrix without its tau column, and
 run by one search: depth-first LP branch-and-bound that stops at the
-first integer point. The walk (``_walk``) takes the thresholds downward in
-exact rational order from min(t_lp * (1 + 1e-7), n_slot * s_min), the root
+first integer point. The walk (``_walk``) takes the thresholds downward,
+merged as ints, from min(t_lp * (1 + 1e-7), n_slot * s_min), the root
 LP's bound t_lp widened for round-off and a bound on every plan (a cluster
 is lit in at most n_slot slots), so every k_j is at most n_slot. It stops
 at the first with an integer point, above the trivial witness (every slot
@@ -40,11 +44,13 @@ u = 0; u = w_i - 2, w_i - 4, ... down from the witness; then bisection of
 the gap left. Every point found is exchanged down again. The LPs are solved
 by the in-repo bounded-variable simplex. The root LP and the chain of
 requirement LPs both start at the trivial witness's basis, and every LP of
-the chain after the first restarts from the basis of the LP before it. A
-point is accepted only by the integer test, and an LP point outside its
-node's bounds is a SolverError. ``greedy_plan`` is the exact solve stopped
-before the refinement: the walk's point, with the optimal t but counts that
-need not be the lexicographically smallest. Clusters with zero demand are
+the chain after the first restarts from the basis of the LP before it;
+many are decided by that basis alone, at the cost of its basic values. An
+LP point is read clipped to its node's bounds, which the simplex meets up
+to its feasibility tolerance (a point further out is a SolverError), and
+a point is accepted only by the integer test. ``greedy_plan`` is the exact solve stopped before the
+refinement: the walk's point, with the optimal t but counts that need not
+be the lexicographically smallest. Clusters with zero demand are
 excluded from the objective; they still receive whatever supply the chosen
 snapshots give them.
 """
@@ -60,7 +66,7 @@ import numpy as np
 
 from .errors import (CapExceededError, InfeasibleError, SolverError,
                      ValidationError)
-from .simplex import OPTIMAL, solve_bounded_lp, start
+from .simplex import OPTIMAL, feasibility_tolerance, solve_bounded_lp, start
 
 STATUS_OPTIMAL = "optimal"
 STATUS_HEURISTIC = "heuristic"
@@ -78,7 +84,10 @@ class IlpInstance:
     # Set once by the check below; v and spacing hold the demanded rows only
     demanded: np.ndarray = field(init=False, repr=False)  # (N_C,) m > 0
     v: np.ndarray = field(init=False, repr=False)  # V_j, bool rows
-    spacing: tuple = field(init=False, repr=False)  # Fraction p_j / m_j
+    # p_j / m_j = spacing[j] / unit exactly, in ints: unit is the lcm of
+    # the reduced denominators of the p_j / m_j
+    spacing: tuple = field(init=False, repr=False)
+    unit: int = field(init=False, repr=False)
 
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
@@ -109,16 +118,29 @@ class IlpInstance:
             j = int(np.flatnonzero(demanded)[beyond.argmax()])
             raise ValidationError(f"cluster {j}: N_slot times its supply per "
                                   "slot over its demand is beyond float range")
-        spacing = tuple(Fraction(pj) / Fraction(mj)
-                        for pj, mj in zip(p.tolist(), m_dem.tolist()))
+        spacing, unit = _integer_spacing(p.tolist(), m_dem.tolist())
         for name, value in (("l", l), ("m", m), ("demanded", demanded),
                             ("v", nonzero[demanded]),
-                            ("spacing", spacing)):
+                            ("spacing", spacing), ("unit", unit)):
             object.__setattr__(self, name, value)
 
     @property
     def n_snapshots(self) -> int:
         return self.l.shape[1]
+
+
+def _integer_spacing(p, m):
+    """The exact ratios p_j / m_j of positive floats as integers in one
+    unit: (w, unit) with p_j / m_j = w_j / unit, where unit is the lcm of
+    the ratios' reduced denominators."""
+    ratios = []  # (numerator, denominator), reduced
+    for pj, mj in zip(p, m):
+        a, b = pj.as_integer_ratio()
+        c, d = mj.as_integer_ratio()
+        g = math.gcd(a * d, b * c)
+        ratios.append((a * d // g, b * c // g))
+    unit = math.lcm(*(q for _, q in ratios))
+    return tuple(n * (unit // q) for n, q in ratios), unit
 
 
 @dataclass(frozen=True)
@@ -165,30 +187,31 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
 
 def _requirement_rows(v: np.ndarray, spacing) -> np.ndarray:
     """The one LP matrix of a solve, read-only: the equality rows
-    [[V, -I, -s_min / s], [1, 0, 0]] over (psi, surplus per demanded row,
-    tau), where s_j = ``spacing[j]`` and s_min the smallest. The root LP
-    reads all of it; every requirement LP of the exact solve's chain reads
-    the view without the tau column, the -1/0/1 matrix over the integer
-    rows V."""
+    [[V, -I, -w_min / w], [1, 0, 0]] over (psi, surplus per demanded row,
+    tau), where w_j = ``spacing[j]`` (integers, see ``IlpInstance``) and
+    w_min the smallest; each -w_min / w_j is the correctly rounded
+    quotient of the two ints. The root LP reads all of it; every
+    requirement LP of the exact solve's chain reads the view without the
+    tau column, the -1/0/1 matrix over the integer rows V."""
     n_dem, n_ss = v.shape
-    s_min = min(spacing)
+    w_min = min(spacing)
     rows = np.zeros((n_dem + 1, n_ss + n_dem + 1))
     rows[:n_dem, :n_ss] = v
     rows[:n_dem, n_ss:-1] = -np.eye(n_dem)
-    rows[:n_dem, -1] = [-float(s_min / s) for s in spacing]
+    rows[:n_dem, -1] = [-(w_min / w) for w in spacing]
     rows[n_dem, :n_ss] = 1.0
     rows.flags.writeable = False
     return rows
 
 
 def _root_lp(rows: np.ndarray, spacing, n_slot: int) -> Fraction:
-    """The root LP's optimum t_lp = tau * s_min, an upper bound on the
-    integer optimum: max tau s.t. V_j psi >= (s_min / s_j) tau for each
-    demanded row j, sum(psi) = n_slot, 0 <= psi <= n_slot, over ``rows =
-    _requirement_rows(v, spacing)``, so 0 <= tau <= n_slot at any demand
-    scale. The primal loop starts at the trivial witness's basis (each
-    surplus column, and the last snapshot for the budget row): tau = 0 and
-    every slot on the last snapshot."""
+    """The root LP's optimum t_lp = tau * w_min, in the unit of
+    ``spacing``, an upper bound on the integer optimum: max tau s.t. V_j
+    psi >= (w_min / w_j) tau for each demanded row j, sum(psi) = n_slot, 0
+    <= psi <= n_slot, over ``rows = _requirement_rows(v, spacing)``, so 0
+    <= tau <= n_slot at any demand scale. The primal loop starts at the
+    trivial witness's basis (each surplus column, and the last snapshot
+    for the budget row): tau = 0 and every slot on the last snapshot."""
     n_dem, n_var = rows.shape[0] - 1, rows.shape[1]
     n_ss = n_var - n_dem - 1
     rhs = np.append(np.zeros(n_dem), float(n_slot))
@@ -203,99 +226,109 @@ def _root_lp(rows: np.ndarray, spacing, n_slot: int) -> Fraction:
 
 
 def _fractional_index(psi: np.ndarray):
-    """Index of the entry farthest from an integer, or None if integral."""
-    frac = psi - np.floor(psi)
-    dist = np.minimum(frac, 1.0 - frac)
+    """Index of the entry of a nonnegative ``psi`` farthest from an
+    integer (the first of equals), or None if every entry is within
+    ``_INT_TOL`` of one."""
+    dist = np.abs(psi - np.rint(psi))
     i = int(dist.argmax())
-    if dist[i] <= _INT_TOL:
+    if dist.item(i) <= _INT_TOL:
         return None
     return i
 
 
 # ---------------------------------------------------------------------------
-# Integer thresholds
+# Integer thresholds, in the unit of ``IlpInstance.spacing``
 
 def _covered(v, psi) -> np.ndarray:
     """V psi over psi's support: ``v @ psi`` would copy all of V to int64."""
-    support = np.flatnonzero(psi)
+    support = psi.nonzero()[0]
     return v[:, support] @ psi[support]
 
 
-def _exact_t(v, spacing, psi) -> Fraction:
-    """Exact objective of an integer count vector: cluster j is offered
-    (V_j psi) * spacing_j times its demand."""
-    return min(int(k) * c for k, c in zip(_covered(v, psi), spacing))
+def _exact_t(v, spacing, psi) -> int:
+    """Exact objective of an integer count vector, times the unit: cluster
+    j is offered (V_j psi) * spacing_j / unit times its demand."""
+    return min(k * w for k, w in zip(_covered(v, psi).tolist(), spacing))
 
 
-def _thresholds(spacing, lo: Fraction, hi: Fraction):
-    """The achievable objective values g with lo < g <= hi, in descending
-    exact order, each once. Every achieved objective is K * spacing_j for a
-    cluster j and an integer K; the values are generated lazily."""
-    rows = [map(c.__mul__, range(hi // c, lo // c, -1)) for c in spacing]
+def _thresholds(spacing, lo: int, hi: int):
+    """The achievable objective values g with lo < g <= hi, times the
+    unit, in descending order, each once. Every achieved objective is K *
+    spacing_j for a cluster j and an integer K; the values are generated
+    lazily."""
+    rows = [range(hi // w * w, lo // w * w, -w) for w in spacing]
     return (g for g, _ in itertools.groupby(heapq.merge(*rows, reverse=True)))
 
 
-def _requirement(spacing, g):
-    """Integer requirement k_j = ceil(g / spacing_j) of threshold g, meaning
-    V psi >= k, the requirement LPs' right-hand side: -(-a d // (b c)) for
-    g = a / b and spacing_j = c / d. The walk's thresholds lie in [0,
-    n_slot * min(spacing)], where every k_j is at most n_slot."""
-    a, b = g.numerator, g.denominator
-    return np.array([-(-a * c.denominator // (b * c.numerator))
-                     for c in spacing], dtype=np.int64)
+def _requirement(spacing, g: int, n_slot: int) -> np.ndarray:
+    """The requirement LPs' right-hand side [k, n_slot] of threshold g
+    (times the unit), as floats: k_j = ceil(g / spacing_j), meaning V psi
+    >= k. The walk's thresholds lie in [0, n_slot * min(spacing)], where
+    every k_j is at most n_slot."""
+    return np.array([-(-g // w) for w in spacing] + [n_slot], dtype=float)
+
+
+def _bounds(n_ss: int, n_dem: int, n_slot: int):
+    """The requirement LPs' bounds before any branching: psi in [0,
+    n_slot], each surplus column in [0, inf)."""
+    upper = np.full(n_ss + n_dem, np.inf)
+    upper[:n_ss] = n_slot
+    return np.zeros(n_ss + n_dem), upper
 
 
 # ---------------------------------------------------------------------------
 # Exact integer search
 
-def _branch_and_bound(rows, v, k, n_slot, lb, ub, warm):
+def _branch_and_bound(rows, v, rhs, lower, upper, warm):
     """The first count vector found with v @ psi >= k, sum(psi) = n_slot
-    and lb <= psi <= ub, or None when there is none, and the restart point
-    of the last LP solved.
+    and psi within its box, or None when there is none, and the restart
+    point of the last LP solved.
 
     Depth-first LP branch-and-bound, down-branch first, over feasibility
     LPs. Each LP is the same requirement relaxed to real psi, with no
     objective: ``rows`` (``_requirement_rows`` without the tau column),
-    right-hand side [k, n_slot], and bounds psi's box and the surplus
-    columns' [0, inf), all built once per search; a child copies its
-    parent's bounds and changes one. The first LP restarts from ``warm``
-    and every child from its parent's basis. A point is accepted only by
-    the integer test.
+    right-hand side ``rhs`` = [k, n_slot], and bounds ``lower``,
+    ``upper`` (psi's box, then the surplus columns' [0, inf)), none written
+    to: a child copies its parent's bounds and changes one, and carries
+    their box sums. The first LP restarts from ``warm`` and every child
+    from its parent's basis. An LP point is read clipped to its node's
+    box, and a point outside it by more than the simplex's feasibility
+    tolerance is a SolverError. A point is accepted only by the integer
+    test.
     """
-    n_ss, n_dem = len(lb), len(k)
-    rhs = np.append(k, n_slot).astype(float)
-    stack = [(np.concatenate([lb, np.zeros(n_dem)]),
-              np.concatenate([ub, np.full(n_dem, np.inf)]), warm)]
+    n_ss = v.shape[1]
+    k, n_slot = rhs[:-1], rhs.item(-1)
+    tol = feasibility_tolerance(rhs)
+    stack = [(lower, upper, lower[:n_ss].sum(), upper[:n_ss].sum(), warm)]
     while stack:
-        lower, upper, parent = stack.pop()
-        nlb, nub = lower[:n_ss], upper[:n_ss]
-        if nlb.sum() > n_slot or nub.sum() < n_slot:
+        lower, upper, lb_sum, ub_sum, parent = stack.pop()
+        if lb_sum > n_slot or ub_sum < n_slot:
             continue
         res = solve_bounded_lp(None, rows, rhs, lower, upper, warm=parent)
         warm = res.warm
         if res.status != OPTIMAL:
             continue
         psi_lp = res.x[:n_ss]
-        branch = _fractional_index(psi_lp)
+        psi = np.minimum(np.maximum(psi_lp, lower[:n_ss]), upper[:n_ss])
+        moved = np.abs(psi - psi_lp)
+        if moved.item(moved.argmax()) > tol:
+            raise SolverError("an LP point lies outside its node's box; the "
+                              "LP is too ill-conditioned to solve")
+        branch = _fractional_index(psi)
         if branch is None:
-            psi_int = np.rint(psi_lp).astype(int)
-            if ((psi_int < nlb) | (psi_int > nub)).any():
-                raise SolverError("a rounded LP point lies outside its node's "
-                                  "box; the LP is too ill-conditioned to solve")
+            psi_int = np.rint(psi).astype(int)
             if psi_int.sum() == n_slot and (_covered(v, psi_int) >= k).all():
                 return psi_int, warm
             continue
-        if not nlb[branch] < psi_lp[branch] < nub[branch]:
-            raise SolverError("the LP point's branching coordinate lies outside "
-                              "its node's box; the LP is too ill-conditioned "
-                              "to solve")
-        floor_val = math.floor(psi_lp[branch])
+        floor_val = math.floor(psi.item(branch))
         ub_down = upper.copy()
         ub_down[branch] = floor_val
         lb_up = lower.copy()
         lb_up[branch] = floor_val + 1
-        stack.append((lb_up, upper, warm))    # explored second
-        stack.append((lower, ub_down, warm))  # explored first
+        stack.append((lb_up, upper, lb_sum + lb_up.item(branch)
+                      - lower.item(branch), ub_sum, warm))  # explored second
+        stack.append((lower, ub_down, lb_sum, ub_sum + floor_val
+                      - upper.item(branch), warm))  # explored first
     return None, warm
 
 
@@ -311,16 +344,16 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
 
 def _exact_counts(instance: IlpInstance) -> np.ndarray:
     rows, psi, t, warm = _walk(instance)
-    k = _requirement(instance.spacing, t)
-    return _lex_smallest_optimal(rows, instance.v, k, psi, instance.n_slot,
-                                 warm)
+    rhs = _requirement(instance.spacing, t, instance.n_slot)
+    return _lex_smallest_optimal(rows, instance.v, rhs, psi, warm)
 
 
 def _walk(instance: IlpInstance):
     """Walk the thresholds above the trivial witness downward from
-    min(t_lp * (1 + _INT_TOL), n_slot * s_min) and stop at the first with
-    an integer point: (requirement rows, that point or the witness, its
-    exact t, the last restart point). Both bounds hold for every plan, the
+    min(t_lp * (1 + _INT_TOL), n_slot * w_min), all in the unit of
+    ``instance.spacing``, and stop at the first with an integer point:
+    (requirement rows, that point or the witness, its exact t times the
+    unit, the last restart point). Both bounds hold for every plan, the
     first up to simplex round-off, so the point's t is the optimum."""
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
     v, spacing = instance.v, instance.spacing
@@ -338,21 +371,23 @@ def _walk(instance: IlpInstance):
     # column, and the last snapshot for the budget row ([[-I, V_last],
     # [0, 1]] is nonsingular). Each LP restarts from the last LP's basis.
     warm = start(rows, np.append(np.arange(n_ss, n_ss + len(v)), n_ss - 1))
-    lb0 = np.zeros(n_ss)
-    ub0 = np.full(n_ss, float(n_slot))
-    top = min(t_lp * Fraction(1 + _INT_TOL), n_slot * min(spacing))
+    lower, upper = _bounds(n_ss, len(v), n_slot)
+    top = min(math.floor(t_lp * Fraction(1 + _INT_TOL)),
+              n_slot * min(spacing))
     for g in _thresholds(spacing, best_t, top):
-        psi_g, warm = _branch_and_bound(rows, v, _requirement(spacing, g),
-                                        n_slot, lb0, ub0, warm)
+        psi_g, warm = _branch_and_bound(rows, v,
+                                        _requirement(spacing, g, n_slot),
+                                        lower, upper, warm)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
     return rows, best_psi, best_t, warm
 
 
-def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
-    """Among count vectors meeting v @ psi >= k, the optimum's requirement,
-    the lexicographically smallest.
+def _lex_smallest_optimal(rows, v, rhs, witness, warm):
+    """Among count vectors meeting the optimum's requirement, right-hand
+    side ``rhs`` = [k, n_slot] (v @ psi >= k, sum(psi) = n_slot), the
+    lexicographically smallest.
 
     Fixes psi_0, psi_1, ... in turn to the smallest value that still admits
     an integer completion meeting the requirement. The incumbent 'witness'
@@ -365,20 +400,21 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
     infeasible; then bisection of the gap that is left. Each point found
     becomes the witness and is exchanged down again. Feasibility is
     monotone in u, so the search ends on the smallest value. Each search
-    restarts from the basis of the LP solved before it, ``warm`` at first.
+    restarts from the basis of the LP solved before it, ``warm`` at first,
+    and gets bounds of its own, copied from the fixed prefix's.
     """
     witness = np.asarray(witness, dtype=int).copy()
     n_ss = len(witness)
-    lb = np.zeros(n_ss)
-    ub = np.full(n_ss, float(n_slot))
+    lower, upper = _bounds(n_ss, len(v), rhs.item(-1))
     masks, index, sizes = _column_masks(v)
 
     def lowered(i, u):
         """Whether psi_i <= u is feasible; a point found becomes the
         witness, exchanged down at i."""
         nonlocal warm
+        ub = upper.copy()
         ub[i] = u
-        psi, warm = _branch_and_bound(rows, v, k, n_slot, lb, ub, warm)
+        psi, warm = _branch_and_bound(rows, v, rhs, lower.copy(), ub, warm)
         if psi is None:
             return False
         witness[:] = psi
@@ -404,7 +440,7 @@ def _lex_smallest_optimal(rows, v, k, witness, n_slot, warm):
             u = (lo + witness[i]) // 2
             if not lowered(i, u):
                 lo = u
-        lb[i] = ub[i] = float(witness[i])
+        lower[i] = upper[i] = float(witness[i])
     return witness
 
 
@@ -507,7 +543,7 @@ def lp_relaxation_bound(instance: IlpInstance) -> float:
     if not _prologue(instance):
         return math.inf
     return float(_root_lp(_requirement_rows(instance.v, instance.spacing),
-                          instance.spacing, instance.n_slot))
+                          instance.spacing, instance.n_slot) / instance.unit)
 
 
 # ---------------------------------------------------------------------------

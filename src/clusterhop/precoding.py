@@ -192,7 +192,7 @@ def cluster_capacities(
     supplies p, from one MMSE precoder per cluster."""
     snir_lin, se, r = beam_links(scenario, channels, table)
     with np.errstate(over="ignore"):
-        c = cluster_sums(r, scenario.clusters)
+        c = cluster_sums(r, scenario.cluster_blocks)
     if not np.isfinite(c).all():  # an infinite r makes its cluster's c inf
         raise ValidationError(
             f"system: B_W_Hz = {scenario.system.b_w_hz!r} puts the capacity "

@@ -48,6 +48,7 @@ class Scenario:
     demands: np.ndarray  # (N_B,) bps
     distances: np.ndarray  # (N_B, N_B) see ``center_distances``
     beam_adjacency: np.ndarray  # (N_B, N_B) 0/1, see ``beam_adjacency``
+    cluster_blocks: tuple  # the clusters by size, see ``cluster_blocks``
 
     @property
     def n_beams(self) -> int:
@@ -120,8 +121,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     centers, demands = _parse_beams(doc["beams"])
     clusters = _parse_clusters(doc["clusters"], len(demands))
+    blocks = cluster_blocks(clusters)
     system = _parse_system(doc["system"])
-    _check_window_demand(system, demands, clusters)
+    _check_window_demand(system, demands, blocks)
 
     distances = center_distances(centers)  # also read by the channel model
     badj = beam_adjacency(distances)  # also read by both benchmark schemes
@@ -145,6 +147,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         demands=demands,
         distances=distances,
         beam_adjacency=badj,
+        cluster_blocks=blocks,
     )
 
 
@@ -259,12 +262,12 @@ def _parse_system(raw) -> SystemConfig:
     return cfg
 
 
-def _check_window_demand(system: SystemConfig, demands, clusters) -> None:
+def _check_window_demand(system: SystemConfig, demands, blocks) -> None:
     """Each cluster's demand d and window demand N_slot * T_slot_s * d must
     be floats; the per-slot supply T_slot_s * c is checked once c is
     known (``precoding.cluster_capacities``)."""
     with np.errstate(over="ignore"):
-        d = cluster_sums(demands, clusters)
+        d = cluster_sums(demands, blocks)
     if not np.isfinite(d).all():
         raise ValidationError(f"cluster {int(np.isinf(d).argmax())}: its beam "
                               "demands sum beyond floating-point range")
@@ -326,14 +329,30 @@ def derive_adjacency(badj: np.ndarray, clusters) -> np.ndarray:
     return a
 
 
-def cluster_sums(x: np.ndarray, clusters) -> np.ndarray:
-    """Per-cluster sums of a per-beam vector."""
-    return np.array([x[list(ms)].sum() for ms in clusters], dtype=float)
+def cluster_blocks(clusters) -> tuple:
+    """The clusters grouped by size, for ``cluster_sums``: per size, the
+    clusters' indices and their beams as one (clusters x size) block."""
+    by_size = {}
+    for j, members in enumerate(clusters):
+        by_size.setdefault(len(members), []).append(j)
+    return tuple((np.array(js), np.array([clusters[j] for j in js]))
+                 for js in by_size.values())
+
+
+def cluster_sums(x: np.ndarray, blocks) -> np.ndarray:
+    """Per-cluster sums of a per-beam vector, over ``cluster_blocks``: each
+    block's rows are summed at once, bit for bit as ``x[beams].sum()``
+    sums one cluster's beams (numpy sums a row of a C-contiguous block in
+    the same pairwise order)."""
+    sums = np.empty(sum(js.size for js, _ in blocks))
+    for js, beams in blocks:
+        sums[js] = x[beams].sum(axis=1)
+    return sums
 
 
 def aggregate_and_scale_demands(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster demand d (bps) and window demand m = T_H * d (bits)."""
-    d = cluster_sums(scenario.demands, scenario.clusters)
+    d = cluster_sums(scenario.demands, scenario.cluster_blocks)
     m = scenario.system.hopping_window_s * d
     return d, m
 

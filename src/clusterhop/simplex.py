@@ -23,9 +23,9 @@ floating-point operations.
 An LP without a cost is a feasibility LP: every LP after the root LP.
 Boxed nonbasic columns whose reduced cost points the other way move to
 their other bound, and a bounded dual simplex under the restart cost
-pivots until every basic value is within its bounds
-(OPTIMAL, with that point) or a violated row that no movable column can
-repair proves the LP INFEASIBLE. Either way the result carries the restart
+pivots until every basic value is within its bounds, up to
+``feasibility_tolerance(b)`` (OPTIMAL, with that point), or a violated row
+that no movable column can repair proves the LP INFEASIBLE. Either way the result carries the restart
 point for the next LP. Its cost is zero after a feasible LP, and after an
 infeasible one the cost the dual loop ended on, under which the final
 basis is still dual feasible. The dual loop's leaving row is the violated
@@ -58,13 +58,18 @@ final point of each loop is read, the inverse is recomputed from the basis
 columns so that rounding error from the updates cannot build up, and a dual
 loop that proves infeasibility inverts its final basis too; an inverse that
 is already a fresh inversion of the final basis (no basis change since) is
-kept, since inverting again gives the same bits. So every feasibility LP
-ends on a fresh inversion of its final basis, and the restart point carries
-it (``start`` inverts its basis). A solve starts from a copy of that
-inverse, bit for bit what inverting the same columns of the same matrix
-again would give, so the restart takes exactly the pivots of one that
-inverts its basis itself. Pivot rows, the entering column and the primal
-loop's prices come from the inverse. The basic values ``x_B``, and the
+kept, since inverting again gives the same bits, and the dual loop then
+reads the point from the basic values it computed from that inverse. So
+every feasibility LP ends on a fresh inversion of its final basis, and the
+restart point carries it (``start`` inverts its basis). A solve starts
+from that inverse, bit for bit what inverting the same columns of the same
+matrix again would give, so the restart takes exactly the pivots of one
+that inverts its basis itself. A restart point is never written to: a
+solve copies its arrays at the first pivot, and a feasibility LP that
+nothing moved returns it as its own. So an LP that its restart basis
+decides (feasible at once, or infeasible at the first leaving row) costs
+its basic values and that one test. Pivot rows, the entering column and the primal loop's prices come
+from the inverse. The basic values ``x_B``, and the
 dual loop's reduced costs, are carried from pivot to pivot instead
 (Koberstein 2005, ch. 3; Chvatal, *Linear Programming*, 1983, ch. 8): each
 step moves ``x_B`` along the entering column and puts the entering value in
@@ -140,37 +145,69 @@ def _inverse(columns):
             "ill-conditioned to solve") from exc
 
 
+def feasibility_tolerance(b) -> float:
+    """How far a point's basic values may lie outside their bounds when
+    the loops accept it: ``_TOL`` times the largest |b_i|, at least
+    ``_TOL``. A caller that reads an LP point against its bounds uses the
+    same margin."""
+    size = np.abs(b)
+    return _TOL * max(1.0, size.item(size.argmax()))
+
+
 class _Lp:
-    def __init__(self, a, b, lower, upper):
+    def __init__(self, a, b, lower, upper, warm):
         self.a, self.b, self.lower, self.upper = a, b, lower, upper
         self.m, self.n = a.shape
+        self.warm = warm
+        # the restart point's arrays until the first pivot copies them
+        self.basis, self.at_upper, self.binv = (warm.basis, warm.at_upper,
+                                                warm.binv)
+        self.shared = True
         self.pivots = 0
         self.since_refactor = 0  # basis changes since binv was inverted
+        self.x = None  # the point, once a loop ends on a feasible basis
 
-    def _refactor(self, basis):
-        self.binv = _inverse(self.a[:, basis])
+    def _own(self):
+        """Copy the restart point's arrays before a pivot writes to them."""
+        if self.shared:
+            self.basis = self.basis.copy()
+            self.at_upper = self.at_upper.copy()
+            self.binv = self.binv.copy()
+            self.shared = False
+
+    def _refactor(self):
+        self.binv = _inverse(self.a[:, self.basis])
         self.since_refactor = 0
 
-    def _basic_values(self, basis, at_upper):
+    def _basic_values(self):
         """Nonbasic values at their bounds and the implied basic values."""
-        x = np.where(at_upper, self.upper, self.lower)
-        x[basis] = 0.0
+        x = np.where(self.at_upper, self.upper, self.lower)
+        x[self.basis] = 0.0
         return x, self.binv @ (self.b - self.a @ x)
 
-    def _reduced_costs(self, cost, basis):
-        return cost - (cost[basis] @ self.binv) @ self.a
+    def _reduced_costs(self, cost):
+        return cost - (cost[self.basis] @ self.binv) @ self.a
+
+    def _direction(self):
+        """+1 at each movable nonbasic column at its lower bound, -1 at one
+        at its upper bound, and 0 at basic and fixed columns."""
+        direction = np.where(self.at_upper, -1.0, 1.0) * (
+            self.upper - self.lower > _TOL)
+        direction[self.basis] = 0.0
+        return direction
 
     def _pivot(self, basis, at_upper, leave_pos, enter, leave_to_upper, w):
         """Swap column ``enter`` (with ``w = B^-1 a_enter``) into basis
-        position ``leave_pos`` and update the basis inverse. Returns whether
-        the inverse was recomputed from scratch."""
+        position ``leave_pos`` and update the basis inverse; ``basis`` and
+        ``at_upper`` are the LP's own (``_own``). Returns whether the
+        inverse was recomputed from scratch."""
         leaving = basis[leave_pos]
         basis[leave_pos] = enter
         at_upper[enter] = False
         at_upper[leaving] = leave_to_upper
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_INTERVAL:
-            self._refactor(basis)
+            self._refactor()
             return True
         # product-form update: B_new^-1 = E @ B^-1
         pivot_row = self.binv[leave_pos] / w[leave_pos]
@@ -178,27 +215,28 @@ class _Lp:
         self.binv[leave_pos] = pivot_row
         return False
 
-    def _iterate(self, cost, basis, at_upper):
-        """Run the primal simplex loop to an optimum under ``cost``; mutates
-        basis/at_upper and the basis inverse. A start that is not primal
-        feasible and an unbounded ray are SolverErrors."""
+    def _iterate(self, cost):
+        """Run the primal simplex loop to an optimum under ``cost`` and
+        read the point. A start that is not primal feasible and an
+        unbounded ray are SolverErrors."""
         tol = _TOL
         upper = self.upper.tolist()
         lower = self.lower.tolist()
-        _, xb = self._basic_values(basis, at_upper)
-        feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
-        if ((xb < self.lower[basis] - feas_tol)
-                | (xb > self.upper[basis] + feas_tol)).any():
+        _, xb = self._basic_values()
+        feas_tol = feasibility_tolerance(self.b)
+        if ((xb < self.lower[self.basis] - feas_tol)
+                | (xb > self.upper[self.basis] + feas_tol)).any():
             raise SolverError("the start basis is not primal feasible")
         for _ in range(_ITERATION_LIMIT):
-            reduced = self._reduced_costs(cost, basis)
+            reduced = self._reduced_costs(cost)
             # gain = |reduced| on the columns that may improve the objective
-            gain = np.where(at_upper, reduced, -reduced)
-            gain[basis] = 0.0
+            gain = np.where(self.at_upper, reduced, -reduced)
+            gain[self.basis] = 0.0
             enter = int(np.argmax(gain))  # the first largest gain
             if not gain[enter] > tol:
+                self._read_point()
                 return
-            direction = -1.0 if at_upper[enter] else 1.0
+            direction = -1.0 if self.at_upper[enter] else 1.0
 
             w = self.binv @ self.a[:, enter]
             step = upper[enter] - lower[enter]  # own-bound flip limit
@@ -206,7 +244,7 @@ class _Lp:
             leave_to_upper = False
             coeffs = (-direction * w).tolist()
             xb_list = xb.tolist()
-            basis_list = basis.tolist()
+            basis_list = self.basis.tolist()
             for i in range(self.m):
                 coeff = coeffs[i]
                 var = basis_list[i]
@@ -229,6 +267,8 @@ class _Lp:
             if not math.isfinite(step):
                 raise SolverError(
                     "the LP is unbounded, which no planner LP can be")
+            self._own()
+            at_upper = self.at_upper
             self.pivots += 1
             xb -= (direction * step) * w
             if leave_pos < 0:
@@ -236,12 +276,20 @@ class _Lp:
                 continue
             xb[leave_pos] = (upper[enter] - step if at_upper[enter]
                              else lower[enter] + step)
-            if self._pivot(basis, at_upper, leave_pos, enter, leave_to_upper,
-                           w):
-                _, xb = self._basic_values(basis, at_upper)
+            if self._pivot(self.basis, at_upper, leave_pos, enter,
+                           leave_to_upper, w):
+                _, xb = self._basic_values()
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one loop)")
+
+    def _read_point(self):
+        """The point, read from a fresh inversion of the final basis."""
+        if self.since_refactor:
+            self._refactor()
+        x, xb = self._basic_values()
+        x[self.basis] = xb
+        self.x = x
 
     def _perturbed(self, cost, direction):
         """``cost`` with each movable nonbasic column's entry shifted toward
@@ -258,44 +306,52 @@ class _Lp:
         reduced cost, which is set to zero in place, so the basis stays
         dual feasible under the cost returned."""
         wrong = direction * reduced < 0.0
-        if not wrong.any():
+        if not np.count_nonzero(wrong):
             return cost
         cost = np.where(wrong, cost - reduced, cost)
         reduced[wrong] = 0.0
         return cost
 
-    def _dual_iterate(self, cost, reduced, direction, basis, at_upper):
+    def _dual_iterate(self, cost, reduced, direction):
         """Run the bounded dual simplex loop under ``cost``. ``direction``
-        (updated in place) is +1 at each movable nonbasic column at its
-        lower bound, -1 at one at its upper bound, and 0 at basic and fixed
-        columns, which never enter; the reduced costs ``reduced`` (updated
-        in place) must not have the opposite sign anywhere.
-        Pivots until every basic value lies within its bounds (OPTIMAL) or a
-        violated row cannot be repaired (INFEASIBLE); returns the status and
-        the cost under which the final basis is dual feasible: ``cost``
-        with the drift of the carried reduced costs absorbed.
+        (updated in place) is ``_direction()``, whose basic and fixed
+        columns (0) never enter; the reduced costs ``reduced`` (updated in
+        place) must not have the opposite sign anywhere. Under a zero cost
+        both may be None, built once a violated row needs them.
+        Pivots until every basic value lies within its bounds (OPTIMAL,
+        with the point in ``x``) or a violated row cannot be repaired
+        (INFEASIBLE); returns the status and the cost under which the
+        final basis is dual feasible: ``cost`` with the drift of the
+        carried reduced costs absorbed.
 
         Under a zero restart cost every reduced cost is zero and the
         loop can stall on zero-length dual steps. After ``_PERTURB_AFTER``
         such steps in a row the cost is perturbed, once (any cost under
         which the basis is dual feasible serves)."""
         tol = _TOL
-        feas_tol = tol * max(1.0, float(np.abs(self.b).max()))
+        feas_tol = feasibility_tolerance(self.b)
         degenerate_run = 0
         perturbed = False
         zero = not np.count_nonzero(cost)  # every reduced cost and ratio is 0
         a, n, lower, upper = self.a, self.n, self.lower, self.upper
-        _, xb = self._basic_values(basis, at_upper)
-        lower_b, upper_b = lower[basis], upper[basis]  # basic columns', by row
+        x, xb = self._basic_values()
+        lower_b, upper_b = lower[self.basis], upper[self.basis]  # by row
         for _ in range(_ITERATION_LIMIT):
             above = xb - upper_b
             violation = np.maximum(lower_b - xb, above)
             rows = (violation > feas_tol).nonzero()[0]
             if rows.size == 0:
+                if self.since_refactor:  # the point, from a fresh inverse
+                    self._read_point()
+                else:  # inverting again would give the same bits
+                    x[self.basis] = xb
+                    self.x = x
                 return OPTIMAL, cost
+            if direction is None:
+                direction, reduced = self._direction(), np.zeros(n)
             if degenerate_run == _PERTURB_AFTER and not perturbed:
                 cost = self._perturbed(cost, direction)
-                reduced = self._reduced_costs(cost, basis)
+                reduced = self._reduced_costs(cost)
                 cost = self._absorb_drift(cost, reduced, direction)
                 perturbed, zero = True, False
             binv = self.binv
@@ -323,6 +379,8 @@ class _Lp:
                 step = ratios.min()
                 enter = eligible.item((ratios <= step + tol).argmax())
             pivot = alpha.item(enter - lo)
+            self._own()
+            basis, at_upper = self.basis, self.at_upper
             self.pivots += 1
             degenerate_run = degenerate_run + 1 if step <= tol else 0
             # The pivot element comes from the priced row, which passed the
@@ -345,60 +403,52 @@ class _Lp:
             lower_b[leave_pos] = lower[enter]
             upper_b[leave_pos] = upper[enter]
             if self._pivot(basis, at_upper, leave_pos, enter, sigma > 0, w):
-                _, xb = self._basic_values(basis, at_upper)
+                x, xb = self._basic_values()
                 if not zero:
-                    reduced = self._reduced_costs(cost, basis)
+                    reduced = self._reduced_costs(cost)
                     cost = self._absorb_drift(cost, reduced, direction)
         raise CapExceededError(
             f"simplex iteration limit reached ({_ITERATION_LIMIT} pivots in "
             "one loop)")
 
-    def _final_values(self, basis, at_upper):
-        if self.since_refactor:
-            self._refactor(basis)
-        x, xb = self._basic_values(basis, at_upper)
-        x[basis] = xb
-        return x
-
-    def solve(self, warm: WarmStart, c):
-        """Restart from ``warm``. With a cost ``c``, run the primal loop
-        under it from the basis, which must be primal feasible. Without
-        one, make the basis dual feasible by moving boxed columns to the
-        other bound, then run the dual simplex under the warm cost until
-        the basis is primal feasible for this LP's bounds and right-hand
-        side, or proves it infeasible."""
-        basis = warm.basis.copy()
-        at_upper = warm.at_upper.copy()
-        self.binv = warm.binv.copy()
+    def solve(self, c):
+        """With a cost ``c``, run the primal loop under it from the restart
+        basis, which must be primal feasible. Without one, make the basis
+        dual feasible by moving boxed columns to the other bound, then run
+        the dual simplex under the warm cost until the basis is primal
+        feasible for this LP's bounds and right-hand side, or proves it
+        infeasible. A feasibility LP that neither a pivot nor a change of
+        cost or bound sides moved returns its restart point itself."""
         if c is not None:
-            self._iterate(c, basis, at_upper)
-            return LpResult(OPTIMAL, self._final_values(basis, at_upper),
-                            self.pivots, None)
-        direction = np.where(at_upper, -1.0, 1.0) * (
-            self.upper - self.lower > _TOL)
-        direction[basis] = 0.0
+            self._iterate(c)
+            return LpResult(OPTIMAL, self.x, self.pivots, None)
+        warm = self.warm
         cost = warm.cost
+        direction = reduced = None  # under a zero cost, built when needed
         if np.count_nonzero(cost):
-            reduced = self._reduced_costs(cost, basis)
+            direction = self._direction()
+            reduced = self._reduced_costs(cost)
             wrong = direction * reduced < -_TOL
-            at_upper[wrong] = ~at_upper[wrong]
-            direction[wrong] = -direction[wrong]
+            if np.count_nonzero(wrong):
+                self.at_upper = self.at_upper ^ wrong
+                direction[wrong] = -direction[wrong]
             cost = self._absorb_drift(cost, reduced, direction)
-        else:  # a zero cost leaves every basis dual feasible
-            reduced = np.zeros(self.n)
-        if not np.isfinite(self.upper[at_upper]).all():
+        at_bound = self.upper[self.at_upper]
+        if np.count_nonzero(np.isfinite(at_bound)) < at_bound.size:
             raise SolverError(
                 "warm start is not dual feasible: a column without an upper "
                 "bound has a reduced cost of the wrong sign")
-        status, cost = self._dual_iterate(cost, reduced, direction, basis,
-                                          at_upper)
-        x = None
-        if status == OPTIMAL:  # every basis is dual feasible at zero cost
-            x, cost = self._final_values(basis, at_upper), np.zeros(self.n)
+        status, cost = self._dual_iterate(cost, reduced, direction)
+        if status == OPTIMAL:
+            if np.count_nonzero(cost):  # every basis is dual feasible at 0
+                cost = np.zeros(self.n)
         elif self.since_refactor:  # the restart point gets a fresh inverse
-            self._refactor(basis)
-        return LpResult(status, x, self.pivots,
-                        WarmStart(self.a, basis, at_upper, cost, self.binv))
+            self._refactor()
+        if (not self.shared or self.at_upper is not warm.at_upper
+                or cost is not warm.cost):
+            warm = WarmStart(self.a, self.basis, self.at_upper, cost,
+                             self.binv)
+        return LpResult(status, self.x, self.pivots, warm)
 
 
 def solve_bounded_lp(c, a, b, lower, upper, warm: WarmStart) -> LpResult:
@@ -423,11 +473,11 @@ def solve_bounded_lp(c, a, b, lower, upper, warm: WarmStart) -> LpResult:
     """
     a, b, lower, upper = (np.asarray(v, dtype=float)
                           for v in (a, b, lower, upper))
-    if not np.isfinite(lower).all():
+    if np.count_nonzero(np.isfinite(lower)) < lower.size:
         raise ValueError("lower bounds must be finite")
-    if (upper < lower - _TOL).any():
+    if np.count_nonzero(upper < lower - _TOL):
         raise ValueError("upper bound below lower bound")
     if warm.a is not a and not np.array_equal(warm.a, a):
         raise ValueError("a warm start needs the LP's own matrix")
-    return _Lp(a, b, lower, upper).solve(
-        warm, None if c is None else np.asarray(c, dtype=float))
+    return _Lp(a, b, lower, upper, warm).solve(
+        None if c is None else np.asarray(c, dtype=float))

@@ -1,5 +1,11 @@
+import heapq
+import importlib.util
+import itertools
 import json
 import math
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +64,26 @@ def toy_doc(n_slot=8, n_p=2, adjacency="path", demands=None):
         doc["adjacency"] = [[0 if i == j else 1 for j in range(4)]
                             for i in range(4)]
     return doc
+
+
+def _benchmark_workloads():
+    """The benchmark's workloads (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+def seed_1_docs(name):
+    """The scenario documents of a workload's seed-1 list, as the
+    benchmark generates them."""
+    workload = WORKLOADS[name]
+    return [workload.scenario(workload.scenario_seed(1, k))
+            for k in range(workload.scenarios)]
 
 
 @pytest.fixture()
@@ -128,8 +154,6 @@ def random_snapshot_supply(rng, n_c: int, n_ss: int) -> np.ndarray:
 
 def brute_force_valid_snapshots(adjacency: np.ndarray, n_p: int) -> list[tuple]:
     """Independent oracle: test every size-n_p combination directly."""
-    import itertools
-
     n_c = adjacency.shape[0]
     out = []
     for combo in itertools.combinations(range(n_c), n_p):
@@ -191,3 +215,37 @@ def identity_precoder(h: np.ndarray, config, n_beams: int) -> np.ndarray:
     """No-precoding baseline: sqrt(P) * I, every feed at exactly P."""
     p = config.p_t_w / n_beams
     return np.sqrt(p) * np.eye(h.shape[0], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# The threshold walk's arithmetic in Fractions: the reference that the
+# planner's integers in one unit must match
+
+def fraction_spacing(p, m) -> list:
+    """The exact spacings p_j / m_j of floats, as Fractions."""
+    return [Fraction(pj) / Fraction(mj) for pj, mj in zip(p, m)]
+
+
+def fraction_thresholds(spacing, lo, hi) -> list:
+    """Every K * spacing_j with lo < K * spacing_j <= hi, descending, each
+    once."""
+    rows = [map(c.__mul__, range(hi // c, lo // c, -1)) for c in spacing]
+    return [g for g, _ in itertools.groupby(heapq.merge(*rows,
+                                                        reverse=True))]
+
+
+def fraction_requirement(spacing, g) -> list:
+    """k_j = ceil(g / spacing_j)."""
+    return [math.ceil(g / c) for c in spacing]
+
+
+def fraction_exact_t(v, spacing, psi) -> Fraction:
+    """min_j (V_j psi) * spacing_j, with V psi summed in Python ints."""
+    return min(sum(int(k) for k, lit in zip(psi, row) if lit) * c
+               for row, c in zip(v.tolist(), spacing))
+
+
+def fraction_tau_column(spacing) -> list:
+    """The root LP's tau column: -float(s_min / s_j)."""
+    s_min = min(spacing)
+    return [-float(s_min / c) for c in spacing]

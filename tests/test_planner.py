@@ -1,26 +1,27 @@
+import dataclasses
 import functools
-import importlib.util
 import itertools
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from clusterhop import channel, planner, precoding
+from clusterhop import channel, planner, precoding, simplex
 from clusterhop.errors import (CapExceededError, InfeasibleError,
-                               ValidationError)
+                               SolverError, ValidationError)
 from clusterhop.planner import (IlpInstance, expand_schedule, greedy_plan,
                                 lp_relaxation_bound, solve_illumination)
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import build_snapshot_set
 
-from conftest import brute_force_plan, random_snapshot_supply, toy_doc
+from conftest import (WORKLOADS, brute_force_plan, fraction_exact_t,
+                      fraction_requirement, fraction_spacing,
+                      fraction_tau_column, fraction_thresholds,
+                      random_snapshot_supply, seed_1_docs, toy_doc)
 
 
 def exact_min_ratio(instance, psi):
@@ -392,14 +393,70 @@ _positive_fractions = st.fractions(min_value=Fraction(1, 10**30),
 @example([Fraction(3, 7), Fraction(5, 2)], 7, Fraction(5, 14))
 @settings(max_examples=300, deadline=None)
 def test_integer_requirement_is_the_fraction_ceiling(spacing, n_slot, share):
-    """k_j = ceil(g / spacing_j), as Fractions compute it, on the walk's
+    """k_j = ceil(g / spacing_j), as Fractions compute it, from the
+    spacings and a threshold as integers in one unit, on the walk's
     thresholds 0 <= g <= n_slot * min(spacing), where every k_j is at most
-    n_slot."""
-    g = share * n_slot * min(spacing)
-    expected = [math.ceil(g / c) for c in spacing]
-    k = planner._requirement(spacing, g)
-    assert k.dtype == np.int64 and k.tolist() == expected
+    n_slot; the right-hand side ends with n_slot."""
+    unit = math.lcm(*(c.denominator for c in spacing))
+    w = [int(c * unit) for c in spacing]
+    g = math.floor(share * n_slot * min(spacing) * unit)
+    expected = [math.ceil(Fraction(g, unit) / c) for c in spacing]
+    rhs = planner._requirement(w, g, n_slot)
+    assert rhs.dtype == float and rhs.tolist() == expected + [n_slot]
     assert max(expected) <= n_slot
+
+
+_magnitudes = st.one_of(
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299)),
+    st.sampled_from([5e-324, 1e-320, 2.5e-310, 2.2250738585072009e-308]))
+
+
+@given(st.lists(st.tuples(_magnitudes, _magnitudes, st.booleans()),
+                min_size=1, max_size=4),
+       st.integers(1, 12), st.randoms(use_true_random=False))
+@seed(34)
+@settings(max_examples=150, deadline=None)
+def test_integer_spacings_walk_as_fractions_do(rows, n_slot, rnd):
+    """The planner's spacings, integers in one unit, give what Fractions
+    give: the spacings themselves, the threshold sequence of the walk's
+    whole range, each threshold's requirement, the order of exact
+    objectives, the tau column's bits and the LP bound's float. Supplies
+    and demands span 1e-300 to 1e300, subnormal supplies among them, and a
+    cluster in outage (no supply) has p_j = 1."""
+    p = [1.0 if out else pj for pj, _, out in rows]
+    m = [mj for _, mj, _ in rows]
+    assume(all(math.isfinite(n_slot * pj / mj) for pj, mj in zip(p, m)))
+    n_ss = 4
+    v = np.array([[rnd.random() < 0.6 for _ in range(n_ss)] for _ in rows])
+    v[:, -1] = True  # the witness column lights every cluster
+    l = np.where(v, np.array([[0.0 if out else pj] for pj, _, out in rows]),
+                 0.0)
+    inst = IlpInstance(l=l, m=np.array(m), n_slot=n_slot)
+    spacing = fraction_spacing(p, m)
+    unit = inst.unit
+    assert [Fraction(w, unit) for w in inst.spacing] == spacing
+
+    expected = fraction_thresholds(spacing, Fraction(0),
+                                   n_slot * min(spacing))
+    got = list(planner._thresholds(inst.spacing, 0,
+                                   n_slot * min(inst.spacing)))
+    assert [Fraction(g, unit) for g in got] == expected
+    for g, g_frac in zip(got, expected):
+        assert (planner._requirement(inst.spacing, g, n_slot)[:-1].tolist()
+                == fraction_requirement(spacing, g_frac))
+
+    counts = [np.array([rnd.randrange(n_slot + 1) for _ in range(n_ss)])
+              for _ in range(6)]
+    exact = [planner._exact_t(inst.v, inst.spacing, psi) for psi in counts]
+    reference = [fraction_exact_t(inst.v, spacing, psi) for psi in counts]
+    assert [Fraction(t, unit) for t in exact] == reference
+
+    rows_lp = planner._requirement_rows(inst.v, inst.spacing)
+    assert (rows_lp[:-1, -1].tobytes()
+            == np.array(fraction_tau_column(spacing)).tobytes())
+    tau = planner._root_lp(rows_lp, inst.spacing, n_slot) / min(inst.spacing)
+    assert lp_relaxation_bound(inst) == float(tau * min(spacing))
 
 
 def test_brute_force_respects_cap():
@@ -467,31 +524,11 @@ def _instance_of(doc):
     return IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
 
 
-def _workloads():
-    """The benchmark's workloads (``perfbench/workloads.py``)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-_WORKLOADS = _workloads()
-
-
-def _seed_1_docs(name):
-    """The scenario documents of a workload's seed-1 list, as the
-    benchmark generates them."""
-    workload = _WORKLOADS[name]
-    return [workload.scenario(workload.scenario_seed(1, k))
-            for k in range(workload.scenarios)]
-
-
 @pytest.mark.parametrize("docs", [
     lambda: [toy_doc()], lambda: [hex_scenario_dict()],
     lambda: [hex_scenario_dict(120, 20, system={"N_P": 4})],
-    *(functools.partial(_seed_1_docs, name) for name in _WORKLOADS)],
-    ids=["toy", "ref_71beam", "120_20_4", *_WORKLOADS])
+    *(functools.partial(seed_1_docs, name) for name in WORKLOADS)],
+    ids=["toy", "ref_71beam", "120_20_4", *WORKLOADS])
 def test_greedy_reaches_the_exact_t(docs):
     """Greedy is the exact walk without the refinement: on every scenario
     its t is the exact optimum's, compared as exact rationals."""
@@ -515,6 +552,41 @@ def test_greedy_reaches_the_exact_t_below_a_low_root_bound(monkeypatch,
     heuristic = greedy_plan(inst)
     assert planner._exact_t(inst.v, inst.spacing, heuristic.psi) == t_star
     assert solve_illumination(inst).psi.tolist() == exact.psi.tolist()
+
+
+def _raised_at_upper_bound(monkeypatch, margin):
+    """Patch the planner's LPs: in every feasible requirement LP's point,
+    the first count at its upper bound lies ``margin`` above it."""
+    def raised(c, a, b, lower, upper, warm=None):
+        res = simplex.solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        if c is None and res.x is not None:
+            n_ss = a.shape[1] - a.shape[0] + 1
+            at_upper = np.flatnonzero(res.x[:n_ss] == upper[:n_ss])
+            if at_upper.size:
+                x = res.x.copy()
+                x[at_upper[0]] += margin
+                res = dataclasses.replace(res, x=x)
+        return res
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", raised)
+
+
+def test_lp_point_within_the_simplex_tolerance_is_read_in_its_box(
+        monkeypatch):
+    """At N_slot 256 the simplex accepts basic values up to 2.56e-7
+    outside their bounds, more than the integer test's 1e-7. A count
+    2e-7 above its upper bound is read at the bound, and the search finds
+    the brute-force point (it used to branch on that count and fail);
+    3e-7 above, beyond the simplex's tolerance, is a SolverError."""
+    inst = IlpInstance(l=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                       m=np.array([3.0, 1.0]), n_slot=256)
+    assert simplex.feasibility_tolerance([256.0]) == pytest.approx(2.56e-7)
+    _raised_at_upper_bound(monkeypatch, 2e-7)
+    assert (solve_illumination(inst).psi.tolist()
+            == brute_force_plan(inst).psi.tolist() == [0, 256, 0])
+    _raised_at_upper_bound(monkeypatch, 3e-7)
+    with pytest.raises(SolverError, match="outside its node's box"):
+        solve_illumination(inst)
 
 
 def test_walk_is_capped_at_n_slot_times_the_smallest_spacing(monkeypatch):

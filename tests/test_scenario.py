@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhop import channel, precoding
 from clusterhop.cli import main
 from clusterhop.errors import ParseError, ValidationError
 from clusterhop.scenario import (aggregate_and_scale_demands,
                                  beam_adjacency, center_distances,
+                                 cluster_blocks, cluster_sums,
                                  derive_adjacency, load_scenario,
                                  nominal_pitch, scenario_from_dict)
 from clusterhop.scenariogen import hex_scenario_dict
 
-from conftest import toy_doc
+from conftest import WORKLOADS, seed_1_docs, toy_doc
 
 
 def test_reference_scenario_shape(ref_scenario):
@@ -252,6 +254,36 @@ def test_zero_demands_aggregate():
     sc = scenario_from_dict(doc)
     d, m = aggregate_and_scale_demands(sc)
     assert not d.any() and not m.any()
+
+
+def _per_cluster_sums(x, clusters):
+    """The reference: each cluster's beams fancy-indexed and summed."""
+    return np.array([x[list(ms)].sum() for ms in clusters], dtype=float)
+
+
+def test_cluster_sums_are_the_per_cluster_sums_bit_for_bit(dvbs2):
+    """``cluster_sums`` over the clusters grouped by size gives the bits of
+    the per-cluster loop: the demands and the beam rates of every seed-1
+    scenario of the benchmark, and random vectors over random partitions
+    with clusters of 1 to 300 beams, past numpy's 8-element pairwise
+    block."""
+    for name in WORKLOADS:
+        for doc in seed_1_docs(name):
+            scen = scenario_from_dict(doc)
+            caps = precoding.cluster_capacities(
+                scen, channel.build_all_cluster_channels(scen), dvbs2)
+            for x in (scen.demands, caps.r_beam_bps):
+                assert (cluster_sums(x, scen.cluster_blocks).tobytes()
+                        == _per_cluster_sums(x, scen.clusters).tobytes())
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        sizes = rng.integers(1, 301, size=int(rng.integers(1, 9)))
+        beams = rng.permutation(int(sizes.sum()))
+        clusters = tuple(tuple(part.tolist()) for part in
+                         np.split(beams, np.cumsum(sizes)[:-1]))
+        x = rng.random(beams.size) * 10.0 ** rng.uniform(-5, 10, beams.size)
+        assert (cluster_sums(x, cluster_blocks(clusters)).tobytes()
+                == _per_cluster_sums(x, clusters).tobytes())
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=8, max_size=8))

@@ -140,14 +140,17 @@ def test_singular_basis_is_solver_error(monkeypatch):
 def _snapshot_rows(rng, n_dem=None, n_ss=None):
     """Supply rows shaped like the planner's: 0/1 snapshot membership V
     (each snapshot lights 3 clusters) and each row's spacing, from 0.05 to
-    20, with 12 to 15 rows and 65 to 80 columns unless given."""
+    20, as integers in one unit (``IlpInstance.spacing``), with 12 to 15
+    rows and 65 to 80 columns unless given."""
     n_dem = int(rng.integers(12, 16)) if n_dem is None else n_dem
     n_ss = int(rng.integers(65, 81)) if n_ss is None else n_ss
     v = np.zeros((n_dem, n_ss))
     for col in range(n_ss):
         v[rng.choice(n_dem, size=3, replace=False), col] = 1.0
     scale = np.exp(rng.uniform(np.log(0.05), np.log(20), size=n_dem))
-    return v, [Fraction(c) for c in scale.tolist()]
+    spacing = [Fraction(c) for c in scale.tolist()]
+    unit = math.lcm(*(c.denominator for c in spacing))
+    return v, [int(c * unit) for c in spacing]
 
 
 def _requirement(spacing, g):
@@ -399,6 +402,37 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
         assert (again.x is None) == (res.x is None)
         if res.x is not None:
             assert again.x.tobytes() == res.x.tobytes()
+
+
+@pytest.mark.parametrize("doc", [hex_scenario_dict(), _solver_mid_seed_1()],
+                         ids=["ref_71beam", "solver_mid_seed_1"])
+def test_no_restart_point_is_written_to(monkeypatch, doc):
+    """Every restart point of an exact solve, the ones LPs start from and
+    the ones they return, keeps the bytes of each of its arrays after the
+    solve, though no LP copies one before its first pivot; some LPs end
+    without a pivot, and those return the restart point they started
+    from."""
+    seen = {}
+    unpivoted = []
+
+    def record(point):
+        if point is not None and id(point) not in seen:
+            seen[id(point)] = (point, [f.tobytes() for f in
+                                       dataclasses.astuple(point)])
+
+    def recording(c, a, b, lower, upper, warm=None):
+        record(warm)  # before the LP that starts from it
+        res = solve_bounded_lp(c, a, b, lower, upper, warm=warm)
+        record(res.warm)
+        if c is None and res.pivots == 0:
+            unpivoted.append(res.warm is warm)
+        return res
+
+    monkeypatch.setattr(planner, "solve_bounded_lp", recording)
+    planner.solve_illumination(_exact_instance(doc))
+    assert unpivoted and all(unpivoted)
+    for point, before in seen.values():
+        assert [f.tobytes() for f in dataclasses.astuple(point)] == before
 
 
 @pytest.mark.parametrize("doc", [hex_scenario_dict(), _solver_mid_seed_1()],
