@@ -10,7 +10,7 @@ each with one perturbation:
 - ``N_P`` from {1, 2, 4, 5, 6, 12}.
 
 Runs ``clusterhop plan`` on each in its own process, with RuntimeWarnings
-as errors and a ``--timeout`` in seconds, writing only to a temporary
+as errors and a ``TIMEOUT`` of 20 s, writing only to a temporary
 directory. Each written plan is then confirmed independently: the instance
 is rebuilt as ``perfbench/checks.py``'s ``reference`` builds it, and
 ``tests/test_midsize_rungs.py``'s ``check_answer`` confirms with scipy's
@@ -24,9 +24,8 @@ confirmed window, or is refused as invalid (exit 2) or infeasible (exit
 the check refutes breaks it, and the script then exits 1 after the tally.
 CI runs it as a gate; it takes about two minutes:
 
-    python3 scripts/contract_fuzz.py [--timeout 20]
+    python3 scripts/contract_fuzz.py
 """
-import argparse
 import collections
 import json
 import os
@@ -50,6 +49,7 @@ N_SLOTS = (1, 2, 3, 7, 255, 4097, 65537)
 N_PS = (1, 2, 4, 5, 6, 12)
 CONTRACT = ("0", "2", "3")  # the exit codes a case may end with
 REFUTED = "0 (refuted)"  # a plan that check_answer does not confirm
+TIMEOUT = 20.0  # seconds per plan before it is killed
 
 
 def perturbed(doc: dict, rng: random.Random) -> tuple[dict, str]:
@@ -87,7 +87,7 @@ def refutation(doc: dict, plan: dict) -> str:
     return ""
 
 
-def run_plan(scenario: Path, out: Path, timeout: float) -> tuple[str, str]:
+def run_plan(scenario: Path, out: Path) -> tuple[str, str]:
     """``plan`` on ``scenario``: (exit code or 'timeout', detail); a
     written plan that ``check_answer`` refutes is ``REFUTED``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -97,9 +97,9 @@ def run_plan(scenario: Path, out: Path, timeout: float) -> tuple[str, str]:
            "--out", str(out)]
     try:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return "timeout", f"killed after {timeout:g} s"
+        return "timeout", f"killed after {TIMEOUT:g} s"
     if proc.returncode == 0:
         plan = json.loads((out / "plan.json").read_text())
         detail = f"t = {plan['t']:.6g}, {plan['status']}"
@@ -112,12 +112,6 @@ def run_plan(scenario: Path, out: Path, timeout: float) -> tuple[str, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    parser.add_argument("--timeout", type=float, default=20.0,
-                        help="seconds per plan before it is killed")
-    args = parser.parse_args()
-
     base = json.loads((ROOT / "scenarios" / "ref_71beam.json").read_text())
     rng = random.Random(1)
     tally = collections.Counter()
@@ -126,8 +120,7 @@ def main() -> int:
             doc, label = perturbed(base, rng)
             scenario = Path(tmp) / f"case_{case}.json"
             scenario.write_text(json.dumps(doc))
-            code, detail = run_plan(scenario, Path(tmp) / f"out_{case}",
-                                    args.timeout)
+            code, detail = run_plan(scenario, Path(tmp) / f"out_{case}")
             tally[code] += 1
             print(f"case {case:3d}: {label}: exit {code}: {detail}",
                   flush=True)

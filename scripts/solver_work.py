@@ -19,7 +19,8 @@ over each scenario's ``psi.astype(int64).tobytes()``, in list order,
 first 12 hex digits. It also prints the same digest over ``greedy_plan``'s
 psi, run outside the counts. The counts depend only on the code and the
 arithmetic, not on how fast the machine is; the digest depends only on the
-answers. Prints one line per workload:
+answers. ``tests/test_solver_work.py`` pins them through ``solver_work``.
+Prints one line per workload:
 
     python3 scripts/solver_work.py
 """

@@ -6,6 +6,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from clusterhop import channel, precoding
 from clusterhop.errors import CapExceededError
 from clusterhop.planner import (STATUS_OPTIMAL, HoppingPlan, IlpInstance,
                                 _framed, solve_illumination)
-from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
+from clusterhop.scenario import (Scenario, aggregate_and_scale_demands,
+                                 scenario_from_dict)
 from clusterhop.scenariogen import hex_scenario_dict
-from clusterhop.snapshots import build_snapshot_set
+from clusterhop.snapshots import SnapshotSet, build_snapshot_set
 
 
 def toy_doc(n_slot=8, n_p=2, adjacency="path", demands=None):
@@ -66,16 +68,18 @@ def toy_doc(n_slot=8, n_p=2, adjacency="path", demands=None):
     return doc
 
 
-def _benchmark_workloads():
-    """The benchmark's workloads (``perfbench/workloads.py``)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+def load_by_path(relative, name):
+    """The module at ``relative`` in the repository, imported as ``name``."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _benchmark_workloads()
+# the benchmark's workloads
+WORKLOADS = load_by_path("perfbench/workloads.py",
+                         "perfbench_workloads").WORKLOADS
 
 
 def seed_1_docs(name):
@@ -84,6 +88,30 @@ def seed_1_docs(name):
     workload = WORKLOADS[name]
     return [workload.scenario(workload.scenario_seed(1, k))
             for k in range(workload.scenarios)]
+
+
+class PlannerStages(NamedTuple):
+    scenario: Scenario
+    channels: list
+    caps: precoding.CapacityVector
+    snapshots: SnapshotSet
+    instance: IlpInstance
+
+
+def planner_stages(doc, dvbs2=None) -> PlannerStages:
+    """The stages from a scenario document to its planner instance, as the
+    CLI builds them, with the bundled MODCOD table unless ``dvbs2`` is
+    given."""
+    scenario = scenario_from_dict(doc)
+    channels = channel.build_all_cluster_channels(scenario)
+    if dvbs2 is None:
+        dvbs2 = precoding.load_dvbs2_table()
+    caps = precoding.cluster_capacities(scenario, channels, dvbs2)
+    snapshots = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
+                                   caps.p_cluster_bits)
+    _, m = aggregate_and_scale_demands(scenario)
+    instance = IlpInstance(l=snapshots.l, m=m, n_slot=scenario.system.n_slot)
+    return PlannerStages(scenario, channels, caps, snapshots, instance)
 
 
 @pytest.fixture()
@@ -114,25 +142,28 @@ def dvbs2():
 
 
 @pytest.fixture(scope="session")
-def ref_channels(ref_scenario):
-    return channel.build_all_cluster_channels(ref_scenario)
+def ref_stages(ref_doc, dvbs2):
+    return planner_stages(ref_doc, dvbs2)
 
 
 @pytest.fixture(scope="session")
-def ref_caps(ref_scenario, ref_channels, dvbs2):
-    return precoding.cluster_capacities(ref_scenario, ref_channels, dvbs2)
+def ref_channels(ref_stages):
+    return ref_stages.channels
 
 
 @pytest.fixture(scope="session")
-def ref_snapshots(ref_scenario, ref_caps):
-    return build_snapshot_set(ref_scenario.adjacency, ref_scenario.system.n_p,
-                              ref_caps.p_cluster_bits)
+def ref_caps(ref_stages):
+    return ref_stages.caps
 
 
 @pytest.fixture(scope="session")
-def ref_instance(ref_scenario, ref_snapshots):
-    _, m = aggregate_and_scale_demands(ref_scenario)
-    return IlpInstance(l=ref_snapshots.l, m=m, n_slot=ref_scenario.system.n_slot)
+def ref_snapshots(ref_stages):
+    return ref_stages.snapshots
+
+
+@pytest.fixture(scope="session")
+def ref_instance(ref_stages):
+    return ref_stages.instance
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,11 @@ from clusterhop import benchmarks, channel, metrics, precoding
 from clusterhop.planner import IlpInstance, solve_illumination
 from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
-from clusterhop.snapshots import build_snapshot_set, enumerate_valid_snapshots
+from clusterhop.snapshots import enumerate_valid_snapshots
 
 from conftest import (brute_force_plan, brute_force_valid_snapshots,
-                      identity_precoder, random_snapshot_supply)
+                      identity_precoder, planner_stages,
+                      random_snapshot_supply)
 
 
 def _report(criterion, message):
@@ -156,17 +157,12 @@ def test_criterion_07_benchmark_flatness(ref_doc, dvbs2):
         r2 = evaluate(sc2, f2, dvbs2)
         assert r1.tobytes() == r2.tobytes()
 
-    def ch_offered(sc):
-        chans = channel.build_all_cluster_channels(sc)
-        caps = precoding.cluster_capacities(sc, chans, dvbs2)
-        snaps = build_snapshot_set(sc.adjacency, sc.system.n_p,
-                                   caps.p_cluster_bits)
-        _, m = aggregate_and_scale_demands(sc)
-        plan = solve_illumination(IlpInstance(l=snaps.l, m=m,
-                                              n_slot=sc.system.n_slot))
-        return metrics.plan_beam_offered(plan, sc)
+    def ch_offered(doc):
+        stages = planner_stages(doc, dvbs2)
+        plan = solve_illumination(stages.instance)
+        return metrics.plan_beam_offered(plan, stages.scenario)
 
-    assert ch_offered(sc1).tobytes() != ch_offered(sc2).tobytes()
+    assert ch_offered(ref_doc).tobytes() != ch_offered(permuted).tobytes()
     _report(7, "benchmark offered vectors byte-stable under demand "
                "permutation; cluster-hopping vector adapts")
 
@@ -202,14 +198,7 @@ def test_criterion_08_accounting_identity(ref_scenario, ref_plan, ref_field,
 
 def test_criterion_09_end_to_end_scale(ref_plan):
     start = time.perf_counter()
-    sc = scenario_from_dict(hex_scenario_dict())
-    table = precoding.load_dvbs2_table()
-    chans = channel.build_all_cluster_channels(sc)
-    caps = precoding.cluster_capacities(sc, chans, table)
-    snaps = build_snapshot_set(sc.adjacency, sc.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(sc)
-    instance = IlpInstance(l=snaps.l, m=m, n_slot=sc.system.n_slot)
+    sc, _, _, _, instance = planner_stages(hex_scenario_dict())
     plan = solve_illumination(instance)
     elapsed = time.perf_counter() - start
     assert sc.n_beams == 71 and sc.n_clusters == 12

@@ -12,14 +12,13 @@ import pytest
 
 from clusterhop import benchmarks, channel, metrics, precoding
 from clusterhop.errors import ValidationError
-from clusterhop.planner import IlpInstance, solve_illumination
+from clusterhop.planner import solve_illumination
 from clusterhop.precoding import _THRESHOLD_GUARD_DB
-from clusterhop.scenario import (aggregate_and_scale_demands, beam_adjacency,
-                                 center_distances, scenario_from_dict)
+from clusterhop.scenario import (beam_adjacency, center_distances,
+                                 scenario_from_dict)
 from clusterhop.scenariogen import hex_lattice, hex_scenario_dict
-from clusterhop.snapshots import build_snapshot_set
 
-from conftest import toy_doc
+from conftest import planner_stages, toy_doc
 
 
 def _loop_dvbs2(snir_linear, table):
@@ -213,14 +212,9 @@ LAYOUTS = {
 
 @pytest.fixture(scope="module", params=sorted(LAYOUTS))
 def stages(request, dvbs2):
-    scenario = scenario_from_dict(LAYOUTS[request.param]())
-    channels = channel.build_all_cluster_channels(scenario)
-    caps = precoding.cluster_capacities(scenario, channels, dvbs2)
-    snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scenario)
-    plan = solve_illumination(IlpInstance(l=snaps.l, m=m,
-                                          n_slot=scenario.system.n_slot))
+    scenario, channels, _, snaps, instance = planner_stages(
+        LAYOUTS[request.param](), dvbs2)
+    plan = solve_illumination(instance)
     return (request.param, scenario, channels, channel.build_beam_field(scenario),
             snaps, plan)
 

@@ -21,7 +21,7 @@ from clusterhop.cli import main
 from clusterhop.planner import IlpInstance, lp_relaxation_bound
 from clusterhop.scenario import aggregate_and_scale_demands
 
-from conftest import toy_doc
+from conftest import planner_stages, toy_doc
 
 
 def _write(tmp_path, doc, name="scenario.json"):
@@ -630,15 +630,18 @@ def test_window_overflow_is_validate_error(tmp_path, capsys, system,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("solver", ["ilp", "greedy"])
+@pytest.mark.parametrize("solver, n_slot", [
+    ("ilp", 10 ** 6 + 1), ("greedy", 10 ** 6 + 1),
+    ("ilp", 10 ** 8), ("greedy", 10 ** 8),
+], ids=["ilp", "greedy", "ilp-1e8", "greedy-1e8"])
 def test_n_slot_above_the_cap_is_refused_by_every_solver(tmp_path, capsys,
-                                                         solver):
-    path = _reference_with(tmp_path, N_slot=10 ** 6 + 1)
+                                                         solver, n_slot):
+    path = _reference_with(tmp_path, N_slot=n_slot)
     out = tmp_path / "out"
     rc = _run(["plan", "--scenario", path, "--out", out, "--solver", solver])
     err = capsys.readouterr().err
     assert rc == 4
-    assert err.startswith("error: cap-exceeded: N_slot=1000001 is above")
+    assert err.startswith(f"error: cap-exceeded: N_slot={n_slot} is above")
     assert not out.exists()
 
 
@@ -705,17 +708,9 @@ def _confirmed_t(doc, psi):
     """The exact objective of plan.json's ``psi``, after HiGHS LPs confirm
     it as the lexicographically smallest optimal window
     (``test_midsize_rungs.check_answer``)."""
-    from clusterhop.snapshots import build_snapshot_set
     from test_midsize_rungs import check_answer
 
-    scen = scenario.scenario_from_dict(doc)
-    caps = precoding.cluster_capacities(
-        scen, channel.build_all_cluster_channels(scen),
-        precoding.load_dvbs2_table())
-    snaps = build_snapshot_set(scen.adjacency, scen.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scen)
-    inst = IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
+    inst = planner_stages(doc).instance
     counts = np.zeros(inst.n_snapshots, dtype=np.int64)
     for index, count in psi.items():
         counts[int(index)] = count
@@ -866,8 +861,7 @@ def test_greedy_plans_extreme_inputs(tmp_path, reference_plan_json, case):
     """The heuristic plans each extreme input within seconds. At N_slot = 7
     the exact solver's t bounds the heuristic's, and with every demand
     times 1e9, where the root LP's bound was 0.0 while it read l / m, the
-    heuristic reaches the exact t, the factor-1 t / 1e9 that CI's "Top of
-    the demand-scale range" checks."""
+    heuristic reaches the exact t, the factor-1 t / 1e9."""
     path = _write(tmp_path, _extreme_reference(case))
     out = tmp_path / "out"
     began = time.perf_counter()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from clusterhop import metrics
 from clusterhop.scenario import scenario_from_dict
 
-from conftest import toy_doc
+from conftest import planner_stages, toy_doc
 
 
 def test_redistribute_equal_demands():
@@ -164,10 +164,7 @@ def test_uniform_symmetric_ratios_within_quantum():
     ratios differ by at most one slot's supply quantum (here: not at all)."""
     import math
 
-    from clusterhop import channel, precoding
-    from clusterhop.planner import IlpInstance, solve_illumination
-    from clusterhop.scenario import aggregate_and_scale_demands
-    from clusterhop.snapshots import build_snapshot_set
+    from clusterhop.planner import solve_illumination
 
     n = 12
     radius = 0.3 / math.sin(math.pi / n)
@@ -185,18 +182,14 @@ def test_uniform_symmetric_ratios_within_quantum():
     del doc["adjacency"]
     doc["system"]["N_P"] = 3
     doc["system"]["N_slot"] = 256
-    sc = scenario_from_dict(doc)
+    sc, _, caps, _, instance = planner_stages(doc)
     # ring adjacency from geometry
     a = sc.adjacency
     assert all(a[k, (k + 1) % n] == 1 for k in range(n))
     assert a.sum() == 2 * n
 
-    table = precoding.load_dvbs2_table()
-    chans = channel.build_all_cluster_channels(sc)
-    caps = precoding.cluster_capacities(sc, chans, table)
-    _, m = aggregate_and_scale_demands(sc)
-    snaps = build_snapshot_set(sc.adjacency, 3, caps.p_cluster_bits)
-    plan = solve_illumination(IlpInstance(l=snaps.l, m=m, n_slot=256))
+    m = instance.m
+    plan = solve_illumination(instance)
     ratios = plan.s / m
     quantum = (caps.p_cluster_bits / m).max()
     assert ratios.max() - ratios.min() <= quantum + 1e-12

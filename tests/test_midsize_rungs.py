@@ -17,23 +17,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clusterhop import channel, precoding
-from clusterhop.planner import IlpInstance, solve_illumination
-from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
+from clusterhop import precoding
+from clusterhop.planner import solve_illumination
 from clusterhop.scenariogen import hex_scenario_dict
-from clusterhop.snapshots import build_snapshot_set
+
+from conftest import planner_stages
+
+MILP_SECONDS = 60.0  # milp's time limit per LP-feasible support position
 
 
 def _rung(n_beams, n_clusters, n_p, dvbs2):
-    """The rung's snapshot set and its planner instance."""
-    scenario = scenario_from_dict(
-        hex_scenario_dict(n_beams, n_clusters, system={"N_P": n_p}))
-    caps = precoding.cluster_capacities(
-        scenario, channel.build_all_cluster_channels(scenario), dvbs2)
-    snaps = build_snapshot_set(scenario.adjacency, n_p, caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scenario)
-    instance = IlpInstance(l=snaps.l, m=m, n_slot=scenario.system.n_slot)
-    return snaps, caps.p_cluster_bits, instance
+    """The rung's snapshot set, its supplies per slot and its planner
+    instance."""
+    stages = planner_stages(
+        hex_scenario_dict(n_beams, n_clusters, system={"N_P": n_p}), dvbs2)
+    return stages.snapshots, stages.caps.p_cluster_bits, stages.instance
 
 
 @functools.cache
@@ -44,7 +42,7 @@ def _solved(n_beams, n_clusters, n_p):
     return instance, solve_illumination(instance)
 
 
-def check_answer(instance, psi, milp_seconds=60.0):
+def check_answer(instance, psi):
     """Confirm ``psi`` as the instance's lexicographically smallest max-min
     optimal window with scipy's HiGHS, from the integer data alone: a
     demanded row of ``l`` is p_j times a 0/1 row V_j, and the threshold g
@@ -56,7 +54,7 @@ def check_answer(instance, psi, milp_seconds=60.0):
     - At each support position i, k(t) is LP-infeasible with psi fixed
       before i and x_i <= psi_i - 1, so no optimal window is
       lexicographically smaller. An LP-feasible position is decided by
-      ``milp`` within ``milp_seconds``.
+      ``milp`` within ``MILP_SECONDS``.
 
     A demanded cluster in outage (a zero row) takes p_j = 1, as in the
     planner: nothing offers it a slot, so t = 0, and the smallest window
@@ -115,7 +113,7 @@ def check_answer(instance, psi, milp_seconds=60.0):
                 constraints=[opt.LinearConstraint(v, k, np.inf),
                              opt.LinearConstraint(np.ones((1, n_ss)), n_slot,
                                                   n_slot)],
-                options={"time_limit": milp_seconds})
+                options={"time_limit": MILP_SECONDS})
             assert res.status != 0, (
                 f"a window lexicographically smaller than psi at position {i} "
                 f"reaches t = {float(t)}")

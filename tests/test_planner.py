@@ -9,19 +9,18 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from clusterhop import channel, planner, precoding, simplex
+from clusterhop import planner, simplex
 from clusterhop.errors import (CapExceededError, InfeasibleError,
                                SolverError, ValidationError)
 from clusterhop.planner import (IlpInstance, expand_schedule, greedy_plan,
                                 lp_relaxation_bound, solve_illumination)
-from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
-from clusterhop.snapshots import build_snapshot_set
 
 from conftest import (WORKLOADS, brute_force_plan, fraction_exact_t,
                       fraction_requirement, fraction_spacing,
                       fraction_tau_column, fraction_thresholds,
-                      random_snapshot_supply, seed_1_docs, toy_doc)
+                      planner_stages, random_snapshot_supply, seed_1_docs,
+                      toy_doc)
 
 
 def exact_min_ratio(instance, psi):
@@ -511,19 +510,6 @@ def test_sandwich_lp_ilp_greedy():
         assert t_ilp <= t_lp + 1e-9
 
 
-def _instance_of(doc):
-    """The planner's instance for a scenario document, as the CLI builds
-    it."""
-    scen = scenario_from_dict(doc)
-    caps = precoding.cluster_capacities(
-        scen, channel.build_all_cluster_channels(scen),
-        precoding.load_dvbs2_table())
-    snaps = build_snapshot_set(scen.adjacency, scen.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scen)
-    return IlpInstance(l=snaps.l, m=m, n_slot=scen.system.n_slot)
-
-
 @pytest.mark.parametrize("docs", [
     lambda: [toy_doc()], lambda: [hex_scenario_dict()],
     lambda: [hex_scenario_dict(120, 20, system={"N_P": 4})],
@@ -533,7 +519,7 @@ def test_greedy_reaches_the_exact_t(docs):
     """Greedy is the exact walk without the refinement: on every scenario
     its t is the exact optimum's, compared as exact rationals."""
     for doc in docs():
-        inst = _instance_of(doc)
+        inst = planner_stages(doc).instance
         heuristic, exact = greedy_plan(inst), solve_illumination(inst)
         assert heuristic.solver_status == "heuristic"
         assert (planner._exact_t(inst.v, inst.spacing, heuristic.psi)
@@ -605,7 +591,7 @@ def test_lp_bound_scales_with_the_demands():
     """The root LP reads the 0/1 rows and the spacings' ratios, not their
     scale: every demand times f divides the bound by f, for f from 1e-12
     to 1e12 (the LP's bound was 0.0 from f = 1e9 while it read l / m)."""
-    inst = _instance_of(hex_scenario_dict())
+    inst = planner_stages(hex_scenario_dict()).instance
     bound = lp_relaxation_bound(inst)
     assert bound > 0
     for f in 10.0 ** np.arange(-12, 13):

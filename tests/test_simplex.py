@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clusterhop import channel, planner, precoding, simplex
+from clusterhop import planner, simplex
 from clusterhop.errors import CapExceededError, SolverError
-from clusterhop.scenario import aggregate_and_scale_demands, scenario_from_dict
 from clusterhop.scenariogen import heterogeneous_demands, hex_scenario_dict
 from clusterhop.simplex import INFEASIBLE, OPTIMAL, solve_bounded_lp, start
-from clusterhop.snapshots import build_snapshot_set
+
+from conftest import planner_stages
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -348,19 +348,6 @@ def test_warm_start_without_dual_feasible_basis_is_solver_error():
         solve_bounded_lp(None, a, [3.0], [0.0, 0.0], [2.0, np.inf], warm=warm)
 
 
-def _exact_instance(doc):
-    """The planner's instance for a scenario document, as the CLI builds
-    it."""
-    scenario = scenario_from_dict(doc)
-    caps = precoding.cluster_capacities(
-        scenario, channel.build_all_cluster_channels(scenario),
-        precoding.load_dvbs2_table())
-    snaps = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                               caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scenario)
-    return planner.IlpInstance(l=snaps.l, m=m, n_slot=scenario.system.n_slot)
-
-
 def _solver_mid_seed_1():
     """The first scenario of the benchmark's seed-1 ``solver_mid`` list:
     76 beams, 13 clusters, N_P = 3, heterogeneous demands."""
@@ -385,7 +372,7 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    planner.solve_illumination(_exact_instance(doc))
+    planner.solve_illumination(planner_stages(doc).instance)
     warm_lps = [lp for lp in captured if lp[1] is not None]
     assert len(warm_lps) > 10
     carried = [warm.binv is not None for _, warm, _ in warm_lps]
@@ -429,7 +416,7 @@ def test_no_restart_point_is_written_to(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    planner.solve_illumination(_exact_instance(doc))
+    planner.solve_illumination(planner_stages(doc).instance)
     assert unpivoted and all(unpivoted)
     for point, before in seen.values():
         assert [f.tobytes() for f in dataclasses.astuple(point)] == before
@@ -451,7 +438,7 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    instance = _exact_instance(doc)
+    instance = planner_stages(doc).instance
     planner.solve_illumination(instance)
     n_dem, n_ss = instance.v.shape
     assert [c is not None for c, *_ in captured] == (
@@ -548,7 +535,8 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
         stalls.append(1)
         return perturbed(self, *args)
 
-    instance = _exact_instance(hex_scenario_dict(120, 20, system={"N_P": 4}))
+    instance = planner_stages(
+        hex_scenario_dict(120, 20, system={"N_P": 4})).instance
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_perturbed", counting)
     planner.solve_illumination(instance)
@@ -592,8 +580,8 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_absorb_drift", counting)
     monkeypatch.setattr(simplex._Lp, "_dual_iterate", ending)
-    planner.solve_illumination(
-        _exact_instance(hex_scenario_dict(120, 20, system={"N_P": 4})))
+    planner.solve_illumination(planner_stages(
+        hex_scenario_dict(120, 20, system={"N_P": 4})).instance)
     assert any(shifts)
     assert len(ended) == len(captured) - 1  # one dual loop per warm LP
     for i, (c, a, b, lower, upper, res) in enumerate(captured):
@@ -725,7 +713,7 @@ def test_zero_cost_step_and_price_chunks_change_nothing(monkeypatch, doc):
     element has the full row's bits. Pricing in 8-column chunks gives
     every LP result and every basis change byte for byte as the default
     chunks do."""
-    instance = _exact_instance(doc)
+    instance = planner_stages(doc).instance
     checked = []
     zero = [False]
     dual_iterate, pivot = simplex._Lp._dual_iterate, simplex._Lp._pivot
