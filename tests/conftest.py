@@ -69,17 +69,22 @@ def toy_doc(n_slot=8, n_p=2, adjacency="path", demands=None):
 
 
 def load_by_path(relative, name):
-    """The module at ``relative`` in the repository, imported as ``name``."""
+    """The module at ``relative`` in the repository, imported as ``name``;
+    ``sys.path`` is left as it was, whatever the module adds to it."""
     path = Path(__file__).resolve().parents[1] / relative
     spec = importlib.util.spec_from_file_location(name, path)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
     return module
 
 
-# the benchmark's workloads
-WORKLOADS = load_by_path("perfbench/workloads.py",
-                         "perfbench_workloads").WORKLOADS
+# the benchmark's workloads, under the name the scripts import them by, so
+# that one copy of the module serves the tests and the scripts
+WORKLOADS = load_by_path("perfbench/workloads.py", "workloads").WORKLOADS
 
 
 def seed_1_docs(name):
@@ -98,15 +103,13 @@ class PlannerStages(NamedTuple):
     instance: IlpInstance
 
 
-def planner_stages(doc, dvbs2=None) -> PlannerStages:
-    """The stages from a scenario document to its planner instance, as the
-    CLI builds them, with the bundled MODCOD table unless ``dvbs2`` is
-    given."""
+def planner_stages(doc) -> PlannerStages:
+    """The stages from a scenario document to its planner instance, with
+    the bundled MODCOD table."""
     scenario = scenario_from_dict(doc)
     channels = channel.build_all_cluster_channels(scenario)
-    if dvbs2 is None:
-        dvbs2 = precoding.load_dvbs2_table()
-    caps = precoding.cluster_capacities(scenario, channels, dvbs2)
+    caps = precoding.cluster_capacities(scenario, channels,
+                                        precoding.load_dvbs2_table())
     snapshots = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
                                    caps.p_cluster_bits)
     _, m = aggregate_and_scale_demands(scenario)
@@ -132,8 +135,8 @@ def ref_doc():
 
 
 @pytest.fixture(scope="session")
-def ref_scenario(ref_doc):
-    return scenario_from_dict(ref_doc)
+def ref_scenario(ref_stages):
+    return ref_stages.scenario
 
 
 @pytest.fixture(scope="session")
@@ -142,8 +145,8 @@ def dvbs2():
 
 
 @pytest.fixture(scope="session")
-def ref_stages(ref_doc, dvbs2):
-    return planner_stages(ref_doc, dvbs2)
+def ref_stages(ref_doc):
+    return planner_stages(ref_doc)
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def test_criterion_07_benchmark_flatness(ref_doc, dvbs2):
         assert r1.tobytes() == r2.tobytes()
 
     def ch_offered(doc):
-        stages = planner_stages(doc, dvbs2)
+        stages = planner_stages(doc)
         plan = solve_illumination(stages.instance)
         return metrics.plan_beam_offered(plan, stages.scenario)
 

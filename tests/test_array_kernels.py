@@ -211,9 +211,9 @@ LAYOUTS = {
 
 
 @pytest.fixture(scope="module", params=sorted(LAYOUTS))
-def stages(request, dvbs2):
+def stages(request):
     scenario, channels, _, snaps, instance = planner_stages(
-        LAYOUTS[request.param](), dvbs2)
+        LAYOUTS[request.param]())
     plan = solve_illumination(instance)
     return (request.param, scenario, channels, channel.build_beam_field(scenario),
             snaps, plan)

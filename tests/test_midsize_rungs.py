@@ -28,9 +28,10 @@ MILP_SECONDS = 60.0  # milp's time limit per LP-feasible support position
 
 def _rung(n_beams, n_clusters, n_p, dvbs2):
     """The rung's snapshot set, its supplies per slot and its planner
-    instance."""
+    instance. The bundled MODCOD table is always used; ``dvbs2`` is that
+    table as its callers load it, and is not read."""
     stages = planner_stages(
-        hex_scenario_dict(n_beams, n_clusters, system={"N_P": n_p}), dvbs2)
+        hex_scenario_dict(n_beams, n_clusters, system={"N_P": n_p}))
     return stages.snapshots, stages.caps.p_cluster_bits, stages.instance
 
 

@@ -8,7 +8,7 @@ moves a pin here; a change that means to move one updates its value.
 """
 import pytest
 
-from conftest import load_by_path
+from conftest import WORKLOADS, load_by_path
 
 SCRIPT = load_by_path("scripts/solver_work.py", "solver_work")
 
@@ -34,9 +34,10 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", PINS)
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_seed_1_solver_work_is_pinned(name):
-    work = SCRIPT.solver_work(SCRIPT.WORKLOADS[name])
+    pins = PINS[name]  # a workload without pins fails here
+    work = SCRIPT.solver_work(WORKLOADS[name])
     phases, exchange = work["phases"], work["exchange"]
     walk, refinement = phases["threshold walk"], phases["refinement"]
     assert {
@@ -48,6 +49,6 @@ def test_seed_1_solver_work_is_pinned(name):
                      exchange["split to 0"]),
         "unpivoted": (work["unpivoted"]["all"],
                       work["unpivoted"]["infeasible"]),
-    } == PINS[name]
+    } == pins
     # the primal loop runs only in the root LP
     assert work["loops"]["primal"] == phases["root LP"][1]
