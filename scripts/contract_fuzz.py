@@ -12,7 +12,7 @@ each with one perturbation:
 Runs ``clusterhop plan`` on each in its own process, with RuntimeWarnings
 as errors and a ``TIMEOUT`` of 20 s, writing only to a temporary
 directory. Each written plan is then confirmed independently: the instance
-is rebuilt as ``perfbench/checks.py``'s ``reference`` builds it, and
+is rebuilt from the case's scenario file through ``cli.Pipeline``, and
 ``tests/test_midsize_rungs.py``'s ``check_answer`` confirms with scipy's
 HiGHS that the plan's psi is the lexicographically smallest max-min
 optimal window (outage and no-demand plans included); scipy is required.
@@ -39,10 +39,9 @@ import numpy as np
 import scipy.optimize  # noqa: F401  the check's HiGHS: required, not skipped
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / dirname) for dirname in ("src", "perfbench",
-                                                    "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from checks import reference  # noqa: E402
+from clusterhop import cli  # noqa: E402
 from test_midsize_rungs import check_answer  # noqa: E402
 
 N_SLOTS = (1, 2, 3, 7, 255, 4097, 65537)
@@ -73,10 +72,11 @@ def perturbed(doc: dict, rng: random.Random) -> tuple[dict, str]:
     return doc, f"{kind} = {system[kind]}"
 
 
-def refutation(doc: dict, plan: dict) -> str:
-    """Why ``check_answer`` refutes the plan's psi on the instance rebuilt
-    from ``doc``, or '' when it confirms it."""
-    instance = reference(doc).instance
+def refutation(scenario: Path, plan: dict) -> str:
+    """Why ``check_answer`` refutes the plan's psi on the instance of the
+    planned ``scenario`` file, or '' when it confirms it."""
+    instance = cli.Pipeline(scenario.read_bytes(), None, None, "ilp",
+                            "").instance
     psi = np.zeros(instance.n_snapshots, dtype=np.int64)
     for index, count in plan["psi"].items():
         psi[int(index)] = count
@@ -103,7 +103,7 @@ def run_plan(scenario: Path, out: Path) -> tuple[str, str]:
     if proc.returncode == 0:
         plan = json.loads((out / "plan.json").read_text())
         detail = f"t = {plan['t']:.6g}, {plan['status']}"
-        problem = refutation(json.loads(scenario.read_text()), plan)
+        problem = refutation(scenario, plan)
         if problem:
             return REFUTED, f"{detail}; check_answer: {problem}"
         return "0", f"{detail}, confirmed"

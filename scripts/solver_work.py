@@ -2,12 +2,12 @@
 """Simplex work of the exact solver on each benchmark workload.
 
 For every scenario in a workload's fixed seed-1 list (see
-``perfbench/workloads.py``), builds the instance as the benchmark's answer
-check does (``perfbench/checks.py``) and counts the ``solve_bounded_lp``
-calls, and their pivots, made inside ``solve_illumination``, in total and
-per phase: the root LP, the threshold walk and the lexicographic
-refinement. It also counts the chain's LPs (every LP after the root LP)
-that end without a pivot, decided by their restart basis alone, and how
+``perfbench/workloads.py``), builds the instance through ``cli.Pipeline``,
+as ``clusterhop plan`` does, and counts the ``solve_bounded_lp`` calls,
+and their pivots, made inside ``solve_illumination``, in total and per
+phase: the root LP, the threshold walk and the lexicographic refinement.
+It also counts the chain's LPs (every LP after the root LP) that end
+without a pivot, decided by their restart basis alone, and how
 many of those are infeasible, splits the pivots between the dual and the
 primal simplex loop, counts the dual loop's stall perturbations (``_perturbed``
 calls) and drift shifts (``_absorb_drift`` calls that shift the cost),
@@ -25,6 +25,7 @@ Prints one line per workload:
     python3 scripts/solver_work.py
 """
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -33,8 +34,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from checks import reference  # noqa: E402
-from clusterhop import planner, simplex  # noqa: E402
+from clusterhop import cli, planner, simplex  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PHASES = ("root LP", "threshold walk", "refinement")
@@ -135,7 +135,8 @@ def solver_work(workload) -> dict:
                (simplex._Lp, "_absorb_drift"): absorbed}
     for k in range(workload.scenarios):
         doc = workload.scenario(workload.scenario_seed(1, k))
-        inst = reference(doc).instance
+        inst = cli.Pipeline(json.dumps(doc).encode(), None, None, "ilp",
+                            "").instance
         phase = PHASES[0]
         for (owner, name), patch in patches.items():
             setattr(owner, name, patch)

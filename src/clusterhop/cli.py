@@ -1,5 +1,5 @@
-"""Command-line pipeline: scenario -> capacities -> snapshots -> plan ->
-benchmark comparison -> reports.
+"""Command-line pipeline: scenario -> capacities -> snapshots -> planner
+instance -> plan -> benchmark comparison -> reports.
 
 Every subcommand is a pure function of (scenario file, flags, seed); output
 files are written with sorted keys and repr'd floats so identical invocations
@@ -93,12 +93,15 @@ class Pipeline:
                                   self.capacities.p_cluster_bits)
 
     @cached_property
-    def plan(self) -> HoppingPlan:
+    def instance(self) -> IlpInstance:
         _, m = aggregate_and_scale_demands(self.scenario)
-        instance = IlpInstance(l=self.snapshots.l, m=m,
-                               n_slot=self.scenario.system.n_slot)
+        return IlpInstance(l=self.snapshots.l, m=m,
+                           n_slot=self.scenario.system.n_slot)
+
+    @cached_property
+    def plan(self) -> HoppingPlan:
         solve = greedy_plan if self.solver == "greedy" else solve_illumination
-        return solve(instance)
+        return solve(self.instance)
 
     @cached_property
     def field(self) -> np.ndarray:

@@ -6,19 +6,16 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from clusterhop import channel, precoding
+from clusterhop import cli, precoding
 from clusterhop.errors import CapExceededError
 from clusterhop.planner import (STATUS_OPTIMAL, HoppingPlan, IlpInstance,
-                                _framed, solve_illumination)
-from clusterhop.scenario import (Scenario, aggregate_and_scale_demands,
-                                 scenario_from_dict)
+                                _framed)
+from clusterhop.scenario import scenario_from_dict
 from clusterhop.scenariogen import hex_scenario_dict
-from clusterhop.snapshots import SnapshotSet, build_snapshot_set
 
 
 def toy_doc(n_slot=8, n_p=2, adjacency="path", demands=None):
@@ -95,26 +92,10 @@ def seed_1_docs(name):
             for k in range(workload.scenarios)]
 
 
-class PlannerStages(NamedTuple):
-    scenario: Scenario
-    channels: list
-    caps: precoding.CapacityVector
-    snapshots: SnapshotSet
-    instance: IlpInstance
-
-
-def planner_stages(doc) -> PlannerStages:
-    """The stages from a scenario document to its planner instance, with
-    the bundled MODCOD table."""
-    scenario = scenario_from_dict(doc)
-    channels = channel.build_all_cluster_channels(scenario)
-    caps = precoding.cluster_capacities(scenario, channels,
-                                        precoding.load_dvbs2_table())
-    snapshots = build_snapshot_set(scenario.adjacency, scenario.system.n_p,
-                                   caps.p_cluster_bits)
-    _, m = aggregate_and_scale_demands(scenario)
-    instance = IlpInstance(l=snapshots.l, m=m, n_slot=scenario.system.n_slot)
-    return PlannerStages(scenario, channels, caps, snapshots, instance)
+def pipeline(doc) -> cli.Pipeline:
+    """The CLI's stages for a scenario document: its scenario file's bytes,
+    the scenario's seed, the bundled MODCOD table and the exact solver."""
+    return cli.Pipeline(json.dumps(doc).encode(), None, None, "ilp", "")
 
 
 @pytest.fixture()
@@ -135,8 +116,8 @@ def ref_doc():
 
 
 @pytest.fixture(scope="session")
-def ref_scenario(ref_stages):
-    return ref_stages.scenario
+def ref_scenario(ref_pipeline):
+    return ref_pipeline.scenario
 
 
 @pytest.fixture(scope="session")
@@ -145,38 +126,38 @@ def dvbs2():
 
 
 @pytest.fixture(scope="session")
-def ref_stages(ref_doc):
-    return planner_stages(ref_doc)
+def ref_pipeline(ref_doc):
+    return pipeline(ref_doc)
 
 
 @pytest.fixture(scope="session")
-def ref_channels(ref_stages):
-    return ref_stages.channels
+def ref_channels(ref_pipeline):
+    return ref_pipeline.channels
 
 
 @pytest.fixture(scope="session")
-def ref_caps(ref_stages):
-    return ref_stages.caps
+def ref_caps(ref_pipeline):
+    return ref_pipeline.capacities
 
 
 @pytest.fixture(scope="session")
-def ref_snapshots(ref_stages):
-    return ref_stages.snapshots
+def ref_snapshots(ref_pipeline):
+    return ref_pipeline.snapshots
 
 
 @pytest.fixture(scope="session")
-def ref_instance(ref_stages):
-    return ref_stages.instance
+def ref_instance(ref_pipeline):
+    return ref_pipeline.instance
 
 
 @pytest.fixture(scope="session")
-def ref_plan(ref_instance):
-    return solve_illumination(ref_instance)
+def ref_plan(ref_pipeline):
+    return ref_pipeline.plan
 
 
 @pytest.fixture(scope="session")
-def ref_field(ref_scenario):
-    return channel.build_beam_field(ref_scenario)
+def ref_field(ref_pipeline):
+    return ref_pipeline.field
 
 
 def random_snapshot_supply(rng, n_c: int, n_ss: int) -> np.ndarray:

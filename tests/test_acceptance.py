@@ -14,8 +14,7 @@ from clusterhop.scenariogen import hex_scenario_dict
 from clusterhop.snapshots import enumerate_valid_snapshots
 
 from conftest import (brute_force_plan, brute_force_valid_snapshots,
-                      identity_precoder, planner_stages,
-                      random_snapshot_supply)
+                      identity_precoder, pipeline, random_snapshot_supply)
 
 
 def _report(criterion, message):
@@ -158,9 +157,8 @@ def test_criterion_07_benchmark_flatness(ref_doc, dvbs2):
         assert r1.tobytes() == r2.tobytes()
 
     def ch_offered(doc):
-        stages = planner_stages(doc)
-        plan = solve_illumination(stages.instance)
-        return metrics.plan_beam_offered(plan, stages.scenario)
+        pipe = pipeline(doc)
+        return metrics.plan_beam_offered(pipe.plan, pipe.scenario)
 
     assert ch_offered(ref_doc).tobytes() != ch_offered(permuted).tobytes()
     _report(7, "benchmark offered vectors byte-stable under demand "
@@ -198,8 +196,8 @@ def test_criterion_08_accounting_identity(ref_scenario, ref_plan, ref_field,
 
 def test_criterion_09_end_to_end_scale(ref_plan):
     start = time.perf_counter()
-    sc, _, _, _, instance = planner_stages(hex_scenario_dict())
-    plan = solve_illumination(instance)
+    pipe = pipeline(hex_scenario_dict())
+    sc, plan = pipe.scenario, pipe.plan
     elapsed = time.perf_counter() - start
     assert sc.n_beams == 71 and sc.n_clusters == 12
     assert sc.system.n_p == 3 and sc.system.n_slot == 256

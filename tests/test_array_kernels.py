@@ -12,13 +12,12 @@ import pytest
 
 from clusterhop import benchmarks, channel, metrics, precoding
 from clusterhop.errors import ValidationError
-from clusterhop.planner import solve_illumination
 from clusterhop.precoding import _THRESHOLD_GUARD_DB
 from clusterhop.scenario import (beam_adjacency, center_distances,
                                  scenario_from_dict)
 from clusterhop.scenariogen import hex_lattice, hex_scenario_dict
 
-from conftest import planner_stages, toy_doc
+from conftest import pipeline, toy_doc
 
 
 def _loop_dvbs2(snir_linear, table):
@@ -212,11 +211,9 @@ LAYOUTS = {
 
 @pytest.fixture(scope="module", params=sorted(LAYOUTS))
 def stages(request):
-    scenario, channels, _, snaps, instance = planner_stages(
-        LAYOUTS[request.param]())
-    plan = solve_illumination(instance)
-    return (request.param, scenario, channels, channel.build_beam_field(scenario),
-            snaps, plan)
+    pipe = pipeline(LAYOUTS[request.param]())
+    return (request.param, pipe.scenario, pipe.channels, pipe.field,
+            pipe.snapshots, pipe.plan)
 
 
 @pytest.fixture()

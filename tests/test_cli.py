@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from clusterhop import channel, cli, planner, precoding, scenario, simplex
 from clusterhop.cli import main
-from clusterhop.planner import IlpInstance, lp_relaxation_bound
-from clusterhop.scenario import aggregate_and_scale_demands
+from clusterhop.planner import lp_relaxation_bound
 
-from conftest import planner_stages, toy_doc
+from conftest import WORKLOADS, load_by_path, pipeline, seed_1_docs, toy_doc
 
 
 def _write(tmp_path, doc, name="scenario.json"):
@@ -710,7 +709,7 @@ def _confirmed_t(doc, psi):
     (``test_midsize_rungs.check_answer``)."""
     from test_midsize_rungs import check_answer
 
-    inst = planner_stages(doc).instance
+    inst = pipeline(doc).instance
     counts = np.zeros(inst.n_snapshots, dtype=np.int64)
     for index, count in psi.items():
         counts[int(index)] = count
@@ -886,12 +885,24 @@ def test_greedy_plan_is_near_the_lp_bound(tmp_path):
     assert _run(["plan", "--scenario", path, "--out", out,
                  "--solver", "greedy"]) == 0
     plan = json.loads((out / "plan.json").read_text())
-    pipe = cli._memo
-    _, m = aggregate_and_scale_demands(pipe.scenario)
-    bound = lp_relaxation_bound(IlpInstance(
-        l=pipe.snapshots.l, m=m, n_slot=pipe.scenario.system.n_slot))
+    bound = lp_relaxation_bound(cli._memo.instance)
     assert plan["status"] == "heuristic"
     assert 0.98 * bound <= plan["t"] <= bound
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_benchmark_reference_is_the_pipeline_instance(name):
+    """The benchmark's answer check (``perfbench/checks.py``) rebuilds the
+    scenario -> instance chain by hand; on every seed-1 scenario its
+    instance and LP bound are the ones the CLI plans on."""
+    checks = load_by_path("perfbench/checks.py", "checks")
+    for doc in seed_1_docs(name):
+        ref, inst = checks.reference(doc), pipeline(doc).instance
+        assert ref.instance.l.tobytes() == inst.l.tobytes()
+        assert ref.instance.m.tobytes() == inst.m.tobytes()
+        assert ((ref.instance.n_slot, ref.instance.spacing, ref.instance.unit)
+                == (inst.n_slot, inst.spacing, inst.unit))
+        assert ref.lp_bound == lp_relaxation_bound(inst)
 
 
 def _count_calls(monkeypatch, module, name):

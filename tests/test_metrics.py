@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from clusterhop import metrics
 from clusterhop.scenario import scenario_from_dict
 
-from conftest import planner_stages, toy_doc
+from conftest import pipeline, toy_doc
 
 
 def test_redistribute_equal_demands():
@@ -164,8 +164,6 @@ def test_uniform_symmetric_ratios_within_quantum():
     ratios differ by at most one slot's supply quantum (here: not at all)."""
     import math
 
-    from clusterhop.planner import solve_illumination
-
     n = 12
     radius = 0.3 / math.sin(math.pi / n)
     doc = toy_doc()
@@ -182,14 +180,13 @@ def test_uniform_symmetric_ratios_within_quantum():
     del doc["adjacency"]
     doc["system"]["N_P"] = 3
     doc["system"]["N_slot"] = 256
-    sc, _, caps, _, instance = planner_stages(doc)
+    pipe = pipeline(doc)
     # ring adjacency from geometry
-    a = sc.adjacency
+    a = pipe.scenario.adjacency
     assert all(a[k, (k + 1) % n] == 1 for k in range(n))
     assert a.sum() == 2 * n
 
-    m = instance.m
-    plan = solve_illumination(instance)
-    ratios = plan.s / m
-    quantum = (caps.p_cluster_bits / m).max()
+    m = pipe.instance.m
+    ratios = pipe.plan.s / m
+    quantum = (pipe.capacities.p_cluster_bits / m).max()
     assert ratios.max() - ratios.min() <= quantum + 1e-12

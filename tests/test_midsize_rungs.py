@@ -17,30 +17,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clusterhop import precoding
-from clusterhop.planner import solve_illumination
 from clusterhop.scenariogen import hex_scenario_dict
 
-from conftest import planner_stages
+from conftest import pipeline
 
 MILP_SECONDS = 60.0  # milp's time limit per LP-feasible support position
 
 
-def _rung(n_beams, n_clusters, n_p, dvbs2):
-    """The rung's snapshot set, its supplies per slot and its planner
-    instance. The bundled MODCOD table is always used; ``dvbs2`` is that
-    table as its callers load it, and is not read."""
-    stages = planner_stages(
-        hex_scenario_dict(n_beams, n_clusters, system={"N_P": n_p}))
-    return stages.snapshots, stages.caps.p_cluster_bits, stages.instance
+def _rung(n_beams, n_clusters, n_p):
+    """The rung's stages, as the CLI builds them."""
+    return pipeline(hex_scenario_dict(n_beams, n_clusters,
+                                      system={"N_P": n_p}))
 
 
 @functools.cache
 def _solved(n_beams, n_clusters, n_p):
     """The rung's planner instance and its exact plan, solved once."""
-    _, _, instance = _rung(n_beams, n_clusters, n_p,
-                           precoding.load_dvbs2_table())
-    return instance, solve_illumination(instance)
+    rung = _rung(n_beams, n_clusters, n_p)
+    return rung.instance, rung.plan
 
 
 def check_answer(instance, psi):
@@ -125,11 +119,12 @@ def check_answer(instance, psi):
     return t, by_milp
 
 
-def test_highs_confirms_optimum_and_lexicographic_order(dvbs2):
+def test_highs_confirms_optimum_and_lexicographic_order():
     opt = pytest.importorskip("scipy.optimize")
-    snaps, p, instance = _rung(120, 20, 4, dvbs2)
+    rung = _rung(120, 20, 4)
+    snaps, instance, plan = rung.snapshots, rung.instance, rung.plan
+    p = rung.capacities.p_cluster_bits
     assert snaps.n_snapshots == 654
-    plan = solve_illumination(instance)
     psi = np.asarray(plan.psi)
     n_ss, n_slot = snaps.n_snapshots, instance.n_slot
 

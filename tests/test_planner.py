@@ -18,9 +18,8 @@ from clusterhop.scenariogen import hex_scenario_dict
 
 from conftest import (WORKLOADS, brute_force_plan, fraction_exact_t,
                       fraction_requirement, fraction_spacing,
-                      fraction_tau_column, fraction_thresholds,
-                      planner_stages, random_snapshot_supply, seed_1_docs,
-                      toy_doc)
+                      fraction_tau_column, fraction_thresholds, pipeline,
+                      random_snapshot_supply, seed_1_docs, toy_doc)
 
 
 def exact_min_ratio(instance, psi):
@@ -519,7 +518,7 @@ def test_greedy_reaches_the_exact_t(docs):
     """Greedy is the exact walk without the refinement: on every scenario
     its t is the exact optimum's, compared as exact rationals."""
     for doc in docs():
-        inst = planner_stages(doc).instance
+        inst = pipeline(doc).instance
         heuristic, exact = greedy_plan(inst), solve_illumination(inst)
         assert heuristic.solver_status == "heuristic"
         assert (planner._exact_t(inst.v, inst.spacing, heuristic.psi)
@@ -587,11 +586,11 @@ def test_walk_is_capped_at_n_slot_times_the_smallest_spacing(monkeypatch):
                 == brute_force_plan(inst).psi.tolist())
 
 
-def test_lp_bound_scales_with_the_demands():
+def test_lp_bound_scales_with_the_demands(ref_instance):
     """The root LP reads the 0/1 rows and the spacings' ratios, not their
     scale: every demand times f divides the bound by f, for f from 1e-12
     to 1e12 (the LP's bound was 0.0 from f = 1e9 while it read l / m)."""
-    inst = planner_stages(hex_scenario_dict()).instance
+    inst = ref_instance
     bound = lp_relaxation_bound(inst)
     assert bound > 0
     for f in 10.0 ** np.arange(-12, 13):

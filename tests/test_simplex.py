@@ -10,7 +10,7 @@ from clusterhop.errors import CapExceededError, SolverError
 from clusterhop.scenariogen import heterogeneous_demands, hex_scenario_dict
 from clusterhop.simplex import INFEASIBLE, OPTIMAL, solve_bounded_lp, start
 
-from conftest import planner_stages
+from conftest import pipeline
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -372,7 +372,7 @@ def test_carried_inverse_replays_every_warm_lp(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    planner.solve_illumination(planner_stages(doc).instance)
+    planner.solve_illumination(pipeline(doc).instance)
     warm_lps = [lp for lp in captured if lp[1] is not None]
     assert len(warm_lps) > 10
     carried = [warm.binv is not None for _, warm, _ in warm_lps]
@@ -416,7 +416,7 @@ def test_no_restart_point_is_written_to(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    planner.solve_illumination(planner_stages(doc).instance)
+    planner.solve_illumination(pipeline(doc).instance)
     assert unpivoted and all(unpivoted)
     for point, before in seen.values():
         assert [f.tobytes() for f in dataclasses.astuple(point)] == before
@@ -438,7 +438,7 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
         return res
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
-    instance = planner_stages(doc).instance
+    instance = pipeline(doc).instance
     planner.solve_illumination(instance)
     n_dem, n_ss = instance.v.shape
     assert [c is not None for c, *_ in captured] == (
@@ -535,7 +535,7 @@ def test_warm_chain_of_a_dual_degenerate_solve(monkeypatch):
         stalls.append(1)
         return perturbed(self, *args)
 
-    instance = planner_stages(
+    instance = pipeline(
         hex_scenario_dict(120, 20, system={"N_P": 4})).instance
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_perturbed", counting)
@@ -580,7 +580,7 @@ def test_drift_shift_keeps_every_restart_point_dual_feasible(monkeypatch):
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     monkeypatch.setattr(simplex._Lp, "_absorb_drift", counting)
     monkeypatch.setattr(simplex._Lp, "_dual_iterate", ending)
-    planner.solve_illumination(planner_stages(
+    planner.solve_illumination(pipeline(
         hex_scenario_dict(120, 20, system={"N_P": 4})).instance)
     assert any(shifts)
     assert len(ended) == len(captured) - 1  # one dual loop per warm LP
@@ -713,7 +713,7 @@ def test_zero_cost_step_and_price_chunks_change_nothing(monkeypatch, doc):
     element has the full row's bits. Pricing in 8-column chunks gives
     every LP result and every basis change byte for byte as the default
     chunks do."""
-    instance = planner_stages(doc).instance
+    instance = pipeline(doc).instance
     checked = []
     zero = [False]
     dual_iterate, pivot = simplex._Lp._dual_iterate, simplex._Lp._pivot
