@@ -11,11 +11,12 @@ each with one perturbation:
 
 Runs ``clusterhop plan`` on each in its own process, with RuntimeWarnings
 as errors and a ``TIMEOUT`` of 20 s, writing only to a temporary
-directory. Each written plan is then confirmed independently: the instance
-is rebuilt from the case's scenario file through ``cli.Pipeline``, and
-``tests/test_midsize_rungs.py``'s ``check_answer`` confirms with scipy's
-HiGHS that the plan's psi is the lexicographically smallest max-min
-optimal window (outage and no-demand plans included); scipy is required.
+directory. Each written plan is then confirmed independently by
+``tests/test_midsize_rungs.py``'s ``check_plan``: the instance is rebuilt
+from the case's scenario file through ``cli.Pipeline``, and
+``check_answer`` confirms with scipy's HiGHS that the plan's psi is the
+lexicographically smallest max-min optimal window (outage and no-demand
+plans included); scipy is required.
 Prints one line per case (the perturbation, the exit code, and ``t`` and
 the status of a written plan, or the last stderr line) and then a tally
 by exit code. The contract is that every case plans (exit 0) with a
@@ -35,14 +36,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import scipy.optimize  # noqa: F401  the check's HiGHS: required, not skipped
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from clusterhop import cli  # noqa: E402
-from test_midsize_rungs import check_answer  # noqa: E402
+from test_midsize_rungs import check_plan  # noqa: E402
 
 N_SLOTS = (1, 2, 3, 7, 255, 4097, 65537)
 N_PS = (1, 2, 4, 5, 6, 12)
@@ -74,14 +73,10 @@ def perturbed(doc: dict, rng: random.Random) -> tuple[dict, str]:
 
 def refutation(scenario: Path, plan: dict) -> str:
     """Why ``check_answer`` refutes the plan's psi on the instance of the
-    planned ``scenario`` file, or '' when it confirms it."""
-    instance = cli.Pipeline(scenario.read_bytes(), None, None, "ilp",
-                            "").instance
-    psi = np.zeros(instance.n_snapshots, dtype=np.int64)
-    for index, count in plan["psi"].items():
-        psi[int(index)] = count
+    planned ``scenario`` file (``check_plan``), or '' when it confirms
+    it."""
     try:
-        check_answer(instance, psi)
+        check_plan(scenario.read_bytes(), plan["psi"])
     except AssertionError as exc:
         return (str(exc) or "check failed").splitlines()[0]
     return ""

@@ -48,11 +48,12 @@ the chain after the first restarts from the basis of the LP before it;
 many are decided by that basis alone, at the cost of its basic values. An
 LP point is read clipped to its node's bounds, which the simplex meets up
 to its feasibility tolerance (a point further out is a SolverError), and
-a point is accepted only by the integer test. ``greedy_plan`` is the exact solve stopped before the
-refinement: the walk's point, with the optimal t but counts that need not
-be the lexicographically smallest. Clusters with zero demand are
-excluded from the objective; they still receive whatever supply the chosen
-snapshots give them.
+a point is accepted only by the integer test. ``greedy_plan`` is the exact
+solve stopped before the refinement: the walk's point, with the optimal t
+but counts that need not be the lexicographically smallest. Every solve
+counts its own work, where it is done, in ``HoppingPlan.stats``. Clusters
+with zero demand are excluded from the objective; they still receive
+whatever supply the chosen snapshots give them.
 """
 from __future__ import annotations
 
@@ -143,6 +144,39 @@ def _integer_spacing(p, m):
     return tuple(n * (unit // q) for n, q in ratios), unit
 
 
+@dataclass
+class LpStats:
+    """The LPs of one phase of a solve and their simplex work."""
+    lps: int = 0
+    pivots: int = 0
+    unpivoted: int = 0  # LPs that their restart basis decided, no pivot
+    unpivoted_infeasible: int = 0
+    perturbations: int = 0  # dual loops that ran their stall perturbation
+    drift_shifts: int = 0
+
+    def add(self, res) -> None:
+        self.lps += 1
+        self.pivots += res.pivots
+        self.unpivoted += not res.pivots
+        self.unpivoted_infeasible += not res.pivots and res.status != OPTIMAL
+        self.perturbations += res.perturbed
+        self.drift_shifts += res.drift_shifts
+
+
+@dataclass
+class SolveStats:
+    """The work of one solve; it depends only on the code and arithmetic."""
+    root: LpStats = field(default_factory=LpStats)  # the root LP
+    walk: LpStats = field(default_factory=LpStats)  # the threshold walk
+    refinement: LpStats = field(default_factory=LpStats)
+    feasible_probes: int = 0  # refinement searches that found a point
+    infeasible_probes: int = 0
+    exchanges: int = 0  # _exchange_down calls
+    exchanges_lowered: int = 0  # those that lowered their position
+    exchanges_lowered_to_0: int = 0
+    splits: int = 0  # _split calls
+
+
 @dataclass(frozen=True)
 class HoppingPlan:
     psi: np.ndarray       # (N_ss,) nonnegative integer slot counts
@@ -150,6 +184,7 @@ class HoppingPlan:
     s: np.ndarray         # (N_C,) offered bits per window
     schedule: np.ndarray  # (n_slot,) snapshot index per slot
     solver_status: str
+    stats: SolveStats = field(default_factory=SolveStats)  # the solve's work
 
 
 def _prologue(instance: IlpInstance) -> bool:
@@ -163,12 +198,13 @@ def _prologue(instance: IlpInstance) -> bool:
 
 
 def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
-    """The plan of the count vector ``counts(instance)``, reported with
-    ``status``, after the prologue. With no demanded cluster the plan
-    spreads the slots uniformly instead, with t = inf and status
-    'heuristic'."""
+    """The plan of the count vector ``counts(instance, stats)``, reported
+    with ``status`` and the ``SolveStats`` that ``counts`` filled in, after
+    the prologue. With no demanded cluster the plan spreads the slots
+    uniformly instead, with t = inf, status 'heuristic' and no work."""
+    stats = SolveStats()
     if _prologue(instance):
-        psi = np.array(counts(instance), dtype=int)
+        psi = np.array(counts(instance, stats), dtype=int)
     else:
         base, extra = divmod(instance.n_slot, instance.n_snapshots)
         psi = base + (np.arange(instance.n_snapshots) < extra)
@@ -179,7 +215,7 @@ def _framed(instance: IlpInstance, counts, status: str) -> HoppingPlan:
     psi.flags.writeable = False
     s.flags.writeable = False
     return HoppingPlan(psi=psi, t=t, s=s, schedule=expand_schedule(psi),
-                       solver_status=status)
+                       solver_status=status, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +240,7 @@ def _requirement_rows(v: np.ndarray, spacing) -> np.ndarray:
     return rows
 
 
-def _root_lp(rows: np.ndarray, spacing, n_slot: int) -> Fraction:
+def _root_lp(rows, spacing, n_slot: int, work: LpStats) -> Fraction:
     """The root LP's optimum t_lp = tau * w_min, in the unit of
     ``spacing``, an upper bound on the integer optimum: max tau s.t. V_j
     psi >= (w_min / w_j) tau for each demanded row j, sum(psi) = n_slot, 0
@@ -222,6 +258,7 @@ def _root_lp(rows: np.ndarray, spacing, n_slot: int) -> Fraction:
     witness = start(rows, np.append(np.arange(n_ss, n_var - 1), n_ss - 1))
     res = solve_bounded_lp(cost, rows, rhs, np.zeros(n_var), upper,
                            warm=witness)
+    work.add(res)
     return Fraction(res.x[-1]) * min(spacing)
 
 
@@ -279,7 +316,7 @@ def _bounds(n_ss: int, n_dem: int, n_slot: int):
 # ---------------------------------------------------------------------------
 # Exact integer search
 
-def _branch_and_bound(rows, v, rhs, lower, upper, warm):
+def _branch_and_bound(rows, v, rhs, lower, upper, warm, work: LpStats):
     """The first count vector found with v @ psi >= k, sum(psi) = n_slot
     and psi within its box, or None when there is none, and the restart
     point of the last LP solved.
@@ -294,7 +331,7 @@ def _branch_and_bound(rows, v, rhs, lower, upper, warm):
     from its parent's basis. An LP point is read clipped to its node's
     box, and a point outside it by more than the simplex's feasibility
     tolerance is a SolverError. A point is accepted only by the integer
-    test.
+    test. Each LP is added to ``work``.
     """
     n_ss = v.shape[1]
     k, n_slot = rhs[:-1], rhs.item(-1)
@@ -305,6 +342,7 @@ def _branch_and_bound(rows, v, rhs, lower, upper, warm):
         if lb_sum > n_slot or ub_sum < n_slot:
             continue
         res = solve_bounded_lp(None, rows, rhs, lower, upper, warm=parent)
+        work.add(res)
         warm = res.warm
         if res.status != OPTIMAL:
             continue
@@ -342,13 +380,13 @@ def solve_illumination(instance: IlpInstance) -> HoppingPlan:
     return _framed(instance, _exact_counts, STATUS_OPTIMAL)
 
 
-def _exact_counts(instance: IlpInstance) -> np.ndarray:
-    rows, psi, t, warm = _walk(instance)
+def _exact_counts(instance: IlpInstance, stats: SolveStats) -> np.ndarray:
+    rows, psi, t, warm = _walk(instance, stats)
     rhs = _requirement(instance.spacing, t, instance.n_slot)
-    return _lex_smallest_optimal(rows, instance.v, rhs, psi, warm)
+    return _lex_smallest_optimal(rows, instance.v, rhs, psi, warm, stats)
 
 
-def _walk(instance: IlpInstance):
+def _walk(instance: IlpInstance, stats: SolveStats):
     """Walk the thresholds above the trivial witness downward from
     min(t_lp * (1 + _INT_TOL), n_slot * w_min), all in the unit of
     ``instance.spacing``, and stop at the first with an integer point:
@@ -358,7 +396,7 @@ def _walk(instance: IlpInstance):
     n_ss, n_slot = instance.n_snapshots, instance.n_slot
     v, spacing = instance.v, instance.spacing
     root = _requirement_rows(v, spacing)
-    t_lp = _root_lp(root, spacing, n_slot)
+    t_lp = _root_lp(root, spacing, n_slot, stats.root)
     rows = root[:, :-1]  # the chain's view: no tau column
 
     # The trivial witness puts every slot on the last snapshot: the
@@ -377,14 +415,14 @@ def _walk(instance: IlpInstance):
     for g in _thresholds(spacing, best_t, top):
         psi_g, warm = _branch_and_bound(rows, v,
                                         _requirement(spacing, g, n_slot),
-                                        lower, upper, warm)
+                                        lower, upper, warm, stats.walk)
         if psi_g is not None:
             best_psi, best_t = psi_g, _exact_t(v, spacing, psi_g)
             break
     return rows, best_psi, best_t, warm
 
 
-def _lex_smallest_optimal(rows, v, rhs, witness, warm):
+def _lex_smallest_optimal(rows, v, rhs, witness, warm, stats: SolveStats):
     """Among count vectors meeting the optimum's requirement, right-hand
     side ``rhs`` = [k, n_slot] (v @ psi >= k, sum(psi) = n_slot), the
     lexicographically smallest.
@@ -414,17 +452,20 @@ def _lex_smallest_optimal(rows, v, rhs, witness, warm):
         nonlocal warm
         ub = upper.copy()
         ub[i] = u
-        psi, warm = _branch_and_bound(rows, v, rhs, lower.copy(), ub, warm)
+        psi, warm = _branch_and_bound(rows, v, rhs, lower.copy(), ub, warm,
+                                      stats.refinement)
         if psi is None:
+            stats.infeasible_probes += 1
             return False
+        stats.feasible_probes += 1
         witness[:] = psi
-        _exchange_down(witness, i, masks, index, sizes, splits)
+        _exchange_down(witness, i, masks, index, sizes, splits, stats)
         return True
 
     for i in range(n_ss):
         splits = {}  # _split results of position i, shared by its exchanges
         if witness[i] > 0:
-            _exchange_down(witness, i, masks, index, sizes, splits)
+            _exchange_down(witness, i, masks, index, sizes, splits, stats)
         lo = -1  # the largest value proved out of psi_i's reach
         if witness[i] > 0 and not lowered(i, witness[i] - 1):
             lo = witness[i] - 1
@@ -441,6 +482,7 @@ def _lex_smallest_optimal(rows, v, rhs, witness, warm):
             if not lowered(i, u):
                 lo = u
         lower[i] = upper[i] = float(witness[i])
+        stats.splits += len(splits)  # one _split call per key
     return witness
 
 
@@ -459,7 +501,7 @@ def _column_masks(v):
     return masks, index, sum(1 << n for n in {m.bit_count() for m in index})
 
 
-def _exchange_down(w, i, masks, index, sizes, splits):
+def _exchange_down(w, i, masks, index, sizes, splits, stats: SolveStats):
     """Lower w[i] in place by exchanges that keep v @ w, sum(w) and w[:i]
     exactly: q = min(w[i], w[j]) slots of i and of a support column j > i
     move to columns c, d > i with mask_c + mask_d = mask_i + mask_j
@@ -488,7 +530,10 @@ def _exchange_down(w, i, masks, index, sizes, splits):
         if w_i == before:
             break
         support = sorted(col for col, count in above.items() if count)
-    if above:
+    stats.exchanges += 1
+    if above:  # a move lowered w[i]
+        stats.exchanges_lowered += 1
+        stats.exchanges_lowered_to_0 += w_i == 0
         w[i] = w_i
         w[list(above)] = list(above.values())
 
@@ -534,7 +579,7 @@ def greedy_plan(instance: IlpInstance) -> HoppingPlan:
     threshold walk that ``solve_illumination`` refines. Its t is the exact
     t, by the walk's own argument, but its counts need not be the
     lexicographically smallest, so its status is 'heuristic'."""
-    return _framed(instance, lambda inst: _walk(inst)[1], STATUS_HEURISTIC)
+    return _framed(instance, lambda *args: _walk(*args)[1], STATUS_HEURISTIC)
 
 
 def lp_relaxation_bound(instance: IlpInstance) -> float:
@@ -543,7 +588,8 @@ def lp_relaxation_bound(instance: IlpInstance) -> float:
     if not _prologue(instance):
         return math.inf
     return float(_root_lp(_requirement_rows(instance.v, instance.spacing),
-                          instance.spacing, instance.n_slot) / instance.unit)
+                          instance.spacing, instance.n_slot, LpStats())
+                 / instance.unit)
 
 
 # ---------------------------------------------------------------------------

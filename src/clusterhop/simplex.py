@@ -124,6 +124,8 @@ class LpResult:
     x: np.ndarray | None  # the point of an OPTIMAL result
     pivots: int  # basis changes and bound flips
     warm: WarmStart | None  # a feasibility LP's restart point for the next
+    perturbed: bool  # the dual loop's stall perturbation ran
+    drift_shifts: int  # costs returned shifted by ``_absorb_drift``
 
 
 def start(a, basis) -> WarmStart:
@@ -164,6 +166,7 @@ class _Lp:
                                                 warm.binv)
         self.shared = True
         self.pivots = 0
+        self.perturbed, self.drift_shifts = False, 0
         self.since_refactor = 0  # basis changes since binv was inverted
         self.x = None  # the point, once a loop ends on a feasible basis
 
@@ -310,6 +313,7 @@ class _Lp:
             return cost
         cost = np.where(wrong, cost - reduced, cost)
         reduced[wrong] = 0.0
+        self.drift_shifts += 1
         return cost
 
     def _dual_iterate(self, cost, reduced, direction):
@@ -331,7 +335,6 @@ class _Lp:
         tol = _TOL
         feas_tol = feasibility_tolerance(self.b)
         degenerate_run = 0
-        perturbed = False
         zero = not np.count_nonzero(cost)  # every reduced cost and ratio is 0
         a, n, lower, upper = self.a, self.n, self.lower, self.upper
         x, xb = self._basic_values()
@@ -349,11 +352,11 @@ class _Lp:
                 return OPTIMAL, cost
             if direction is None:
                 direction, reduced = self._direction(), np.zeros(n)
-            if degenerate_run == _PERTURB_AFTER and not perturbed:
+            if degenerate_run == _PERTURB_AFTER and not self.perturbed:
                 cost = self._perturbed(cost, direction)
                 reduced = self._reduced_costs(cost)
                 cost = self._absorb_drift(cost, reduced, direction)
-                perturbed, zero = True, False
+                self.perturbed, zero = True, False
             binv = self.binv
             leave_pos = rows.item(0)
             if rows.size > 1:  # dual steepest edge
@@ -421,7 +424,7 @@ class _Lp:
         cost or bound sides moved returns its restart point itself."""
         if c is not None:
             self._iterate(c)
-            return LpResult(OPTIMAL, self.x, self.pivots, None)
+            return LpResult(OPTIMAL, self.x, self.pivots, None, False, 0)
         warm = self.warm
         cost = warm.cost
         direction = reduced = None  # under a zero cost, built when needed
@@ -448,7 +451,8 @@ class _Lp:
                 or cost is not warm.cost):
             warm = WarmStart(self.a, self.basis, self.at_upper, cost,
                              self.binv)
-        return LpResult(status, self.x, self.pivots, warm)
+        return LpResult(status, self.x, self.pivots, warm, self.perturbed,
+                        self.drift_shifts)
 
 
 def solve_bounded_lp(c, a, b, lower, upper, warm: WarmStart) -> LpResult:

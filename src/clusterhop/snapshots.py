@@ -56,19 +56,22 @@ def enumerate_valid_snapshots(
     packed = np.packbits(adjacency.T != 0, axis=1, bitorder="little")
     neighbours = [int.from_bytes(row, "little") for row in packed.tolist()]
     members: list[int] = []  # each valid set's n_p indices, in column order
-
-    def extend(prefix: list[int], blocked: int, start: int) -> None:
-        last = n_c - n_p + len(prefix)  # leaves room for the members to come
-        free = ~blocked & ((2 << last) - (1 << start))
-        while free:
+    # (prefix, its neighbours, the candidates for its next member that leave
+    # room for the rest): a stack, as n_p may exceed the recursion limit
+    stack = [([], 0, (2 << (n_c - n_p)) - 1)]
+    while stack:
+        prefix, blocked, free = stack.pop()
+        if free and len(prefix) + 1 < n_p:  # c first, its later siblings next
             c = (free & -free).bit_length() - 1
-            free &= free - 1
-            if len(prefix) + 1 == n_p:
+            stack.append((prefix, blocked, free & (free - 1)))
+            blocked |= neighbours[c]
+            span = (2 << (n_c - n_p + len(prefix) + 1)) - (2 << c)
+            stack.append((prefix + [c], blocked, ~blocked & span))
+        else:  # the last member: each candidate completes a set
+            while free:
+                c = (free & -free).bit_length() - 1
+                free &= free - 1
                 members.extend(prefix + [c])
-            else:
-                extend(prefix + [c], blocked | neighbours[c], c + 1)
-
-    extend([], 0, 0)
     rows = np.array(members, dtype=np.intp).reshape(-1, n_p)
     v = np.zeros((n_c, len(rows)), dtype=np.uint8)
     v[rows, np.arange(len(rows))[:, None]] = 1

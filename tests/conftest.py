@@ -190,7 +190,7 @@ def brute_force_plan(instance: IlpInstance,
     smallest one. Raises CapExceededError when the composition count
     C(n_slot + N_ss - 1, N_ss - 1) exceeds ``cap``.
     """
-    return _framed(instance, lambda inst: _enumerated_counts(inst, cap),
+    return _framed(instance, lambda inst, _: _enumerated_counts(inst, cap),
                    STATUS_OPTIMAL)
 
 

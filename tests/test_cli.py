@@ -706,14 +706,10 @@ def _plan_json(tmp_path, doc):
 def _confirmed_t(doc, psi):
     """The exact objective of plan.json's ``psi``, after HiGHS LPs confirm
     it as the lexicographically smallest optimal window
-    (``test_midsize_rungs.check_answer``)."""
-    from test_midsize_rungs import check_answer
+    (``test_midsize_rungs.check_plan``)."""
+    from test_midsize_rungs import check_plan
 
-    inst = pipeline(doc).instance
-    counts = np.zeros(inst.n_snapshots, dtype=np.int64)
-    for index, count in psi.items():
-        counts[int(index)] = count
-    t, _ = check_answer(inst, counts)
+    t, _ = check_plan(json.dumps(doc).encode(), psi)
     return float(t)
 
 

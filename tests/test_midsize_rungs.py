@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clusterhop import cli
 from clusterhop.scenariogen import hex_scenario_dict
 
 from conftest import pipeline
@@ -117,6 +118,18 @@ def check_answer(instance, psi):
             by_milp.append(i)
         lb[i], ub[i] = 0.0, float(n_slot)
     return t, by_milp
+
+
+def check_plan(scenario_bytes, psi_doc):
+    """``check_answer`` on a written plan: the instance rebuilt from the
+    scenario file's bytes through ``cli.Pipeline``, as ``clusterhop plan``
+    builds it, and the count vector of plan.json's ``psi`` object (snapshot
+    index -> count, absent indices 0)."""
+    instance = cli.Pipeline(scenario_bytes, None, None, "ilp", "").instance
+    psi = np.zeros(instance.n_snapshots, dtype=np.int64)
+    for index, count in psi_doc.items():
+        psi[int(index)] = count
+    return check_answer(instance, psi)
 
 
 def test_highs_confirms_optimum_and_lexicographic_order():

@@ -171,17 +171,8 @@ def snapshot_shaped_instance(rng, max_cols=7, max_slots=9):
                        n_slot=int(rng.integers(1, max_slots + 1)))
 
 
-def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
-    lowered = []  # the positions an exchange lowered
-    exchange = planner._exchange_down
-
-    def counted(w, i, *args):
-        before = int(w[i])
-        exchange(w, i, *args)
-        if w[i] < before:
-            lowered.append(i)
-
-    monkeypatch.setattr(planner, "_exchange_down", counted)
+def test_exchange_matches_brute_force_on_snapshot_shapes():
+    lowered = 0  # exchanges that lowered their position
     rng = np.random.default_rng(11)
     for _ in range(200):
         inst = snapshot_shaped_instance(rng)
@@ -189,6 +180,7 @@ def test_exchange_matches_brute_force_on_snapshot_shapes(monkeypatch):
         b = brute_force_plan(inst)
         assert exact_min_ratio(inst, a.psi) == exact_min_ratio(inst, b.psi)
         assert a.psi.tolist() == b.psi.tolist()
+        lowered += a.stats.exchanges_lowered
     assert lowered
 
 
@@ -197,7 +189,8 @@ def test_each_exchange_keeps_supply_count_and_prefix():
     # column 1 move to columns 2 and 3
     v = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]])
     w = np.array([2, 3, 0, 0])
-    planner._exchange_down(w, 0, *planner._column_masks(v), {})
+    planner._exchange_down(w, 0, *planner._column_masks(v), {},
+                           planner.SolveStats())
     assert w.tolist() == [0, 1, 2, 2]
 
     rng = np.random.default_rng(5)
@@ -209,7 +202,7 @@ def test_each_exchange_keeps_supply_count_and_prefix():
         w = rng.integers(0, 4, size=n_ss)
         for i in np.flatnonzero(w).tolist():
             before = w.copy()
-            planner._exchange_down(w, i, *masks, {})
+            planner._exchange_down(w, i, *masks, {}, planner.SolveStats())
             assert (v @ w == v @ before).all()
             assert w.sum() == before.sum() and (w >= 0).all()
             assert (w[:i] == before[:i]).all() and w[i] <= before[i]
@@ -359,11 +352,15 @@ def test_exchange_matches_the_numpy_scalar_moves():
             before = int(w[i])
             want, want_splits = w.copy(), {}
             _numpy_scalar_exchange(want, i, masks, index, want_splits)
-            got_splits = {}
-            planner._exchange_down(w, i, masks, index, sizes, got_splits)
+            got_splits, stats = {}, planner.SolveStats()
+            planner._exchange_down(w, i, masks, index, sizes, got_splits,
+                                   stats)
             assert w.tolist() == want.tolist()
             assert got_splits == want_splits
             moves += int(w[i] < before)
+            assert (stats.exchanges, stats.exchanges_lowered,
+                    stats.exchanges_lowered_to_0) == (
+                1, int(w[i] < before), int(w[i] == 0 < before))
     assert moves > 0
 
 
@@ -453,7 +450,8 @@ def test_integer_spacings_walk_as_fractions_do(rows, n_slot, rnd):
     rows_lp = planner._requirement_rows(inst.v, inst.spacing)
     assert (rows_lp[:-1, -1].tobytes()
             == np.array(fraction_tau_column(spacing)).tobytes())
-    tau = planner._root_lp(rows_lp, inst.spacing, n_slot) / min(inst.spacing)
+    tau = (planner._root_lp(rows_lp, inst.spacing, n_slot, planner.LpStats())
+           / min(inst.spacing))
     assert lp_relaxation_bound(inst) == float(tau * min(spacing))
 
 
@@ -646,6 +644,7 @@ def test_all_zero_demand_sentinel():
         assert plan.solver_status == "heuristic"
         assert plan.psi.sum() == 7
         assert plan.psi.tolist() == [3, 2, 2]
+        assert plan.stats == planner.SolveStats()  # no solve ran
 
 
 def test_all_zero_demand_greedy_and_lp_bound():
@@ -654,6 +653,7 @@ def test_all_zero_demand_greedy_and_lp_bound():
     assert plan.t == np.inf
     assert plan.solver_status == "heuristic"
     assert plan.psi.tolist() == [3, 2, 2]
+    assert plan.stats == planner.SolveStats()
     assert lp_relaxation_bound(inst) == np.inf
 
 

@@ -222,7 +222,7 @@ def test_against_scipy_on_planner_shaped_lps(monkeypatch):
         lb = np.zeros(n_ss)
         ub = np.full(n_ss, float(n_slot))
         root = planner._requirement_rows(v, spacing)
-        t = planner._root_lp(root, spacing, n_slot)
+        t = planner._root_lp(root, spacing, n_slot, planner.LpStats())
         rows = root[:, :-1]
         k = int(rng.integers(0, n_ss // 2))
         lb[:k] = ub[:k] = rng.choice([0, 0, 0, 1, 2, 5], size=k)
@@ -274,7 +274,7 @@ def _requirement_lp(rng, n_slot=256, **shape):
     v, spacing = _snapshot_rows(rng, **shape)
     n_dem, n_ss = v.shape
     t = planner._root_lp(planner._requirement_rows(v, spacing), spacing,
-                         n_slot)
+                         n_slot, planner.LpStats())
     req = _requirement(spacing, rng.uniform(0.8, 1.0) * t)
     a = np.zeros((n_dem + 1, n_ss + n_dem))
     a[:n_dem, :n_ss] = v
@@ -429,7 +429,10 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
     result carries no restart point. Both the root LP and the requirement
     chain start at the trivial witness's basis, under the zero cost, and
     every restart point after it is over the chain's own matrix: the root
-    LP's matrix without its last column, tau, and no copy of it."""
+    LP's matrix without its last column, tau, and no copy of it. The
+    solve's own counts, ``plan.stats``, agree with this wrapper's: LPs,
+    pivots, the root LP and the chain LPs without a pivot; greedy's are
+    the exact solve's root LP and walk, with no refinement work."""
     captured = []
 
     def recording(c, a, b, lower, upper, warm=None):
@@ -439,7 +442,7 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
 
     monkeypatch.setattr(planner, "solve_bounded_lp", recording)
     instance = pipeline(doc).instance
-    planner.solve_illumination(instance)
+    stats = planner.solve_illumination(instance).stats
     n_dem, n_ss = instance.v.shape
     assert [c is not None for c, *_ in captured] == (
         [True] + [False] * (len(captured) - 1))
@@ -457,6 +460,19 @@ def test_only_the_root_lp_is_solved_cold(monkeypatch, doc):
     assert not first.at_upper.any() and not first.cost.any()
     for a, warm, res in captured[1:]:
         assert a is rows and warm.a is rows and res.warm.a is rows
+    results = [res for *_, res in captured]
+    phases = (stats.root, stats.walk, stats.refinement)
+    assert (sum(p.lps for p in phases), sum(p.pivots for p in phases)) == (
+        len(results), sum(res.pivots for res in results))
+    assert (stats.root.lps, stats.root.pivots) == (1, results[0].pivots)
+    unpivoted = [res.status for res in results[1:] if not res.pivots]
+    assert (stats.walk.unpivoted + stats.refinement.unpivoted,
+            stats.walk.unpivoted_infeasible
+            + stats.refinement.unpivoted_infeasible) == (
+        len(unpivoted), unpivoted.count(INFEASIBLE))
+    assert stats.refinement.lps and unpivoted
+    assert planner.greedy_plan(instance).stats == planner.SolveStats(
+        root=stats.root, walk=stats.walk)
 
 
 def test_both_children_share_one_restart_point():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,13 @@ def test_bitmask_walk_reads_the_adjacency_as_the_recursion_does():
     for n_p in (2, 3):
         assert np.array_equal(enumerate_valid_snapshots(a, n_p),
                               _prefix_recursion(a, n_p))
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    """N_P above the recursion limit gives the one set of all clusters."""
+    n_c = sys.getrecursionlimit() + 100
+    v = enumerate_valid_snapshots(np.zeros((n_c, n_c), dtype=np.uint8), n_c)
+    assert v.shape == (n_c, 1) and v.all()
 
 
 def test_supply_matrix_identity_weights():

@@ -1,10 +1,12 @@
 """The exact solver's work on the benchmark workloads, pinned.
 
-``scripts/solver_work.py`` counts the simplex work of ``solve_illumination``
-over each workload's seed-1 scenario list. The counts depend only on the
-code and the arithmetic, not on the machine's speed, so a change to the
-pivot path, the threshold walk, the refinement's probes or the exchange
-moves a pin here; a change that means to move one updates its value.
+The solve counts its own work, ``HoppingPlan.stats``, and
+``scripts/solver_work.py`` sums it over each workload's seed-1 scenario
+list. The counts depend only on the code and the arithmetic, not on the
+machine's speed, so a change to the pivot path, the threshold walk, the
+refinement's probes or the exchange moves a pin here; a change that means
+to move one updates its value. ``tests/test_simplex.py`` checks the counts
+against a wrapper of ``planner.solve_bounded_lp``.
 """
 import pytest
 
@@ -38,17 +40,14 @@ PINS = {
 def test_seed_1_solver_work_is_pinned(name):
     pins = PINS[name]  # a workload without pins fails here
     work = SCRIPT.solver_work(WORKLOADS[name])
-    phases, exchange = work["phases"], work["exchange"]
-    walk, refinement = phases["threshold walk"], phases["refinement"]
+    chain = {key: work[f"walk.{key}"] + work[f"refinement.{key}"]
+             for key in ("lps", "pivots", "unpivoted", "unpivoted_infeasible")}
     assert {
         "psi digest": work["digest"],
         "greedy psi digest": work["greedy digest"],
-        "chain": (walk[0] + refinement[0], walk[1] + refinement[1]),
-        "root LP pivots": phases["root LP"][1],
-        "exchange": (exchange["calls"], exchange["split"],
-                     exchange["split to 0"]),
-        "unpivoted": (work["unpivoted"]["all"],
-                      work["unpivoted"]["infeasible"]),
+        "chain": (chain["lps"], chain["pivots"]),
+        "root LP pivots": work["root.pivots"],
+        "exchange": (work["exchanges"], work["exchanges_lowered"],
+                     work["exchanges_lowered_to_0"]),
+        "unpivoted": (chain["unpivoted"], chain["unpivoted_infeasible"]),
     } == pins
-    # the primal loop runs only in the root LP
-    assert work["loops"]["primal"] == phases["root LP"][1]
